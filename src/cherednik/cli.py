@@ -19,7 +19,13 @@ from .dirac import (
     dirac_split,
     verify_dirac_square,
 )
-from .groups import UnknownGroup, build_group
+from .groups import (
+    UnknownGroup,
+    WRepresentation,
+    build_group,
+    check_representation,
+    export_data,
+)
 from .modules import (
     WindowExceedsCap,
     baby_verma,
@@ -153,13 +159,15 @@ def cmd_verify(args):
             record("delta-invariance",
                    all(delta_element(fam, w) * d == d * delta_element(fam, w)
                        for w in group.generator_indices))
+        # the spin module is faithful, so tau is a homomorphism exactly
+        # when its spin matrices form a representation
         alg = polarized_algebra(group.n)
-        taus = [pin_tau(w, group, alg) for w in range(group.order)]
-        hom = all(taus[u] * taus[v] == taus[group.mult(u, v)]
-                  for u in range(group.order) for v in range(group.order))
+        spins = [spin_action(pin_tau(w, group, alg), alg)
+                 for w in range(group.order)]
+        hom = check_representation(
+            WRepresentation(len(spins[0]), spins), group)
         wedge_ok = True
-        for w in range(group.order):
-            m = spin_action(taus[w], alg)
+        for w, m in enumerate(spins):
             off = 0
             for l in range(group.n + 1):
                 b = poly.wedge_matrix(group.elements[w], l)
@@ -268,28 +276,7 @@ def cmd_unitarity(args):
 
 def cmd_export_group(args):
     group = build_group(args.group)
-    mstr = lambda m: [[scalar_str(v) for v in row] for row in m]
-    payload = {
-        "catalogue_id": group.catalogue_id,
-        "order": group.order,
-        "n": group.n,
-        "generator_indices": list(group.generator_indices),
-        "invariant_degrees": list(group.invariant_degrees),
-        "class_names": list(group.class_names),
-        "conjugacy_classes": [list(cl) for cl in group.conjugacy_classes],
-        "irrep_labels": list(group.irrep_labels),
-        "irrep_dims": list(group.irrep_dims),
-        "character_table": [[scalar_str(v) for v in row]
-                            for row in group.character_table],
-        "elements": [mstr(m) for m in group.elements],
-        "reflections": [{
-            "element_index": r.element_index,
-            "class_name": r.class_name,
-            "alpha": [scalar_str(v) for v in r.alpha],
-            "alpha_check": [scalar_str(v) for v in r.alpha_check],
-            "lambda": scalar_str(r.lam),
-        } for r in group.reflections],
-    }
+    payload = export_data(group)
     lines = [
         f"group {group.catalogue_id}: order {group.order}, rank {group.n}",
         f"  classes: {' '.join(group.class_names)}",

@@ -202,10 +202,6 @@ def polarized_algebra(n: int) -> CliffordAlgebra:
     return CliffordAlgebra(gram, labels)
 
 
-def clifford_multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    return a * b
-
-
 def eps_automorphism(a: CliffordElement) -> CliffordElement:
     return CliffordElement(a.algebra,
                            {m: (c if len(m) % 2 == 0 else -c)

@@ -17,6 +17,7 @@ from .clifford import (
     pin_tau,
     pin_tau_inverse,
     polarized_algebra,
+    spin_basis,
 )
 from .pbw import AlgebraElement, _c_map, _inv_scalar
 from .scalars import scalar_str
@@ -575,7 +576,7 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
         raise NotInKernel("d(z) != 0")
 
     n = g.n
-    cliff_monos = [m for m in _subsets(2 * n) if len(m) % 2 == 1]
+    cliff_monos = [m for m in spin_basis(2 * n) if len(m) % 2 == 1]
     hkeys = []
     cap = degree_cap + 1
     for xa in _exponents(n, cap):
@@ -609,28 +610,27 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     invariant_b = [invariant_b[i] for i in keep]
     d_cols = [d_cols[i] for i in keep]
 
-    cols = deltas + d_cols
-    mat, index = _coords(cols + [z])
-    rank_delta = linalg.rank(_coords(deltas)[0])
-    rank_d = linalg.rank(_coords(d_cols)[0]) if d_cols else 0
-    ncols = len(cols)
-    reduced, pivots = linalg.rref(mat)
-    if any(p == ncols for p in pivots):
+    # one elimination over [d(b) | Delta(w) | z]: z is reachable exactly
+    # when its column is no pivot, and, the Delta(w) being independent
+    # (distinct group parts), the split is unique exactly when every
+    # Delta column is a pivot, i.e. span Delta meets span d(b) in zero
+    nd = len(d_cols)
+    ncols = nd + g.order
+    reduced, pivots = linalg.rref(_coords(d_cols + deltas + [z])[0])
+    if ncols in pivots:
         raise ValueError("no decomposition at this degree cap; raise "
                          "degree_cap")
-    rank_both = sum(1 for p in pivots if p < ncols)
-    if rank_both != rank_delta + rank_d:
+    if not set(range(nd, ncols)) <= set(pivots):
         raise ValueError("group-algebra block meets the derivation image; "
                          "the decomposition would not be unique")
     # free coordinates stay zero, so each pivot reads off directly
     sol = [0] * ncols
     for row, p in zip(reduced, pivots):
         sol[p] = row[ncols]
-    emap = {w: sol[w] for w in range(g.order) if sol[w]}
+    emap = {w: sol[nd + w] for w in range(g.order) if sol[nd + w]}
     s = GroupAlgebraClassFunction.from_element_map(g, emap)
     b = None
-    for j, bc in enumerate(invariant_b):
-        c = sol[g.order + j]
+    for bc, c in zip(invariant_b, sol):
         if c:
             term = c * bc
             b = term if b is None else b + term
@@ -643,14 +643,6 @@ def zeta(z, family, degree_cap=4, column_limit=8000):
     """The class-function component of the kernel decomposition."""
     s, _ = decompose_kernel_element(z, family, degree_cap, column_limit)
     return s
-
-
-def _subsets(m):
-    out = []
-    for mask in range(2 ** m):
-        out.append(tuple(i for i in range(m) if mask & (1 << i)))
-    out.sort(key=lambda t: (len(t), t))
-    return out
 
 
 def _exponents(n, cap):

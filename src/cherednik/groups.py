@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, poly
-from .scalars import CyclotomicScalar, conjugate, zeta
+from .scalars import CyclotomicScalar, conjugate, scalar_str, zeta
 
 
 class UnknownGroup(KeyError):
@@ -350,7 +350,7 @@ def _find_reflection_data(mat, family):
     if linalg.rank(diff) != 1:
         return None
     # alpha_check spans the image of (s - 1); alpha spans the image of (s^T - 1)
-    cols = linalg.columns(diff)
+    cols = linalg.transpose(diff)
     alpha_check = next(c for c in cols if any(x for x in c))
     rows = [list(r) for r in diff]
     alpha = next(r for r in rows if any(x for x in r))
@@ -654,19 +654,26 @@ def check_representation(rep, group) -> bool:
     return True
 
 
+def inner_product(group, chi, label):
+    """<chi, chi_label> = (1/|W|) sum_C |C| chi(C) chi_label(C^-1) for a
+    class function chi listed per conjugacy class.  The value is returned
+    as computed; callers decide whether it must be a nonnegative integer."""
+    row = group.character_table[group.irrep_labels.index(label)]
+    s = 0
+    for cl, x, y in zip(group.conjugacy_classes, chi, row):
+        s = s + len(cl) * x * conjugate(y)
+    return s * Fraction(1, group.order)
+
+
 def decompose(rep, group, check=True):
     """Multiplicities of each irreducible; {label: positive int}."""
     if check and not check_representation(rep, group):
         raise NotARepresentation("homomorphism check failed")
-    sizes = [len(cl) for cl in group.conjugacy_classes]
     chi = rep.character(group)
     out = {}
     total = 0
-    for label, row in zip(group.irrep_labels, group.character_table):
-        s = 0
-        for ci, size in enumerate(sizes):
-            s = s + size * chi[ci] * conjugate(row[ci])
-        mult = s / group.order
+    for label in group.irrep_labels:
+        mult = inner_product(group, chi, label)
         if isinstance(mult, CyclotomicScalar):
             if not mult.is_rational():
                 raise NotARepresentation(f"multiplicity of {label} not rational")
@@ -755,31 +762,27 @@ def regular_representation(group):
 
 def export_data(group):
     """Plain-data snapshot of the group for JSON emission."""
-    from .scalars import scalar_str
 
-    def mat_strs(m):
-        return [[scalar_str(x) for x in row] for row in m]
+    def strs(row):
+        return [scalar_str(x) for x in row]
 
     return {
         "catalogue_id": group.catalogue_id,
         "order": group.order,
-        "rank": group.n,
-        "elements": [mat_strs(m) for m in group.elements],
-        "words": [list(w) for w in group.words],
-        "conjugacy_classes": [
-            {"name": group.class_names[ci], "elements": cl, "size": len(cl)}
-            for ci, cl in enumerate(group.conjugacy_classes)],
-        "irreps": [{"label": lab, "dim": dim}
-                   for lab, dim in zip(group.irrep_labels, group.irrep_dims)],
-        "character_table": [[scalar_str(x) for x in row]
-                            for row in group.character_table],
-        "reflections": [
-            {"element_index": r.element_index,
-             "class": r.class_name,
-             "alpha": [scalar_str(x) for x in r.alpha],
-             "alpha_check": [scalar_str(x) for x in r.alpha_check],
-             "lambda": scalar_str(r.lam)}
-            for r in group.reflections],
-        "invariant_degrees": group.invariant_degrees,
-        "epsilon_label": group.eps_label,
+        "n": group.n,
+        "generator_indices": list(group.generator_indices),
+        "invariant_degrees": list(group.invariant_degrees),
+        "class_names": list(group.class_names),
+        "conjugacy_classes": [list(cl) for cl in group.conjugacy_classes],
+        "irrep_labels": list(group.irrep_labels),
+        "irrep_dims": list(group.irrep_dims),
+        "character_table": [strs(row) for row in group.character_table],
+        "elements": [[strs(row) for row in m] for m in group.elements],
+        "reflections": [{
+            "element_index": r.element_index,
+            "class_name": r.class_name,
+            "alpha": strs(r.alpha),
+            "alpha_check": strs(r.alpha_check),
+            "lambda": scalar_str(r.lam),
+        } for r in group.reflections],
     }

@@ -8,7 +8,7 @@ no pivoting for numerical stability because there is no rounding.
 
 from fractions import Fraction
 
-from .scalars import CyclotomicScalar, rational_part_sign
+from .scalars import CyclotomicScalar
 
 
 def zeros(r, c):
@@ -24,10 +24,6 @@ def identity(n):
 
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
-
-
-def columns(m):
-    return transpose(m)
 
 
 def mat_mul(a, b):

@@ -13,10 +13,10 @@ import math
 from fractions import Fraction
 
 from . import linalg, poly
-from .clifford import pin_tau, polarized_algebra, spin_action, spin_basis
+from .clifford import pin_tau, polarized_algebra, spin_action
 from .dirac import UnknownIrrep, casimir_scalar
-from .groups import UnknownGroup
-from .pbw import casimir_omega, cherednik_family
+from .groups import UnknownGroup, inner_product
+from .pbw import cherednik_family
 from .scalars import CyclotomicScalar, NotRational
 
 
@@ -54,15 +54,6 @@ def _as_fraction(x):
         except NotRational:
             raise UnsupportedField("irrational scalar in rational context")
     return Fraction(x)
-
-
-def _as_int(x):
-    if isinstance(x, CyclotomicScalar):
-        x = x.rational_value()
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise AssertionError(f"expected an integer, got {f}")
-    return int(f)
 
 
 def _rational_or_none(x):
@@ -443,7 +434,7 @@ def dirac_operator(module):
 
 
 # --------------------------------------------------------------------------
-# characters and isotypic projections
+# characters and multiplicities
 
 
 def _class_reps(group):
@@ -482,46 +473,47 @@ def _wedge_char(group, l):
     return got
 
 
+def _multiplicity(group, chi, mu):
+    """<chi, chi_mu> for the character chi of a W-stable space, checked to
+    be a nonnegative integer."""
+    m = _rational_or_none(inner_product(group, chi, mu))
+    if m is None or m.denominator != 1 or m < 0:
+        raise AssertionError(f"multiplicity of {mu} is not a nonnegative "
+                             f"integer: {m}")
+    return int(m)
+
+
 def cell_multiplicity(group, sigma, k, l, mu):
     """Multiplicity of mu in S^k(h*) (x) V_sigma (x) wedge^l(h) under the
     natural diagonal action, by characters."""
-    labels = group.irrep_labels
-    if mu not in labels:
+    if mu not in group.irrep_labels:
         raise UnknownIrrep(mu)
     chi_sigma = group.irrep(sigma).character(group)
-    chi_mu = group.character_table[labels.index(mu)]
-    sym = _sym_char(group, k)
-    wedge = _wedge_char(group, l)
-    total = 0
-    # sum over elements, not classes: inverse classes stay honest
-    for ci, cls in enumerate(group.conjugacy_classes):
-        for w in cls:
-            ci_inv = group.class_of(group.inverse_index(w))
-            total = (total + sym[ci] * chi_sigma[ci] * wedge[ci]
-                     * chi_mu[ci_inv])
-    mult = total * Fraction(1, group.order)
-    m = _as_int(mult)
-    if m < 0:
-        raise AssertionError("negative multiplicity")
-    return m
+    chi = [a * b * c for a, b, c in zip(
+        _sym_char(group, k), chi_sigma, _wedge_char(group, l))]
+    return _multiplicity(group, chi, mu)
 
 
-def _cell_projector(dirac, mu, k, l):
-    """Matrix of the projection onto the mu-isotypic of the (k, l) cell."""
-    g = dirac.module.group
-    labels = g.irrep_labels
-    chi_mu = g.character_table[labels.index(mu)]
-    dim_mu = g.irrep_dims[labels.index(mu)]
-    size = dirac.cell_dim(k, l)
-    total = linalg.zeros(size, size)
-    for w in range(g.order):
-        ci_inv = g.class_of(g.inverse_index(w))
-        wmat = dirac.w_cell(w, k, l)
-        coeff = chi_mu[ci_inv]
-        if coeff == 0:
-            continue
-        total = linalg.mat_add(total, linalg.mat_scale(coeff, wmat))
-    return linalg.mat_scale(Fraction(dim_mu, g.order), total)
+def _span_character(basis, blocks, classes):
+    """Character, one value per conjugacy class, of the span of `basis`.
+
+    Precondition: `basis` holds reduced echelon rows (as returned by
+    linalg.column_space_basis) spanning a W-stable subspace, and `blocks`
+    lists (offset, matrices of the class representatives) for the
+    W-stable coordinate blocks, by increasing offset.  Every other basis
+    row vanishes at the pivot p_i of u_i, so (w u_i)[p_i] is the coefficient
+    of u_i in w u_i and tr(w) = sum_i (w u_i)[p_i]: one matrix row per
+    basis vector and no solve.
+    """
+    chi = [0] * classes
+    for u in basis:
+        p = next(i for i, x in enumerate(u) if x)
+        off, mats = next(b for b in reversed(blocks) if b[0] <= p)
+        for ci, m in enumerate(mats):
+            for j, a in enumerate(m[p - off]):
+                if a and u[off + j]:
+                    chi[ci] = chi[ci] + a * u[off + j]
+    return chi
 
 
 # --------------------------------------------------------------------------
@@ -579,19 +571,19 @@ def dirac_cohomology(module):
         if needed > module.K:
             raise WindowExceedsCap(needed)
         cellset = sorted({cell for cells in by_mu.values() for cell in cells})
-        mus_by_cell = {}
-        for mu, cells in by_mu.items():
-            for cell in cells:
-                mus_by_cell.setdefault(cell, []).append(mu)
         zbasis = []
         for cell in cellset:
-            proj = None
-            for mu in mus_by_cell[cell]:
-                p = _cell_projector(dirac, mu, *cell)
-                proj = p if proj is None else linalg.mat_add(proj, p)
-            for col in linalg.column_space_basis(linalg.columns(proj)):
-                zbasis.append((cell, col))
-        candidates = sorted(by_mu)
+            # D^2 acts on the mu-isotypic of a cell by a scalar, so its
+            # kernel there is the sum of the zero-scalar isotypics
+            zero = linalg.nullspace(dirac.d_squared_on_cell(*cell))
+            want = sum(g.dim_of(mu)
+                       * cell_multiplicity(g, module.sigma, *cell, mu)
+                       for mu, cells in by_mu.items() if cell in cells)
+            if len(zero) != want:
+                raise AssertionError(
+                    f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
+                    f"its zero-scalar isotypics {want}")
+            zbasis.extend((cell, v) for v in zero)
     else:
         cellset = [cell for cell in dirac.cells() if dirac.cell_dim(*cell)]
         zbasis = []
@@ -601,7 +593,6 @@ def dirac_cohomology(module):
                 e = [0] * dim
                 e[i] = 1
                 zbasis.append((cell, e))
-        candidates = list(g.irrep_labels)
 
     offsets = {}
     total = 0
@@ -631,55 +622,28 @@ def dirac_cohomology(module):
     image = linalg.column_space_basis([v for v in images if any(v)])
     overlap = linalg.subspace_intersection(ker, image)
 
-    projs = {}
+    # ker, the overlap and their coordinate images in each cell are all
+    # W-stable (D commutes with the diagonal W, which preserves cells)
+    reps = _class_reps(g)
+    classes = len(reps)
+    wmats = {cell: [dirac.w_cell(w, *cell) for w in reps] for cell in cellset}
+    blocks = [(offsets[cell], wmats[cell]) for cell in cellset]
+    chi_h = [a - b for a, b in zip(_span_character(ker, blocks, classes),
+                                   _span_character(overlap, blocks, classes))]
+    chi_cells = {}
+    for cell in cellset:
+        off = offsets[cell]
+        coords = linalg.column_space_basis(
+            [v[off:off + dirac.cell_dim(*cell)] for v in ker])
+        chi_cells[cell] = _span_character(coords, [(0, wmats[cell])], classes)
 
-    def project(mu, vecs):
-        if not vecs:
-            return []
-        pm = projs.get(mu)
-        if pm is None:
-            pm = {cell: _cell_projector(dirac, mu, *cell) for cell in cellset}
-            projs[mu] = pm
-        out = []
-        for v in vecs:
-            img = [0] * total
-            for cell in cellset:
-                off = offsets[cell]
-                dim = dirac.cell_dim(*cell)
-                local = v[off:off + dim]
-                if any(local):
-                    loc = linalg.mat_vec(pm[cell], local)
-                    for i, x in enumerate(loc):
-                        img[off + i] = x
-            out.append(img)
-        return [v for v in out if any(v)]
-
-    labels = g.irrep_labels
     entries = []
-    for mu in candidates:
-        dim_mu = g.irrep_dims[labels.index(mu)]
-        in_ker = project(mu, ker)
-        if not in_ker:
-            continue
-        rk = linalg.rank(linalg.transpose(in_ker))
-        rk_overlap = 0
-        in_overlap = project(mu, overlap)
-        if in_overlap:
-            rk_overlap = linalg.rank(linalg.transpose(in_overlap))
-        if (rk - rk_overlap) % dim_mu:
-            raise AssertionError("isotypic rank not divisible by dim")
-        mult = (rk - rk_overlap) // dim_mu
-        if mult <= 0:
-            continue
-        lived = set()
-        for v in linalg.column_space_basis(in_ker):
-            for cell in cellset:
-                off = offsets[cell]
-                if any(v[off:off + dirac.cell_dim(*cell)]):
-                    lived.add(cell)
-        entries.append({"irrep": mu, "multiplicity": mult,
-                        "cells": sorted(lived)})
-    entries.sort(key=lambda e: labels.index(e["irrep"]))
+    for mu in g.irrep_labels:
+        mult = _multiplicity(g, chi_h, mu)
+        if mult:
+            entries.append({"irrep": mu, "multiplicity": mult, "cells": [
+                cell for cell in cellset
+                if _multiplicity(g, chi_cells[cell], mu)]})
     return {
         "group": g.catalogue_id,
         "kind": module.kind,

@@ -752,7 +752,7 @@ def pbw_check(family):
             continue
         vm = family.v_matrix(w)
         moved = linalg.column_space_basis(
-            linalg.columns(linalg.mat_sub(vm, linalg.identity(nv))))
+            linalg.transpose(linalg.mat_sub(vm, linalg.identity(nv))))
         if len(moved) != 2:
             continue  # already reported under condition 2
         for h in range(group.order):

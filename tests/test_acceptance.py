@@ -31,7 +31,12 @@ from cherednik.dirac import (
     verify_dirac_square,
     zeta,
 )
-from cherednik.groups import CATALOGUE_IDS, build_group
+from cherednik.groups import (
+    CATALOGUE_IDS,
+    WRepresentation,
+    build_group,
+    isotypic_projector,
+)
 from cherednik.modules import (
     DiracOperatorMatrix,
     baby_verma,
@@ -41,7 +46,6 @@ from cherednik.modules import (
     one_dimensional_quotient,
     standard_module,
     unitarity_report,
-    _cell_projector,
 )
 from cherednik.pbw import (
     cherednik_family,
@@ -207,7 +211,10 @@ def test_criterion_05_cell_scalar_law():
                             nu = g.tensor_with_eps(mu)
                             if cell_multiplicity(g, sigma, k, l, nu) == 0:
                                 continue
-                            proj = _cell_projector(d, nu, k, l)
+                            proj = isotypic_projector(WRepresentation(
+                                d.cell_dim(k, l),
+                                [d.w_cell(w, k, l) for w in range(g.order)]),
+                                nu, g)
                             sc = -2 * (k + n - l) + n_sigma \
                                 - casimir_scalar(mu, c, g)
                             assert linalg.mat_mul(d2, proj) == \

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cherednik import linalg
+from cherednik import dirac, linalg
 from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.pbw import (
     casimir_h,
@@ -471,6 +471,24 @@ def test_decompose_requires_commuting_with_casimir_at_nonzero_t():
     z = tensor(fam, fam.x_gen(0) * fam.x_gen(0), alg.one(), alg)
     with pytest.raises(ValueError, match="commute"):
         decompose_kernel_element(z, fam)
+
+
+def test_decompose_rejects_non_direct_sum(monkeypatch):
+    # a derivation image containing Delta(s) makes the split ambiguous
+    fam = c_fam("A1", 0, 1)
+    s = fam.group.order - 1
+    calls = []
+
+    def leaky(a, family=None):
+        calls.append(a)
+        # call 1 checks d(z) = 0; call 2 is the first search candidate
+        if len(calls) == 2:
+            return delta_element(fam, s, a.algebra)
+        return derivation_d(a, family)
+
+    monkeypatch.setattr(dirac, "derivation_d", leaky)
+    with pytest.raises(ValueError, match="not be unique"):
+        decompose_kernel_element(omega_tilde(fam), fam)
 
 
 def test_decompose_column_limit():

@@ -284,7 +284,7 @@ def test_export_data_is_json_ready():
     text = json.dumps(data, sort_keys=True)
     assert "character_table" in data
     assert data["order"] == 8
-    assert json.loads(text)["epsilon_label"] == "0x11"
+    assert json.loads(text)["irrep_labels"] == g.irrep_labels
 
 
 def test_character_table_first_column_is_dims():

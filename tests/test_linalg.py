@@ -98,8 +98,8 @@ def test_cyclotomic_entries():
 def test_column_space_and_intersection():
     a = [[F(1), F(0)], [F(0), F(1)], [F(0), F(0)]]
     b = [[F(1)], [F(1)], [F(0)]]
-    acols = la.columns(a)
-    bcols = la.columns(b)
+    acols = la.transpose(a)
+    bcols = la.transpose(b)
     inter = la.subspace_intersection(acols, bcols)
     assert len(inter) == 1
     assert la.in_span(acols, inter[0])

@@ -5,7 +5,7 @@ import pytest
 
 from cherednik import linalg
 from cherednik.dirac import UnknownIrrep, casimir_scalar
-from cherednik.groups import build_group
+from cherednik.groups import WRepresentation, build_group, isotypic_projector
 from cherednik.modules import (
     DiracOperatorMatrix,
     UnsupportedField,
@@ -20,7 +20,6 @@ from cherednik.modules import (
     one_dimensional_quotient,
     standard_module,
     unitarity_report,
-    _cell_projector,
 )
 from cherednik.pbw import casimir_omega
 
@@ -35,6 +34,14 @@ def compose_blocks(module, outer, inner):
             else:
                 out[k3] = prod
     return {k: m for k, m in out.items() if any(any(row) for row in m)}
+
+
+def cell_projector(d, mu, k, l):
+    """Projector onto the mu-isotypic of the (k, l) cell, summed over W."""
+    g = d.module.group
+    rep = WRepresentation(d.cell_dim(k, l),
+                          [d.w_cell(w, k, l) for w in range(g.order)])
+    return isotypic_projector(rep, mu, g)
 
 
 def nonzero_blocks(blocks):
@@ -240,7 +247,7 @@ def test_d_squared_cell_scalars_b2():
                 for mu in g.irrep_labels:
                     if cell_multiplicity(g, sigma, k, l, mu) == 0:
                         continue
-                    proj = _cell_projector(d, mu, k, l)
+                    proj = cell_projector(d, mu, k, l)
                     sc = d_squared_scalar(g, sigma, mu, k, l, 1)
                     assert linalg.mat_mul(d2, proj) == \
                         linalg.mat_scale(sc, proj)
@@ -257,7 +264,7 @@ def test_d_squared_cell_scalars_cyclotomic():
             for mu in g.irrep_labels:
                 if cell_multiplicity(g, sigma, k, l, mu) == 0:
                     continue
-                proj = _cell_projector(d, mu, k, l)
+                proj = cell_projector(d, mu, k, l)
                 sc = d_squared_scalar(g, sigma, mu, k, l, Fraction(1, 2))
                 assert linalg.mat_mul(d2, proj) == linalg.mat_scale(sc, proj)
 
@@ -286,7 +293,7 @@ def test_cell_projectors_resolve_identity():
     d = DiracOperatorMatrix(m)
     total = None
     for mu in g.irrep_labels:
-        p = _cell_projector(d, mu, 0, 1)
+        p = cell_projector(d, mu, 0, 1)
         assert linalg.mat_mul(p, p) == p
         total = p if total is None else linalg.mat_add(total, p)
     assert total == linalg.identity(d.cell_dim(0, 1))
