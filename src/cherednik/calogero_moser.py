@@ -7,11 +7,11 @@ Dirac-cohomology witnesses, separations only by Casimir disagreement,
 and equal-Casimir pairs without a witness chain stay marked undecided.
 """
 
-from fractions import Fraction
 
-from . import linalg, poly
+from . import poly
 from .dirac import (casimir_scalar, clifford_algebra_of,
                     decompose_kernel_element, derivation_d, tensor)
+from .groups import _invariant_generators
 from .modules import (baby_verma, dirac_cohomology, h_weight,
                       one_dimensional_quotient)
 from .pbw import _c_map, casimir_omega, cherednik_family
@@ -175,47 +175,6 @@ def gordon_martino_table(partition):
 # factorization of invariants through the derivation image
 
 
-def _invariant_space(group, matrices, d):
-    """Basis of the degree-d invariant polynomials for the action given
-    per group element by the degree-1 matrices."""
-    n = group.n
-    monos = poly.monomials(n, d)
-    rows = []
-    for w in group.generator_indices:
-        act = poly.action_matrix_on_degree(matrices[w], n, d)
-        for i in range(len(monos)):
-            row = list(act[i])
-            row[i] = row[i] - 1
-            rows.append(row)
-    return [poly.from_vector(v, monos) for v in linalg.nullspace(rows)]
-
-
-def _fundamental_invariants(group, matrices):
-    """One invariant per fundamental degree, excluding products of the
-    earlier ones, for the side selected by the matrices."""
-    out = []
-    for d in sorted(group.invariant_degrees):
-        space = _invariant_space(group, matrices, d)
-        monos = poly.monomials(group.n, d)
-        products = []
-        for i, (f, df) in enumerate(out):
-            for j in range(i, len(out)):
-                g, dg = out[j]
-                if df + dg == d:
-                    products.append(poly.to_vector(poly.p_mul(f, g), monos))
-        chosen = None
-        for f in space:
-            vec = poly.to_vector(f, monos)
-            if not products or not linalg.in_span(
-                    linalg.column_space_basis(products), vec):
-                chosen = f
-                break
-        if chosen is None:
-            raise AssertionError(f"no fundamental invariant at degree {d}")
-        out.append((chosen, d))
-    return out
-
-
 def verify_cm_factorization(group, c, degree_cap, extra_invariants=None):
     """For each fundamental invariant f of degree <= degree_cap, on both
     the polynomial and the dual side, solve f (x) 1 = d(b) exactly at
@@ -229,12 +188,11 @@ def verify_cm_factorization(group, c, degree_cap, extra_invariants=None):
 
     jobs = []
     # polynomial side: invariants of S(h*) in the x generators
-    hstar = [group.h_star_matrix(w) for w in range(group.order)]
-    hside = [group.elements[w] for w in range(group.order)]
-    for f, d in _fundamental_invariants(group, hstar):
+    degrees = group.invariant_degrees
+    for f, d in zip(group.invariant_generators, degrees):
         if d <= degree_cap:
             jobs.append(("h_star", f, d))
-    for f, d in _fundamental_invariants(group, hside):
+    for f, d in zip(_invariant_generators(group, group.elements), degrees):
         if d <= degree_cap:
             jobs.append(("h", f, d))
     for f in extra_invariants or []:

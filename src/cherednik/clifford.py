@@ -168,12 +168,6 @@ class CliffordElement:
 
     __hash__ = None
 
-    def parity_split(self):
-        even = {m: c for m, c in self.terms.items() if len(m) % 2 == 0}
-        odd = {m: c for m, c in self.terms.items() if len(m) % 2 == 1}
-        return (CliffordElement(self.algebra, even),
-                CliffordElement(self.algebra, odd))
-
     def __str__(self):
         if not self.terms:
             return "0"

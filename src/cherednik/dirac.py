@@ -9,7 +9,7 @@ zeta projection.
 
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, poly
 from .clifford import (
     CliffordAlgebra,
     chevalley_lift,
@@ -579,10 +579,13 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     cliff_monos = [m for m in spin_basis(2 * n) if len(m) % 2 == 1]
     hkeys = []
     cap = degree_cap + 1
-    for xa in _exponents(n, cap):
-        for yb in _exponents(n, cap - sum(xa)):
-            for w in range(g.order):
-                hkeys.append((tuple(xa), w, tuple(yb)))
+    # exponents of degree <= cap, lexicographic: fixes the column order
+    exponents = sorted(m for d in range(cap + 1) for m in poly.monomials(n, d))
+    for xa in exponents:
+        for yb in exponents:
+            if sum(xa) + sum(yb) <= cap:
+                for w in range(g.order):
+                    hkeys.append((xa, w, yb))
     raw = [(hk, cm) for hk in hkeys for cm in cliff_monos
            if sum(hk[0]) + sum(hk[2]) + len(cm) <= cap]
     if candidate_filter is not None:
@@ -643,12 +646,3 @@ def zeta(z, family, degree_cap=4, column_limit=8000):
     """The class-function component of the kernel decomposition."""
     s, _ = decompose_kernel_element(z, family, degree_cap, column_limit)
     return s
-
-
-def _exponents(n, cap):
-    if n == 0:
-        yield ()
-        return
-    for first in range(cap + 1):
-        for rest in _exponents(n - 1, cap - first):
-            yield (first,) + rest

@@ -138,10 +138,6 @@ class ReflectionGroup:
     def reflection_at(self, element_index):
         return self._refl_by_element.get(element_index)
 
-    def eps_value(self, i):
-        """det_h of element i."""
-        return self._det[i]
-
     def tensor_with_eps(self, label):
         return self._eps_tensor[label]
 
@@ -417,15 +413,17 @@ def _name_reflection_classes(namer, group):
     return names
 
 
-def _invariant_generators(group):
+def _invariant_generators(group, matrices):
+    """One invariant per fundamental degree, none a polynomial in the
+    earlier ones, for the action given by the degree-1 matrices
+    (indexed by element; only the generators are read)."""
     n = group.n
-    gens_hstar = [group.h_star_matrix(i) for i in group.generator_indices]
     chosen = []
     for d in group.invariant_degrees:
         monos = poly.monomials(n, d)
         dim = len(monos)
         stacked = []
-        for B in gens_hstar:
+        for B in (matrices[i] for i in group.generator_indices):
             act = poly.action_matrix_on_degree(B, n, d)
             for i in range(dim):
                 row = list(act[i])
@@ -624,7 +622,8 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
     for d in group.invariant_degrees:
         degrees_product *= d
     assert degrees_product == group.order, "product of degrees equals |W|"
-    group.invariant_generators = _invariant_generators(group)
+    group.invariant_generators = _invariant_generators(
+        group, {i: group.h_star_matrix(i) for i in group.generator_indices})
     for f, d in zip(group.invariant_generators, group.invariant_degrees):
         assert poly.total_degree(f) == d
         for gi in group.generator_indices:

@@ -100,12 +100,16 @@ def rref(m):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
+        # invert once: a cyclotomic inverse is a whole extended Euclid
+        inv = 1 / a[r][c]
+        a[r] = [x * inv if x else x for x in a[r]]
+        support = [(j, y) for j, y in enumerate(a[r]) if y]
         for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                row = a[i]
+                for j, y in support:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
         if r == rows:

@@ -137,9 +137,6 @@ class GradedModule:
             return list(range(self.K + 1))
         return sorted(k for k, s in self._sel.items() if s)
 
-    def total_dim(self):
-        return sum(self.piece_dim(k) for k in self.degrees())
-
     def basis_labels(self, k):
         monos = poly.monomials(self.n, k)
         out = []
@@ -542,7 +539,7 @@ def _zero_scalar_cells(module):
     return out
 
 
-def _embed(cellset, offsets, comp, total):
+def _embed(offsets, comp, total):
     vec = [0] * total
     for cell, local in comp.items():
         if cell not in offsets:
@@ -558,9 +555,14 @@ def _embed(cellset, offsets, comp, total):
 def dirac_cohomology(module):
     """Exact Dirac cohomology report for a graded module.
 
-    Standard modules are cut down to the zero-scalar window of the Dirac
-    square first (everything else cannot meet the kernel); baby Verma
-    and simple modules are handled on the full finite space.
+    The up and down parts of D each square to zero, so D^2 = D_x D_y +
+    D_y D_x preserves every cell and acts on each W-isotypic there by a
+    scalar.  Hence ker D and its intersection with im D, which is D(Z),
+    both lie in Z = ker D^2, found cell by cell.  Standard modules meet Z
+    only on the zero-scalar window (checked against the cell
+    multiplicities); baby Verma and simple modules use every nonempty
+    cell.  D is applied once to a basis of Z, and since D(Z) ~
+    Z / ker(D|Z) as W-modules, H_D has character 2 chi_ker - chi_Z.
     """
     dirac = DiracOperatorMatrix(module)
     g = module.group
@@ -571,28 +573,8 @@ def dirac_cohomology(module):
         if needed > module.K:
             raise WindowExceedsCap(needed)
         cellset = sorted({cell for cells in by_mu.values() for cell in cells})
-        zbasis = []
-        for cell in cellset:
-            # D^2 acts on the mu-isotypic of a cell by a scalar, so its
-            # kernel there is the sum of the zero-scalar isotypics
-            zero = linalg.nullspace(dirac.d_squared_on_cell(*cell))
-            want = sum(g.dim_of(mu)
-                       * cell_multiplicity(g, module.sigma, *cell, mu)
-                       for mu, cells in by_mu.items() if cell in cells)
-            if len(zero) != want:
-                raise AssertionError(
-                    f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
-                    f"its zero-scalar isotypics {want}")
-            zbasis.extend((cell, v) for v in zero)
     else:
         cellset = [cell for cell in dirac.cells() if dirac.cell_dim(*cell)]
-        zbasis = []
-        for cell in cellset:
-            dim = dirac.cell_dim(*cell)
-            for i in range(dim):
-                e = [0] * dim
-                e[i] = 1
-                zbasis.append((cell, e))
 
     offsets = {}
     total = 0
@@ -600,36 +582,45 @@ def dirac_cohomology(module):
         offsets[cell] = total
         total += dirac.cell_dim(*cell)
 
-    amb = []
-    images = []
-    for cell, local in zbasis:
-        amb.append(_embed(cellset, offsets, {cell: local}, total))
-        img = dirac.apply({cell: local})
-        images.append(_embed(cellset, offsets, img, total))
-
-    # kernel and image of D restricted to the invariant span
-    coef_kernel = linalg.nullspace(_columns_matrix(images, total))
-    ker = []
-    for coefs in coef_kernel:
-        vec = [0] * total
-        for j, cf in enumerate(coefs):
-            if cf:
-                for i, v in enumerate(amb[j]):
-                    if v:
-                        vec[i] = vec[i] + cf * v
-        ker.append(vec)
-    ker = linalg.column_space_basis(ker)
-    image = linalg.column_space_basis([v for v in images if any(v)])
-    overlap = linalg.subspace_intersection(ker, image)
-
-    # ker, the overlap and their coordinate images in each cell are all
-    # W-stable (D commutes with the diagonal W, which preserves cells)
+    # Z, ker(D|Z) and the coordinate images of the kernel in each cell are
+    # all W-stable (D commutes with the diagonal W, which preserves cells)
     reps = _class_reps(g)
     classes = len(reps)
     wmats = {cell: [dirac.w_cell(w, *cell) for w in reps] for cell in cellset}
+    chi_z = [0] * classes
+    zbasis = []
+    for cell in cellset:
+        zero = linalg.column_space_basis(
+            linalg.nullspace(dirac.d_squared_on_cell(*cell)))
+        if module.kind == "standard":
+            want = sum(g.dim_of(mu)
+                       * cell_multiplicity(g, module.sigma, *cell, mu)
+                       for mu, cells in by_mu.items() if cell in cells)
+            if len(zero) != want:
+                raise AssertionError(
+                    f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
+                    f"its zero-scalar isotypics {want}")
+        chi = _span_character(zero, [(0, wmats[cell])], classes)
+        chi_z = [a + b for a, b in zip(chi_z, chi)]
+        zbasis.extend((cell, v) for v in zero)
+
+    images = [_embed(offsets, dirac.apply({cell: local}), total)
+              for cell, local in zbasis]
+    ker = []
+    for coefs in linalg.nullspace(linalg.transpose(images)):
+        vec = [0] * total
+        for cf, (cell, local) in zip(coefs, zbasis):
+            if cf:
+                off = offsets[cell]
+                for i, v in enumerate(local):
+                    if v:
+                        vec[off + i] = vec[off + i] + cf * v
+        ker.append(vec)
+    ker = linalg.column_space_basis(ker)
+
     blocks = [(offsets[cell], wmats[cell]) for cell in cellset]
-    chi_h = [a - b for a, b in zip(_span_character(ker, blocks, classes),
-                                   _span_character(overlap, blocks, classes))]
+    chi_h = [2 * a - b for a, b in zip(_span_character(ker, blocks, classes),
+                                       chi_z)]
     chi_cells = {}
     for cell in cellset:
         off = offsets[cell]
@@ -644,22 +635,18 @@ def dirac_cohomology(module):
             entries.append({"irrep": mu, "multiplicity": mult, "cells": [
                 cell for cell in cellset
                 if _multiplicity(g, chi_cells[cell], mu)]})
+    overlap_dim = len(zbasis) - len(ker)
     return {
         "group": g.catalogue_id,
         "kind": module.kind,
         "sigma": module.sigma,
         "H_D": entries,
         "kernel_dim": len(ker),
-        "image_dim": len(image),
-        "overlap_dim": len(overlap),
+        "image_dim": (overlap_dim if module.kind == "standard"
+                      else total - len(ker)),
+        "overlap_dim": overlap_dim,
         "window": [list(cell) for cell in cellset],
     }
-
-
-def _columns_matrix(columns, rows):
-    if not columns:
-        return [[0] * 0 for _ in range(rows)]
-    return [[col[i] for col in columns] for i in range(rows)]
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .poly import p_mul
+from .clifford import polarized_algebra
+from .poly import substitute_linear
 from .scalars import CyclotomicScalar, scalar_str
 
 
@@ -45,15 +46,6 @@ def _zero_matrix(m):
     return all(x == 0 for row in m for x in row)
 
 
-def _pairing_gram(n):
-    # <x_i, y_i> = 1 in the interleaved order x1,y1,...,xn,yn
-    g = linalg.zeros(2 * n, 2 * n)
-    for i in range(n):
-        g[2 * i][2 * i + 1] = Fraction(1)
-        g[2 * i + 1][2 * i] = Fraction(1)
-    return g
-
-
 class FormFamily:
     """A reflection group together with its family of commutator forms.
 
@@ -68,7 +60,10 @@ class FormFamily:
         self.space = space
         if space == "polarized":
             self.nv = 2 * group.n
-            self.vgram = _pairing_gram(group.n) if vgram is None else vgram
+            # <x_i, y_i> = 1; the cached algebra's matrix is shared, so
+            # nothing may mutate vgram
+            self.vgram = (polarized_algebra(group.n).gram if vgram is None
+                          else vgram)
         elif space == "orthogonal":
             self.nv = group.n
             if vgram is None:
@@ -167,7 +162,7 @@ class FormFamily:
         got = self._wx.get(key)
         if got is None:
             m = self.group.h_star_matrix(w)
-            got = self._mono_subst(m, a)
+            got = substitute_linear({a: 1}, m)
             self._wx[key] = got
         return got
 
@@ -177,19 +172,9 @@ class FormFamily:
         got = self._wy.get(key)
         if got is None:
             m = self.group.elements[self.group.inverse_index(w)]
-            got = self._mono_subst(m, b)
+            got = substitute_linear({b: 1}, m)
             self._wy[key] = got
         return got
-
-    @staticmethod
-    def _mono_subst(m, expo):
-        n = len(expo)
-        out = {(0,) * n: 1}
-        for k in range(n):
-            lin = {_unit(n, i): m[i][k] for i in range(n) if m[i][k] != 0}
-            for _ in range(expo[k]):
-                out = p_mul(out, lin)
-        return out
 
     def _y_past_x(self, b, j):
         """Normal form of y^b . x_j as a tuple of (coeff, a, w, b')."""

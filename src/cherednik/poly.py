@@ -19,10 +19,6 @@ def p_add(a, b):
     return out
 
 
-def p_sub(a, b):
-    return p_add(a, {e: -c for e, c in b.items()})
-
-
 def p_scale(c, a):
     if not c:
         return {}
@@ -40,12 +36,6 @@ def p_mul(a, b):
             else:
                 out.pop(e, None)
     return out
-
-
-def var(n, i):
-    e = [0] * n
-    e[i] = 1
-    return {tuple(e): 1}
 
 
 def partial(p, i):
