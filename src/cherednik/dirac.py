@@ -19,7 +19,7 @@ from .clifford import (
     polarized_algebra,
     spin_basis,
 )
-from .pbw import AlgebraElement, _c_map, _inv_scalar
+from .pbw import AlgebraElement, _bump, _c_map, _inv_scalar
 from .scalars import scalar_str
 
 
@@ -280,15 +280,6 @@ def delta_element(family, w, algebra=None):
                   pin_tau(w, family.group, alg), alg)
 
 
-def delta_element_inverse(family, w, algebra=None):
-    if family.space != "polarized":
-        raise ValueError("pin elements are built on the polarized space")
-    alg = algebra if algebra is not None else clifford_algebra_of(family)
-    return tensor(family,
-                  family.group_element(family.group.inverse_index(w)),
-                  pin_tau_inverse(w, family.group, alg), alg)
-
-
 def omega_tilde(family, algebra=None):
     """Omega_H (x) 1 - 1 (x) kappa_1/2; commutes with D."""
     from .pbw import casimir_omega
@@ -533,12 +524,63 @@ def _coords(elems, index=None):
     return mat, index
 
 
-def _diagonal_average(elem, deltas, deltas_inv):
-    out = None
-    for dw, dwi in zip(deltas, deltas_inv):
-        term = dw * elem * dwi
-        out = term if out is None else out + term
-    return out
+def _candidate_keys(group, cap):
+    """Raw search keys (PBW key, odd Clifford monomial) of degree <= cap."""
+    n = group.n
+    cliff_monos = [m for m in spin_basis(2 * n) if len(m) % 2 == 1]
+    # exponents of degree <= cap, lexicographic: fixes the column order
+    exponents = sorted(m for d in range(cap + 1) for m in poly.monomials(n, d))
+    hkeys = [(xa, w, yb) for xa in exponents for yb in exponents
+             if sum(xa) + sum(yb) <= cap for w in range(group.order)]
+    return [(hk, cm) for hk in hkeys for cm in cliff_monos
+            if sum(hk[0]) + sum(hk[2]) + len(cm) <= cap]
+
+
+def _diagonal_averager(family, alg):
+    """key -> sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key.
+
+    The product is componentwise, so h (x) m goes to (w h w^(-1)) (x)
+    (tau_w m tau_w^(-1)); each factor image is formed once per
+    (w, PBW key) and once per (w, Clifford monomial).
+    """
+    g = family.group
+    pins = [(family.group_element(w).terms, pin_tau(w, g, alg).terms,
+             family.group_element(g.inverse_index(w)).terms,
+             pin_tau_inverse(w, g, alg).terms) for w in range(g.order)]
+    himg, cimg = {}, {}
+
+    def average(key):
+        hk, cm = key
+        out = {}
+        for w, (gw, tw, gwi, twi) in enumerate(pins):
+            hw = himg.get((w, hk))
+            if hw is None:
+                hw = himg[(w, hk)] = family._mul_terms(
+                    family._mul_terms(gw, {hk: 1}), gwi)
+            cw = cimg.get((w, cm))
+            if cw is None:
+                cw = cimg[(w, cm)] = alg._mul_terms(
+                    alg._mul_terms(tw, {cm: Fraction(1)}), twi)
+            for hk2, hc in hw.items():
+                for cm2, cc in cw.items():
+                    _bump(out, (hk2, cm2), hc * cc)
+        return TensorElement(family, alg, out)
+
+    return average
+
+
+def _d_by_keys(a, d, cache):
+    """d(a) from d(e) = D e - eps(e) D on the unit keys e of a (d is
+    linear); cache holds those images for the one Dirac element d."""
+    out = {}
+    for key, c in a.terms.items():
+        dk = cache.get(key)
+        if dk is None:
+            e = TensorElement(a.family, a.algebra, {key: Fraction(1)})
+            dk = cache[key] = (d * e - e.eps() * d).terms
+        for k2, c2 in dk.items():
+            _bump(out, k2, c * c2)
+    return TensorElement(a.family, a.algebra, out)
 
 
 def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
@@ -553,6 +595,14 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     given, restricts the raw search keys (hkey, clifford mono) before
     averaging, which can only shrink the solution space.  Returns (s, b)
     with s a class function; raises NotInKernel when d(z) != 0.
+
+    Each raw key h (x) m is averaged factor by factor: Delta(w) conjugates
+    it to (w h w^(-1)) (x) (tau_w m tau_w^(-1)), with both factor images
+    cached per w, so no full H (x) C(V) product is formed.  d is linear:
+    D is built once and d(e) = D e - eps(e) D is formed once per unit
+    key e, so each d(b) is a linear combination of cached images.  One
+    elimination over [d(b) | Delta(w) | z] then settles existence and
+    uniqueness.
     """
     alg = z.algebra
     g = family.group
@@ -561,8 +611,6 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     if z.clifford_parities() - {0}:
         raise ValueError("kernel decomposition needs even Clifford parity")
     deltas = [delta_element(family, w, alg) for w in range(g.order)]
-    deltas_inv = [delta_element_inverse(family, w, alg)
-                  for w in range(g.order)]
     for gi in g.generator_indices:
         if deltas[gi] * z != z * deltas[gi]:
             raise ValueError("element is not diagonally W-invariant")
@@ -575,30 +623,18 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     if derivation_d(z, family):
         raise NotInKernel("d(z) != 0")
 
-    n = g.n
-    cliff_monos = [m for m in spin_basis(2 * n) if len(m) % 2 == 1]
-    hkeys = []
-    cap = degree_cap + 1
-    # exponents of degree <= cap, lexicographic: fixes the column order
-    exponents = sorted(m for d in range(cap + 1) for m in poly.monomials(n, d))
-    for xa in exponents:
-        for yb in exponents:
-            if sum(xa) + sum(yb) <= cap:
-                for w in range(g.order):
-                    hkeys.append((xa, w, yb))
-    raw = [(hk, cm) for hk in hkeys for cm in cliff_monos
-           if sum(hk[0]) + sum(hk[2]) + len(cm) <= cap]
+    raw = _candidate_keys(g, degree_cap + 1)
     if candidate_filter is not None:
         raw = [key for key in raw if candidate_filter(key)]
     if len(raw) > column_limit:
         raise SolverOverflow(f"{len(raw)} candidate terms exceed the "
                              f"configured limit {column_limit}")
 
+    average = _diagonal_averager(family, alg)
     seen = {}
     invariant_b = []
     for key in raw:
-        e = TensorElement(family, alg, {key: Fraction(1)})
-        p = _diagonal_average(e, deltas, deltas_inv)
+        p = average(key)
         if not p:
             continue
         mark = min(p.terms)
@@ -608,7 +644,8 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
             continue
         seen[mark] = p
         invariant_b.append(p)
-    d_cols = [derivation_d(b, family) for b in invariant_b]
+    d, d_images = dirac_element(family, algebra=alg), {}
+    d_cols = [_d_by_keys(b, d, d_images) for b in invariant_b]
     keep = [i for i, col in enumerate(d_cols) if col]
     invariant_b = [invariant_b[i] for i in keep]
     d_cols = [d_cols[i] for i in keep]

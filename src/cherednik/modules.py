@@ -16,6 +16,7 @@ from . import linalg, poly
 from .clifford import pin_tau, polarized_algebra, spin_action
 from .dirac import UnknownIrrep, casimir_scalar
 from .groups import UnknownGroup, inner_product
+from .linalg import _as_fraction
 from .pbw import cherednik_family
 from .scalars import CyclotomicScalar, NotRational
 
@@ -45,15 +46,6 @@ def _mono_index(n, k):
         got = {m: i for i, m in enumerate(poly.monomials(n, k))}
         _MONO_INDEX[(n, k)] = got
     return got
-
-
-def _as_fraction(x):
-    if isinstance(x, CyclotomicScalar):
-        try:
-            return x.rational_value()
-        except NotRational:
-            raise UnsupportedField("irrational scalar in rational context")
-    return Fraction(x)
 
 
 def _rational_or_none(x):
@@ -659,6 +651,13 @@ def contravariant_form(module):
     V_sigma and propagated by the star pairing (x_i against y_i)."""
     if module.kind != "standard":
         raise ValueError("contravariant forms live on standard modules")
+    try:
+        return _contravariant_grams(module)
+    except NotRational:
+        raise UnsupportedField("irrational scalar in rational context")
+
+
+def _contravariant_grams(module):
     g = module.group
     n, dim = module.n, module.dim_sigma
     for w in range(g.order):
@@ -715,9 +714,11 @@ def unitarity_report(group, sigma, c, K):
         verdicts.append(entry)
 
     n = group.n
-    nvals = {}
-    for mu in group.irrep_labels:
-        nvals[mu] = _as_fraction(casimir_scalar(mu, c, group))
+    try:
+        nvals = {mu: _as_fraction(casimir_scalar(mu, c, group))
+                 for mu in group.irrep_labels}
+    except NotRational:
+        raise UnsupportedField("irrational scalar in rational context")
     gap0 = nvals[sigma]
     violations = []
     for k in range(K + 1):

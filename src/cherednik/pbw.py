@@ -75,8 +75,7 @@ class FormFamily:
         self.preset_tag = preset_tag
         self.params = dict(params or {})
         self._gram_inv = None
-        # straightening caches; dict item writes are atomic, a concurrent
-        # reader at worst recomputes an entry
+        # straightening caches
         self._past = {}
         self._wx = {}
         self._wy = {}

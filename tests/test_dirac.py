@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cherednik import dirac, linalg
+from cherednik.clifford import pin_tau_inverse
 from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.pbw import (
     casimir_h,
@@ -30,7 +31,6 @@ from cherednik.dirac import (
     compute_e_w,
     decompose_kernel_element,
     delta_element,
-    delta_element_inverse,
     derivation_d,
     dirac_element,
     dirac_split,
@@ -98,12 +98,18 @@ def test_dirac_commutes_with_diagonal_group():
             assert dl * d == d * dl
 
 
+def delta_inverse(fam, w, alg):
+    g = fam.group
+    return tensor(fam, fam.group_element(g.inverse_index(w)),
+                  pin_tau_inverse(w, g, alg), alg)
+
+
 def test_delta_inverse():
     fam = c_fam("B2", 1, 1)
     alg = clifford_algebra_of(fam)
     one = tensor(fam, fam.one(), alg.one(), alg)
     for w in range(fam.group.order):
-        assert delta_element(fam, w) * delta_element_inverse(fam, w) == one
+        assert delta_element(fam, w) * delta_inverse(fam, w, alg) == one
 
 
 # --------------------------------------------------------------------------
@@ -477,18 +483,48 @@ def test_decompose_rejects_non_direct_sum(monkeypatch):
     # a derivation image containing Delta(s) makes the split ambiguous
     fam = c_fam("A1", 0, 1)
     s = fam.group.order - 1
+    by_keys = dirac._d_by_keys
     calls = []
 
-    def leaky(a, family=None):
+    def leaky(a, d, cache):
         calls.append(a)
-        # call 1 checks d(z) = 0; call 2 is the first search candidate
-        if len(calls) == 2:
+        # the first call is the first search candidate
+        if len(calls) == 1:
             return delta_element(fam, s, a.algebra)
-        return derivation_d(a, family)
+        return by_keys(a, d, cache)
 
-    monkeypatch.setattr(dirac, "derivation_d", leaky)
+    monkeypatch.setattr(dirac, "_d_by_keys", leaky)
     with pytest.raises(ValueError, match="not be unique"):
         decompose_kernel_element(omega_tilde(fam), fam)
+    assert len(calls) > 1
+
+
+@pytest.mark.parametrize("gid,t", [("A2", 0), ("I2_3", 0), ("A1", 1)])
+def test_factorwise_search_matches_products(gid, t):
+    # every raw candidate key at degree_cap = 2: the factor-wise average
+    # is the |W|-sum of full products, and d applied key by key is
+    # derivation_d
+    fam = c_fam(gid, t, 1)
+    g = fam.group
+    alg = clifford_algebra_of(fam)
+    deltas = [(delta_element(fam, w, alg), delta_inverse(fam, w, alg))
+              for w in range(g.order)]
+    average = dirac._diagonal_averager(fam, alg)
+    d, cache = dirac_element(fam, algebra=alg), {}
+    nonzero = 0
+    for key in dirac._candidate_keys(g, 3):
+        e = TensorElement(fam, alg, {key: Fraction(1)})
+        want = None
+        for dw, dwi in deltas:
+            term = dw * e * dwi
+            want = term if want is None else want + term
+        got = average(key)
+        assert got == want, key
+        assert dirac._d_by_keys(e, d, cache) == derivation_d(e, fam), key
+        if got:
+            nonzero += 1
+            assert dirac._d_by_keys(got, d, cache) == derivation_d(got, fam)
+    assert nonzero
 
 
 def test_decompose_column_limit():
