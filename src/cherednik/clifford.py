@@ -50,8 +50,8 @@ class CliffordAlgebra:
         for mono, c in terms.items():
             if not c:
                 continue
-            assert all(mono[i] < mono[i + 1] for i in range(len(mono) - 1)), \
-                "monomials must be strictly increasing"
+            if any(mono[i] >= mono[i + 1] for i in range(len(mono) - 1)):
+                raise ValueError("monomials must be strictly increasing")
             clean[tuple(mono)] = c
         return CliffordElement(self, clean)
 
@@ -126,8 +126,9 @@ class CliffordElement:
         return bool(self.terms)
 
     def __add__(self, other):
-        assert self.algebra is other.algebra or \
-            self.algebra.gram == other.algebra.gram
+        if (self.algebra is not other.algebra
+                and self.algebra.gram != other.algebra.gram):
+            raise ValueError("elements of different Clifford algebras")
         out = dict(self.terms)
         for m, c in other.terms.items():
             _acc(out, m, c)
@@ -276,7 +277,8 @@ def _spin_generator_matrices(n: int):
 def spin_action(a: CliffordElement, alg: CliffordAlgebra):
     """2^n x 2^n matrix of a on the spin module; alg must be polarized."""
     n = alg.ngens // 2
-    assert alg.gram == polarized_algebra(n).gram, "spin module needs h + h*"
+    if alg.gram != polarized_algebra(n).gram:
+        raise ValueError("spin module needs h + h*")
     mats = _spin_generator_matrices(n)
     dim = 2 ** n
     out = [[0] * dim for _ in range(dim)]

@@ -468,35 +468,42 @@ def _verify_character_table(group):
     table = group.character_table
     sizes = [len(cl) for cl in group.conjugacy_classes]
     k = len(table)
-    assert k == len(group.conjugacy_classes), "square character table"
-    assert sum(d * d for d in group.irrep_dims) == order
+    if k != len(group.conjugacy_classes):
+        raise AssertionError("square character table")
+    if sum(d * d for d in group.irrep_dims) != order:
+        raise AssertionError("squared irrep dimensions sum to |W|")
     for i in range(k):
         for j in range(k):
             s = 0
             for ci in range(k):
                 s = s + sizes[ci] * table[i][ci] * conjugate(table[j][ci])
             want = order if i == j else 0
-            assert s == want, f"row orthogonality {i},{j}"
+            if s != want:
+                raise AssertionError(f"row orthogonality {i},{j}")
     for ci in range(k):
         for cj in range(k):
             s = 0
             for i in range(k):
                 s = s + table[i][ci] * conjugate(table[i][cj])
             want = Fraction(order, sizes[ci]) if ci == cj else 0
-            assert s == want, f"column orthogonality {ci},{cj}"
+            if s != want:
+                raise AssertionError(f"column orthogonality {ci},{cj}")
 
 
 def _verify_reflection(group, r):
     mat = group.elements[r.element_index]
     lhs = linalg.mat_vec(mat, r.alpha_check)
-    assert lhs == [r.lam * x for x in r.alpha_check], "s(coroot) = lambda coroot"
+    if lhs != [r.lam * x for x in r.alpha_check]:
+        raise AssertionError("s(coroot) = lambda coroot")
     B = group.h_star_matrix(r.element_index)
     lam_inv = 1 / r.lam
-    assert linalg.mat_vec(B, r.alpha) == [lam_inv * x for x in r.alpha], \
-        "s(alpha) = lambda^-1 alpha"
-    assert r.sqrt_lambda * r.sqrt_lambda == r.lam
+    if linalg.mat_vec(B, r.alpha) != [lam_inv * x for x in r.alpha]:
+        raise AssertionError("s(alpha) = lambda^-1 alpha")
+    if r.sqrt_lambda * r.sqrt_lambda != r.lam:
+        raise AssertionError("sqrt_lambda squares to lambda")
     pairing = sum(a * b for a, b in zip(r.alpha_check, r.alpha))
-    assert pairing == (2 if group.family == "real" else 1)
+    if pairing != (2 if group.family == "real" else 1):
+        raise AssertionError("<alpha^v, alpha> is 2 (real) or 1 (complex)")
 
 
 @lru_cache(maxsize=None)
@@ -527,6 +534,10 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         _mult_cache={},
         _inv_cache={},
         _hstar_cache={},
+        # cherednik.modules: families by (t, c), tau_w spin matrices, characters
+        _family_cache={},
+        _tau_cache={},
+        _char_cache={},
     )
     group.generator_indices = [index[_mat_key(g, conductor)] for g in gens]
     if catalogue_id.startswith("G") and data["family"] == "gm12":
@@ -555,7 +566,8 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
     group.reflections = reflections
     group._refl_by_element = {r.element_index: r for r in reflections}
     for gi in group.generator_indices:
-        assert gi in group._refl_by_element, "generators must be reflections"
+        if gi not in group._refl_by_element:
+            raise AssertionError("generators must be reflections")
 
     # class names
     names = _name_reflection_classes(data["namer"], group)
@@ -601,7 +613,8 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         if row == eps_char:
             group.eps_label = label
             break
-    assert group.eps_label is not None, "det_h missing from irreps"
+    if group.eps_label is None:
+        raise AssertionError("det_h missing from irreps")
 
     # sigma tensor eps lookup
     eps_tensor = {}
@@ -621,14 +634,17 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
     degrees_product = 1
     for d in group.invariant_degrees:
         degrees_product *= d
-    assert degrees_product == group.order, "product of degrees equals |W|"
+    if degrees_product != group.order:
+        raise AssertionError("product of degrees equals |W|")
     group.invariant_generators = _invariant_generators(
         group, {i: group.h_star_matrix(i) for i in group.generator_indices})
     for f, d in zip(group.invariant_generators, group.invariant_degrees):
-        assert poly.total_degree(f) == d
+        if poly.total_degree(f) != d:
+            raise AssertionError("invariant generator has its degree")
         for gi in group.generator_indices:
             B = group.h_star_matrix(gi)
-            assert poly.substitute_linear(f, B) == f, "invariant generator fixed"
+            if poly.substitute_linear(f, B) != f:
+                raise AssertionError("invariant generator fixed")
 
     return group
 

@@ -17,8 +17,8 @@ from .clifford import pin_tau, polarized_algebra, spin_action
 from .dirac import UnknownIrrep, casimir_scalar
 from .groups import UnknownGroup, inner_product
 from .linalg import _as_fraction
-from .pbw import cherednik_family
-from .scalars import CyclotomicScalar, NotRational
+from .pbw import _c_map, cherednik_family
+from .scalars import CyclotomicScalar, NotRational, scalar_str
 
 
 class WindowExceedsCap(ValueError):
@@ -85,6 +85,8 @@ class GradedModule:
     monomial section of the coinvariant algebra.
     kind "simple": x and y act by zero on V_sigma; only built when the
     commutators [y_i, x_j] visibly kill sigma.
+    What does not depend on sigma (the monomial section, its reduction and
+    the straightened generators) is shared, per kind, through the family.
     """
 
     def __init__(self, kind, family, sigma, K):
@@ -99,13 +101,16 @@ class GradedModule:
             raise UnknownIrrep(sigma) from None
         self.dim_sigma = self.rep.dimension
         self.K = K
-        self._sel = {}
-        self._red = {}
         self._blocks = {}
-        if kind == "baby":
-            self._coinvariant_sections()
-        elif kind == "simple":
-            self._sel[0] = [0]
+        shared = vars(family).setdefault("_module_data", {})
+        if kind not in shared:
+            self._sel, self._red = {}, {}
+            if kind == "baby":
+                self._coinvariant_sections()
+            elif kind == "simple":
+                self._sel[0] = [0]
+            shared[kind] = (self._sel, self._red, {})
+        self._sel, self._red, self._terms = shared[kind]
 
     # -- graded pieces
 
@@ -186,32 +191,27 @@ class GradedModule:
     def action_blocks(self, helem, k):
         """Matrices of a PBW element on the degree-k piece, as a map
         {target degree: matrix}.  The element is straightened; y-tails
-        act by zero on the inducing line."""
-        n = self.n
-        sel = self.selected(k)
-        if not sel:
+        act by zero on the inducing line.  A generator given as a key
+        ("x_gen", i), ("y_gen", i) or ("group_element", w) is straightened
+        once per family and kind."""
+        if not self.selected(k):
             return {}
-        monos = poly.monomials(n, k)
+        if isinstance(helem, tuple):
+            if (helem, k) not in self._terms:
+                gen = getattr(self.family, helem[0])(helem[1])
+                self._terms[(helem, k)] = self._straighten(gen, k)
+            columns = self._terms[(helem, k)]
+        else:
+            columns = self._straighten(helem, k)
         dim = self.dim_sigma
-        cols = len(sel) * dim
+        cols = len(columns) * dim
         out = {}
-        for p, mpos in enumerate(sel):
-            key = (monos[mpos], 0, _zero_exp(n))
-            prod = helem * self.family.element({key: Fraction(1)})
-            for (a, w, b), coeff in prod.terms.items():
-                if any(b):
-                    continue
-                k2 = sum(a)
-                tsel = self.selected(k2)
-                if not tsel:
-                    continue
-                vec = [0] * len(_mono_index(n, k2))
-                vec[_mono_index(n, k2)[a]] = coeff
-                coords = self._reduce(k2, vec)
+        for p, column in enumerate(columns):
+            for k2, w, coords in column:
                 smat = self.rep.matrices[w]
                 mat = out.get(k2)
                 if mat is None:
-                    mat = linalg.zeros(len(tsel) * dim, cols)
+                    mat = linalg.zeros(len(self.selected(k2)) * dim, cols)
                     out[k2] = mat
                 for rp, cv in enumerate(coords):
                     if not cv:
@@ -224,10 +224,29 @@ class GradedModule:
                                     mat[rp * dim + i][p * dim + j] + cv * sv)
         return out
 
-    def _gen_block(self, cache_key, helem, k, expect):
+    def _straighten(self, helem, k):
+        """Terms (degree, w, reduced coords) of helem * x^a per kept x^a."""
+        n = self.n
+        monos = poly.monomials(n, k)
+        columns = []
+        for mpos in self.selected(k):
+            key = (monos[mpos], 0, _zero_exp(n))
+            prod = helem * self.family.element({key: Fraction(1)})
+            column = []
+            for (a, w, b), coeff in prod.terms.items():
+                k2 = sum(a)
+                if any(b) or not self.selected(k2):
+                    continue
+                vec = [0] * len(_mono_index(n, k2))
+                vec[_mono_index(n, k2)[a]] = coeff
+                column.append((k2, w, self._reduce(k2, vec)))
+            columns.append(column)
+        return columns
+
+    def _gen_block(self, cache_key, k, expect):
         got = self._blocks.get((cache_key, k))
         if got is None:
-            blocks = self.action_blocks(helem, k)
+            blocks = self.action_blocks(cache_key, k)
             bad = [k2 for k2 in blocks if k2 != expect]
             if bad:
                 raise AssertionError(f"degree drift {bad} for {cache_key}")
@@ -241,33 +260,42 @@ class GradedModule:
         """x_i: degree k -> k + 1, or None when either piece is empty."""
         if not self.selected(k) or not self.selected(k + 1):
             return None
-        return self._gen_block(("x", i), self.family.x_gen(i), k, k + 1)
+        return self._gen_block(("x_gen", i), k, k + 1)
 
     def y_block(self, i, k):
         if k == 0 or not self.selected(k) or not self.selected(k - 1):
             return None
-        return self._gen_block(("y", i), self.family.y_gen(i), k, k - 1)
+        return self._gen_block(("y_gen", i), k, k - 1)
 
     def w_block(self, w, k):
         if not self.selected(k):
             return None
-        return self._gen_block(("w", w), self.family.group_element(w), k, k)
+        return self._gen_block(("group_element", w), k, k)
+
+
+def _family(group, t, c):
+    """The unchecked H_{t,c}, built once per (group, t, c)."""
+    c_map = _c_map(group, c)
+    key = (scalar_str(t),) + tuple(
+        (name, scalar_str(v)) for name, v in sorted(c_map.items()))
+    if key not in group._family_cache:
+        group._family_cache[key] = cherednik_family(group, t, c_map,
+                                                    check=False)
+    return group._family_cache[key]
 
 
 def standard_module(group, sigma, c, K=4):
-    fam = cherednik_family(group, 1, c, check=False)
-    return GradedModule("standard", fam, sigma, K)
+    return GradedModule("standard", _family(group, 1, c), sigma, K)
 
 
 def baby_verma(group, sigma, c):
-    fam = cherednik_family(group, 0, c, check=False)
-    return GradedModule("baby", fam, sigma, 0)
+    return GradedModule("baby", _family(group, 0, c), sigma, 0)
 
 
 def one_dimensional_quotient(group, sigma, c):
     """The simple quotient with x = y = 0, available exactly when every
     commutator [y_i, x_j] acts by zero on the one-dimensional sigma."""
-    fam = cherednik_family(group, 0, c, check=False)
+    fam = _family(group, 0, c)
     try:
         rep = group.irrep(sigma)
     except UnknownGroup:
@@ -316,7 +344,6 @@ class DiracOperatorMatrix:
             self._offsets[l] = off
             off += math.comb(self.n, l)
         self._blocks = {}
-        self._tau = {}
 
     def wedge_dim(self, l):
         if l < 0 or l > self.n:
@@ -407,11 +434,11 @@ class DiracOperatorMatrix:
     def w_cell(self, w, k, l):
         """Diagonal action of a group element on the (k, l) cell, spin
         side through the pin lift."""
-        tau = self._tau.get(w)
+        group = self.module.group
+        tau = group._tau_cache.get(w)
         if tau is None:
-            tau = spin_action(
-                pin_tau(w, self.module.group, self._alg), self._alg)
-            self._tau[w] = tau
+            tau = spin_action(pin_tau(w, group, self._alg), self._alg)
+            group._tau_cache[w] = tau
         off = self._offsets[l]
         cnt = self.wedge_dim(l)
         ss = [[tau[off + a][off + b] for b in range(cnt)] for a in range(cnt)]
@@ -430,35 +457,27 @@ def _class_reps(group):
     return [cls[0] for cls in group.conjugacy_classes]
 
 
-_SYM_CHAR = {}
-
-
 def _sym_char(group, k):
     """Character of S^k(h*) per conjugacy class."""
-    key = (group.catalogue_id, k)
-    got = _SYM_CHAR.get(key)
+    got = group._char_cache.get(("sym", k))
     if got is None:
         got = []
         for rep in _class_reps(group):
             mat = poly.action_matrix_on_degree(
                 group.h_star_matrix(rep), group.n, k)
             got.append(sum(mat[i][i] for i in range(len(mat))))
-        _SYM_CHAR[key] = got
+        group._char_cache[("sym", k)] = got
     return got
 
 
-_WEDGE_CHAR = {}
-
-
 def _wedge_char(group, l):
-    key = (group.catalogue_id, l)
-    got = _WEDGE_CHAR.get(key)
+    got = group._char_cache.get(("wedge", l))
     if got is None:
         got = []
         for rep in _class_reps(group):
             mat = poly.wedge_matrix(group.elements[rep], l)
             got.append(sum(mat[i][i] for i in range(len(mat))))
-        _WEDGE_CHAR[key] = got
+        group._char_cache[("wedge", l)] = got
     return got
 
 

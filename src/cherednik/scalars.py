@@ -35,7 +35,8 @@ def _poly_divide_exact(num, den):
         if c:
             for j, d in enumerate(den):
                 num[i + j] -= c * d
-    assert all(v == 0 for v in num), "non-exact cyclotomic division"
+    if any(num):
+        raise AssertionError("non-exact cyclotomic division")
     return q
 
 
@@ -232,7 +233,8 @@ class CyclotomicScalar:
             a, b = b, r
             sa, sb = sb, _poly_sub(sa, _poly_mul(q, sb))
         const = a[0]
-        assert len(_strip(a)) == 1, "cyclotomic polynomial not coprime"
+        if len(_strip(a)) != 1:
+            raise AssertionError("cyclotomic polynomial not coprime")
         inv = {e: c / const for e, c in enumerate(sa) if c}
         return CyclotomicScalar(n, inv)
 

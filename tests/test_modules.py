@@ -8,6 +8,7 @@ from cherednik.dirac import UnknownIrrep, casimir_scalar
 from cherednik.groups import WRepresentation, build_group, isotypic_projector
 from cherednik.modules import (
     DiracOperatorMatrix,
+    GradedModule,
     UnsupportedField,
     WindowExceedsCap,
     baby_verma,
@@ -21,7 +22,7 @@ from cherednik.modules import (
     standard_module,
     unitarity_report,
 )
-from cherednik.pbw import casimir_omega
+from cherednik.pbw import casimir_omega, cherednik_family
 
 
 def compose_blocks(module, outer, inner):
@@ -178,6 +179,52 @@ def test_simple_quotient_kills_generators():
     for i in range(2):
         assert nonzero_blocks(m.action_blocks(fam.x_gen(i), 0)) == {}
         assert nonzero_blocks(m.action_blocks(fam.y_gen(i), 0)) == {}
+
+
+@pytest.mark.parametrize("gid", ["A2", "B2", "I2_4", "G2_1_2"])
+def test_shared_generator_blocks_match_fresh_modules(gid):
+    """Blocks read from the straightening shared across sigma equal the
+    uncached action of the generator elements on a module built over a
+    fresh family; sigma runs in reverse label order so the shared data
+    is filled by a different irrep than the catalogue's first."""
+    g = build_group(gid)
+    c = Fraction(1, 3)
+    for sigma in reversed(g.irrep_labels):
+        m = baby_verma(g, sigma, c)
+        fam = cherednik_family(g, 0, c, check=False)
+        ref = GradedModule("baby", fam, sigma, 0)
+        assert m.degrees() == ref.degrees()
+
+        def want(elem, k, target):
+            got = ref.action_blocks(elem, k).get(target)
+            if got is None:
+                return linalg.zeros(ref.piece_dim(target), ref.piece_dim(k))
+            return got
+
+        for k in m.degrees():
+            for i in range(g.n):
+                for blk, elem, target in (
+                        (m.x_block(i, k), fam.x_gen(i), k + 1),
+                        (m.y_block(i, k), fam.y_gen(i), k - 1)):
+                    if blk is None:
+                        assert target not in m.degrees()
+                    else:
+                        assert blk == want(elem, k, target)
+            for w in range(g.order):
+                assert m.w_block(w, k) == want(fam.group_element(w), k, k)
+
+
+def test_modules_share_one_family_per_t_and_c():
+    g = build_group("B2")
+    c = Fraction(1, 3)
+    baby = baby_verma(g, "2x0", c)
+    assert baby_verma(g, "1x1", c).family is baby.family
+    assert one_dimensional_quotient(g, "11x0", c).family is baby.family
+    assert standard_module(g, "2x0", c).family is not baby.family
+    assert baby_verma(g, "2x0", 1).family is not baby.family
+    mixed = {"long": Fraction(1, 3), "short": 1}
+    assert baby_verma(g, "2x0", mixed).family is not baby.family
+    assert baby_verma(g, "2x0", Fraction(1, 3)).family is baby.family
 
 
 # --------------------------------------------------------------------------
