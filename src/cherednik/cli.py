@@ -79,23 +79,34 @@ def _load_config(path):
     return cfg
 
 
-def _apply_config(args):
-    """Fill unset flags from the key-value file; flags win."""
-    if not getattr(args, "config", None):
+def _apply_config(parser, args):
+    """Fill unset flags from the key-value file; flags win.  Each value
+    goes through the subcommand's own flag, so its type and choices
+    apply, and a key the subcommand does not read is refused."""
+    if not args.config:
         return
-    cfg = _load_config(args.config)
-    for key, val in cfg.items():
+    argv = []
+    for key, val in _load_config(args.config).items():
+        if key in ("command", "handler", "config") or key not in vars(args):
+            raise UsageError(f"unknown config key {key!r} for "
+                             f"{args.command}")
+        if getattr(args, key) is not None:
+            continue
         if key == "c":
-            if not args.c:
-                args.c = [part.strip() for part in val.split(",")]
+            for part in val.split(","):
+                argv += ["--c", part.strip()]
         elif key == "simple":
-            if not args.simple:
-                args.simple = val.lower() in ("1", "true", "yes")
-        elif hasattr(args, key):
-            if getattr(args, key) is None:
-                setattr(args, key, val)
+            if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise UsageError(f"config key 'simple' takes true or false, "
+                                 f"not {val!r}")
+            if val.lower() in ("1", "true", "yes"):
+                argv.append("--simple")
         else:
-            raise UsageError(f"unknown config key {key!r}")
+            argv += ["--" + key, val]
+    cfg = parser.parse_args([args.command] + argv)
+    for key, val in vars(cfg).items():
+        if getattr(args, key) is None:
+            setattr(args, key, val)
 
 
 def _json_text(payload):
@@ -310,23 +321,31 @@ def cmd_pbw_check(args):
 # wiring
 
 
-def _add_common(sub):
-    sub.add_argument("--group", required=False)
-    sub.add_argument("--t", default=None)
-    sub.add_argument("--c", action="append", default=None,
-                     help="constant value or repeatable class=value")
-    sub.add_argument("--K", type=int, default=None)
-    sub.add_argument("--sigma", default=None)
-    sub.add_argument("--format", choices=("json", "table"), default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--preset", default=None,
-                     choices=("cherednik", "gaha", "corrupted"))
-    sub.add_argument("--kind", default=None,
-                     help="corruption kind for --preset corrupted")
-    sub.add_argument("--simple", action="store_true",
-                     help="use the one-dimensional quotient at t = 0")
-    sub.add_argument("--config", default=None,
-                     help="key=value file; explicit flags win")
+_FLAGS = {
+    "group": {},
+    "t": {},
+    "c": dict(action="append",
+              help="constant value or repeatable class=value"),
+    "K": dict(type=int),
+    "sigma": {},
+    "preset": dict(choices=("cherednik", "gaha", "corrupted")),
+    "kind": dict(help="corruption kind for --preset corrupted"),
+    "simple": dict(action="store_true", default=None,
+                   help="use the one-dimensional quotient at t = 0"),
+    "format": dict(choices=("json", "table")),
+    "out": {},
+    "config": dict(help="key=value file of flags; explicit flags win"),
+}
+
+# subcommand -> (handler, the flags it reads besides format, out, config)
+_COMMANDS = {
+    "verify": (cmd_verify, "group t c preset kind"),
+    "dirac-cohomology": (cmd_dirac_cohomology, "group t c K sigma simple"),
+    "partition": (cmd_partition, "group c"),
+    "unitarity": (cmd_unitarity, "group c K sigma"),
+    "export-group": (cmd_export_group, "group"),
+    "pbw-check": (cmd_pbw_check, "group t c preset kind"),
+}
 
 
 def build_parser():
@@ -335,17 +354,10 @@ def build_parser():
         description="exact Dirac-operator computations for rational "
                     "Cherednik and graded Hecke algebras")
     subs = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "verify": cmd_verify,
-        "dirac-cohomology": cmd_dirac_cohomology,
-        "partition": cmd_partition,
-        "unitarity": cmd_unitarity,
-        "export-group": cmd_export_group,
-        "pbw-check": cmd_pbw_check,
-    }
-    for name, handler in handlers.items():
+    for name, (handler, flags) in _COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_common(sub)
+        for flag in flags.split() + ["format", "out", "config"]:
+            sub.add_argument("--" + flag, **_FLAGS[flag])
         sub.set_defaults(handler=handler)
     return parser
 
@@ -354,7 +366,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         if args.format is None:
             args.format = "table"
         if not args.group:

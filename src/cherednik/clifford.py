@@ -13,20 +13,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .scalars import CyclotomicScalar, scalar_str
+from .poly import Terms, acc
+from .scalars import reciprocal, scalar_str
 
 
 class WordRequired(ValueError):
     """Raised when a pin element is requested for something that is not a
     catalogued group element."""
-
-
-def _acc(d, key, val):
-    s = d.get(key, 0) + val
-    if s:
-        d[key] = s
-    else:
-        d.pop(key, None)
 
 
 class CliffordAlgebra:
@@ -38,6 +31,15 @@ class CliffordAlgebra:
         self.labels = labels
         self._gram_inv = None
 
+    def __eq__(self, other):
+        # the algebra is its form; labels only name the generators
+        if not isinstance(other, CliffordAlgebra):
+            return NotImplemented
+        return self is other or self.gram == other.gram
+
+    def __hash__(self):
+        return hash(self.ngens)
+
     def gram_inverse(self):
         if self._gram_inv is None:
             self._gram_inv = linalg.inverse(self.gram)
@@ -46,14 +48,10 @@ class CliffordAlgebra:
     # -- constructors
 
     def element(self, terms):
-        clean = {}
-        for mono, c in terms.items():
-            if not c:
-                continue
+        for mono in terms:
             if any(mono[i] >= mono[i + 1] for i in range(len(mono) - 1)):
                 raise ValueError("monomials must be strictly increasing")
-            clean[tuple(mono)] = c
-        return CliffordElement(self, clean)
+        return CliffordElement(self, {tuple(m): c for m, c in terms.items()})
 
     def zero(self):
         return CliffordElement(self, {})
@@ -62,18 +60,15 @@ class CliffordAlgebra:
         return CliffordElement(self, {(): Fraction(1)})
 
     def scalar(self, c):
-        return CliffordElement(self, {(): c} if c else {})
+        return CliffordElement(self, {(): c})
 
     def gen(self, i):
         return CliffordElement(self, {(i,): Fraction(1)})
 
     def vector(self, coords, offset=0, step=1):
         """sum_i coords[i] * gen(offset + step*i)."""
-        terms = {}
-        for i, c in enumerate(coords):
-            if c:
-                terms[(offset + step * i,)] = c
-        return CliffordElement(self, terms)
+        return CliffordElement(self, {(offset + step * i,): c
+                                      for i, c in enumerate(coords)})
 
     # -- core rewriting
 
@@ -86,15 +81,15 @@ class CliffordAlgebra:
         while i > 0 and m[i - 1] > g:
             cross = gram[m[i - 1]][g]
             if cross:
-                _acc(out, tuple(m[:i - 1] + m[i:]), -2 * cross * sign)
+                acc(out, tuple(m[:i - 1] + m[i:]), -2 * cross * sign)
             sign = -sign
             i -= 1
         if i > 0 and m[i - 1] == g:
             diag = gram[g][g]
             if diag:
-                _acc(out, tuple(m[:i - 1] + m[i:]), -diag * sign)
+                acc(out, tuple(m[:i - 1] + m[i:]), -diag * sign)
         else:
-            _acc(out, tuple(m[:i] + [g] + m[i:]), sign)
+            acc(out, tuple(m[:i] + [g] + m[i:]), sign)
 
     def _times_gen_sequence(self, terms, gens_seq):
         cur = dict(terms)
@@ -111,63 +106,20 @@ class CliffordAlgebra:
             partial = self._times_gen_sequence(
                 {ma: ca * cb for ma, ca in aterms.items()}, mb)
             for mono, coeff in partial.items():
-                _acc(out, mono, coeff)
+                acc(out, mono, coeff)
         return out
 
 
-class CliffordElement:
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if (self.algebra is not other.algebra
-                and self.algebra.gram != other.algebra.gram):
-            raise ValueError("elements of different Clifford algebras")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(out, m, c)
-        return CliffordElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CliffordElement(self.algebra,
-                               {m: -c for m, c in self.terms.items()})
+class CliffordElement(Terms):
+    __slots__ = ("algebra",)
+    _over = "Clifford algebras"
 
     def __mul__(self, other):
-        if isinstance(other, CliffordElement):
-            return CliffordElement(
-                self.algebra,
-                self.algebra._mul_terms(self.terms, other.terms))
-        out = {}
-        if other:
-            for m, c in self.terms.items():
-                v = c * other
-                if v:
-                    out[m] = v
-        return CliffordElement(self.algebra, out)
-
-    def __rmul__(self, other):
-        # scalars commute with nothing lost; elements use __mul__
-        return self.__mul__(other)
-
-    def __eq__(self, other):
         if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
-    __hash__ = None
+            return self._scaled(other)
+        self._check(other)
+        return CliffordElement(
+            self.algebra, self.algebra._mul_terms(self.terms, other.terms))
 
     def __str__(self):
         if not self.terms:
@@ -211,7 +163,7 @@ def transpose_element(a: CliffordElement) -> CliffordElement:
         sign = -c if len(mono) % 2 else c
         partial = alg._times_gen_sequence({(): sign}, tuple(reversed(mono)))
         for m, coeff in partial.items():
-            _acc(out, m, coeff)
+            acc(out, m, coeff)
     return CliffordElement(alg, out)
 
 
@@ -343,10 +295,7 @@ def pin_tau_inverse(w_index, group, alg: CliffordAlgebra = None) -> CliffordElem
         for a, b in zip(r.alpha_check, r.alpha):
             pairing = pairing + a * b
         mu = (1 - r.lam) / (2 * pairing)
-        if isinstance(r.lam, CyclotomicScalar):
-            scale = mu * r.lam.inverse()
-        else:
-            scale = mu * Fraction(1, r.lam)
+        scale = mu * reciprocal(r.lam)
         av = alg.vector(r.alpha_check, offset=1, step=2)
         al = alg.vector(r.alpha, offset=0, step=2)
         out = out * (alg.one() - alg.scalar(scale) * av * al)

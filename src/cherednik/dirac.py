@@ -19,8 +19,9 @@ from .clifford import (
     polarized_algebra,
     spin_basis,
 )
-from .pbw import AlgebraElement, _bump, _c_map, _inv_scalar
-from .scalars import scalar_str
+from .pbw import AlgebraElement, _c_map
+from .poly import Terms, acc
+from .scalars import reciprocal, scalar_str
 
 
 class DegenerateWitness(ArithmeticError):
@@ -65,12 +66,7 @@ def compute_e_w(family, w):
         lhs = linalg.mat_vec(vg, aw[j])
         lhs = [lhs[i] + ag[j][i] for i in range(nv)]
         piv = next(r for r in range(nv) if dvec[r] != 0)
-        if isinstance(dvec[piv], int):
-            e = lhs[piv] * Fraction(1, dvec[piv])
-        elif isinstance(dvec[piv], Fraction):
-            e = lhs[piv] / dvec[piv]
-        else:
-            e = lhs[piv] * dvec[piv].inverse()
+        e = lhs[piv] * reciprocal(dvec[piv])
         for r in range(nv):
             if lhs[r] != e * dvec[r]:
                 raise ValueError("no scalar solves the e_w identity for "
@@ -94,7 +90,7 @@ def clifford_algebra_of(family) -> CliffordAlgebra:
                            [f"v{i + 1}" for i in range(family.nv)])
 
 
-class TensorElement:
+class TensorElement(Terms):
     """An element of H (x) C(V) in bi-normal form.
 
     terms maps (PBW key, Clifford monomial) to a scalar; both factors are
@@ -103,43 +99,12 @@ class TensorElement:
     enters only through the eps automorphism and the derivation d).
     """
 
-    __slots__ = ("family", "algebra", "terms")
-    __hash__ = None
-
-    def __init__(self, family, algebra, terms):
-        self.family = family
-        self.algebra = algebra
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _check(self, other):
-        if self.family is not other.family:
-            raise ValueError("tensor elements from different families")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorElement(self.family, self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.family, self.algebra,
-                             {k: -c for k, c in self.terms.items()})
+    __slots__ = ("family", "algebra")
+    _over = "families or Clifford algebras"
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
-            return TensorElement(self.family, self.algebra,
-                                 {k: c * other for k, c in self.terms.items()})
+            return self._scaled(other)
         self._check(other)
         fam, alg = self.family, self.algebra
         out = {}
@@ -150,27 +115,8 @@ class TensorElement:
                 cc = c1 * c2
                 for hk, hc in hprod.terms.items():
                     for cm, cf in cprod.items():
-                        key = (hk, cm)
-                        s = out.get(key, 0) + cc * hc * cf
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                        acc(out, (hk, cm), cc * hc * cf)
         return TensorElement(fam, alg, out)
-
-    def __rmul__(self, c):
-        return TensorElement(self.family, self.algebra,
-                             {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        return (self - other).terms == {}
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def degree(self):
         """Filtration degree: V-degree on the H side plus Clifford degree."""
@@ -215,13 +161,9 @@ class TensorElement:
 def tensor(family, helem, celem, algebra=None):
     """Outer product of an H element and a Clifford element."""
     alg = algebra if algebra is not None else clifford_algebra_of(family)
-    out = {}
-    for hk, hc in helem.terms.items():
-        for cm, cc in celem.terms.items():
-            s = out.get((hk, cm), 0) + hc * cc
-            if s:
-                out[(hk, cm)] = s
-    return TensorElement(family, alg, out)
+    return TensorElement(family, alg, {
+        (hk, cm): hc * cc for hk, hc in helem.terms.items()
+        for cm, cc in celem.terms.items()})
 
 
 def dirac_element(family, basis=None, algebra=None):
@@ -348,17 +290,18 @@ def verify_dirac_square(family):
 # class functions and Casimir scalars
 
 
-class GroupAlgebraClassFunction:
-    """A central group-algebra element sum_w f(class of w) . w."""
+class GroupAlgebraClassFunction(Terms):
+    """A central group-algebra element sum_w f(class of w) . w; terms maps
+    a conjugacy class name to f."""
 
-    __hash__ = None
+    __slots__ = ("group",)
+    _over = "groups"
+    coefficients = property(lambda self: self.terms)
 
     def __init__(self, group, coefficients):
-        self.group = group
-        self.coefficients = {name: c for name, c in coefficients.items()
-                             if c}
+        super().__init__(group, coefficients)
         known = set(group.class_names)
-        for name in self.coefficients:
+        for name in self.terms:
             if name not in known:
                 raise KeyError(f"unknown conjugacy class {name!r}")
 
@@ -385,33 +328,12 @@ class GroupAlgebraClassFunction:
         return cls(group, coeffs)
 
     def coefficient(self, w):
-        return self.coefficients.get(self.group.class_name_of_element(w), 0)
-
-    def _binop(self, other, f):
-        names = set(self.coefficients) | set(other.coefficients)
-        return GroupAlgebraClassFunction(
-            self.group,
-            {n: f(self.coefficients.get(n, 0), other.coefficients.get(n, 0))
-             for n in names})
-
-    def __add__(self, other):
-        self._same(other)
-        return self._binop(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        self._same(other)
-        return self._binop(other, lambda a, b: a - b)
-
-    def _same(self, other):
-        if self.group is not other.group:
-            raise ValueError("class functions over different groups")
+        return self.terms.get(self.group.class_name_of_element(w), 0)
 
     def __mul__(self, other):
         if not isinstance(other, GroupAlgebraClassFunction):
-            return GroupAlgebraClassFunction(
-                self.group,
-                {n: c * other for n, c in self.coefficients.items()})
-        self._same(other)
+            return self._scaled(other)
+        self._check(other)
         g = self.group
         emap = {}
         for w in range(g.order):
@@ -422,28 +344,8 @@ class GroupAlgebraClassFunction:
             for u in range(g.order):
                 cu = other.coefficient(g.mult(winv, u))
                 if cu:
-                    s = emap.get(u, 0) + cw * cu
-                    if s:
-                        emap[u] = s
-                    else:
-                        emap.pop(u, None)
+                    acc(emap, u, cw * cu)
         return GroupAlgebraClassFunction.from_element_map(g, emap)
-
-    def __rmul__(self, c):
-        return GroupAlgebraClassFunction(
-            self.group, {n: c * v for n, v in self.coefficients.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraClassFunction):
-            return NotImplemented
-        self._same(other)
-        names = set(self.coefficients) | set(other.coefficients)
-        return all(self.coefficients.get(n, 0) == other.coefficients.get(n, 0)
-                   for n in names)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def act_on(self, sigma):
         """The scalar by which this central element acts in irrep sigma."""
@@ -455,20 +357,19 @@ class GroupAlgebraClassFunction:
         dim = chi[0]
         total = 0
         for ci, cl in enumerate(g.conjugacy_classes):
-            c = self.coefficients.get(g.class_names[ci], 0)
+            c = self.terms.get(g.class_names[ci], 0)
             if c:
                 total = total + c * chi[ci] * len(cl)
         return total * Fraction(1, dim)
 
     def to_data(self):
-        return {name: scalar_str(c)
-                for name, c in sorted(self.coefficients.items())}
+        return {name: scalar_str(c) for name, c in sorted(self.terms.items())}
 
     def __str__(self):
-        if not self.coefficients:
+        if not self.terms:
             return "0"
         return " + ".join(f"({scalar_str(c)})*[{n}]"
-                          for n, c in sorted(self.coefficients.items()))
+                          for n, c in sorted(self.terms.items()))
 
 
 def group_algebra_casimir(family):
@@ -483,7 +384,7 @@ def group_algebra_casimir(family):
     c_map = family.params["c"]
     emap = {}
     for r in g.reflections:
-        coeff = 2 * c_map[r.class_name] * _inv_scalar(1 - r.lam)
+        coeff = 2 * c_map[r.class_name] * reciprocal(1 - r.lam)
         emap[r.element_index] = coeff
     return GroupAlgebraClassFunction.from_element_map(g, emap)
 
@@ -499,7 +400,7 @@ def casimir_scalar(sigma, c, group):
     dim = chi[0]
     total = 0
     for r in group.reflections:
-        coeff = 2 * c_map[r.class_name] * _inv_scalar(1 - r.lam)
+        coeff = 2 * c_map[r.class_name] * reciprocal(1 - r.lam)
         total = total + coeff * chi[group.class_of(r.element_index)]
     return total * Fraction(1, dim)
 
@@ -563,7 +464,7 @@ def _diagonal_averager(family, alg):
                     alg._mul_terms(tw, {cm: Fraction(1)}), twi)
             for hk2, hc in hw.items():
                 for cm2, cc in cw.items():
-                    _bump(out, (hk2, cm2), hc * cc)
+                    acc(out, (hk2, cm2), hc * cc)
         return TensorElement(family, alg, out)
 
     return average
@@ -579,7 +480,7 @@ def _d_by_keys(a, d, cache):
             e = TensorElement(a.family, a.algebra, {key: Fraction(1)})
             dk = cache[key] = (d * e - e.eps() * d).terms
         for k2, c2 in dk.items():
-            _bump(out, k2, c * c2)
+            acc(out, k2, c * c2)
     return TensorElement(a.family, a.algebra, out)
 
 
@@ -637,12 +538,16 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
         p = average(key)
         if not p:
             continue
+        # cheap prefilter: drop a projection that is a multiple of one
+        # already kept (compared scaled to 1 at the minimal term); full
+        # independence is settled below
         mark = min(p.terms)
-        # cheap prefilter: projections sharing the minimal term are
-        # usually equal up to scale; full independence is settled below
-        if mark in seen and seen[mark] == p:
+        inv = reciprocal(p.terms[mark])
+        unit = {k: c * inv for k, c in p.terms.items()}
+        kept = seen.setdefault(mark, [])
+        if unit in kept:
             continue
-        seen[mark] = p
+        kept.append(unit)
         invariant_b.append(p)
     d, d_images = dirac_element(family, algebra=alg), {}
     d_cols = [_d_by_keys(b, d, d_images) for b in invariant_b]

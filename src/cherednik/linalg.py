@@ -8,7 +8,7 @@ no pivoting for numerical stability because there is no rounding.
 
 from fractions import Fraction
 
-from .scalars import CyclotomicScalar
+from .scalars import CyclotomicScalar, reciprocal
 
 
 def zeros(r, c):
@@ -85,8 +85,7 @@ def kron(a, b):
 
 def rref(m):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    # ints are promoted so that pivot division never hits int/int -> float
-    a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in m]
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
@@ -100,8 +99,9 @@ def rref(m):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        # invert once: a cyclotomic inverse is a whole extended Euclid
-        inv = 1 / a[r][c]
+        # invert once: a cyclotomic inverse is a whole extended Euclid,
+        # and an int pivot inverts to a Fraction, never a float
+        inv = reciprocal(a[r][c])
         a[r] = [x * inv if x else x for x in a[r]]
         support = [(j, y) for j, y in enumerate(a[r]) if y]
         for i in range(rows):

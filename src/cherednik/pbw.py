@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import linalg
 from .clifford import polarized_algebra
-from .poly import substitute_linear
-from .scalars import CyclotomicScalar, scalar_str
+from .poly import Terms, acc, substitute_linear
+from .scalars import CyclotomicScalar, reciprocal, scalar_str
 
 
 class PBWViolation(ValueError):
@@ -35,11 +35,6 @@ def _unit(n, j):
     e = [0] * n
     e[j] = 1
     return tuple(e)
-
-
-def _bump(acc, key, val):
-    cur = acc.get(key)
-    acc[key] = val if cur is None else cur + val
 
 
 def _zero_matrix(m):
@@ -147,10 +142,9 @@ class FormFamily:
     def vector_element(self, coords):
         out = {}
         for i, c in enumerate(coords):
-            if c == 0:
-                continue
-            for k, v in self.v_gen(i).terms.items():
-                _bump(out, k, c * v)
+            if c:
+                for k, v in self.v_gen(i).terms.items():
+                    acc(out, k, c * v)
         return AlgebraElement(self, out)
 
     # -- straightening
@@ -190,19 +184,19 @@ class FormFamily:
             b1 = list(b)
             b1[i] -= 1
             b1 = tuple(b1)
-            acc = {}
+            out = {}
             # y^b x_j = (y^b1 x_j) y_i + sum_w a_w(y_i, x_j) y^b1 w
             for c, a2, w2, b2 in self._y_past_x(b1, j):
                 up = list(b2)
                 up[i] += 1
-                _bump(acc, (a2, w2, tuple(up)), c)
+                acc(out, (a2, w2, tuple(up)), c)
             for w, mat in self.forms.items():
                 val = mat[2 * i + 1][2 * j]
                 if val == 0:
                     continue
                 for b2, d in self._w_on_y(w, b1).items():
-                    _bump(acc, (nz, w, b2), val * d)
-            res = tuple((c, k[0], k[1], k[2]) for k, c in acc.items() if c != 0)
+                    acc(out, (nz, w, b2), val * d)
+            res = tuple((c, k[0], k[1], k[2]) for k, c in out.items())
         self._past[key] = res
         return res
 
@@ -223,12 +217,12 @@ class FormFamily:
             b = list(a)
             b[l] -= 1
             b = tuple(b)
-            acc = {}
+            out = {}
             # x^a v_k = (x^b v_k) v_l + a_w(v_l, v_k) x^b w
             for c, a1, w1 in self._insert_v(b, k):
                 if w1 == 0:
                     for c2, a2, w2 in self._insert_v(a1, l):
-                        _bump(acc, (a2, w2), c * c2)
+                        acc(out, (a2, w2), c * c2)
                 else:
                     m = self.group.elements[w1]
                     for t in range(n):
@@ -236,12 +230,12 @@ class FormFamily:
                         if vv == 0:
                             continue
                         for c2, a2, w2 in self._insert_v(a1, t):
-                            _bump(acc, (a2, self.group.mult(w2, w1)), c * vv * c2)
+                            acc(out, (a2, self.group.mult(w2, w1)), c * vv * c2)
             for w, mat in self.forms.items():
                 val = mat[l][k]
                 if val != 0:
-                    _bump(acc, (b, w), val)
-            res = tuple((c, k2[0], k2[1]) for k2, c in acc.items() if c != 0)
+                    acc(out, (b, w), val)
+            res = tuple((c, k2[0], k2[1]) for k2, c in out.items())
         self._ins[key] = res
         return res
 
@@ -253,12 +247,12 @@ class FormFamily:
             for c1, a1, w1, b1 in self._y_past_x(b, j):
                 if w == 0:
                     key = (tuple(p + q for p, q in zip(a, a1)), w1, b1)
-                    _bump(out, key, c * c1)
+                    acc(out, key, c * c1)
                 else:
                     for a2, d in self._w_on_x(w, a1).items():
                         key = (tuple(p + q for p, q in zip(a, a2)),
                                self.group.mult(w, w1), b1)
-                        _bump(out, key, c * c1 * d)
+                        acc(out, key, c * c1 * d)
         return out
 
     def _times_v(self, terms, j):
@@ -267,7 +261,7 @@ class FormFamily:
         for (a, w, _b), c in terms.items():
             if w == 0:
                 for c1, a1, w1 in self._insert_v(a, j):
-                    _bump(out, (a1, w1, nz), c * c1)
+                    acc(out, (a1, w1, nz), c * c1)
             else:
                 m = self.group.elements[w]
                 for t in range(self.nv):
@@ -275,17 +269,17 @@ class FormFamily:
                     if vv == 0:
                         continue
                     for c1, a1, w1 in self._insert_v(a, t):
-                        _bump(out, (a1, self.group.mult(w1, w), nz), c * vv * c1)
+                        acc(out, (a1, self.group.mult(w1, w), nz), c * vv * c1)
         return out
 
     def _times_w(self, terms, w2):
         out = {}
         for (a, w, b), c in terms.items():
             if not any(b):
-                _bump(out, (a, self.group.mult(w, w2), b), c)
+                acc(out, (a, self.group.mult(w, w2), b), c)
             else:
                 for b2, d in self._w_on_y(w2, b).items():
-                    _bump(out, (a, self.group.mult(w, w2), b2), c * d)
+                    acc(out, (a, self.group.mult(w, w2), b2), c * d)
         return out
 
     def _mul_terms(self, uterms, vterms):
@@ -305,51 +299,22 @@ class FormFamily:
                     nxt[(a, w, tuple(p + q for p, q in zip(b, b2)))] = c
                 cur = nxt
             for k, v in cur.items():
-                _bump(res, k, v * c2)
+                acc(res, k, v * c2)
         return res
 
 
-class AlgebraElement:
+class AlgebraElement(Terms):
     """A finite sum of PBW monomials x^a.w.y^b with exact coefficients."""
 
-    __slots__ = ("family", "terms")
-    __hash__ = None
-
-    def __init__(self, family, terms):
-        self.family = family
-        self.terms = {k: v for k, v in terms.items() if v != 0}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _bump(out, k, v)
-        return AlgebraElement(self.family, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement(self.family, {k: -v for k, v in self.terms.items()})
+    __slots__ = ("family",)
+    _over = "form families"
 
     def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return AlgebraElement(self.family,
-                                  self.family._mul_terms(self.terms, other.terms))
-        return AlgebraElement(self.family,
-                              {k: v * other for k, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        return AlgebraElement(self.family,
-                              {k: other * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+            return self._scaled(other)
+        self._check(other)
+        return AlgebraElement(self.family,
+                              self.family._mul_terms(self.terms, other.terms))
 
     def degree(self):
         """Filtration degree; -1 for the zero element."""
@@ -415,14 +380,6 @@ def _pair(alpha, alpha_check):
     return sum(a * b for a, b in zip(alpha, alpha_check))
 
 
-def _inv_scalar(x):
-    if isinstance(x, int):
-        return Fraction(1, x)
-    if isinstance(x, Fraction):
-        return 1 / x
-    return x.inverse()
-
-
 def cherednik_forms(group, t, c_map, c_override=None):
     """The rational Cherednik commutator forms on V = h + h*.
 
@@ -445,7 +402,7 @@ def cherednik_forms(group, t, c_map, c_override=None):
             cs = c_override[r.element_index]
         if cs == 0:
             continue
-        pinv = _inv_scalar(_pair(r.alpha, r.alpha_check))
+        pinv = reciprocal(_pair(r.alpha, r.alpha_check))
         mat = linalg.zeros(2 * n, 2 * n)
         for i in range(n):
             for j in range(n):
@@ -520,7 +477,7 @@ def positive_system(group):
         match = None
         for r in group.reflections:
             piv = next(i for i in range(n) if r.alpha[i] != 0 * r.alpha[i])
-            u = a[piv] * _inv_scalar(r.alpha[piv])
+            u = a[piv] * reciprocal(r.alpha[piv])
             if all(a[i] == u * r.alpha[i] for i in range(n)):
                 match = r.element_index
                 break

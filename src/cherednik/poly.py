@@ -1,21 +1,95 @@
-"""Multivariate polynomials as {exponent tuple: scalar} dicts.
+"""Sparse term maps: multivariate polynomials and the shared element core.
 
-Used for S(h*) with its W-action (linear substitution), fundamental
-invariants, and induced matrices on symmetric and exterior powers.  Zero
-coefficients are always stripped, so dict equality is polynomial equality.
+Polynomials are {exponent tuple: scalar} dicts, used for S(h*) with its
+W-action (linear substitution), fundamental invariants, and induced
+matrices on symmetric and exterior powers.  Elements of H, C(V), H (x) C(V)
+and the central class functions are Terms: the same kind of map, tied to
+the algebra, family or group its keys belong to.  Zero coefficients are
+always stripped, so dict equality is equality.
 """
 
 from itertools import combinations, permutations
 
 
+def acc(d, key, val):
+    """Add val to d[key] in place, dropping the key when the sum is zero."""
+    s = d.get(key)
+    s = val if s is None else s + val
+    if s:
+        d[key] = s
+    else:
+        d.pop(key, None)
+
+
+class Terms:
+    """A sparse linear combination {key: nonzero coefficient} over owners.
+
+    The owners are what the keys are relative to (an algebra, a form
+    family, a group).  A subclass names them in its __slots__ and is built
+    as Cls(*owners, terms).  Linear arithmetic and equality live here and
+    refuse to mix owners; a subclass supplies its product __mul__, which
+    also takes right scalar multiples through _scaled.
+    """
+
+    __slots__ = ("terms",)
+    __hash__ = None
+    _over = "owners"   # what the owners are, for the mixing error
+
+    def __init__(self, *owners_and_terms):
+        for name, value in zip(self.__slots__, owners_and_terms):
+            setattr(self, name, value)
+        self.terms = {k: c for k, c in owners_and_terms[-1].items() if c}
+
+    def _like(self, terms):
+        """A new element over self's owners; terms must hold no zeros."""
+        new = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name))
+        new.terms = terms
+        return new
+
+    def _check(self, other):
+        for name in self.__slots__:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not theirs and mine != theirs:
+                raise ValueError("elements of different " + self._over)
+
+    def _scaled(self, c):
+        return self._like({k: c * v for k, v in self.terms.items()} if c
+                          else {})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            acc(out, k, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, c):
+        return self._scaled(c)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return self.terms == other.terms
+
+
 def p_add(a, b):
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
+        acc(out, e, c)
     return out
 
 
@@ -29,12 +103,7 @@ def p_mul(a, b):
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(i + j for i, j in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            acc(out, tuple(i + j for i, j in zip(e1, e2)), c1 * c2)
     return out
 
 

@@ -386,6 +386,14 @@ def conjugate(a):
     return a.conjugate()
 
 
+def reciprocal(x):
+    """Exact 1/x of an int, Fraction or CyclotomicScalar; ints give
+    Fractions, never floats."""
+    if isinstance(x, CyclotomicScalar):
+        return x.inverse()
+    return 1 / Fraction(x)
+
+
 def rational_part_sign(a) -> str:
     """'negative', 'zero' or 'positive'; raises NotRational off the
     rational subfield."""

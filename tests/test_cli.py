@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from cherednik.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -133,6 +135,51 @@ def test_config_file_flags_win(tmp_path, capsys):
         "dirac-cohomology", "--config", str(cfg)])
     assert code == 0
     assert payload["c"] == "1/2"
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group = A1\nsigma = triv\nt = 1\nc = 1/3\nK = 3\n")
+    from_config = run_json(capsys, ["dirac-cohomology", "--config", str(cfg)])
+    from_flags = run_json(capsys, ["dirac-cohomology", "--group", "A1",
+                                   "--sigma", "triv", "--t", "1",
+                                   "--c", "1/3", "--K", "3"])
+    assert from_config == from_flags
+    assert from_config[0] == 0
+
+
+@pytest.mark.parametrize("command,text", [
+    ("dirac-cohomology", "group = A1\nsigma = triv\nK = x\n"),
+    ("export-group", "group = A1\nformat = xml\n"),
+])
+def test_bad_config_value_exits_two(tmp_path, capsys, command, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(cfg)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_config_switch_takes_only_true_or_false(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group = B2\nt = 0\nc = 1\nsigma = 11x0\nsimple = ture\n")
+    assert main(["dirac-cohomology", "--config", str(cfg)]) == 2
+    assert "true or false" in capsys.readouterr().err
+
+
+def test_flags_are_per_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["unitarity", "--group", "A1", "--sigma", "triv", "--c", "2",
+              "--K", "3", "--t", "0"])
+    assert err.value.code == 2
+    assert "--t" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group = B2\nt = 1\n")
+    assert main(["partition", "--config", str(cfg)]) == 2
+    assert "unknown config key 't'" in capsys.readouterr().err
 
 
 def test_golden_partition(tmp_path):

@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from cherednik import poly
+from cherednik.clifford import CliffordAlgebra, polarized_algebra
+from cherednik.dirac import (GroupAlgebraClassFunction, TensorElement,
+                             clifford_algebra_of)
+from cherednik.groups import build_group
+from cherednik.pbw import AlgebraElement, cherednik_family
 from cherednik.scalars import zeta
 
 F = Fraction
@@ -121,3 +127,59 @@ def test_poly_det_jacobian_style():
                                       [sympy.diff(sg, v) for v in xs]]).det())
     assert to_sympy(d, xs) == want
     assert d != {}
+
+
+# -- the shared term core
+
+
+def _pbw_case():
+    g = build_group("A1")
+    f1, f2 = cherednik_family(g, 1, 1), cherednik_family(g, 1, 1)
+    keys = [((1,), 0, (0,)), ((0,), 1, (1,))]
+    return AlgebraElement, f1, f2, keys
+
+
+def _clifford_case():
+    other = CliffordAlgebra([[F(1), F(0)], [F(0), F(1)]])
+    return (lambda a, t: a.element(t)), polarized_algebra(1), other, \
+        [(0,), (0, 1)]
+
+
+def _tensor_case():
+    g = build_group("A1")
+    f1, f2 = cherednik_family(g, 1, 1), cherednik_family(g, 1, 1)
+    alg = clifford_algebra_of(f1)
+    keys = [(((1,), 0, (0,)), (1,)), (((0,), 1, (0,)), ())]
+    return (lambda f, t: TensorElement(f, alg, t)), f1, f2, keys
+
+
+def _class_function_case():
+    g1, g2 = build_group("A1"), build_group("A2")
+    return GroupAlgebraClassFunction, g1, g2, g1.class_names[:2]
+
+
+@pytest.mark.parametrize("case", [_pbw_case, _clifford_case, _tensor_case,
+                                  _class_function_case],
+                         ids=["pbw", "clifford", "tensor", "class_function"])
+def test_terms_core_drops_zeros_and_refuses_mixed_owners(case):
+    make, own1, own2, (k1, k2) = case()
+    x = make(own1, {k1: F(2), k2: F(0)})
+    assert x.terms == {k1: F(2)}
+    d = x - x
+    assert not d and d.terms == {}
+    assert -x + x == make(own1, {})
+    assert 3 * x == x * 3 == make(own1, {k1: F(6)})
+    y = make(own2, {k1: F(2)})
+    with pytest.raises(ValueError, match="different"):
+        x + y
+    with pytest.raises(ValueError, match="different"):
+        x == y
+
+
+def test_acc_drops_a_zero_sum():
+    d = {"a": F(1)}
+    poly.acc(d, "a", F(-1))
+    assert d == {}
+    poly.acc(d, "b", zeta(3))
+    poly.acc(d, "b", -zeta(3))
+    assert d == {}
