@@ -76,7 +76,7 @@ def kron(a, b):
             row = []
             for v in ra:
                 if v:
-                    row.extend(v * b[i][j] for j in range(cb))
+                    row.extend(v * y if y else y for y in b[i])
                 else:
                     row.extend([0] * cb)
             out.append(row)

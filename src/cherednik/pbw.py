@@ -13,13 +13,12 @@ W-invariant symmetric form; there the whole V-part lives in the x block and
 the y block stays identically zero.
 """
 
-import math
 from fractions import Fraction
 
 from . import linalg
 from .clifford import polarized_algebra
 from .poly import Terms, acc, substitute_linear
-from .scalars import CyclotomicScalar, reciprocal, scalar_str
+from .scalars import real_sign, reciprocal, scalar_str
 
 
 class PBWViolation(ValueError):
@@ -436,14 +435,6 @@ def invariant_form(group):
     return linalg.mat_scale(norm * Fraction(1, 2), b0)
 
 
-def _real_value(x):
-    # float image of a real scalar, used only to pick signs
-    if isinstance(x, CyclotomicScalar):
-        return sum(float(c) * math.cos(2.0 * math.pi * e / x.conductor)
-                   for e, c in x.coeffs.items())
-    return float(x)
-
-
 def positive_system(group):
     """One root covector per reflection, with consistent lengths.
 
@@ -472,7 +463,7 @@ def positive_system(group):
         raise ValueError("no generic vector found for the root orbit")
     out = []
     for a, v in zip(orbit, vals):
-        if _real_value(v) < 0:
+        if real_sign(v) < 0:
             continue
         match = None
         for r in group.reflections:

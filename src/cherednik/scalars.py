@@ -1,10 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis modulo the N-th cyclotomic polynomial,
-with Fraction coefficients.  All operations are exact; nothing here ever
-rounds.  Rational values are automatically shrunk to conductor 1 so that a
-computation whose answer happens to be rational compares equal to the plain
-Fraction and serializes as one.
+An element is stored in the power basis modulo the N-th cyclotomic
+polynomial, as integer numerators over one positive common denominator.
+Phi_N is monic over Z, so reduction, products, sums and field maps run on
+Python ints with one gcd normalisation per result; nothing here rounds and
+no Fraction is built in the arithmetic itself.  Rational values are
+automatically shrunk to conductor 1 so that a computation whose answer
+happens to be rational compares equal to the plain Fraction and serializes
+as one.
 
 Mixed-conductor arithmetic promotes both operands to the lcm of their
 conductors via zeta_N = zeta_M^(M/N).
@@ -12,10 +15,10 @@ conductors via zeta_N = zeta_M^(M/N).
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class NotRational(ArithmeticError):
@@ -59,61 +62,140 @@ def cyclotomic_polynomial(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int):
-    """zeta_n^e in the power basis, for e in [deg Phi_n, n)."""
+    """(deg Phi_n, rows): rows[e] is zeta_n^e in the power basis as integer
+    (k, c) pairs, for 0 <= e < 2n (products of reduced elements stay below
+    2 deg Phi_n - 1)."""
     phi = _phi_coeff_list(n)
     deg = len(phi) - 1
-    rows = {}
-    if deg < n:
-        top = {e: Fraction(-c) for e, c in enumerate(phi[:deg]) if c}
-        rows[deg] = top
-        for e in range(deg + 1, n):
-            shifted = {}
-            for k, c in rows[e - 1].items():
-                if k + 1 == deg:
-                    for kk, cc in top.items():
-                        shifted[kk] = shifted.get(kk, Fraction(0)) + c * cc
-                else:
-                    shifted[k + 1] = shifted.get(k + 1, Fraction(0)) + c
-            rows[e] = {k: c for k, c in shifted.items() if c}
-    return deg, rows
+    vec = [0] * deg
+    vec[0] = 1
+    rows = []
+    for _ in range(2 * n):
+        rows.append(tuple((k, c) for k, c in enumerate(vec) if c))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            for k in range(deg):
+                vec[k] -= top * phi[k]
+    return deg, tuple(rows)
 
 
-def _reduce_dict(d, n):
-    """Reduce {exponent: Fraction} with exponents in [0, n) mod Phi_n."""
+def _fold(items, n):
+    """sum c * zeta_n^e over (e, c) pairs, 0 <= e < 2n, as a list of deg
+    Phi_n integer coefficients."""
     deg, rows = _reduction_rows(n)
-    out = {}
-    for e, c in d.items():
-        if not c:
-            continue
+    out = [0] * deg
+    for e, c in items:
         if e < deg:
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] += c
         else:
-            for k, cc in rows[e].items():
-                out[k] = out.get(k, Fraction(0)) + c * cc
-    return {e: c for e, c in out.items() if c}
+            for k, r in rows[e]:
+                out[k] += c * r
+    return out
+
+
+def _nonzero(vals):
+    return {e: c for e, c in enumerate(vals) if c}
+
+
+def _lift(num, n, m):
+    """Integer numerators at conductor n written at conductor m (n | m)."""
+    k = m // n
+    return _nonzero(_fold([(e * k, c) for e, c in num.items()], m))
+
+
+def _mul_vals(a, b, n):
+    """Integer numerators of a * b at conductor n, as a list."""
+    deg, rows = _reduction_rows(n)
+    prod = [0] * (2 * deg - 1)
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            prod[e1 + e2] += c1 * c2
+    out = prod[:deg]
+    for e in range(deg, 2 * deg - 1):
+        v = prod[e]
+        if v:
+            for k, r in rows[e]:
+                out[k] += v * r
+    return out
+
+
+def _galois(num, n, k):
+    """Numerators of sigma_k(x) for sigma_k: zeta_n -> zeta_n^k."""
+    return _fold([(e * k % n, c) for e, c in num.items()], n)
 
 
 # --- the scalar type --------------------------------------------------------
 
+_new = object.__new__
+
+
+def _make(n, num, den):
+    # trusted constructor: the fields are already canonical
+    out = _new(CyclotomicScalar)
+    _SET_N(out, n)
+    _SET_NUM(out, num)
+    _SET_DEN(out, den)
+    return out
+
+
+def _canon(n, vals, den):
+    """The scalar sum_e vals[e] zeta_n^e / den, in canonical form."""
+    g = gcd(den, *vals)
+    if g != 1:  # most results are already reduced: skip the division pass
+        num = {e: v // g for e, v in enumerate(vals) if v}
+    else:
+        num = {e: v for e, v in enumerate(vals) if v}
+    if n != 1 and (not num or (len(num) == 1 and 0 in num)):
+        n = 1
+    return _make(n, num, den // g)
+
+
+def _scale(x, p, q):
+    """x * p / q for integers p and q > 0."""
+    if not p:
+        return _ZERO
+    num = {e: v * p for e, v in x.num.items()}
+    den = x.den * q
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {e: v // g for e, v in num.items()}
+    return _make(x.conductor, num, den // g)
+
+
+def _parts(v):
+    """(conductor, numerators, denominator) of a scalar, int or Fraction;
+    None for anything else."""
+    if isinstance(v, CyclotomicScalar):
+        return v.conductor, v.num, v.den
+    if isinstance(v, int):
+        return 1, ({0: v} if v else {}), 1
+    if isinstance(v, Fraction):
+        return 1, ({0: v.numerator} if v else {}), v.denominator
+    return None
+
+
 class CyclotomicScalar:
     """An element of Q(zeta_N), reduced modulo Phi_N.
 
-    conductor: the N of the ambient field (1 for plain rationals).
-    coeffs: dict exponent -> Fraction, exponents in [0, deg Phi_N),
-        zero entries omitted.  A rational element always has conductor 1.
+    conductor: the N of the ambient field; 1 exactly when the value is
+        rational (at_conductor alone writes a value at a larger N on
+        request).
+    num: dict exponent -> nonzero int, exponents in [0, deg Phi_N).
+    den: positive int with gcd(den, *num.values()) == 1; zero is
+        ({}, 1).
+    The value is sum_e num[e] * zeta_N^e / den.  coeffs gives the same
+    value as a dict exponent -> Fraction.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
     __hash__ = None  # use .key() where a hashable form is needed
 
-    def __init__(self, conductor, coeffs, _reduced=False):
-        if not _reduced:
-            coeffs = _reduce_dict({e % conductor: Fraction(c)
-                                   for e, c in coeffs.items()}, conductor)
-        if conductor != 1 and all(e == 0 for e in coeffs):
-            conductor = 1
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, conductor, coeffs):
+        x = reduce(coeffs, conductor)
+        _SET_N(self, x.conductor)
+        _SET_NUM(self, x.num)
+        _SET_DEN(self, x.den)
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicScalar is immutable")
@@ -121,7 +203,13 @@ class CyclotomicScalar:
     @staticmethod
     def from_rational(q) -> "CyclotomicScalar":
         q = Fraction(q)
-        return CyclotomicScalar(1, {0: q} if q else {}, _reduced=True)
+        return _make(1, {0: q.numerator} if q else {}, q.denominator)
+
+    @property
+    def coeffs(self) -> dict:
+        """dict exponent -> Fraction, zero entries omitted."""
+        den = self.den
+        return {e: Fraction(v, den) for e, v in self.num.items()}
 
     # -- representation changes
 
@@ -132,130 +220,113 @@ class CyclotomicScalar:
             return self
         if m % n:
             raise ValueError(f"conductor {n} does not divide {m}")
-        k = m // n
-        lifted = _reduce_dict({e * k: c for e, c in self.coeffs.items()}, m)
-        out = CyclotomicScalar.__new__(CyclotomicScalar)
-        object.__setattr__(out, "conductor", m)
-        object.__setattr__(out, "coeffs", lifted)
-        return out
-
-    def _promote_pair(self, other):
-        n = math.lcm(self.conductor, other.conductor)
-        return self.at_conductor(n), other.at_conductor(n), n
-
-    # -- coercion
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, CyclotomicScalar):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return CyclotomicScalar.from_rational(v)
-        return None
+        # Z[zeta_m] meets Q(zeta_n) in Z[zeta_n], so den stays reduced
+        return _make(m, _lift(self.num, n, m), self.den)
 
     # -- arithmetic
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __neg__(self):
-        return CyclotomicScalar(self.conductor,
-                                {e: -c for e, c in self.coeffs.items()},
-                                _reduced=True)
+        return _make(self.conductor, {e: -v for e, v in self.num.items()},
+                     self.den)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        a, b, n = self._promote_pair(o)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return CyclotomicScalar(n, out, _reduced=True)
+        nb, b, db = o
+        n, a, da = self.conductor, self.num, self.den
+        if nb != n:
+            if n == 1:
+                n = nb
+            elif nb != 1:
+                m = lcm(n, nb)
+                a, b = _lift(a, n, m), _lift(b, nb, m)
+                n = m
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        vals = [0] * _reduction_rows(n)[0]
+        for e, v in a.items():
+            vals[e] = v * ma
+        for e, v in b.items():
+            vals[e] += v * mb
+        return _canon(n, vals, da * ma)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if _parts(other) is None:
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if _parts(other) is None:
             return NotImplemented
-        return o + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.conductor == 1:
-            q = o.coeffs.get(0, Fraction(0))
-            if not q:
-                return _ZERO
-            return CyclotomicScalar(self.conductor,
-                                    {e: c * q for e, c in self.coeffs.items()},
-                                    _reduced=True)
-        if self.conductor == 1:
-            return o * self
-        a, b, n = self._promote_pair(o)
-        prod = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = e1 + e2
-                if e >= n:
-                    e -= n
-                prod[e] = prod.get(e, Fraction(0)) + c1 * c2
-        return CyclotomicScalar(n, _reduce_dict(prod, n), _reduced=True)
+        if isinstance(other, CyclotomicScalar):
+            nb = other.conductor
+            if nb == 1:
+                return _scale(self, other.num.get(0, 0), other.den)
+            n = self.conductor
+            if n == 1:
+                return _scale(other, self.num.get(0, 0), self.den)
+            a, b = self.num, other.num
+            if n != nb:
+                m = lcm(n, nb)
+                a, b = _lift(a, n, m), _lift(b, nb, m)
+                n = m
+            return _canon(n, _mul_vals(a, b, n), self.den * other.den)
+        if isinstance(other, int):
+            return _scale(self, other, 1)
+        if isinstance(other, Fraction):
+            return _scale(self, other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicScalar":
-        if not self:
+        num = self.num
+        if not num:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        n = self.conductor
-        if n == 1:
-            return CyclotomicScalar.from_rational(1 / self.coeffs[0])
-        # extended Euclid in Q[x] against Phi_n; Phi_n irreducible, so the
-        # gcd is a nonzero constant
-        deg = max(self.coeffs)
-        a = [self.coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
-        b = [Fraction(c) for c in _phi_coeff_list(n)]
-        sa, sb = [Fraction(1)], [Fraction(0)]
-        while any(b):
-            q, r = _poly_divmod_q(a, b)
-            a, b = b, r
-            sa, sb = sb, _poly_sub(sa, _poly_mul(q, sb))
-        const = a[0]
-        if len(_strip(a)) != 1:
+        n, den = self.conductor, self.den
+        if len(num) == 1 and 0 in num:
+            p = num[0]
+            return _make(1, {0: den if p > 0 else -den}, abs(p))
+        # x = P / den with P in Z[zeta_n]; Y = prod_{k != 1} sigma_k(P)
+        # makes P * Y = N(P) an integer, positive since Q(zeta_n) is totally
+        # complex for n > 2, so 1/x = den * Y / N(P)
+        y = {0: 1}
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                y = _nonzero(_mul_vals(y, _nonzero(_galois(num, n, k)), n))
+        norm = _mul_vals(num, y, n)
+        if norm[0] < 0 or any(norm[1:]):
+            raise AssertionError("cyclotomic norm not a positive rational")
+        if not norm[0]:
             raise AssertionError("cyclotomic polynomial not coprime")
-        inv = {e: c / const for e, c in enumerate(sa) if c}
-        return CyclotomicScalar(n, inv)
+        return _canon(n, [den * y.get(e, 0) for e in range(len(norm))],
+                      norm[0])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        if o.conductor == 1:
-            q = o.coeffs.get(0, Fraction(0))
-            if not q:
+        nb, b, db = o
+        if nb == 1:
+            p = b.get(0, 0)
+            if not p:
                 raise ZeroDivisionError("scalar division by zero")
-            return CyclotomicScalar(self.conductor,
-                                    {e: c / q for e, c in self.coeffs.items()},
-                                    _reduced=True)
-        return self * o.inverse()
+            return _scale(self, db, p) if p > 0 else _scale(self, -db, -p)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if _parts(other) is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -272,13 +343,17 @@ class CyclotomicScalar:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        if self.conductor == o.conductor:
-            return self.coeffs == o.coeffs
-        a, b, _ = self._promote_pair(o)
-        return a.coeffs == b.coeffs
+        nb, b, db = o
+        n = self.conductor
+        if db != self.den:
+            return False
+        if nb == n:
+            return self.num == b
+        m = lcm(n, nb)
+        return _lift(self.num, n, m) == _lift(b, nb, m)
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -290,7 +365,7 @@ class CyclotomicScalar:
         n = self.conductor
         if n == 1:
             return self
-        return CyclotomicScalar(n, {(-e) % n: c for e, c in self.coeffs.items()})
+        return _canon(n, _galois(self.num, n, n - 1), self.den)
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -298,64 +373,26 @@ class CyclotomicScalar:
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
             raise NotRational(f"not rational: {scalar_str(self)}")
-        return self.coeffs.get(0, Fraction(0))
+        return Fraction(self.num.get(0, 0), self.den)
 
     def key(self):
         """Canonical hashable form; equal scalars at equal conductor share it."""
+        den = self.den
         if self.conductor == 1:
-            q = self.coeffs.get(0, Fraction(0))
-            return (q.numerator, q.denominator)
+            return (self.num.get(0, 0), den)
         return (self.conductor,
-                tuple((e, c.numerator, c.denominator)
-                      for e, c in sorted(self.coeffs.items())))
+                tuple((e, v // g, den // g) for e, v, g in
+                      ((e, v, gcd(v, den))
+                       for e, v in sorted(self.num.items()))))
 
     def __repr__(self):
         return scalar_str(self)
 
 
-_ZERO = CyclotomicScalar(1, {}, _reduced=True)
-
-
-# --- rational-coefficient polynomial helpers for the inverse ----------------
-
-def _strip(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod_q(a, b):
-    a = list(a)
-    b = _strip(list(b))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    for i in range(len(a) - len(b), -1, -1):
-        if i + len(b) - 1 >= len(a):
-            continue
-        c = a[i + len(b) - 1] / b[-1]
-        if c:
-            q[i] = c
-            for j, d in enumerate(b):
-                a[i + j] -= c * d
-    return _strip(q) or [Fraction(0)], _strip(a) or [Fraction(0)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _strip(out) or [Fraction(0)]
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _strip(out) or [Fraction(0)]
+_SET_N = CyclotomicScalar.conductor.__set__
+_SET_NUM = CyclotomicScalar.num.__set__
+_SET_DEN = CyclotomicScalar.den.__set__
+_ZERO = _make(1, {}, 1)
 
 
 # --- module-level operations ------------------------------------------------
@@ -363,20 +400,23 @@ def _poly_sub(a, b):
 def reduce(poly: dict, n: int) -> CyclotomicScalar:
     """Reduce sum_e poly[e] * zeta_n^e into canonical form.
 
-    Exponents may be any integers (zeta_n^n = 1 is applied first).
+    Exponents may be any integers (zeta_n^n = 1 is applied first);
+    coefficients are ints or Fractions.
     """
     if n < 1:
         raise ValueError("conductor must be >= 1")
     acc = {}
     for e, c in poly.items():
         e %= n
-        acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
-    return CyclotomicScalar(n, acc)
+        acc[e] = acc.get(e, 0) + Fraction(c)
+    den = lcm(*(c.denominator for c in acc.values()))
+    return _canon(n, _fold([(e, c.numerator * (den // c.denominator))
+                            for e, c in acc.items()], n), den)
 
 
 def zeta(n: int, power: int = 1) -> CyclotomicScalar:
     """The root of unity zeta_n^power."""
-    return reduce({power: Fraction(1)}, n)
+    return reduce({power: 1}, n)
 
 
 def conjugate(a):
@@ -407,17 +447,87 @@ def rational_part_sign(a) -> str:
     return "zero"
 
 
+# --- exact sign of the real part --------------------------------------------
+
+def _atan_inv_bounds(k, eps):
+    """Rationals lo <= arctan(1/k) <= hi with hi - lo < eps, for k >= 2:
+    the series alternates with falling terms, so consecutive partial sums
+    bracket it."""
+    s, j = Fraction(0), 0
+    while True:
+        term = Fraction(1, (2 * j + 1) * k ** (2 * j + 1))
+        nxt = s + term if j % 2 == 0 else s - term
+        if term < eps and j:
+            return min(s, nxt), max(s, nxt)
+        s, j = nxt, j + 1
+
+
+def _pi_bounds(eps):
+    # Machin: pi = 16 arctan(1/5) - 4 arctan(1/239)
+    lo5, hi5 = _atan_inv_bounds(5, eps / 32)
+    lo239, hi239 = _atan_inv_bounds(239, eps / 32)
+    return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+
+
+def _cos_bounds(r, pi_lo, pi_hi, eps):
+    """Rationals enclosing cos(pi * r) for rational 0 <= r <= 1, given an
+    enclosure of pi: |cos s - cos t| <= |s - t|, and the Taylor remainder
+    of cos at t after the t^(2K-2) term is at most t^(2K) / (2K)!."""
+    lo, hi = r * pi_lo, r * pi_hi
+    t, spread = (lo + hi) / 2, (hi - lo) / 2
+    total, term, k = Fraction(0), Fraction(1), 0
+    while abs(term) >= eps:
+        total += term
+        k += 1
+        term = -term * t * t / ((2 * k - 1) * (2 * k))
+    err = abs(term) + spread
+    return total - err, total + err
+
+
+def real_sign(x) -> int:
+    """-1, 0 or 1: the exact sign of the real part of an int, Fraction or
+    CyclotomicScalar.
+
+    y = x + conj x = 2 Re x is tested for zero exactly; otherwise
+    y * den = sum_e num[e] cos(2 pi e / N) is enclosed with rational bounds
+    that are refined until they exclude 0, which happens for every nonzero
+    value.
+    """
+    if not isinstance(x, CyclotomicScalar):
+        x = Fraction(x)
+        return (x > 0) - (x < 0)
+    x = x + x.conjugate()
+    if x.conductor == 1:
+        q = x.num.get(0, 0)
+        return (q > 0) - (q < 0)
+    n = x.conductor
+    eps = Fraction(1, 2 ** 16)
+    while True:
+        pi_lo, pi_hi = _pi_bounds(eps)
+        lo = hi = 0
+        for e, c in x.num.items():
+            a, b = _cos_bounds(Fraction(2 * min(e, n - e), n), pi_lo, pi_hi,
+                               eps)
+            if c > 0:
+                lo, hi = lo + c * a, hi + c * b
+            else:
+                lo, hi = lo + c * b, hi + c * a
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        eps *= eps
+
+
 # --- string forms -----------------------------------------------------------
 
 def scalar_str(a) -> str:
     """'p/q' for rationals, 'cyclo(N; e:p/q, ...)' otherwise."""
     if isinstance(a, CyclotomicScalar):
-        if a.conductor == 1:
-            a = a.rational_value()
-        else:
-            parts = ", ".join(f"{e}:{c.numerator}/{c.denominator}"
-                              for e, c in sorted(a.coeffs.items()))
+        if a.conductor != 1:
+            parts = ", ".join(f"{e}:{p}/{q}" for e, p, q in a.key()[1])
             return f"cyclo({a.conductor}; {parts})"
+        a = a.rational_value()
     a = Fraction(a)
     return f"{a.numerator}/{a.denominator}"
 

@@ -42,6 +42,54 @@ def cyclotomic_inverse_sympy(coeffs, n):
     return out
 
 
+def _qq_poly_at(coeffs, n, m, x):
+    # sum_e coeffs[e] zeta_n^e with zeta_n = zeta_m^(m/n), as a QQ polynomial
+    k = m // n
+    return sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator)
+                           * x ** (e * k) for e, c in coeffs.items()),
+                          sympy.Integer(0)), x, domain="QQ")
+
+
+def _qq_dict(poly):
+    out = {}
+    for (e,), c in poly.terms():
+        if c != 0:
+            out[e] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+    return out
+
+
+def cyclotomic_binary_sympy(op, a, na, b, nb):
+    """a op b for op in '+', '-', '*', '/', with a in Q(zeta_na) and b in
+    Q(zeta_nb) given as dicts exponent -> Fraction.  Returns the power-basis
+    dict of the result in Q(zeta_m), m = lcm(na, nb), computed in
+    QQ[x] / Phi_m by sympy."""
+    from math import lcm
+
+    m = lcm(na, nb)
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain="QQ")
+    pa, pb = _qq_poly_at(a, na, m, x), _qq_poly_at(b, nb, m, x)
+    if op == "+":
+        r = pa + pb
+    elif op == "-":
+        r = pa - pb
+    elif op == "*":
+        r = pa * pb
+    elif op == "/":
+        r = pa * sympy.invert(pb, phi)
+    else:
+        raise ValueError(op)
+    return _qq_dict(r.rem(phi))
+
+
+def cyclotomic_conjugate_sympy(a, n):
+    """Complex conjugate zeta_n -> zeta_n^-1 of a dict in Q(zeta_n)."""
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+    flipped = {(-e) % n: c for e, c in a.items()}
+    return _qq_dict(_qq_poly_at(flipped, n, n, x).rem(phi))
+
+
 # ---------------------------------------------------------------------------
 # polynomial / differential operator model of H_{1,0} = Weyl algebra x| W
 
