@@ -26,7 +26,7 @@ print("class-function part of the lifted Casimir:", s.coefficients)
 print("matches the closed form:", s == group_algebra_casimir(fam))
 
 # rebuild z from the two components: z = Delta(s) + d(b)
-recomposed = derivation_d(b, fam)
+recomposed = derivation_d(b)
 for w in range(g.order):
     coeff = s.coefficients.get(g.class_names[g.class_of(w)])
     if coeff:

@@ -9,12 +9,12 @@ and equal-Casimir pairs without a witness chain stay marked undecided.
 
 
 from . import poly
-from .dirac import (casimir_scalar, clifford_algebra_of,
+from .dirac import (NoDecomposition, casimir_scalar, clifford_algebra_of,
                     decompose_kernel_element, derivation_d, tensor)
 from .groups import _invariant_generators
 from .modules import (baby_verma, dirac_cohomology, h_weight,
                       one_dimensional_quotient)
-from .pbw import _c_map, casimir_omega, cherednik_family
+from .pbw import _c_map, casimir_omega, shared_cherednik_family
 from .scalars import scalar_str
 
 
@@ -181,8 +181,7 @@ def verify_cm_factorization(group, c, degree_cap, extra_invariants=None):
     t = 0 and report the witness.  Optional extra invariants (polynomial
     dicts on the dual side) are checked the same way; constants are not
     in the augmentation ideal and are rejected."""
-    fam = cherednik_family(group, 0, c, check=False)
-    alg = clifford_algebra_of(fam)
+    fam = shared_cherednik_family(group, 0, c)
     n = group.n
     zero = (0,) * n
 
@@ -209,7 +208,7 @@ def verify_cm_factorization(group, c, degree_cap, extra_invariants=None):
                 terms[(mono, 0, zero)] = coeff
             else:
                 terms[(zero, 0, mono)] = coeff
-        z = tensor(fam, fam.element(terms), alg.one(), alg)
+        z = tensor(fam.element(terms), clifford_algebra_of(fam).one())
         # the witness is expected on the same polynomial side; fall back
         # to the unrestricted search if that guess fails
         if side == "h_star":
@@ -222,9 +221,8 @@ def verify_cm_factorization(group, c, degree_cap, extra_invariants=None):
                 s, b = decompose_kernel_element(
                     z, fam, degree_cap=cap, candidate_filter=filt)
                 break
-            except ValueError as err:
-                if "no decomposition" not in str(err):
-                    raise
+            except NoDecomposition:
+                pass
         if b is None:
             raise ValueError(f"no witness for the degree-{d} invariant "
                              f"within degree {d + 1}")

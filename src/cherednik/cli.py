@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import poly
 from .calogero_moser import dirac_partition
-from .clifford import pin_tau, polarized_algebra, spin_action
+from .clifford import tau_spin
 from .dirac import (
     UnknownIrrep,
     delta_element,
@@ -27,14 +27,14 @@ from .groups import (
     export_data,
 )
 from .modules import (
-    WindowExceedsCap,
     baby_verma,
     dirac_cohomology,
     one_dimensional_quotient,
     standard_module,
     unitarity_report,
 )
-from .pbw import cherednik_family, corrupted_family, gaha_family, pbw_check
+from .pbw import (corrupted_family, gaha_family, pbw_check,
+                  shared_cherednik_family)
 from .scalars import parse_scalar, scalar_str
 
 
@@ -135,7 +135,7 @@ def _c_strings(c):
 def _build_family(args, group, t, c):
     preset = args.preset or "cherednik"
     if preset == "cherednik":
-        return cherednik_family(group, t, c, check=False)
+        return shared_cherednik_family(group, t, c)
     if preset == "gaha":
         return gaha_family(group, c, check=False)
     if preset == "corrupted":
@@ -172,9 +172,7 @@ def cmd_verify(args):
                        for w in group.generator_indices))
         # the spin module is faithful, so tau is a homomorphism exactly
         # when its spin matrices form a representation
-        alg = polarized_algebra(group.n)
-        spins = [spin_action(pin_tau(w, group, alg), alg)
-                 for w in range(group.order)]
+        spins = [tau_spin(group, w) for w in range(group.order)]
         hom = check_representation(
             WRepresentation(len(spins[0]), spins), group)
         wedge_ok = True
@@ -372,22 +370,11 @@ def main(argv=None):
         if not args.group:
             raise UsageError("--group is required")
         return args.handler(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except UnknownIrrep as err:
         print(f"error: unknown irrep label {err}", file=sys.stderr)
         return 2
-    except UnknownGroup as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except WindowExceedsCap as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as err:
+    except (UsageError, UnknownGroup, ValueError, ZeroDivisionError) as err:
+        # WindowExceedsCap is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -208,7 +208,7 @@ def _spin_generator_matrices(n: int):
     mats = []
     for g in range(2 * n):
         i = g // 2
-        m = [[Fraction(0)] * dim for _ in range(dim)]
+        m = [[0] * dim for _ in range(dim)]
         for col, I in enumerate(basis):
             if g % 2 == 0:
                 # x_i: contraction, 1-based position sign, factor 2
@@ -253,26 +253,37 @@ def spin_action(a: CliffordElement, alg: CliffordAlgebra):
 # pin cover
 
 
-def tau_reflection(r, alg: CliffordAlgebra) -> CliffordElement:
-    """tau_s = (1 - lambda_s)/(2 <alpha^v, alpha>) alpha^v alpha + 1."""
+def _reflection_factor(r, alg: CliffordAlgebra):
+    """(mu, A) with tau_s = 1 + mu A for A = alpha^v alpha and
+    mu = (1 - lambda_s)/(2 <alpha^v, alpha>)."""
     pairing = 0
     for a, b in zip(r.alpha_check, r.alpha):
         pairing = pairing + a * b
-    scale = (1 - r.lam) / (2 * pairing)
-    av = alg.vector(r.alpha_check, offset=1, step=2)
-    al = alg.vector(r.alpha, offset=0, step=2)
-    return alg.scalar(scale) * av * al + alg.one()
+    return ((1 - r.lam) / (2 * pairing),
+            alg.vector(r.alpha_check, offset=1, step=2)
+            * alg.vector(r.alpha, offset=0, step=2))
+
+
+def tau_reflection(r, alg: CliffordAlgebra) -> CliffordElement:
+    """tau_s = 1 + mu A (see _reflection_factor)."""
+    mu, a = _reflection_factor(r, alg)
+    return alg.scalar(mu) * a + alg.one()
+
+
+def _word_reflections(w_index, group):
+    """The reflections along the group's BFS word for w."""
+    if not isinstance(w_index, int) or not 0 <= w_index < group.order:
+        raise WordRequired(f"no reflection word for {w_index!r}")
+    return [group.reflection_at(group.generator_indices[gi])
+            for gi in group.words[w_index]]
 
 
 def pin_tau(w_index, group, alg: CliffordAlgebra = None) -> CliffordElement:
     """tau_w along the group's BFS reflection word for w."""
     if alg is None:
         alg = polarized_algebra(group.n)
-    if not isinstance(w_index, int) or not 0 <= w_index < group.order:
-        raise WordRequired(f"no reflection word for {w_index!r}")
     out = alg.one()
-    for gi in group.words[w_index]:
-        r = group.reflection_at(group.generator_indices[gi])
+    for r in _word_reflections(w_index, group):
         out = out * tau_reflection(r, alg)
     return out
 
@@ -286,20 +297,18 @@ def pin_tau_inverse(w_index, group, alg: CliffordAlgebra = None) -> CliffordElem
     """
     if alg is None:
         alg = polarized_algebra(group.n)
-    if not isinstance(w_index, int) or not 0 <= w_index < group.order:
-        raise WordRequired(f"no reflection word for {w_index!r}")
     out = alg.one()
-    for gi in reversed(group.words[w_index]):
-        r = group.reflection_at(group.generator_indices[gi])
-        pairing = 0
-        for a, b in zip(r.alpha_check, r.alpha):
-            pairing = pairing + a * b
-        mu = (1 - r.lam) / (2 * pairing)
-        scale = mu * reciprocal(r.lam)
-        av = alg.vector(r.alpha_check, offset=1, step=2)
-        al = alg.vector(r.alpha, offset=0, step=2)
-        out = out * (alg.one() - alg.scalar(scale) * av * al)
+    for r in reversed(_word_reflections(w_index, group)):
+        mu, a = _reflection_factor(r, alg)
+        out = out * (alg.one() - alg.scalar(mu * reciprocal(r.lam)) * a)
     return out
+
+
+@lru_cache(maxsize=None)
+def tau_spin(group, w_index):
+    """Spin-module matrix of tau_w, built once per group element."""
+    alg = polarized_algebra(group.n)
+    return spin_action(pin_tau(w_index, group, alg), alg)
 
 
 # --------------------------------------------------------------------------

@@ -36,6 +36,10 @@ class NotInKernel(ValueError):
     """The element does not lie in ker d."""
 
 
+class NoDecomposition(ValueError):
+    """No split z = Delta(s) + d(b) exists within the degree cap."""
+
+
 class SolverOverflow(RuntimeError):
     """The bounded-degree linear system exceeds the configured size cap."""
 
@@ -158,21 +162,20 @@ class TensorElement(Terms):
         return " + ".join(bits)
 
 
-def tensor(family, helem, celem, algebra=None):
+def tensor(helem, celem):
     """Outer product of an H element and a Clifford element."""
-    alg = algebra if algebra is not None else clifford_algebra_of(family)
-    return TensorElement(family, alg, {
+    return TensorElement(helem.family, celem.algebra, {
         (hk, cm): hc * cc for hk, hc in helem.terms.items()
         for cm, cc in celem.terms.items()})
 
 
-def dirac_element(family, basis=None, algebra=None):
+def dirac_element(family, basis=None):
     """D = sum_i v_i (x) v^i, duals against the family's V form.
 
     basis, when given, lists basis vectors of V as columns in generator
     slot coordinates; the result does not depend on the choice.
     """
-    alg = algebra if algebra is not None else clifford_algebra_of(family)
+    alg = clifford_algebra_of(family)
     nv = family.nv
     if basis is None:
         gram = family.vgram
@@ -193,52 +196,49 @@ def dirac_element(family, basis=None, algebra=None):
             coords = [sum(cols[r][j] * ginv[i][j] for j in range(nv))
                       for r in range(nv)]
             dual = alg.vector(coords)
-        term = tensor(family, vecs[i], dual, alg)
+        term = tensor(vecs[i], dual)
         out = term if out is None else out + term
     return out
 
 
-def dirac_split(family, algebra=None):
+def dirac_split(family):
     """(D_x, D_y) with D = D_x + D_y for polarized families."""
     if family.space != "polarized":
         raise ValueError("the x/y split needs a polarized family")
-    alg = algebra if algebra is not None else clifford_algebra_of(family)
+    alg = clifford_algebra_of(family)
     n = family.group.n
     dx = dy = None
     for i in range(n):
-        tx = tensor(family, family.x_gen(i), alg.gen(2 * i + 1), alg)
-        ty = tensor(family, family.y_gen(i), alg.gen(2 * i), alg)
+        tx = tensor(family.x_gen(i), alg.gen(2 * i + 1))
+        ty = tensor(family.y_gen(i), alg.gen(2 * i))
         dx = tx if dx is None else dx + tx
         dy = ty if dy is None else dy + ty
     return dx, dy
 
 
-def delta_element(family, w, algebra=None):
+def delta_element(family, w):
     """Delta(w) = w (x) tau_w (polarized families)."""
     if family.space != "polarized":
         raise ValueError("pin elements are built on the polarized space")
-    alg = algebra if algebra is not None else clifford_algebra_of(family)
-    return tensor(family, family.group_element(w),
-                  pin_tau(w, family.group, alg), alg)
+    return tensor(family.group_element(w),
+                  pin_tau(w, family.group, clifford_algebra_of(family)))
 
 
-def omega_tilde(family, algebra=None):
+def omega_tilde(family):
     """Omega_H (x) 1 - 1 (x) kappa_1/2; commutes with D."""
     from .pbw import casimir_omega
-    alg = algebra if algebra is not None else clifford_algebra_of(family)
-    out = tensor(family, casimir_omega(family), alg.one(), alg)
+    alg = clifford_algebra_of(family)
+    out = tensor(casimir_omega(family), alg.one())
     a1 = family.forms.get(0)
     if a1 is not None:
-        k1 = chevalley_lift(a1, alg)
-        out = out - tensor(family, family.one(),
-                           Fraction(1, 2) * k1, alg)
+        out = out - tensor(family.one(),
+                           Fraction(1, 2) * chevalley_lift(a1, alg))
     return out
 
 
-def derivation_d(a, family=None):
+def derivation_d(a):
     """d(a) = D a - eps(a) D."""
-    fam = a.family if family is None else family
-    d = dirac_element(fam, algebra=a.algebra)
+    d = dirac_element(a.family)
     return d * a - a.eps() * d
 
 
@@ -250,15 +250,14 @@ def verify_dirac_square(family):
     """
     from .pbw import casimir_omega
     alg = clifford_algebra_of(family)
-    d = dirac_element(family, algebra=alg)
+    d = dirac_element(family)
     d2 = d * d
     omega = casimir_omega(family)
-    rhs = tensor(family, (-1) * omega, alg.one(), alg)
+    rhs = tensor((-1) * omega, alg.one())
     a1 = family.forms.get(0)
     kappa1 = chevalley_lift(a1, alg) if a1 is not None else alg.zero()
     if a1 is not None:
-        rhs = rhs + tensor(family, family.one(),
-                           Fraction(1, 2) * kappa1, alg)
+        rhs = rhs + tensor(family.one(), Fraction(1, 2) * kappa1)
     omega_w = []
     for w in family.support():
         if w == 0:
@@ -266,7 +265,7 @@ def verify_dirac_square(family):
         kw = chevalley_lift(family.forms[w], alg)
         ew = compute_e_w(family, w)
         cw = Fraction(1, 2) * kw - alg.scalar(ew)
-        rhs = rhs + tensor(family, family.group_element(w), cw, alg)
+        rhs = rhs + tensor(family.group_element(w), cw)
         omega_w.append({"w": w,
                         "class": family.group.class_name_of_element(w),
                         "clifford": element_to_data(cw)})
@@ -372,6 +371,11 @@ class GroupAlgebraClassFunction(Terms):
                           for n, c in sorted(self.terms.items()))
 
 
+def _reflection_weight(r, c_map):
+    """2 c_s / (1 - lambda_s) for the reflection r."""
+    return 2 * c_map[r.class_name] * reciprocal(1 - r.lam)
+
+
 def group_algebra_casimir(family):
     """Omega_{W,c} = sum over reflections of 2 c_s/(1 - lambda_s) . s for
     Cherednik presets, as a class function; lambda_s is the nontrivial
@@ -381,11 +385,8 @@ def group_algebra_casimir(family):
         raise ValueError("the closed-form group Casimir needs the "
                          "rational Cherednik preset")
     g = family.group
-    c_map = family.params["c"]
-    emap = {}
-    for r in g.reflections:
-        coeff = 2 * c_map[r.class_name] * reciprocal(1 - r.lam)
-        emap[r.element_index] = coeff
+    emap = {r.element_index: _reflection_weight(r, family.params["c"])
+            for r in g.reflections}
     return GroupAlgebraClassFunction.from_element_map(g, emap)
 
 
@@ -400,8 +401,8 @@ def casimir_scalar(sigma, c, group):
     dim = chi[0]
     total = 0
     for r in group.reflections:
-        coeff = 2 * c_map[r.class_name] * reciprocal(1 - r.lam)
-        total = total + coeff * chi[group.class_of(r.element_index)]
+        total = total + (_reflection_weight(r, c_map)
+                         * chi[group.class_of(r.element_index)])
     return total * Fraction(1, dim)
 
 
@@ -495,7 +496,8 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     odd subspace of degree <= degree_cap + 1; candidate_filter, when
     given, restricts the raw search keys (hkey, clifford mono) before
     averaging, which can only shrink the solution space.  Returns (s, b)
-    with s a class function; raises NotInKernel when d(z) != 0.
+    with s a class function; raises NotInKernel when d(z) != 0 and
+    NoDecomposition when no split exists at this degree_cap.
 
     Each raw key h (x) m is averaged factor by factor: Delta(w) conjugates
     it to (w h w^(-1)) (x) (tau_w m tau_w^(-1)), with both factor images
@@ -511,17 +513,17 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
         raise ValueError("element degree exceeds degree_cap")
     if z.clifford_parities() - {0}:
         raise ValueError("kernel decomposition needs even Clifford parity")
-    deltas = [delta_element(family, w, alg) for w in range(g.order)]
+    deltas = [delta_element(family, w) for w in range(g.order)]
     for gi in g.generator_indices:
         if deltas[gi] * z != z * deltas[gi]:
             raise ValueError("element is not diagonally W-invariant")
     t = (family.params or {}).get("t")
     if family.preset_tag == "cherednik" and t:
-        omt = omega_tilde(family, alg)
+        omt = omega_tilde(family)
         if omt * z != z * omt:
             raise ValueError("element does not commute with the lifted "
                              "Casimir")
-    if derivation_d(z, family):
+    if derivation_d(z):
         raise NotInKernel("d(z) != 0")
 
     raw = _candidate_keys(g, degree_cap + 1)
@@ -549,7 +551,7 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
             continue
         kept.append(unit)
         invariant_b.append(p)
-    d, d_images = dirac_element(family, algebra=alg), {}
+    d, d_images = dirac_element(family), {}
     d_cols = [_d_by_keys(b, d, d_images) for b in invariant_b]
     keep = [i for i, col in enumerate(d_cols) if col]
     invariant_b = [invariant_b[i] for i in keep]
@@ -563,8 +565,8 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     ncols = nd + g.order
     reduced, pivots = linalg.rref(_coords(d_cols + deltas + [z])[0])
     if ncols in pivots:
-        raise ValueError("no decomposition at this degree cap; raise "
-                         "degree_cap")
+        raise NoDecomposition("no decomposition at this degree cap; raise "
+                              "degree_cap")
     if not set(range(nd, ncols)) <= set(pivots):
         raise ValueError("group-algebra block meets the derivation image; "
                          "the decomposition would not be unique")

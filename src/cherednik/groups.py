@@ -53,6 +53,11 @@ def trace(m):
     return t
 
 
+def class_character(group, matrix):
+    """Trace of matrix(w) at one representative w of each conjugacy class."""
+    return [trace(matrix(cl[0])) for cl in group.conjugacy_classes]
+
+
 class Reflection:
     """A pseudo-reflection with its root data.
 
@@ -82,7 +87,7 @@ class WRepresentation:
         self.matrices = matrices
 
     def character(self, group):
-        return [trace(self.matrices[k[0]]) for k in group.conjugacy_classes]
+        return class_character(group, self.matrices.__getitem__)
 
 
 class ReflectionGroup:
@@ -534,10 +539,6 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         _mult_cache={},
         _inv_cache={},
         _hstar_cache={},
-        # cherednik.modules: families by (t, c), tau_w spin matrices, characters
-        _family_cache={},
-        _tau_cache={},
-        _char_cache={},
     )
     group.generator_indices = [index[_mat_key(g, conductor)] for g in gens]
     if catalogue_id.startswith("G") and data["family"] == "gm12":
@@ -680,33 +681,9 @@ def inner_product(group, chi, label):
     return s * Fraction(1, group.order)
 
 
-def decompose(rep, group, check=True):
-    """Multiplicities of each irreducible; {label: positive int}."""
-    if check and not check_representation(rep, group):
-        raise NotARepresentation("homomorphism check failed")
-    chi = rep.character(group)
-    out = {}
-    total = 0
-    for label in group.irrep_labels:
-        mult = inner_product(group, chi, label)
-        if isinstance(mult, CyclotomicScalar):
-            if not mult.is_rational():
-                raise NotARepresentation(f"multiplicity of {label} not rational")
-            mult = mult.rational_value()
-        mult = Fraction(mult)
-        if mult.denominator != 1 or mult < 0:
-            raise NotARepresentation(f"multiplicity of {label} is {mult}")
-        if mult:
-            out[label] = int(mult)
-            total += int(mult) * group.dim_of(label)
-    if total != rep.dimension:
-        raise NotARepresentation("dimension mismatch in decomposition")
-    return out
-
-
-def isotypic_projector(rep, irrep_label, group, check=True):
+def isotypic_projector(rep, irrep_label, group):
     """Projector onto the irrep_label-isotypic component of rep."""
-    if check and not check_representation(rep, group):
+    if not check_representation(rep, group):
         raise NotARepresentation("homomorphism check failed")
     row = group.character_table[group.irrep_labels.index(irrep_label)]
     dim_sigma = group.dim_of(irrep_label)
@@ -724,51 +701,6 @@ def isotypic_projector(rep, irrep_label, group, check=True):
                 if row_m[c]:
                     row_out[c] = row_out[c] + coeff * row_m[c]
     return out
-
-
-def diagonal_action(reps):
-    """Tensor product of representations of the same group."""
-    if not reps:
-        raise ValueError("need at least one representation")
-    order = len(reps[0].matrices)
-    dim = 1
-    for r in reps:
-        dim *= r.dimension
-    mats = []
-    for i in range(order):
-        m = [[1]]
-        for r in reps:
-            m = linalg.kron(m, r.matrices[i])
-        mats.append(m)
-    return WRepresentation(dim, mats)
-
-
-# --------------------------------------------------------------------------
-# standard representations
-
-
-def h_representation(group):
-    return WRepresentation(group.n, group.elements)
-
-
-def h_star_representation(group):
-    return WRepresentation(group.n, [group.h_star_matrix(i)
-                                     for i in range(group.order)])
-
-
-def wedge_h_representation(group, l):
-    return WRepresentation(len(poly.wedge_basis_labels(group.n, l)),
-                           [poly.wedge_matrix(m, l) for m in group.elements])
-
-
-def regular_representation(group):
-    mats = []
-    for i in range(group.order):
-        m = linalg.zeros(group.order, group.order)
-        for j in range(group.order):
-            m[group.mult(i, j)][j] = 1
-        mats.append(m)
-    return WRepresentation(group.order, mats)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ no pivoting for numerical stability because there is no rounding.
 
 from fractions import Fraction
 
-from .scalars import CyclotomicScalar, reciprocal
+from .scalars import as_fraction, reciprocal
 
 
 def zeros(r, c):
@@ -214,12 +214,6 @@ def subspace_intersection(abasis, bbasis):
 
 # --- positivity -------------------------------------------------------------
 
-def _as_fraction(x):
-    if isinstance(x, CyclotomicScalar):
-        return x.rational_value()
-    return Fraction(x)
-
-
 def psd_report(g):
     """Decide positive semidefiniteness of a symmetric rational matrix.
 
@@ -232,7 +226,7 @@ def psd_report(g):
     over Q.
     """
     n = len(g)
-    a = [[_as_fraction(x) for x in row] for row in g]
+    a = [[as_fraction(x) for x in row] for row in g]
     # cumulative transform: current a equals E g E^T
     E = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     remaining = list(range(n))

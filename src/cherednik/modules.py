@@ -11,14 +11,14 @@ wedge(h); every matrix is exact.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg, poly
-from .clifford import pin_tau, polarized_algebra, spin_action
+from .clifford import _spin_generator_matrices, tau_spin
 from .dirac import UnknownIrrep, casimir_scalar
-from .groups import UnknownGroup, inner_product
-from .linalg import _as_fraction
-from .pbw import _c_map, cherednik_family
-from .scalars import CyclotomicScalar, NotRational, scalar_str
+from .groups import UnknownGroup, class_character, inner_product
+from .pbw import shared_cherednik_family
+from .scalars import NotRational, as_fraction
 
 
 class WindowExceedsCap(ValueError):
@@ -37,23 +37,9 @@ def _zero_exp(n):
     return (0,) * n
 
 
-_MONO_INDEX = {}
-
-
+@lru_cache(maxsize=None)
 def _mono_index(n, k):
-    got = _MONO_INDEX.get((n, k))
-    if got is None:
-        got = {m: i for i, m in enumerate(poly.monomials(n, k))}
-        _MONO_INDEX[(n, k)] = got
-    return got
-
-
-def _rational_or_none(x):
-    if isinstance(x, CyclotomicScalar):
-        if not x.is_rational():
-            return None
-        return x.rational_value()
-    return Fraction(x)
+    return {m: i for i, m in enumerate(poly.monomials(n, k))}
 
 
 def h_weight(sigma, c, group):
@@ -102,7 +88,7 @@ class GradedModule:
         self.dim_sigma = self.rep.dimension
         self.K = K
         self._blocks = {}
-        shared = vars(family).setdefault("_module_data", {})
+        shared = family._module_data
         if kind not in shared:
             self._sel, self._red = {}, {}
             if kind == "baby":
@@ -133,14 +119,6 @@ class GradedModule:
         if self.kind == "standard":
             return list(range(self.K + 1))
         return sorted(k for k, s in self._sel.items() if s)
-
-    def basis_labels(self, k):
-        monos = poly.monomials(self.n, k)
-        out = []
-        for p in self.selected(k):
-            for j in range(self.dim_sigma):
-                out.append((monos[p], j))
-        return out
 
     def _coinvariant_sections(self):
         g = self.group
@@ -273,29 +251,19 @@ class GradedModule:
         return self._gen_block(("group_element", w), k, k)
 
 
-def _family(group, t, c):
-    """The unchecked H_{t,c}, built once per (group, t, c)."""
-    c_map = _c_map(group, c)
-    key = (scalar_str(t),) + tuple(
-        (name, scalar_str(v)) for name, v in sorted(c_map.items()))
-    if key not in group._family_cache:
-        group._family_cache[key] = cherednik_family(group, t, c_map,
-                                                    check=False)
-    return group._family_cache[key]
-
-
 def standard_module(group, sigma, c, K=4):
-    return GradedModule("standard", _family(group, 1, c), sigma, K)
+    return GradedModule("standard", shared_cherednik_family(group, 1, c),
+                        sigma, K)
 
 
 def baby_verma(group, sigma, c):
-    return GradedModule("baby", _family(group, 0, c), sigma, 0)
+    return GradedModule("baby", shared_cherednik_family(group, 0, c), sigma, 0)
 
 
 def one_dimensional_quotient(group, sigma, c):
     """The simple quotient with x = y = 0, available exactly when every
     commutator [y_i, x_j] acts by zero on the one-dimensional sigma."""
-    fam = _family(group, 0, c)
+    fam = shared_cherednik_family(group, 0, c)
     try:
         rep = group.irrep(sigma)
     except UnknownGroup:
@@ -335,9 +303,7 @@ class DiracOperatorMatrix:
     def __init__(self, module):
         self.module = module
         self.n = module.n
-        self._alg = polarized_algebra(self.n)
-        self._spin = [spin_action(self._alg.gen(g), self._alg)
-                      for g in range(2 * self.n)]
+        self._spin = _spin_generator_matrices(self.n)
         self._offsets = {}
         off = 0
         for l in range(self.n + 1):
@@ -353,19 +319,12 @@ class DiracOperatorMatrix:
     def cell_dim(self, k, l):
         return self.module.piece_dim(k) * self.wedge_dim(l)
 
-    def cells(self, kmax=None):
-        if kmax is None:
-            kmax = self.module.K if self.module.kind == "standard" else None
-        out = []
-        for k in self.module.degrees():
-            if kmax is not None and k > kmax:
-                continue
-            for l in range(self.n + 1):
-                out.append((k, l))
-        return out
+    def cells(self):
+        return [(k, l) for k in self.module.degrees()
+                for l in range(self.n + 1)]
 
-    def _spin_slice(self, g, lrow, lcol):
-        mat = self._spin[g]
+    def _wedge_slice(self, mat, lrow, lcol):
+        """The wedge^lrow x wedge^lcol block of a spin-module matrix."""
         ro, co = self._offsets[lrow], self._offsets[lcol]
         return [[mat[ro + a][co + b] for b in range(self.wedge_dim(lcol))]
                 for a in range(self.wedge_dim(lrow))]
@@ -397,7 +356,8 @@ class DiracOperatorMatrix:
                 sg = 2 * i
             if mb is None:
                 continue
-            out = linalg.mat_add(out, linalg.kron(mb, self._spin_slice(sg, l2, l)))
+            out = linalg.mat_add(
+                out, linalg.kron(mb, self._wedge_slice(self._spin[sg], l2, l)))
         return out
 
     def apply(self, comp):
@@ -434,58 +394,34 @@ class DiracOperatorMatrix:
     def w_cell(self, w, k, l):
         """Diagonal action of a group element on the (k, l) cell, spin
         side through the pin lift."""
-        group = self.module.group
-        tau = group._tau_cache.get(w)
-        if tau is None:
-            tau = spin_action(pin_tau(w, group, self._alg), self._alg)
-            group._tau_cache[w] = tau
-        off = self._offsets[l]
-        cnt = self.wedge_dim(l)
-        ss = [[tau[off + a][off + b] for b in range(cnt)] for a in range(cnt)]
-        return linalg.kron(self.module.w_block(w, k), ss)
-
-
-def dirac_operator(module):
-    return DiracOperatorMatrix(module)
+        tau = tau_spin(self.module.group, w)
+        return linalg.kron(self.module.w_block(w, k),
+                           self._wedge_slice(tau, l, l))
 
 
 # --------------------------------------------------------------------------
 # characters and multiplicities
 
 
-def _class_reps(group):
-    return [cls[0] for cls in group.conjugacy_classes]
-
-
+@lru_cache(maxsize=None)
 def _sym_char(group, k):
     """Character of S^k(h*) per conjugacy class."""
-    got = group._char_cache.get(("sym", k))
-    if got is None:
-        got = []
-        for rep in _class_reps(group):
-            mat = poly.action_matrix_on_degree(
-                group.h_star_matrix(rep), group.n, k)
-            got.append(sum(mat[i][i] for i in range(len(mat))))
-        group._char_cache[("sym", k)] = got
-    return got
+    return class_character(group, lambda w: poly.action_matrix_on_degree(
+        group.h_star_matrix(w), group.n, k))
 
 
+@lru_cache(maxsize=None)
 def _wedge_char(group, l):
-    got = group._char_cache.get(("wedge", l))
-    if got is None:
-        got = []
-        for rep in _class_reps(group):
-            mat = poly.wedge_matrix(group.elements[rep], l)
-            got.append(sum(mat[i][i] for i in range(len(mat))))
-        group._char_cache[("wedge", l)] = got
-    return got
+    """Character of wedge^l(h) per conjugacy class."""
+    return class_character(
+        group, lambda w: poly.wedge_matrix(group.elements[w], l))
 
 
 def _multiplicity(group, chi, mu):
     """<chi, chi_mu> for the character chi of a W-stable space, checked to
-    be a nonnegative integer."""
-    m = _rational_or_none(inner_product(group, chi, mu))
-    if m is None or m.denominator != 1 or m < 0:
+    be a nonnegative integer (NotRational off the rationals)."""
+    m = as_fraction(inner_product(group, chi, mu))
+    if m.denominator != 1 or m < 0:
         raise AssertionError(f"multiplicity of {mu} is not a nonnegative "
                              f"integer: {m}")
     return int(m)
@@ -496,7 +432,7 @@ def cell_multiplicity(group, sigma, k, l, mu):
     natural diagonal action, by characters."""
     if mu not in group.irrep_labels:
         raise UnknownIrrep(mu)
-    chi_sigma = group.irrep(sigma).character(group)
+    chi_sigma = group.character_table[group.irrep_labels.index(sigma)]
     chi = [a * b * c for a, b, c in zip(
         _sym_char(group, k), chi_sigma, _wedge_char(group, l))]
     return _multiplicity(group, chi, mu)
@@ -537,8 +473,9 @@ def _zero_scalar_cells(module):
     base = h_weight(module.sigma, c, g)
     out = {}
     for mu in g.irrep_labels:
-        gap = _rational_or_none(base + casimir_scalar(mu, c, g))
-        if gap is None:
+        try:
+            gap = as_fraction(base + casimir_scalar(mu, c, g))
+        except NotRational:
             continue
         for l in range(n + 1):
             k2 = gap / 2 - (n - l)
@@ -595,7 +532,7 @@ def dirac_cohomology(module):
 
     # Z, ker(D|Z) and the coordinate images of the kernel in each cell are
     # all W-stable (D commutes with the diagonal W, which preserves cells)
-    reps = _class_reps(g)
+    reps = [cl[0] for cl in g.conjugacy_classes]
     classes = len(reps)
     wmats = {cell: [dirac.w_cell(w, *cell) for w in reps] for cell in cellset}
     chi_z = [0] * classes
@@ -682,12 +619,12 @@ def _contravariant_grams(module):
     for w in range(g.order):
         for row in module.rep.matrices[w]:
             for x in row:
-                _as_fraction(x)
+                as_fraction(x)
     for value in module.family.params["c"].values():
-        _as_fraction(value)
+        as_fraction(value)
     avg = linalg.zeros(dim, dim)
     for w in range(g.order):
-        smat = [[_as_fraction(x) for x in row] for row in module.rep.matrices[w]]
+        smat = [[as_fraction(x) for x in row] for row in module.rep.matrices[w]]
         avg = linalg.mat_add(avg, linalg.mat_mul(linalg.transpose(smat), smat))
     grams = {0: linalg.mat_scale(Fraction(1, g.order), avg)}
     for k in range(1, module.K + 1):
@@ -702,7 +639,7 @@ def _contravariant_grams(module):
             mi = lowered.get(i)
             if mi is None:
                 yb = module.y_block(i, k)
-                mi = linalg.mat_mul(prev, [[_as_fraction(x) for x in row]
+                mi = linalg.mat_mul(prev, [[as_fraction(x) for x in row]
                                            for row in yb])
                 lowered[i] = mi
             m_low = tuple(e - 1 if ix == i else e for ix, e in enumerate(m))
@@ -734,7 +671,7 @@ def unitarity_report(group, sigma, c, K):
 
     n = group.n
     try:
-        nvals = {mu: _as_fraction(casimir_scalar(mu, c, group))
+        nvals = {mu: as_fraction(casimir_scalar(mu, c, group))
                  for mu in group.irrep_labels}
     except NotRational:
         raise UnsupportedField("irrational scalar in rational context")

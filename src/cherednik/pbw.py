@@ -74,6 +74,8 @@ class FormFamily:
         self._wx = {}
         self._wy = {}
         self._ins = {}
+        # per module kind, the sigma-independent data of modules.GradedModule
+        self._module_data = {}
         if check:
             verdict = pbw_check(self)
             if not verdict["passed"]:
@@ -321,9 +323,6 @@ class AlgebraElement(Terms):
             return -1
         return max(sum(a) + sum(b) for a, _w, b in self.terms)
 
-    def commutator(self, other):
-        return self * other - other * self
-
     def to_data(self):
         """Canonical term list sorted by (x exponents, w, y exponents)."""
         out = []
@@ -419,6 +418,22 @@ def cherednik_family(group, t, c, check=True):
     forms = cherednik_forms(group, t, c_map)
     return FormFamily(group, forms, preset_tag="cherednik",
                       params={"t": t, "c": c_map}, check=check)
+
+
+_SHARED_FAMILIES = {}
+
+
+def shared_cherednik_family(group, t, c):
+    """The unchecked H_{t,c}, built once per (group, t, c) and shared by
+    modules, invariant factorization and the command line."""
+    c_map = _c_map(group, c)
+    key = (group, scalar_str(t)) + tuple(
+        (name, scalar_str(v)) for name, v in sorted(c_map.items()))
+    got = _SHARED_FAMILIES.get(key)
+    if got is None:
+        got = _SHARED_FAMILIES[key] = cherednik_family(group, t, c_map,
+                                                       check=False)
+    return got
 
 
 def invariant_form(group):

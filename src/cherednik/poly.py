@@ -255,7 +255,3 @@ def wedge_matrix(A, l):
             out_row.append(det(minor))
         out.append(out_row)
     return out
-
-
-def wedge_basis_labels(n, l):
-    return list(combinations(range(n), l))

@@ -367,9 +367,6 @@ class CyclotomicScalar:
             return self
         return _canon(n, _galois(self.num, n, n - 1), self.den)
 
-    def is_rational(self) -> bool:
-        return self.conductor == 1
-
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
             raise NotRational(f"not rational: {scalar_str(self)}")
@@ -434,17 +431,12 @@ def reciprocal(x):
     return 1 / Fraction(x)
 
 
-def rational_part_sign(a) -> str:
-    """'negative', 'zero' or 'positive'; raises NotRational off the
-    rational subfield."""
-    if isinstance(a, CyclotomicScalar):
-        a = a.rational_value()
-    a = Fraction(a)
-    if a < 0:
-        return "negative"
-    if a > 0:
-        return "positive"
-    return "zero"
+def as_fraction(x) -> Fraction:
+    """The Fraction value of an int, Fraction or rational
+    CyclotomicScalar; raises NotRational off the rational subfield."""
+    if isinstance(x, CyclotomicScalar):
+        return x.rational_value()
+    return Fraction(x)
 
 
 # --- exact sign of the real part --------------------------------------------
@@ -523,12 +515,10 @@ def real_sign(x) -> int:
 
 def scalar_str(a) -> str:
     """'p/q' for rationals, 'cyclo(N; e:p/q, ...)' otherwise."""
-    if isinstance(a, CyclotomicScalar):
-        if a.conductor != 1:
-            parts = ", ".join(f"{e}:{p}/{q}" for e, p, q in a.key()[1])
-            return f"cyclo({a.conductor}; {parts})"
-        a = a.rational_value()
-    a = Fraction(a)
+    if isinstance(a, CyclotomicScalar) and a.conductor != 1:
+        parts = ", ".join(f"{e}:{p}/{q}" for e, p, q in a.key()[1])
+        return f"cyclo({a.conductor}; {parts})"
+    a = as_fraction(a)
     return f"{a.numerator}/{a.denominator}"
 
 

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from cherednik import calogero_moser
 from cherednik.calogero_moser import (
     dirac_partition,
     gordon_martino_table,
     omega_central_character,
     verify_cm_factorization,
 )
+from cherednik.dirac import NoDecomposition
 from cherednik.groups import build_group
 from cherednik.modules import h_weight
 
@@ -141,3 +143,37 @@ def test_cm_factorization_rejects_constants():
     g = build_group("A1")
     with pytest.raises(ValueError):
         verify_cm_factorization(g, 1, 2, extra_invariants=[{(0,): 1}])
+
+
+def test_cm_factorization_retries_only_missing_decompositions(monkeypatch):
+    inner = calogero_moser.decompose_kernel_element
+    caps = []
+
+    def short_first(z, fam, degree_cap, candidate_filter=None):
+        caps.append((degree_cap, candidate_filter is not None))
+        if len(caps) == 1:
+            raise NoDecomposition("no decomposition at this degree cap")
+        return inner(z, fam, degree_cap=degree_cap,
+                     candidate_filter=candidate_filter)
+
+    monkeypatch.setattr(calogero_moser, "decompose_kernel_element",
+                        short_first)
+    out = verify_cm_factorization(build_group("A1"), 1, 2)
+    assert all(e["verified"] for e in out["invariants"])
+    # the first invariant moves on to the next (cap, filter) attempt
+    assert caps[:2] == [(2, True), (3, True)]
+
+
+def test_cm_factorization_does_not_retry_other_errors(monkeypatch):
+    calls = []
+
+    def ambiguous(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("group-algebra block meets the derivation image; "
+                         "the decomposition would not be unique")
+
+    monkeypatch.setattr(calogero_moser, "decompose_kernel_element",
+                        ambiguous)
+    with pytest.raises(ValueError, match="not be unique"):
+        verify_cm_factorization(build_group("A1"), 1, 2)
+    assert len(calls) == 1

@@ -107,6 +107,12 @@ def test_mixed_c_values_rejected(capsys):
                  "--c", "long=2"]) == 2
 
 
+def test_zero_denominator_exits_two(capsys):
+    assert main(["partition", "--group", "B2", "--c", "1/0"]) == 2
+    # the whole of stderr: one error line and no traceback
+    assert capsys.readouterr().err == "error: Fraction(1, 0)\n"
+
+
 def test_per_class_parameters(capsys):
     code, payload = run_json(capsys, ["partition", "--group", "B2",
                                       "--c", "long=1", "--c", "short=0"])

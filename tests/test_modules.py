@@ -16,7 +16,6 @@ from cherednik.modules import (
     contravariant_form,
     d_squared_scalar,
     dirac_cohomology,
-    dirac_operator,
     h_weight,
     one_dimensional_quotient,
     standard_module,
@@ -60,8 +59,8 @@ def test_standard_piece_dims():
     g2 = build_group("B2")
     m2 = standard_module(g2, "1x1", 1, K=1)
     assert m2.piece_dim(1) == 4
-    assert m2.basis_labels(1) == [((0, 1), 0), ((0, 1), 1),
-                                  ((1, 0), 0), ((1, 0), 1)]
+    # every degree-1 monomial is kept, each carrying V_sigma
+    assert m2.selected(1) == [0, 1]
 
 
 def test_unknown_irrep_label():
@@ -234,7 +233,7 @@ def test_modules_share_one_family_per_t_and_c():
 def test_dirac_block_shapes():
     g = build_group("B2")
     m = standard_module(g, "2x0", 1, K=2)
-    d = dirac_operator(m)
+    d = DiracOperatorMatrix(m)
     blk = d.block(0, 0)
     assert blk["down"] is None
     assert len(blk["up"]) == m.piece_dim(1) * 2

@@ -6,10 +6,10 @@ import pytest
 from cherednik.scalars import (
     CyclotomicScalar,
     NotRational,
+    as_fraction,
     conjugate,
     cyclotomic_polynomial,
     parse_scalar,
-    rational_part_sign,
     reduce,
     scalar_str,
     zeta,
@@ -165,16 +165,17 @@ def test_rational_interop_and_shrink():
     assert (F(1, 3) + zeta(3) - zeta(3)).conductor == 1
 
 
-def test_rational_part_sign():
-    assert rational_part_sign(reduce({}, 1)) == "zero"
-    assert rational_part_sign(F(-3, 4)) == "negative"
-    assert rational_part_sign(F(2)) == "positive"
-    assert rational_part_sign(zeta(8) ** 4 + F(3, 2)) == "positive"
+def test_as_fraction():
+    assert as_fraction(reduce({}, 1)) == 0
+    assert as_fraction(3) == F(3) and type(as_fraction(3)) is F
+    assert as_fraction(F(-3, 4)) == F(-3, 4)
+    got = as_fraction(zeta(8) ** 4 + F(3, 2))
+    assert got == F(1, 2) and type(got) is F
     with pytest.raises(NotRational):
-        rational_part_sign(zeta(3))
+        as_fraction(zeta(3))
     with pytest.raises(NotRational):
         # real but irrational: zeta_8 + zeta_8^-1 = sqrt(2)
-        rational_part_sign(zeta(8) + zeta(8) ** 7)
+        as_fraction(zeta(8) + zeta(8) ** 7)
 
 
 def test_power_and_negative_power():
