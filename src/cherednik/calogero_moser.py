@@ -8,14 +8,13 @@ and equal-Casimir pairs without a witness chain stay marked undecided.
 """
 
 
-from . import poly
-from .dirac import (NoDecomposition, casimir_scalar, clifford_algebra_of,
-                    decompose_kernel_element, derivation_d, tensor)
+from .dirac import (casimir_scalar, decompose_kernel_element, derivation_d,
+                    tensor)
 from .groups import _invariant_generators
 from .modules import (baby_verma, dirac_cohomology, h_weight,
                       one_dimensional_quotient)
 from .pbw import _c_map, casimir_omega, shared_cherednik_family
-from .scalars import scalar_str
+from .scalars import scalar_map_str
 
 
 def omega_central_character(sigma, c, group):
@@ -60,7 +59,7 @@ class DiracPartition:
     def to_data(self):
         return {
             "group": self.group,
-            "c": {name: scalar_str(v) for name, v in sorted(self.c.items())},
+            "c": scalar_map_str(self.c),
             "blocks": [list(b) for b in self.blocks],
             "evidence": list(self.evidence),
             "undecided_pairs": list(self.undecided_pairs),
@@ -175,12 +174,12 @@ def gordon_martino_table(partition):
 # factorization of invariants through the derivation image
 
 
-def verify_cm_factorization(group, c, degree_cap, extra_invariants=None):
+def verify_cm_factorization(group, c, degree_cap):
     """For each fundamental invariant f of degree <= degree_cap, on both
     the polynomial and the dual side, solve f (x) 1 = d(b) exactly at
-    t = 0 and report the witness.  Optional extra invariants (polynomial
-    dicts on the dual side) are checked the same way; constants are not
-    in the augmentation ideal and are rejected."""
+    t = 0 and report the witness.  The witness b is searched at degree
+    <= deg f + 1 on f's own polynomial side; dirac.NoDecomposition
+    propagates when none exists there."""
     fam = shared_cherednik_family(group, 0, c)
     n = group.n
     zero = (0,) * n
@@ -194,11 +193,6 @@ def verify_cm_factorization(group, c, degree_cap, extra_invariants=None):
     for f, d in zip(_invariant_generators(group, group.elements), degrees):
         if d <= degree_cap:
             jobs.append(("h", f, d))
-    for f in extra_invariants or []:
-        d = poly.total_degree(f)
-        if d == 0 or zero in f:
-            raise ValueError("a constant is not in the augmentation ideal")
-        jobs.append(("h_star", f, d))
 
     results = []
     for side, f, d in jobs:
@@ -208,24 +202,13 @@ def verify_cm_factorization(group, c, degree_cap, extra_invariants=None):
                 terms[(mono, 0, zero)] = coeff
             else:
                 terms[(zero, 0, mono)] = coeff
-        z = tensor(fam.element(terms), clifford_algebra_of(fam).one())
-        # the witness is expected on the same polynomial side; fall back
-        # to the unrestricted search if that guess fails
+        z = tensor(fam.element(terms), fam.clifford.one())
         if side == "h_star":
             same_side = lambda key: not any(key[0][2])
         else:
             same_side = lambda key: not any(key[0][0])
-        s = b = None
-        for cap, filt in ((d, same_side), (d + 1, same_side), (d + 1, None)):
-            try:
-                s, b = decompose_kernel_element(
-                    z, fam, degree_cap=cap, candidate_filter=filt)
-                break
-            except NoDecomposition:
-                pass
-        if b is None:
-            raise ValueError(f"no witness for the degree-{d} invariant "
-                             f"within degree {d + 1}")
+        s, b = decompose_kernel_element(z, fam, degree_cap=d,
+                                        candidate_filter=same_side)
         if s.coefficients:
             raise AssertionError("invariant left a group-algebra residue")
         if derivation_d(b) != z:
@@ -239,8 +222,7 @@ def verify_cm_factorization(group, c, degree_cap, extra_invariants=None):
         })
     return {
         "group": group.catalogue_id,
-        "c": {name: scalar_str(v) for name, v in
-              sorted(fam.params["c"].items())},
+        "c": scalar_map_str(fam.params["c"]),
         "degree_cap": degree_cap,
         "invariants": results,
     }

@@ -35,7 +35,7 @@ from .modules import (
 )
 from .pbw import (corrupted_family, gaha_family, pbw_check,
                   shared_cherednik_family)
-from .scalars import parse_scalar, scalar_str
+from .scalars import parse_scalar, scalar_map_str, scalar_str
 
 
 class UsageError(Exception):
@@ -128,7 +128,7 @@ def _emit(args, payload, table_lines):
 
 def _c_strings(c):
     if isinstance(c, dict):
-        return {name: scalar_str(v) for name, v in sorted(c.items())}
+        return scalar_map_str(c)
     return scalar_str(c)
 
 

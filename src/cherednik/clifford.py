@@ -278,25 +278,23 @@ def _word_reflections(w_index, group):
             for gi in group.words[w_index]]
 
 
-def pin_tau(w_index, group, alg: CliffordAlgebra = None) -> CliffordElement:
-    """tau_w along the group's BFS reflection word for w."""
-    if alg is None:
-        alg = polarized_algebra(group.n)
+def pin_tau(w_index, group) -> CliffordElement:
+    """tau_w in C(h + h*) along the group's BFS reflection word for w."""
+    alg = polarized_algebra(group.n)
     out = alg.one()
     for r in _word_reflections(w_index, group):
         out = out * tau_reflection(r, alg)
     return out
 
 
-def pin_tau_inverse(w_index, group, alg: CliffordAlgebra = None) -> CliffordElement:
+def pin_tau_inverse(w_index, group) -> CliffordElement:
     """Inverse of tau_w, inverting each reflection factor along the
     reversed word.
 
     With A = alpha^v alpha one has A^2 = -2<alpha^v, alpha> A, so
     (1 + mu A)^(-1) = 1 - (mu/lambda) A exactly.
     """
-    if alg is None:
-        alg = polarized_algebra(group.n)
+    alg = polarized_algebra(group.n)
     out = alg.one()
     for r in reversed(_word_reflections(w_index, group)):
         mu, a = _reflection_factor(r, alg)
@@ -307,8 +305,7 @@ def pin_tau_inverse(w_index, group, alg: CliffordAlgebra = None) -> CliffordElem
 @lru_cache(maxsize=None)
 def tau_spin(group, w_index):
     """Spin-module matrix of tau_w, built once per group element."""
-    alg = polarized_algebra(group.n)
-    return spin_action(pin_tau(w_index, group, alg), alg)
+    return spin_action(pin_tau(w_index, group), polarized_algebra(group.n))
 
 
 # --------------------------------------------------------------------------

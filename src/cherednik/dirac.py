@@ -11,17 +11,15 @@ from fractions import Fraction
 
 from . import linalg, poly
 from .clifford import (
-    CliffordAlgebra,
     chevalley_lift,
     element_to_data,
     pin_tau,
     pin_tau_inverse,
-    polarized_algebra,
     spin_basis,
 )
 from .pbw import AlgebraElement, _c_map
 from .poly import Terms, acc
-from .scalars import reciprocal, scalar_str
+from .scalars import reciprocal, scalar_map_str, scalar_str
 
 
 class DegenerateWitness(ArithmeticError):
@@ -58,7 +56,7 @@ def compute_e_w(family, w):
     if aw is None:
         return Fraction(0)
     nv = family.nv
-    ginv = family.gram_inverse()
+    ginv = family.clifford.gram_inverse()
     vm = family.v_matrix(w)
     vg = linalg.mat_mul(vm, ginv)
     ag = linalg.mat_mul(aw, ginv)
@@ -87,13 +85,6 @@ def compute_e_w(family, w):
 # H (x) C(V)
 
 
-def clifford_algebra_of(family) -> CliffordAlgebra:
-    if family.space == "polarized":
-        return polarized_algebra(family.group.n)
-    return CliffordAlgebra(family.vgram,
-                           [f"v{i + 1}" for i in range(family.nv)])
-
-
 class TensorElement(Terms):
     """An element of H (x) C(V) in bi-normal form.
 
@@ -114,10 +105,10 @@ class TensorElement(Terms):
         out = {}
         for (hk1, cm1), c1 in self.terms.items():
             for (hk2, cm2), c2 in other.terms.items():
-                hprod = fam.element({hk1: 1}) * fam.element({hk2: 1})
-                cprod = alg._mul_terms({cm1: Fraction(1)}, {cm2: Fraction(1)})
+                hprod = fam._mul_terms({hk1: 1}, {hk2: 1})
+                cprod = alg._mul_terms({cm1: 1}, {cm2: 1})
                 cc = c1 * c2
-                for hk, hc in hprod.terms.items():
+                for hk, hc in hprod.items():
                     for cm, cf in cprod.items():
                         acc(out, (hk, cm), cc * hc * cf)
         return TensorElement(fam, alg, out)
@@ -175,19 +166,19 @@ def dirac_element(family, basis=None):
     basis, when given, lists basis vectors of V as columns in generator
     slot coordinates; the result does not depend on the choice.
     """
-    alg = clifford_algebra_of(family)
+    alg = family.clifford
     nv = family.nv
     if basis is None:
-        gram = family.vgram
+        ginv = alg.gram_inverse()
         vecs = [family.v_gen(i) for i in range(nv)]
         cols = None
     else:
         pt = linalg.transpose(basis)
-        gram = linalg.mat_mul(pt, linalg.mat_mul(family.vgram, basis))
+        ginv = linalg.inverse(
+            linalg.mat_mul(pt, linalg.mat_mul(family.vgram, basis)))
         vecs = [family.vector_element([basis[r][i] for r in range(nv)])
                 for i in range(nv)]
         cols = basis
-    ginv = linalg.inverse(gram)
     out = None
     for i in range(nv):
         if cols is None:
@@ -205,7 +196,7 @@ def dirac_split(family):
     """(D_x, D_y) with D = D_x + D_y for polarized families."""
     if family.space != "polarized":
         raise ValueError("the x/y split needs a polarized family")
-    alg = clifford_algebra_of(family)
+    alg = family.clifford
     n = family.group.n
     dx = dy = None
     for i in range(n):
@@ -220,14 +211,13 @@ def delta_element(family, w):
     """Delta(w) = w (x) tau_w (polarized families)."""
     if family.space != "polarized":
         raise ValueError("pin elements are built on the polarized space")
-    return tensor(family.group_element(w),
-                  pin_tau(w, family.group, clifford_algebra_of(family)))
+    return tensor(family.group_element(w), pin_tau(w, family.group))
 
 
 def omega_tilde(family):
     """Omega_H (x) 1 - 1 (x) kappa_1/2; commutes with D."""
     from .pbw import casimir_omega
-    alg = clifford_algebra_of(family)
+    alg = family.clifford
     out = tensor(casimir_omega(family), alg.one())
     a1 = family.forms.get(0)
     if a1 is not None:
@@ -249,7 +239,7 @@ def verify_dirac_square(family):
     Returns a JSON-ready report echoing the summands.
     """
     from .pbw import casimir_omega
-    alg = clifford_algebra_of(family)
+    alg = family.clifford
     d = dirac_element(family)
     d2 = d * d
     omega = casimir_omega(family)
@@ -275,8 +265,7 @@ def verify_dirac_square(family):
         "group": family.group.catalogue_id,
         "preset": family.preset_tag,
         "t": scalar_str(params["t"]) if "t" in params else None,
-        "c": ({name: scalar_str(v) for name, v in sorted(cmap.items())}
-              if cmap is not None else None),
+        "c": scalar_map_str(cmap) if cmap is not None else None,
         "equality": d2 == rhs,
         "omega_H": omega.to_data(),
         "omega_W": omega_w,
@@ -362,7 +351,7 @@ class GroupAlgebraClassFunction(Terms):
         return total * Fraction(1, dim)
 
     def to_data(self):
-        return {name: scalar_str(c) for name, c in sorted(self.terms.items())}
+        return scalar_map_str(self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -438,17 +427,17 @@ def _candidate_keys(group, cap):
             if sum(hk[0]) + sum(hk[2]) + len(cm) <= cap]
 
 
-def _diagonal_averager(family, alg):
+def _diagonal_averager(family):
     """key -> sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key.
 
     The product is componentwise, so h (x) m goes to (w h w^(-1)) (x)
     (tau_w m tau_w^(-1)); each factor image is formed once per
     (w, PBW key) and once per (w, Clifford monomial).
     """
-    g = family.group
-    pins = [(family.group_element(w).terms, pin_tau(w, g, alg).terms,
+    g, alg = family.group, family.clifford
+    pins = [(family.group_element(w).terms, pin_tau(w, g).terms,
              family.group_element(g.inverse_index(w)).terms,
-             pin_tau_inverse(w, g, alg).terms) for w in range(g.order)]
+             pin_tau_inverse(w, g).terms) for w in range(g.order)]
     himg, cimg = {}, {}
 
     def average(key):
@@ -507,7 +496,6 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     elimination over [d(b) | Delta(w) | z] then settles existence and
     uniqueness.
     """
-    alg = z.algebra
     g = family.group
     if z.degree() > degree_cap:
         raise ValueError("element degree exceeds degree_cap")
@@ -533,7 +521,7 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
         raise SolverOverflow(f"{len(raw)} candidate terms exceed the "
                              f"configured limit {column_limit}")
 
-    average = _diagonal_averager(family, alg)
+    average = _diagonal_averager(family)
     seen = {}
     invariant_b = []
     for key in raw:
@@ -582,7 +570,7 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
             term = c * bc
             b = term if b is None else b + term
     if b is None:
-        b = TensorElement(family, alg, {})
+        b = TensorElement(family, family.clifford, {})
     return s, b
 
 

@@ -66,6 +66,15 @@ def mat_scale(c, m):
     return [[c * x for x in row] for row in m]
 
 
+def mean_gram(mats):
+    """(1/N) sum_m m^T m over N square matrices; for the matrices of a
+    finite group it is the Gram matrix of an invariant form."""
+    total = zeros(len(mats[0]), len(mats[0]))
+    for m in mats:
+        total = mat_add(total, mat_mul(transpose(m), m))
+    return mat_scale(Fraction(1, len(mats)), total)
+
+
 def kron(a, b):
     if not a or not b:
         return []

@@ -468,17 +468,16 @@ def _zero_scalar_cells(module):
     """For a standard module: {mu: sorted cells} where the Dirac square
     scalar vanishes and the mu-isotypic is nonzero."""
     g = module.group
-    n = module.n
     c = module.family.params["c"]
-    base = h_weight(module.sigma, c, g)
     out = {}
     for mu in g.irrep_labels:
-        try:
-            gap = as_fraction(base + casimir_scalar(mu, c, g))
-        except NotRational:
-            continue
-        for l in range(n + 1):
-            k2 = gap / 2 - (n - l)
+        for l in range(module.n + 1):
+            # the scalar falls by 2 per polynomial degree: d(k) = d(0) - 2k
+            try:
+                k2 = as_fraction(d_squared_scalar(g, module.sigma, mu, 0, l,
+                                                  c)) / 2
+            except NotRational:
+                break
             if k2.denominator != 1 or k2 < 0:
                 continue
             k = int(k2)
@@ -614,19 +613,11 @@ def contravariant_form(module):
 
 
 def _contravariant_grams(module):
-    g = module.group
     n, dim = module.n, module.dim_sigma
-    for w in range(g.order):
-        for row in module.rep.matrices[w]:
-            for x in row:
-                as_fraction(x)
     for value in module.family.params["c"].values():
         as_fraction(value)
-    avg = linalg.zeros(dim, dim)
-    for w in range(g.order):
-        smat = [[as_fraction(x) for x in row] for row in module.rep.matrices[w]]
-        avg = linalg.mat_add(avg, linalg.mat_mul(linalg.transpose(smat), smat))
-    grams = {0: linalg.mat_scale(Fraction(1, g.order), avg)}
+    grams = {0: linalg.mean_gram([[[as_fraction(x) for x in row] for row in m]
+                                  for m in module.rep.matrices])}
     for k in range(1, module.K + 1):
         monos = poly.monomials(n, k)
         prev = grams[k - 1]

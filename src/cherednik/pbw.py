@@ -16,7 +16,7 @@ the y block stays identically zero.
 from fractions import Fraction
 
 from . import linalg
-from .clifford import polarized_algebra
+from .clifford import CliffordAlgebra, polarized_algebra
 from .poly import Terms, acc, substitute_linear
 from .scalars import real_sign, reciprocal, scalar_str
 
@@ -44,8 +44,10 @@ class FormFamily:
     """A reflection group together with its family of commutator forms.
 
     forms maps element index -> nv x nv matrix of a_w on the V generator
-    basis (absent means zero).  Construction runs the PBW checker unless
-    check=False; every downstream identity assumes the family passed.
+    basis (absent means zero).  clifford is C(V) for the family's form on
+    V, which also caches its Gram inverse.  Construction runs the PBW
+    checker unless check=False; every downstream identity assumes the
+    family passed.
     """
 
     def __init__(self, group, forms, preset_tag="custom", space="polarized",
@@ -53,22 +55,26 @@ class FormFamily:
         self.group = group
         self.space = space
         if space == "polarized":
+            if vgram is not None:
+                raise ValueError("a polarized family pairs h with h*; it "
+                                 "takes no invariant form")
             self.nv = 2 * group.n
-            # <x_i, y_i> = 1; the cached algebra's matrix is shared, so
-            # nothing may mutate vgram
-            self.vgram = (polarized_algebra(group.n).gram if vgram is None
-                          else vgram)
+            # <x_i, y_i> = 1
+            self.clifford = polarized_algebra(group.n)
         elif space == "orthogonal":
             self.nv = group.n
             if vgram is None:
                 raise ValueError("orthogonal family needs an invariant form")
-            self.vgram = vgram
+            self.clifford = CliffordAlgebra(
+                vgram, [f"v{i + 1}" for i in range(self.nv)])
         else:
             raise ValueError("space must be 'polarized' or 'orthogonal'")
+        # a polarized family shares the cached algebra's matrix, so
+        # nothing may mutate vgram
+        self.vgram = self.clifford.gram
         self.forms = {w: m for w, m in forms.items() if not _zero_matrix(m)}
         self.preset_tag = preset_tag
         self.params = dict(params or {})
-        self._gram_inv = None
         # straightening caches
         self._past = {}
         self._wx = {}
@@ -85,11 +91,6 @@ class FormFamily:
 
     def support(self):
         return sorted(self.forms)
-
-    def gram_inverse(self):
-        if self._gram_inv is None:
-            self._gram_inv = linalg.inverse(self.vgram)
-        return self._gram_inv
 
     def v_matrix(self, w):
         """Matrix of w on the V generator basis."""
@@ -440,9 +441,7 @@ def invariant_form(group):
     """A W-invariant symmetric form on h, pinned so the first listed
     reflection's root vector has squared length 2."""
     n = group.n
-    b0 = linalg.zeros(n, n)
-    for m in group.elements:
-        b0 = linalg.mat_add(b0, linalg.mat_mul(linalg.transpose(m), m))
+    b0 = linalg.mean_gram(group.elements)
     alpha = group.reflections[0].alpha
     binv = linalg.inverse(b0)
     norm = sum(alpha[i] * sum(binv[i][j] * alpha[j] for j in range(n))
@@ -531,13 +530,6 @@ def gaha_family(group, k, roots=None, check=True):
     return FormFamily(group, forms, preset_tag="graded-affine-hecke",
                       space="orthogonal", vgram=invariant_form(group),
                       params={"k": k_map}, check=check)
-
-
-def custom_family(group, forms, space="polarized", vgram=None, check=True):
-    if space == "orthogonal" and vgram is None:
-        vgram = invariant_form(group)
-    return FormFamily(group, forms, preset_tag="custom", space=space,
-                      vgram=vgram, check=check)
 
 
 def corrupted_family(group, kind=None):
@@ -773,6 +765,6 @@ def j_map(family, coords):
         return family.zero()
     nv = family.nv
     vals = [sum(coords[p] * a1[p][i] for p in range(nv)) for i in range(nv)]
-    ginv = family.gram_inverse()
+    ginv = family.clifford.gram_inverse()
     out = [sum(vals[i] * ginv[r][i] for i in range(nv)) for r in range(nv)]
     return family.vector_element(out)

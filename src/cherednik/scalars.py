@@ -522,6 +522,11 @@ def scalar_str(a) -> str:
     return f"{a.numerator}/{a.denominator}"
 
 
+def scalar_map_str(m) -> dict:
+    """{name: scalar_str(value)} over the sorted items of m."""
+    return {name: scalar_str(v) for name, v in sorted(m.items())}
+
+
 _CYCLO_RE = re.compile(r"cyclo\((\d+);\s*(.*)\)\s*$")
 
 

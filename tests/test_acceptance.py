@@ -155,7 +155,7 @@ def test_criterion_04_pin_cover():
                 continue
             n = g.n
             alg = polarized_algebra(n)
-            taus = [pin_tau(w, g, alg) for w in range(g.order)]
+            taus = [pin_tau(w, g) for w in range(g.order)]
             for u in range(g.order):
                 for v in range(g.order):
                     assert taus[u] * taus[v] == taus[g.mult(u, v)]

@@ -139,29 +139,19 @@ def test_cm_factorization_a2():
     assert all(e["verified"] for e in out["invariants"])
 
 
-def test_cm_factorization_rejects_constants():
-    g = build_group("A1")
-    with pytest.raises(ValueError):
-        verify_cm_factorization(g, 1, 2, extra_invariants=[{(0,): 1}])
+def test_cm_factorization_makes_one_attempt(monkeypatch):
+    calls = []
 
+    def missing(z, fam, degree_cap, candidate_filter=None):
+        calls.append((degree_cap, candidate_filter is not None))
+        raise NoDecomposition("no decomposition at this degree cap")
 
-def test_cm_factorization_retries_only_missing_decompositions(monkeypatch):
-    inner = calogero_moser.decompose_kernel_element
-    caps = []
-
-    def short_first(z, fam, degree_cap, candidate_filter=None):
-        caps.append((degree_cap, candidate_filter is not None))
-        if len(caps) == 1:
-            raise NoDecomposition("no decomposition at this degree cap")
-        return inner(z, fam, degree_cap=degree_cap,
-                     candidate_filter=candidate_filter)
-
-    monkeypatch.setattr(calogero_moser, "decompose_kernel_element",
-                        short_first)
-    out = verify_cm_factorization(build_group("A1"), 1, 2)
-    assert all(e["verified"] for e in out["invariants"])
-    # the first invariant moves on to the next (cap, filter) attempt
-    assert caps[:2] == [(2, True), (3, True)]
+    monkeypatch.setattr(calogero_moser, "decompose_kernel_element", missing)
+    with pytest.raises(NoDecomposition):
+        verify_cm_factorization(build_group("A1"), 1, 2)
+    # the degree-2 invariant is searched once, at its own degree and on
+    # its own polynomial side
+    assert calls == [(2, True)]
 
 
 def test_cm_factorization_does_not_retry_other_errors(monkeypatch):

@@ -209,14 +209,13 @@ def test_tau_a1():
 def test_pin_tau_identity_is_one():
     g = build_group("B2")
     alg = polarized_algebra(2)
-    assert pin_tau(0, g, alg) == alg.one()
+    assert pin_tau(0, g) == alg.one()
 
 
 def test_pin_tau_homomorphism_small_groups():
     for gid in ["A1", "A2", "B2", "Z3", "Z4", "G3_1_2"]:
         g = build_group(gid)
-        alg = polarized_algebra(g.n)
-        taus = [pin_tau(i, g, alg) for i in range(g.order)]
+        taus = [pin_tau(i, g) for i in range(g.order)]
         for i in range(g.order):
             for j in range(g.order):
                 assert taus[i] * taus[j] == taus[g.mult(i, j)], (gid, i, j)
@@ -224,13 +223,12 @@ def test_pin_tau_homomorphism_small_groups():
 
 def test_pin_tau_homomorphism_b3_sampled():
     g = build_group("B3")
-    alg = polarized_algebra(3)
     rng = random.Random(21)
     taus = {}
 
     def tau(i):
         if i not in taus:
-            taus[i] = pin_tau(i, g, alg)
+            taus[i] = pin_tau(i, g)
         return taus[i]
 
     for _ in range(40):
@@ -246,8 +244,8 @@ def test_pin_tau_conjugation_is_group_action_on_v():
         n = g.n
         alg = polarized_algebra(n)
         for w in range(g.order):
-            tau = pin_tau(w, g, alg)
-            tau_inv = pin_tau(g.inverse_index(w), g, alg)
+            tau = pin_tau(w, g)
+            tau_inv = pin_tau(g.inverse_index(w), g)
             assert tau * tau_inv == alg.one()
             mh = g.elements[w]
             mhs = g.h_star_matrix(w)
@@ -275,7 +273,7 @@ def test_tau_transpose_and_eps():
             e, t = involutions(tau)
             assert e == tau  # even element
             inv_idx = g.inverse_index(r.element_index)
-            tau_inv = pin_tau(inv_idx, g, alg)
+            tau_inv = pin_tau(inv_idx, g)
             assert t == alg.scalar(r.lam) * tau_inv  # tau^t = lambda tau_{s^-1}
             assert tau * tau_inv == alg.one()
             assert e * tau_inv == alg.one()  # det_V(s) = 1 realization
@@ -287,7 +285,7 @@ def test_spin_tau_equals_wedge_action():
         n = g.n
         alg = polarized_algebra(n)
         for w in range(g.order):
-            m = spin_action(pin_tau(w, g, alg), alg)
+            m = spin_action(pin_tau(w, g), alg)
             # assemble block diagonal of wedge powers in basis order
             blocks = [poly.wedge_matrix(g.elements[w], l) for l in range(n + 1)]
             dim = 2 ** n
@@ -306,7 +304,7 @@ def test_spin_tau_equals_wedge_action_b3_sampled():
     alg = polarized_algebra(3)
     rng = random.Random(22)
     for w in rng.sample(range(g.order), 8):
-        m = spin_action(pin_tau(w, g, alg), alg)
+        m = spin_action(pin_tau(w, g), alg)
         blocks = [poly.wedge_matrix(g.elements[w], l) for l in range(4)]
         off = 0
         for b in blocks:
@@ -320,13 +318,12 @@ def test_sqrt_lambda_choice_never_read_downstream():
     # flip the recorded square root and confirm tau and the wedge action
     # are unchanged
     g = build_group("Z3")
-    alg = polarized_algebra(1)
     r = g.reflections[0]
-    before = pin_tau(r.element_index, g, alg)
+    before = pin_tau(r.element_index, g)
     saved = r.sqrt_lambda
     try:
         r.sqrt_lambda = -saved
-        after = pin_tau(r.element_index, g, alg)
+        after = pin_tau(r.element_index, g)
     finally:
         r.sqrt_lambda = saved
     assert before == after
@@ -348,7 +345,7 @@ def test_sqrt_lambda_both_roots_split_the_plane():
             for i, cc in enumerate(r.alpha):
                 if cc:
                     al = al + alg.scalar(cc) * alg.gen(2 * i)
-            tau_inv = pin_tau(g.inverse_index(r.element_index), g, alg)
+            tau_inv = pin_tau(g.inverse_index(r.element_index), g)
             for root in (r.sqrt_lambda, -r.sqrt_lambda):
                 lam = root * root
                 assert lam == r.lam
@@ -382,7 +379,7 @@ def test_pin_tau_inverse():
         alg = polarized_algebra(g.n)
         one = alg.one()
         for w in range(g.order):
-            tau = pin_tau(w, g, alg)
-            tinv = pin_tau_inverse(w, g, alg)
+            tau = pin_tau(w, g)
+            tinv = pin_tau_inverse(w, g)
             assert tau * tinv == one
             assert tinv * tau == one

@@ -14,7 +14,6 @@ from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.pbw import (
     casimir_h,
     cherednik_family,
-    custom_family,
     gaha_family,
     invariant_form,
     positive_system,
@@ -28,7 +27,6 @@ from cherednik.dirac import (
     TensorElement,
     UnknownIrrep,
     casimir_scalar,
-    clifford_algebra_of,
     compute_e_w,
     decompose_kernel_element,
     delta_element,
@@ -54,7 +52,7 @@ def c_fam(gid, t, c, check=False):
 
 def test_dirac_element_rank_one():
     fam = c_fam("A1", 1, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     want = (tensor(fam.x_gen(0), alg.gen(1))
             + tensor(fam.y_gen(0), alg.gen(0)))
     assert dirac_element(fam) == want
@@ -90,6 +88,28 @@ def test_dirac_basis_independence_orthogonal():
     assert dirac_element(fam, basis=p) == d0
 
 
+def test_family_clifford_algebra_and_gram_inverse_are_built_once(
+        monkeypatch):
+    fam = gaha_family(build_group("B2"), 1)
+    alg = fam.clifford
+    assert dirac_element(fam).algebra is alg
+    inverted = []
+    inverse = linalg.inverse
+
+    def counting(m):
+        inverted.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(linalg, "inverse", counting)
+    d = dirac_element(fam)
+    derivation_d(tensor(fam.x_gen(0), alg.one()))
+    for w in fam.support():
+        if w:
+            compute_e_w(fam, w)
+    assert fam.clifford is alg and d.algebra is alg
+    assert inverted == []
+
+
 def test_dirac_commutes_with_diagonal_group():
     for gid in ("A1", "B2", "Z3", "G3_1_2"):
         fam = c_fam(gid, 1, 1)
@@ -99,18 +119,18 @@ def test_dirac_commutes_with_diagonal_group():
             assert dl * d == d * dl
 
 
-def delta_inverse(fam, w, alg):
+def delta_inverse(fam, w):
     g = fam.group
     return tensor(fam.group_element(g.inverse_index(w)),
-                  pin_tau_inverse(w, g, alg))
+                  pin_tau_inverse(w, g))
 
 
 def test_delta_inverse():
     fam = c_fam("B2", 1, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     one = tensor(fam.one(), alg.one())
     for w in range(fam.group.order):
-        assert delta_element(fam, w) * delta_inverse(fam, w, alg) == one
+        assert delta_element(fam, w) * delta_inverse(fam, w) == one
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +226,7 @@ def test_square_identity_zero_forms():
     assert rep["omega_W"] == []
     assert rep["kappa1"] == []
     d = dirac_element(fam)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     assert d * d == tensor((-1) * casimir_h(fam), alg.one())
 
 
@@ -332,7 +352,7 @@ def test_derivation_product_rule():
     rng = random.Random(9)
     for gid in ("A1", "B2"):
         fam = c_fam(gid, 1, Fraction(1, 2))
-        alg = clifford_algebra_of(fam)
+        alg = fam.clifford
         for _ in range(4):
             a = random_tensor(fam, alg, rng)
             b = random_tensor(fam, alg, rng)
@@ -356,7 +376,7 @@ def test_derivation_kills_lifted_casimir():
 
 def test_derivation_of_unit_is_zero():
     fam = c_fam("A1", 1, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     assert not derivation_d(tensor(fam.one(), alg.one()))
 
 
@@ -364,7 +384,7 @@ def test_derivation_degree_bound():
     # D has filtration degree 2, so d shifts degree by at most 2
     rng = random.Random(23)
     fam = c_fam("B2", 1, Fraction(1, 2))
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     seen = False
     for _ in range(6):
         a = random_tensor(fam, alg, rng)
@@ -378,7 +398,7 @@ def test_derivation_degree_bound():
 def test_d_squared_is_commutator_with_square():
     rng = random.Random(5)
     fam = c_fam("A1", 1, Fraction(1, 2))
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     d = dirac_element(fam)
     d2 = d * d
     for _ in range(5):
@@ -422,7 +442,7 @@ def test_decompose_lifted_casimir():
 
 def test_decompose_symmetrized_quartic():
     fam = c_fam("A1", 0, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     x, y = fam.x_gen(0), fam.y_gen(0)
     z = tensor(x * x * y * y + y * y * x * x, alg.one())
     s, b = decompose_kernel_element(z, fam)
@@ -441,7 +461,7 @@ def test_zeta_multiplicative_on_casimir_powers():
 
 def test_decompose_rejects_non_kernel():
     fam = c_fam("A1", 0, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     z = tensor(fam.x_gen(0) * fam.y_gen(0), alg.one())
     with pytest.raises(NotInKernel):
         decompose_kernel_element(z, fam)
@@ -452,7 +472,7 @@ def test_decompose_too_small_search_raises_no_decomposition():
     # candidate keys of degree <= 1 stands in for a too-small cap: the
     # witness of x^2 (x) 1 has degree 2
     fam = c_fam("A1", 0, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     z = tensor(fam.x_gen(0) * fam.x_gen(0), alg.one())
     decompose_kernel_element(z, fam, degree_cap=2)
     with pytest.raises(NoDecomposition, match="raise degree_cap"):
@@ -464,7 +484,7 @@ def test_decompose_too_small_search_raises_no_decomposition():
 
 def test_decompose_rejects_odd_parity():
     fam = c_fam("A1", 0, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     z = tensor(fam.x_gen(0), alg.gen(0))
     with pytest.raises(ValueError):
         decompose_kernel_element(z, fam)
@@ -472,7 +492,7 @@ def test_decompose_rejects_odd_parity():
 
 def test_decompose_rejects_excess_degree():
     fam = c_fam("A1", 0, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     x = fam.x_gen(0)
     z = tensor(x * x * x * x, alg.one())
     with pytest.raises(ValueError):
@@ -481,7 +501,7 @@ def test_decompose_rejects_excess_degree():
 
 def test_decompose_rejects_non_invariant():
     fam = c_fam("A2", 0, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     z = tensor(fam.x_gen(0) * fam.x_gen(0), alg.one())
     with pytest.raises(ValueError, match="invariant"):
         decompose_kernel_element(z, fam)
@@ -489,7 +509,7 @@ def test_decompose_rejects_non_invariant():
 
 def test_decompose_requires_commuting_with_casimir_at_nonzero_t():
     fam = c_fam("A1", 1, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     z = tensor(fam.x_gen(0) * fam.x_gen(0), alg.one())
     with pytest.raises(ValueError, match="commute"):
         decompose_kernel_element(z, fam)
@@ -522,10 +542,10 @@ def test_factorwise_search_matches_products(gid, t):
     # derivation_d
     fam = c_fam(gid, t, 1)
     g = fam.group
-    alg = clifford_algebra_of(fam)
-    deltas = [(delta_element(fam, w), delta_inverse(fam, w, alg))
+    alg = fam.clifford
+    deltas = [(delta_element(fam, w), delta_inverse(fam, w))
               for w in range(g.order)]
-    average = dirac._diagonal_averager(fam, alg)
+    average = dirac._diagonal_averager(fam)
     d, cache = dirac_element(fam), {}
     nonzero = 0
     for key in dirac._candidate_keys(g, 3):
@@ -555,7 +575,7 @@ def test_decompose_column_limit():
 
 def test_tensor_element_arithmetic():
     fam = c_fam("A1", 1, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     a = tensor(fam.x_gen(0), alg.gen(1))
     b = tensor(fam.y_gen(0), alg.gen(0))
     assert a.family is fam and a.algebra is alg
@@ -569,7 +589,7 @@ def test_tensor_element_arithmetic():
 
 def test_tensor_element_serialization():
     fam = c_fam("A1", 1, 1)
-    alg = clifford_algebra_of(fam)
+    alg = fam.clifford
     d = dirac_element(fam)
     data = d.to_data()
     assert data == [
@@ -582,7 +602,7 @@ def test_tensor_element_serialization():
 def test_tensor_product_mixed_families_rejected():
     f1 = c_fam("A1", 1, 1)
     f2 = c_fam("A1", 0, 1)
-    a = tensor(f1.one(), clifford_algebra_of(f1).one())
-    b = tensor(f2.one(), clifford_algebra_of(f2).one())
+    a = tensor(f1.one(), f1.clifford.one())
+    b = tensor(f2.one(), f2.clifford.one())
     with pytest.raises(ValueError):
         a + b

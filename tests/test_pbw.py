@@ -10,12 +10,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from cherednik import linalg
 from cherednik.groups import build_group
 from cherednik.pbw import (
+    FormFamily,
     PBWViolation,
     casimir_h,
     casimir_omega,
     cherednik_family,
     corrupted_family,
-    custom_family,
     gaha_family,
     invariant_form,
     j_map,
@@ -450,8 +450,14 @@ def test_family_construction_refuses_failing_forms():
     g = build_group("B2")
     bad = corrupted_family(g, "radical").forms
     with pytest.raises(PBWViolation) as exc:
-        custom_family(g, bad)
+        FormFamily(g, bad)
     assert exc.value.verdict["failures"]
+
+
+def test_polarized_family_takes_no_invariant_form():
+    g = build_group("A1")
+    with pytest.raises(ValueError):
+        FormFamily(g, {}, space="polarized", vgram=[[1, 0], [0, 1]])
 
 
 def test_orthogonal_commutators_match_forms():

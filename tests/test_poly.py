@@ -6,8 +6,7 @@ import sympy
 
 from cherednik import poly
 from cherednik.clifford import CliffordAlgebra, polarized_algebra
-from cherednik.dirac import (GroupAlgebraClassFunction, TensorElement,
-                             clifford_algebra_of)
+from cherednik.dirac import GroupAlgebraClassFunction, TensorElement
 from cherednik.groups import build_group
 from cherednik.pbw import AlgebraElement, cherednik_family
 from cherednik.scalars import zeta
@@ -148,7 +147,7 @@ def _clifford_case():
 def _tensor_case():
     g = build_group("A1")
     f1, f2 = cherednik_family(g, 1, 1), cherednik_family(g, 1, 1)
-    alg = clifford_algebra_of(f1)
+    alg = f1.clifford
     keys = [(((1,), 0, (0,)), (1,)), (((0,), 1, (0,)), ())]
     return (lambda f, t: TensorElement(f, alg, t)), f1, f2, keys
 
