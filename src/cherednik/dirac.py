@@ -175,7 +175,7 @@ def dirac_element(family, basis=None):
     else:
         pt = linalg.transpose(basis)
         ginv = linalg.inverse(
-            linalg.mat_mul(pt, linalg.mat_mul(family.vgram, basis)))
+            linalg.mat_mul(pt, linalg.mat_mul(alg.gram, basis)))
         vecs = [family.vector_element([basis[r][i] for r in range(nv)])
                 for i in range(nv)]
         cols = basis

@@ -51,27 +51,19 @@ class FormFamily:
     """
 
     def __init__(self, group, forms, preset_tag="custom", space="polarized",
-                 vgram=None, params=None, check=True):
+                 params=None, check=True):
         self.group = group
         self.space = space
         if space == "polarized":
-            if vgram is not None:
-                raise ValueError("a polarized family pairs h with h*; it "
-                                 "takes no invariant form")
             self.nv = 2 * group.n
             # <x_i, y_i> = 1
             self.clifford = polarized_algebra(group.n)
         elif space == "orthogonal":
             self.nv = group.n
-            if vgram is None:
-                raise ValueError("orthogonal family needs an invariant form")
             self.clifford = CliffordAlgebra(
-                vgram, [f"v{i + 1}" for i in range(self.nv)])
+                invariant_form(group), [f"v{i + 1}" for i in range(self.nv)])
         else:
             raise ValueError("space must be 'polarized' or 'orthogonal'")
-        # a polarized family shares the cached algebra's matrix, so
-        # nothing may mutate vgram
-        self.vgram = self.clifford.gram
         self.forms = {w: m for w, m in forms.items() if not _zero_matrix(m)}
         self.preset_tag = preset_tag
         self.params = dict(params or {})
@@ -528,7 +520,7 @@ def gaha_family(group, k, roots=None, check=True):
     k_map = _c_map(group, k)
     forms = gaha_forms(group, k_map, roots)
     return FormFamily(group, forms, preset_tag="graded-affine-hecke",
-                      space="orthogonal", vgram=invariant_form(group),
+                      space="orthogonal",
                       params={"k": k_map}, check=check)
 
 
@@ -591,8 +583,7 @@ def corrupted_family(group, kind=None):
         j[0][1] = Fraction(1)
         j[1][0] = Fraction(-1)
         return FormFamily(group, {target: j}, preset_tag="corrupted",
-                          space="orthogonal", vgram=invariant_form(group),
-                          check=False)
+                          space="orthogonal", check=False)
     raise ValueError("unknown corruption kind %r" % kind)
 
 
@@ -733,10 +724,11 @@ def casimir_h(family, basis=None):
     nv = family.nv
     if basis is None:
         p = linalg.identity(nv)
+        u = family.clifford.gram_inverse()
     else:
         p = [[basis[i][r] for i in range(nv)] for r in range(nv)]
-    ptg = linalg.mat_mul(linalg.transpose(p), family.vgram)
-    u = linalg.inverse(ptg)
+        u = linalg.inverse(
+            linalg.mat_mul(linalg.transpose(p), family.clifford.gram))
     total = family.zero()
     for i in range(nv):
         vi = family.vector_element([p[r][i] for r in range(nv)])

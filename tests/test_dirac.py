@@ -106,6 +106,7 @@ def test_family_clifford_algebra_and_gram_inverse_are_built_once(
     for w in fam.support():
         if w:
             compute_e_w(fam, w)
+    casimir_h(fam)
     assert fam.clifford is alg and d.algebra is alg
     assert inverted == []
 

@@ -454,12 +454,6 @@ def test_family_construction_refuses_failing_forms():
     assert exc.value.verdict["failures"]
 
 
-def test_polarized_family_takes_no_invariant_form():
-    g = build_group("A1")
-    with pytest.raises(ValueError):
-        FormFamily(g, {}, space="polarized", vgram=[[1, 0], [0, 1]])
-
-
 def test_orthogonal_commutators_match_forms():
     g = build_group("A2")
     fam = gaha_family(g, 1)
