@@ -13,7 +13,7 @@ from .dirac import (casimir_scalar, decompose_kernel_element, derivation_d,
 from .groups import _invariant_generators
 from .modules import (baby_verma, dirac_cohomology, h_weight,
                       one_dimensional_quotient)
-from .pbw import _c_map, casimir_omega, shared_cherednik_family
+from .pbw import _c_map, casimir_omega, cherednik_family
 from .scalars import scalar_map_str
 
 
@@ -180,7 +180,7 @@ def verify_cm_factorization(group, c, degree_cap):
     t = 0 and report the witness.  The witness b is searched at degree
     <= deg f + 1 on f's own polynomial side; dirac.NoDecomposition
     propagates when none exists there."""
-    fam = shared_cherednik_family(group, 0, c)
+    fam = cherednik_family(group, 0, c)
     n = group.n
     zero = (0,) * n
 

@@ -33,8 +33,7 @@ from .modules import (
     standard_module,
     unitarity_report,
 )
-from .pbw import (corrupted_family, gaha_family, pbw_check,
-                  shared_cherednik_family)
+from .pbw import cherednik_family, corrupted_family, gaha_family, pbw_check
 from .scalars import parse_scalar, scalar_map_str, scalar_str
 
 
@@ -135,9 +134,9 @@ def _c_strings(c):
 def _build_family(args, group, t, c):
     preset = args.preset or "cherednik"
     if preset == "cherednik":
-        return shared_cherednik_family(group, t, c)
+        return cherednik_family(group, t, c)
     if preset == "gaha":
-        return gaha_family(group, c, check=False)
+        return gaha_family(group, c)
     if preset == "corrupted":
         return corrupted_family(group, kind=args.kind)
     raise UsageError(f"unknown preset {preset!r}")

@@ -574,7 +574,7 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     return s, b
 
 
-def zeta(z, family, degree_cap=4, column_limit=8000):
+def zeta(z, family):
     """The class-function component of the kernel decomposition."""
-    s, _ = decompose_kernel_element(z, family, degree_cap, column_limit)
+    s, _ = decompose_kernel_element(z, family)
     return s

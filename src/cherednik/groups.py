@@ -62,20 +62,16 @@ class Reflection:
     """A pseudo-reflection with its root data.
 
     alpha lives in h* and alpha_check in h (coordinate lists); lam is the
-    nontrivial eigenvalue on the alpha_check line; sqrt_lambda is a fixed
-    square root of lam (a conductor-doubling choice recorded once so tests
-    can verify nothing downstream depends on it).
+    nontrivial eigenvalue on the alpha_check line.
     """
 
-    __slots__ = ("element_index", "alpha", "alpha_check", "lam",
-                 "sqrt_lambda", "class_name")
+    __slots__ = ("element_index", "alpha", "alpha_check", "lam", "class_name")
 
-    def __init__(self, element_index, alpha, alpha_check, lam, sqrt_lambda):
+    def __init__(self, element_index, alpha, alpha_check, lam):
         self.element_index = element_index
         self.alpha = alpha
         self.alpha_check = alpha_check
         self.lam = lam
-        self.sqrt_lambda = sqrt_lambda
         self.class_name = None
 
 
@@ -504,8 +500,6 @@ def _verify_reflection(group, r):
     lam_inv = 1 / r.lam
     if linalg.mat_vec(B, r.alpha) != [lam_inv * x for x in r.alpha]:
         raise AssertionError("s(alpha) = lambda^-1 alpha")
-    if r.sqrt_lambda * r.sqrt_lambda != r.lam:
-        raise AssertionError("sqrt_lambda squares to lambda")
     pairing = sum(a * b for a, b in zip(r.alpha_check, r.alpha))
     if pairing != (2 if group.family == "real" else 1):
         raise AssertionError("<alpha^v, alpha> is 2 (real) or 1 (complex)")
@@ -562,8 +556,7 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         if found is None:
             continue
         alpha, alpha_check, lam = found
-        r, t = _root_of_unity_data(lam)
-        reflections.append(Reflection(i, alpha, alpha_check, lam, zeta(2 * r, t)))
+        reflections.append(Reflection(i, alpha, alpha_check, lam))
     group.reflections = reflections
     group._refl_by_element = {r.element_index: r for r in reflections}
     for gi in group.generator_indices:

@@ -17,7 +17,7 @@ from . import linalg, poly
 from .clifford import _spin_generator_matrices, tau_spin
 from .dirac import UnknownIrrep, casimir_scalar
 from .groups import UnknownGroup, class_character, inner_product
-from .pbw import shared_cherednik_family
+from .pbw import cherednik_family
 from .scalars import NotRational, as_fraction
 
 
@@ -252,18 +252,17 @@ class GradedModule:
 
 
 def standard_module(group, sigma, c, K=4):
-    return GradedModule("standard", shared_cherednik_family(group, 1, c),
-                        sigma, K)
+    return GradedModule("standard", cherednik_family(group, 1, c), sigma, K)
 
 
 def baby_verma(group, sigma, c):
-    return GradedModule("baby", shared_cherednik_family(group, 0, c), sigma, 0)
+    return GradedModule("baby", cherednik_family(group, 0, c), sigma, 0)
 
 
 def one_dimensional_quotient(group, sigma, c):
     """The simple quotient with x = y = 0, available exactly when every
     commutator [y_i, x_j] acts by zero on the one-dimensional sigma."""
-    fam = shared_cherednik_family(group, 0, c)
+    fam = cherednik_family(group, 0, c)
     try:
         rep = group.irrep(sigma)
     except UnknownGroup:
@@ -667,7 +666,7 @@ def unitarity_report(group, sigma, c, K):
     except NotRational:
         raise UnsupportedField("irrational scalar in rational context")
     gap0 = nvals[sigma]
-    violations = []
+    standard = []
     for k in range(K + 1):
         for l in range(n + 1):
             for mu in group.irrep_labels:
@@ -675,20 +674,15 @@ def unitarity_report(group, sigma, c, K):
                 if gap <= 2 * (k + l):
                     continue
                 if cell_multiplicity(group, sigma, k, l, mu) > 0:
-                    violations.append({
+                    standard.append({
                         "module": "standard", "mu": mu, "k": k, "l": l,
                         "gap": str(gap), "bound": 2 * (k + l)})
-    for l in range(n + 1):
-        for mu in group.irrep_labels:
-            gap = gap0 - nvals[mu]
-            if gap <= 2 * l:
-                continue
-            if cell_multiplicity(group, sigma, 0, l, mu) > 0:
-                violations.append({
-                    "module": "simple", "mu": mu, "l": l,
-                    "gap": str(gap), "bound": 2 * l})
-    consistent = (not all_psd) or not any(
-        v["module"] == "standard" for v in violations)
+    # the simple quotient's scan is the standard scan's degree-0 rows
+    simple = [{"module": "simple", "mu": v["mu"], "l": v["l"],
+               "gap": v["gap"], "bound": v["bound"]}
+              for v in standard if v["k"] == 0]
+    violations = standard + simple
+    consistent = (not all_psd) or not standard
     return {
         "group": group.catalogue_id,
         "sigma": sigma,

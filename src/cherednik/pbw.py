@@ -21,15 +21,6 @@ from .poly import Terms, acc, substitute_linear
 from .scalars import real_sign, reciprocal, scalar_str
 
 
-class PBWViolation(ValueError):
-    """A form family failed the PBW conditions."""
-
-    def __init__(self, verdict):
-        self.verdict = verdict
-        what = "; ".join(f["detail"] for f in verdict["failures"][:3])
-        super().__init__("family is not PBW: " + what)
-
-
 def _unit(n, j):
     e = [0] * n
     e[j] = 1
@@ -45,13 +36,13 @@ class FormFamily:
 
     forms maps element index -> nv x nv matrix of a_w on the V generator
     basis (absent means zero).  clifford is C(V) for the family's form on
-    V, which also caches its Gram inverse.  Construction runs the PBW
-    checker unless check=False; every downstream identity assumes the
-    family passed.
+    V, which also caches its Gram inverse.  Construction does not verify
+    the PBW conditions: every downstream identity assumes them, and
+    pbw_check is the one place that decides them.
     """
 
     def __init__(self, group, forms, preset_tag="custom", space="polarized",
-                 params=None, check=True):
+                 params=None):
         self.group = group
         self.space = space
         if space == "polarized":
@@ -74,10 +65,6 @@ class FormFamily:
         self._ins = {}
         # per module kind, the sigma-independent data of modules.GradedModule
         self._module_data = {}
-        if check:
-            verdict = pbw_check(self)
-            if not verdict["passed"]:
-                raise PBWViolation(verdict)
 
     # -- basic data
 
@@ -405,27 +392,24 @@ def cherednik_forms(group, t, c_map, c_override=None):
     return forms
 
 
-def cherednik_family(group, t, c, check=True):
-    """The rational Cherednik algebra H_{t,c} as a form family."""
-    c_map = _c_map(group, c)
-    forms = cherednik_forms(group, t, c_map)
-    return FormFamily(group, forms, preset_tag="cherednik",
-                      params={"t": t, "c": c_map}, check=check)
+_CHEREDNIK_FAMILIES = {}
 
 
-_SHARED_FAMILIES = {}
+def cherednik_family(group, t, c):
+    """The rational Cherednik algebra H_{t,c} as a form family, built once
+    per (group, t, c) and shared with its straightening and module caches.
 
-
-def shared_cherednik_family(group, t, c):
-    """The unchecked H_{t,c}, built once per (group, t, c) and shared by
-    modules, invariant factorization and the command line."""
+    H_{t,c} is PBW for every (t, c) (Etingof-Ginzburg 2002, Thm 1.3);
+    pbw_check verifies it.
+    """
     c_map = _c_map(group, c)
     key = (group, scalar_str(t)) + tuple(
         (name, scalar_str(v)) for name, v in sorted(c_map.items()))
-    got = _SHARED_FAMILIES.get(key)
+    got = _CHEREDNIK_FAMILIES.get(key)
     if got is None:
-        got = _SHARED_FAMILIES[key] = cherednik_family(group, t, c_map,
-                                                       check=False)
+        got = _CHEREDNIK_FAMILIES[key] = FormFamily(
+            group, cherednik_forms(group, t, c_map), preset_tag="cherednik",
+            params={"t": t, "c": c_map})
     return got
 
 
@@ -512,7 +496,7 @@ def gaha_forms(group, k_map, roots=None):
     return {w: m for w, m in forms.items() if not _zero_matrix(m)}
 
 
-def gaha_family(group, k, roots=None, check=True):
+def gaha_family(group, k, roots=None):
     """Lusztig's graded affine Hecke algebra as an orthogonal-space family."""
     if any(r.lam != -1 for r in group.reflections):
         raise ValueError("graded affine Hecke preset needs a real "
@@ -520,8 +504,7 @@ def gaha_family(group, k, roots=None, check=True):
     k_map = _c_map(group, k)
     forms = gaha_forms(group, k_map, roots)
     return FormFamily(group, forms, preset_tag="graded-affine-hecke",
-                      space="orthogonal",
-                      params={"k": k_map}, check=check)
+                      space="orthogonal", params={"k": k_map})
 
 
 def corrupted_family(group, kind=None):
@@ -542,7 +525,7 @@ def corrupted_family(group, kind=None):
         forms = cherednik_forms(group, 1, _c_map(group, 1))
         bad = forms[group.reflections[0].element_index]
         bad[0][0] = Fraction(1)
-        return FormFamily(group, forms, preset_tag="corrupted", check=False)
+        return FormFamily(group, forms, preset_tag="corrupted")
     if kind == "class":
         cm = _c_map(group, 1)
         first = None
@@ -556,7 +539,7 @@ def corrupted_family(group, kind=None):
         if first is None:
             raise ValueError("every reflection class is a singleton")
         forms = cherednik_forms(group, 1, cm, c_override={first: Fraction(2)})
-        return FormFamily(group, forms, preset_tag="corrupted", check=False)
+        return FormFamily(group, forms, preset_tag="corrupted")
     if kind == "radical":
         # the natural symplectic pairing is W-invariant but nondegenerate,
         # so its kernel is 0 instead of V^s
@@ -567,7 +550,7 @@ def corrupted_family(group, kind=None):
             j[2 * i + 1][2 * i] = Fraction(-1)
         forms = {r.element_index: [row[:] for row in j]
                  for r in group.reflections if r.class_name == cls}
-        return FormFamily(group, forms, preset_tag="corrupted", check=False)
+        return FormFamily(group, forms, preset_tag="corrupted")
     if kind == "rotation":
         # orthogonal-space family supported on a central involution; every
         # reflection then violates the determinant condition
@@ -583,7 +566,7 @@ def corrupted_family(group, kind=None):
         j[0][1] = Fraction(1)
         j[1][0] = Fraction(-1)
         return FormFamily(group, {target: j}, preset_tag="corrupted",
-                          space="orthogonal", check=False)
+                          space="orthogonal")
     raise ValueError("unknown corruption kind %r" % kind)
 
 

@@ -185,17 +185,12 @@ class CyclotomicScalar:
     den: positive int with gcd(den, *num.values()) == 1; zero is
         ({}, 1).
     The value is sum_e num[e] * zeta_N^e / den.  coeffs gives the same
-    value as a dict exponent -> Fraction.
+    value as a dict exponent -> Fraction.  Values come from reduce, zeta
+    and from_rational.
     """
 
     __slots__ = ("conductor", "num", "den")
     __hash__ = None  # use .key() where a hashable form is needed
-
-    def __init__(self, conductor, coeffs):
-        x = reduce(coeffs, conductor)
-        _SET_N(self, x.conductor)
-        _SET_NUM(self, x.num)
-        _SET_DEN(self, x.den)
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicScalar is immutable")

@@ -126,12 +126,12 @@ def test_criterion_03_pbw_checker():
     def body():
         for gid in CATALOGUE_IDS:
             g = build_group(gid)
-            assert pbw_check(cherednik_family(g, 1, 1, check=False))["passed"]
+            assert pbw_check(cherednik_family(g, 1, 1))["passed"]
         real = 0
         for gid in CATALOGUE_IDS:
             g = build_group(gid)
             try:
-                fam = gaha_family(g, 1, check=False)
+                fam = gaha_family(g, 1)
             except ValueError:
                 continue
             real += 1
@@ -286,7 +286,7 @@ def test_criterion_10_zeta_multiplicative():
         s1 = zeta(z, fam)
         target = group_algebra_casimir(fam)
         assert s1 == target
-        s2 = zeta(z * z, fam, degree_cap=4)
+        s2 = zeta(z * z, fam)
         assert s2 == target * target
     _report(10, "zeta sends the lifted Casimir and its square correctly",
             body)

@@ -314,24 +314,9 @@ def test_spin_tau_equals_wedge_action_b3_sampled():
             off += len(b)
 
 
-def test_sqrt_lambda_choice_never_read_downstream():
-    # flip the recorded square root and confirm tau and the wedge action
-    # are unchanged
-    g = build_group("Z3")
-    r = g.reflections[0]
-    before = pin_tau(r.element_index, g)
-    saved = r.sqrt_lambda
-    try:
-        r.sqrt_lambda = -saved
-        after = pin_tau(r.element_index, g)
-    finally:
-        r.sqrt_lambda = saved
-    assert before == after
-
-
-def test_sqrt_lambda_both_roots_split_the_plane():
-    # either square root turns tau_s into the expected split action on the
-    # plane spanned by alpha_check and alpha
+def test_tau_reflection_scales_the_root_plane_by_lambda():
+    # tau_s acts on the plane spanned by alpha_check and alpha by lambda
+    # on alpha_check and lambda^-1 on alpha
     for gid in ["Z3", "A1"]:
         g = build_group(gid)
         alg = polarized_algebra(g.n)
@@ -346,13 +331,8 @@ def test_sqrt_lambda_both_roots_split_the_plane():
                 if cc:
                     al = al + alg.scalar(cc) * alg.gen(2 * i)
             tau_inv = pin_tau(g.inverse_index(r.element_index), g)
-            for root in (r.sqrt_lambda, -r.sqrt_lambda):
-                lam = root * root
-                assert lam == r.lam
-                # tau alpha_check tau^-1 = lambda alpha_check, and the
-                # square root scales a pin-normalized representative
-                assert tau * av * tau_inv == alg.scalar(lam) * av
-                assert tau * al * tau_inv == alg.scalar(1 / lam) * al
+            assert tau * av * tau_inv == alg.scalar(r.lam) * av
+            assert tau * al * tau_inv == alg.scalar(1 / r.lam) * al
 
 
 def test_clifford_products_with_general_gram():

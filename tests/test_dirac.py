@@ -42,8 +42,8 @@ from cherednik.dirac import (
 from cherednik.scalars import zeta as zeta_root
 
 
-def c_fam(gid, t, c, check=False):
-    return cherednik_family(build_group(gid), t, c, check=check)
+def c_fam(gid, t, c):
+    return cherednik_family(build_group(gid), t, c)
 
 
 # --------------------------------------------------------------------------
@@ -210,12 +210,11 @@ def test_square_identity_across_catalogue():
         g = build_group(gid)
         for t in (0, 1):
             for c in (0, 1, Fraction(1, 2), Fraction(-2, 3)):
-                rep = verify_dirac_square(
-                    cherednik_family(g, t, c, check=False))
+                rep = verify_dirac_square(cherednik_family(g, t, c))
                 assert rep["equality"], (gid, t, c)
         if all(r.lam == -1 for r in g.reflections):
             for k in (1, Fraction(1, 2)):
-                rep = verify_dirac_square(gaha_family(g, k, check=False))
+                rep = verify_dirac_square(gaha_family(g, k))
                 assert rep["equality"], (gid, "gaha", k)
 
 

@@ -47,7 +47,7 @@ def witnesses_text():
             calogero_moser.decompose_kernel_element = inner
         out[f"factorization/{gid}/c=1/cap={cap}"] = found
     for gid in CASIMIRS:
-        fam = cherednik_family(build_group(gid), 1, 1, check=False)
+        fam = cherednik_family(build_group(gid), 1, 1)
         s, b = decompose_kernel_element(omega_tilde(fam), fam, degree_cap=2)
         out[f"omega_tilde/{gid}/t=1/c=1/cap=2"] = _pair(s, b)
     return json.dumps(out, indent=2, sort_keys=True) + "\n"

@@ -21,7 +21,7 @@ from cherednik.modules import (
     standard_module,
     unitarity_report,
 )
-from cherednik.pbw import casimir_omega, cherednik_family
+from cherednik.pbw import FormFamily, _c_map, casimir_omega, cherednik_forms
 
 
 def compose_blocks(module, outer, inner):
@@ -190,7 +190,7 @@ def test_shared_generator_blocks_match_fresh_modules(gid):
     c = Fraction(1, 3)
     for sigma in reversed(g.irrep_labels):
         m = baby_verma(g, sigma, c)
-        fam = cherednik_family(g, 0, c, check=False)
+        fam = FormFamily(g, cherednik_forms(g, 0, _c_map(g, c)))
         ref = GradedModule("baby", fam, sigma, 0)
         assert m.degrees() == ref.degrees()
 

@@ -11,7 +11,6 @@ from cherednik import linalg
 from cherednik.groups import build_group
 from cherednik.pbw import (
     FormFamily,
-    PBWViolation,
     casimir_h,
     casimir_omega,
     cherednik_family,
@@ -348,12 +347,21 @@ CATALOGUE = ["A1", "A2", "B2", "B3", "I2_3", "I2_4", "I2_5", "I2_6",
 def test_cherednik_presets_pass_pbw_check():
     for gid in CATALOGUE:
         g = build_group(gid)
-        fam = cherednik_family(g, 1, 1)  # eager check inside
+        fam = cherednik_family(g, 1, 1)
         assert pbw_check(fam)["passed"]
     # t = 0 spot checks
     for gid in ["A2", "Z4", "G3_1_2"]:
         fam = cherednik_family(build_group(gid), 0, Fraction(1, 2))
         assert pbw_check(fam)["passed"]
+
+
+def test_cherednik_family_is_shared_per_parameters():
+    g = build_group("A1")
+    fam = cherednik_family(g, 1, 1)
+    assert cherednik_family(g, 1, Fraction(1)) is fam
+    assert cherednik_family(g, Fraction(1), {"s": 1}) is fam
+    assert cherednik_family(g, 0, 1) is not fam
+    assert cherednik_family(g, 1, Fraction(1, 2)) is not fam
 
 
 def test_gaha_presets_pass_pbw_check():
@@ -449,9 +457,11 @@ def test_corrupted_nonskew_is_condition_zero():
 def test_family_construction_refuses_failing_forms():
     g = build_group("B2")
     bad = corrupted_family(g, "radical").forms
-    with pytest.raises(PBWViolation) as exc:
-        FormFamily(g, bad)
-    assert exc.value.verdict["failures"]
+    # construction does not verify; pbw_check reports the failing forms
+    verdict = pbw_check(FormFamily(g, bad))
+    assert not verdict["passed"]
+    assert {f["condition"] for f in verdict["failures"]} == {2}
+    assert {f["w"] for f in verdict["failures"]} == set(bad)
 
 
 def test_orthogonal_commutators_match_forms():

@@ -133,7 +133,7 @@ def test_poly_det_jacobian_style():
 
 def _pbw_case():
     g = build_group("A1")
-    f1, f2 = cherednik_family(g, 1, 1), cherednik_family(g, 1, 1)
+    f1, f2 = cherednik_family(g, 1, 1), cherednik_family(g, 1, 2)
     keys = [((1,), 0, (0,)), ((0,), 1, (1,))]
     return AlgebraElement, f1, f2, keys
 
@@ -146,7 +146,7 @@ def _clifford_case():
 
 def _tensor_case():
     g = build_group("A1")
-    f1, f2 = cherednik_family(g, 1, 1), cherednik_family(g, 1, 1)
+    f1, f2 = cherednik_family(g, 1, 1), cherednik_family(g, 1, 2)
     alg = f1.clifford
     keys = [(((1,), 0, (0,)), (1,)), (((0,), 1, (0,)), ())]
     return (lambda f, t: TensorElement(f, alg, t)), f1, f2, keys
