@@ -7,7 +7,6 @@ mathematical identity failed, 2 usage error.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import poly
 from .calogero_moser import dirac_partition
@@ -45,7 +44,7 @@ def _parse_c(entries):
     """--c 1/2 gives a constant; repeated --c long=1 --c short=1/2 gives a
     per-class map."""
     if not entries:
-        return Fraction(1)
+        return 1
     pairs = [e for e in entries if "=" in e]
     plain = [e for e in entries if "=" not in e]
     if pairs and plain:

@@ -9,12 +9,11 @@ V = h + h* uses the interleaved generator order x1 < y1 < ... < xn < yn with
 matrix is supported for orthogonal-space presets.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
 from .poly import Terms, acc
-from .scalars import reciprocal, scalar_str
+from .scalars import rational, reciprocal, scalar_str
 
 
 class WordRequired(ValueError):
@@ -57,13 +56,13 @@ class CliffordAlgebra:
         return CliffordElement(self, {})
 
     def one(self):
-        return CliffordElement(self, {(): Fraction(1)})
+        return CliffordElement(self, {(): 1})
 
     def scalar(self, c):
         return CliffordElement(self, {(): c})
 
     def gen(self, i):
-        return CliffordElement(self, {(i,): Fraction(1)})
+        return CliffordElement(self, {(i,): 1})
 
     def vector(self, coords, offset=0, step=1):
         """sum_i coords[i] * gen(offset + step*i)."""
@@ -140,11 +139,11 @@ class CliffordElement(Terms):
 @lru_cache(maxsize=None)
 def polarized_algebra(n: int) -> CliffordAlgebra:
     """C(h + h*) on 2n generators x1,y1,...,xn,yn with <x_i,y_j> = delta."""
-    gram = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    gram = [[0] * (2 * n) for _ in range(2 * n)]
     labels = []
     for i in range(n):
-        gram[2 * i][2 * i + 1] = Fraction(1)
-        gram[2 * i + 1][2 * i] = Fraction(1)
+        gram[2 * i][2 * i + 1] = 1
+        gram[2 * i + 1][2 * i] = 1
         labels += [f"x{i + 1}", f"y{i + 1}"]
     return CliffordAlgebra(gram, labels)
 
@@ -215,13 +214,13 @@ def _spin_generator_matrices(n: int):
                 if i in I:
                     p = I.index(i) + 1
                     target = tuple(j for j in I if j != i)
-                    m[index[target]][col] = Fraction(2 * (-1) ** p)
+                    m[index[target]][col] = 2 * (-1) ** p
             else:
                 # y_i: wedge from the left
                 if i not in I:
                     smaller = sum(1 for j in I if j < i)
                     target = tuple(sorted(I + (i,)))
-                    m[index[target]][col] = Fraction((-1) ** smaller)
+                    m[index[target]][col] = (-1) ** smaller
         mats.append(m)
     return mats
 
@@ -259,7 +258,7 @@ def _reflection_factor(r, alg: CliffordAlgebra):
     pairing = 0
     for a, b in zip(r.alpha_check, r.alpha):
         pairing = pairing + a * b
-    return ((1 - r.lam) / (2 * pairing),
+    return (rational((1 - r.lam) * reciprocal(2 * pairing)),
             alg.vector(r.alpha_check, offset=1, step=2)
             * alg.vector(r.alpha, offset=0, step=2))
 

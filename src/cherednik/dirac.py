@@ -19,7 +19,7 @@ from .clifford import (
 )
 from .pbw import AlgebraElement, _c_map
 from .poly import Terms, acc
-from .scalars import reciprocal, scalar_map_str, scalar_str
+from .scalars import rational, reciprocal, scalar_map_str, scalar_str
 
 
 class DegenerateWitness(ArithmeticError):
@@ -54,7 +54,7 @@ def compute_e_w(family, w):
     """
     aw = family.forms.get(w)
     if aw is None:
-        return Fraction(0)
+        return 0
     nv = family.nv
     ginv = family.clifford.gram_inverse()
     vm = family.v_matrix(w)
@@ -348,7 +348,7 @@ class GroupAlgebraClassFunction(Terms):
             c = self.terms.get(g.class_names[ci], 0)
             if c:
                 total = total + c * chi[ci] * len(cl)
-        return total * Fraction(1, dim)
+        return rational(total * reciprocal(dim))
 
     def to_data(self):
         return scalar_map_str(self.terms)
@@ -392,7 +392,7 @@ def casimir_scalar(sigma, c, group):
     for r in group.reflections:
         total = total + (_reflection_weight(r, c_map)
                          * chi[group.class_of(r.element_index)])
-    return total * Fraction(1, dim)
+    return rational(total * reciprocal(dim))
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def _coords(elems, index=None):
                 if k not in index:
                     index[k] = len(index)
     rows = len(index)
-    mat = [[Fraction(0)] * len(elems) for _ in range(rows)]
+    mat = [[0] * len(elems) for _ in range(rows)]
     for j, e in enumerate(elems):
         for k, c in e.terms.items():
             mat[index[k]][j] = c
@@ -451,7 +451,7 @@ def _diagonal_averager(family):
             cw = cimg.get((w, cm))
             if cw is None:
                 cw = cimg[(w, cm)] = alg._mul_terms(
-                    alg._mul_terms(tw, {cm: Fraction(1)}), twi)
+                    alg._mul_terms(tw, {cm: 1}), twi)
             for hk2, hc in hw.items():
                 for cm2, cc in cw.items():
                     acc(out, (hk2, cm2), hc * cc)
@@ -467,7 +467,7 @@ def _d_by_keys(a, d, cache):
     for key, c in a.terms.items():
         dk = cache.get(key)
         if dk is None:
-            e = TensorElement(a.family, a.algebra, {key: Fraction(1)})
+            e = TensorElement(a.family, a.algebra, {key: 1})
             dk = cache[key] = (d * e - e.eps() * d).terms
         for k2, c2 in dk.items():
             acc(out, k2, c * c2)

@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, poly
-from .scalars import CyclotomicScalar, conjugate, scalar_str, zeta
+from .scalars import (CyclotomicScalar, conjugate, rational, reciprocal,
+                      scalar_str, zeta)
 
 
 class UnknownGroup(KeyError):
@@ -29,16 +30,9 @@ class NotARepresentation(ValueError):
     pass
 
 
-def _c(x):
-    """Normalize an entry to something with exact arithmetic."""
-    if isinstance(x, CyclotomicScalar):
-        return x
-    return Fraction(x)
-
-
 def _entry_key(x, n):
     if not isinstance(x, CyclotomicScalar):
-        x = CyclotomicScalar.from_rational(Fraction(x))
+        x = CyclotomicScalar.from_rational(x)
     return x.at_conductor(n).key()
 
 
@@ -157,12 +151,8 @@ class ReflectionGroup:
 # catalogue data
 
 
-def _mat(rows):
-    return [[_c(x) for x in row] for row in rows]
-
-
 def _a2_std():
-    return [_mat([[-1, 1], [0, 1]]), _mat([[1, 0], [1, -1]])]
+    return [[[-1, 1], [0, 1]], [[1, 0], [1, -1]]]
 
 
 def _catalogue():
@@ -170,9 +160,9 @@ def _catalogue():
 
     cat["A1"] = dict(
         rank=1, family="real",
-        generators=[_mat([[-1]])],
-        irreps=[("triv", [_mat([[1]])]),
-                ("sgn", [_mat([[-1]])])],
+        generators=[[[-1]]],
+        irreps=[("triv", [[[1]]]),
+                ("sgn", [[[-1]]])],
         invariant_degrees=[2],
         namer="single",
     )
@@ -180,43 +170,43 @@ def _catalogue():
     cat["A2"] = dict(
         rank=2, family="real",
         generators=_a2_std(),
-        irreps=[("triv", [_mat([[1]]), _mat([[1]])]),
-                ("sgn", [_mat([[-1]]), _mat([[-1]])]),
+        irreps=[("triv", [[[1]], [[1]]]),
+                ("sgn", [[[-1]], [[-1]]]),
                 ("std", _a2_std())],
         invariant_degrees=[2, 3],
         namer="single",
     )
 
-    b2_long = _mat([[0, 1], [1, 0]])
-    b2_short = _mat([[1, 0], [0, -1]])
+    b2_long = [[0, 1], [1, 0]]
+    b2_short = [[1, 0], [0, -1]]
     cat["B2"] = dict(
         rank=2, family="real",
         generators=[b2_long, b2_short],
-        irreps=[("2x0", [_mat([[1]]), _mat([[1]])]),
-                ("11x0", [_mat([[-1]]), _mat([[1]])]),
-                ("0x2", [_mat([[1]]), _mat([[-1]])]),
-                ("0x11", [_mat([[-1]]), _mat([[-1]])]),
+        irreps=[("2x0", [[[1]], [[1]]]),
+                ("11x0", [[[-1]], [[1]]]),
+                ("0x2", [[[1]], [[-1]]]),
+                ("0x11", [[[-1]], [[-1]]]),
                 ("1x1", [b2_long, b2_short])],
         invariant_degrees=[2, 4],
         namer="b_type",
     )
 
-    m1 = _mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    m2 = _mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    mt = _mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m1 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    m2 = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    mt = [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]
     a2s1, a2s2 = _a2_std()
     i2 = linalg.identity(2)
-    neg = linalg.mat_scale(Fraction(-1), i2)
-    nm1 = linalg.mat_scale(Fraction(-1), m1)
-    nm2 = linalg.mat_scale(Fraction(-1), m2)
-    nmt = linalg.mat_scale(Fraction(-1), mt)
+    neg = linalg.mat_scale(-1, i2)
+    nm1 = linalg.mat_scale(-1, m1)
+    nm2 = linalg.mat_scale(-1, m2)
+    nmt = linalg.mat_scale(-1, mt)
     cat["B3"] = dict(
         rank=3, family="real",
         generators=[m1, m2, mt],
-        irreps=[("3x0", [_mat([[1]]), _mat([[1]]), _mat([[1]])]),
-                ("111x0", [_mat([[-1]]), _mat([[-1]]), _mat([[1]])]),
-                ("0x3", [_mat([[1]]), _mat([[1]]), _mat([[-1]])]),
-                ("0x111", [_mat([[-1]]), _mat([[-1]]), _mat([[-1]])]),
+        irreps=[("3x0", [[[1]], [[1]], [[1]]]),
+                ("111x0", [[[-1]], [[-1]], [[1]]]),
+                ("0x3", [[[1]], [[1]], [[-1]]]),
+                ("0x111", [[[-1]], [[-1]], [[-1]]]),
                 ("21x0", [a2s1, a2s2, i2]),
                 ("0x21", [a2s1, a2s2, neg]),
                 ("2x1", [m1, m2, mt]),
@@ -228,21 +218,21 @@ def _catalogue():
     )
 
     # dihedral I2(m): generators with c1*c2 = 4cos^2(pi/m)
-    i2_consts = {3: (_c(1), _c(1)), 4: (_c(1), _c(2)),
+    i2_consts = {3: (1, 1), 4: (1, 2),
                  5: (1 + zeta(5) + zeta(5) ** 4, 1 + zeta(5) + zeta(5) ** 4),
-                 6: (_c(1), _c(3))}
+                 6: (1, 3)}
     for m, (c1, c2) in i2_consts.items():
-        s1 = [[_c(-1), c1], [_c(0), _c(1)]]
-        s2 = [[_c(1), _c(0)], [c2, _c(-1)]]
-        swap = _mat([[0, 1], [1, 0]])
-        irreps = [("triv", [_mat([[1]]), _mat([[1]])]),
-                  ("sgn", [_mat([[-1]]), _mat([[-1]])])]
+        s1 = [[-1, c1], [0, 1]]
+        s2 = [[1, 0], [c2, -1]]
+        swap = [[0, 1], [1, 0]]
+        irreps = [("triv", [[[1]], [[1]]]),
+                  ("sgn", [[[-1]], [[-1]]])]
         if m % 2 == 0:
-            irreps += [("sgn1", [_mat([[-1]]), _mat([[1]])]),
-                       ("sgn2", [_mat([[1]]), _mat([[-1]])])]
+            irreps += [("sgn1", [[[-1]], [[1]]]),
+                       ("sgn2", [[[1]], [[-1]]])]
         for j in range(1, (m - 1) // 2 + 1):
             zj = zeta(m, j)
-            rho_s2 = [[_c(0), zeta(m, -j)], [zj, _c(0)]]
+            rho_s2 = [[0, zeta(m, -j)], [zj, 0]]
             irreps.append((f"rho{j}", [swap, rho_s2]))
         cat[f"I2_{m}"] = dict(
             rank=2, family="real",
@@ -264,15 +254,15 @@ def _catalogue():
 
     for m in range(2, 5):
         z = zeta(m)
-        swap = _mat([[0, 1], [1, 0]])
-        delta = [[z, _c(0)], [_c(0), _c(1)]]
+        swap = [[0, 1], [1, 0]]
+        delta = [[z, 0], [0, 1]]
         irreps = []
         for j in range(m):
-            irreps.append((f"chi{j}p", [_mat([[1]]), [[zeta(m, j)]]]))
-            irreps.append((f"chi{j}m", [_mat([[-1]]), [[zeta(m, j)]]]))
+            irreps.append((f"chi{j}p", [[[1]], [[zeta(m, j)]]]))
+            irreps.append((f"chi{j}m", [[[-1]], [[zeta(m, j)]]]))
         for j in range(m):
             for k in range(j + 1, m):
-                dj = [[zeta(m, j), _c(0)], [_c(0), zeta(m, k)]]
+                dj = [[zeta(m, j), 0], [0, zeta(m, k)]]
                 irreps.append((f"rho{j}{k}", [swap, dj]))
         cat[f"G{m}_1_2"] = dict(
             rank=2, family="gm12",
@@ -354,12 +344,12 @@ def _find_reflection_data(mat, family):
     # (s - 1) alpha_check = (lambda - 1) alpha_check
     img = linalg.mat_vec(diff, alpha_check)
     pivot = next(i for i, x in enumerate(alpha_check) if x)
-    lam = img[pivot] / alpha_check[pivot] + 1
+    lam = rational(img[pivot] * reciprocal(alpha_check[pivot]) + 1)
     if lam == 1:
         return None
     pairing = sum(a * b for a, b in zip(alpha_check, alpha))
-    target = 2 if family == "real" else 1
-    alpha = [x * target / pairing for x in alpha]
+    scale = (2 if family == "real" else 1) * reciprocal(pairing)
+    alpha = [rational(x * scale) for x in alpha]
     return alpha, alpha_check, lam
 
 
@@ -447,7 +437,7 @@ def _invariant_generators(group, matrices):
                 cur = poly.p_mul(cur, f)
                 k += 1
 
-        extend(0, d, {tuple([0] * n): Fraction(1)})
+        extend(0, d, {tuple([0] * n): 1})
         basis = linalg.column_space_basis([v for v in prods if any(x for x in v)])
         pick = None
         for v in inv_vecs:
@@ -497,7 +487,7 @@ def _verify_reflection(group, r):
     if lhs != [r.lam * x for x in r.alpha_check]:
         raise AssertionError("s(coroot) = lambda coroot")
     B = group.h_star_matrix(r.element_index)
-    lam_inv = 1 / r.lam
+    lam_inv = reciprocal(r.lam)
     if linalg.mat_vec(B, r.alpha) != [lam_inv * x for x in r.alpha]:
         raise AssertionError("s(alpha) = lambda^-1 alpha")
     pairing = sum(a * b for a, b in zip(r.alpha_check, r.alpha))

@@ -1,14 +1,18 @@
-"""Dense exact linear algebra over Fraction / cyclotomic entries.
+"""Dense exact linear algebra over rational and cyclotomic entries.
 
-Matrices are lists of rows; vectors are lists.  Entries only need +, -, *, /,
-equality and truthiness-as-nonzero, so Fraction and CyclotomicScalar mix
-freely (integer zeros and ones are fine too).  Everything is exact; there is
-no pivoting for numerical stability because there is no rounding.
+Matrices are lists of rows; vectors are lists.  Entries only need +, -, *,
+equality and truthiness-as-nonzero, so ints, Fractions and CyclotomicScalars
+mix freely; division goes through scalars.reciprocal, never through `/`,
+which would turn two ints into a float.  rref keeps rational entries in the
+rational form of scalars.py (an int when integral), so its results, and
+those of nullspace, solve and inverse built on it, hold no Fraction with
+denominator 1.  Everything is exact; there is no pivoting for numerical
+stability because there is no rounding.
 """
 
 from fractions import Fraction
 
-from .scalars import as_fraction, reciprocal
+from .scalars import as_fraction, rational, reciprocal
 
 
 def zeros(r, c):
@@ -63,7 +67,7 @@ def mat_sub(a, b):
 
 
 def mat_scale(c, m):
-    return [[c * x for x in row] for row in m]
+    return [[rational(c * x) for x in row] for row in m]
 
 
 def mean_gram(mats):
@@ -93,7 +97,9 @@ def kron(a, b):
 
 
 def rref(m):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    """Reduced row echelon form; returns (matrix, pivot column list).
+    Rational entries of the result are in the rational form, zeros are
+    ints."""
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -108,21 +114,27 @@ def rref(m):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        # invert once: a cyclotomic inverse is a whole extended Euclid,
-        # and an int pivot inverts to a Fraction, never a float
+        # invert once: a cyclotomic inverse is a whole extended Euclid
         inv = reciprocal(a[r][c])
-        a[r] = [x * inv if x else x for x in a[r]]
+        a[r] = [rational(x * inv) if x else 0 for x in a[r]]
         support = [(j, y) for j, y in enumerate(a[r]) if y]
         for i in range(rows):
             f = a[i][c]
             if i != r and f:
                 row = a[i]
                 for j, y in support:
-                    row[j] = row[j] - f * y
+                    # scalars.rational, inlined on this hot path
+                    x = row[j] - f * y
+                    if type(x) is Fraction and x.denominator == 1:
+                        x = x.numerator
+                    row[j] = x
         pivots.append(c)
         r += 1
         if r == rows:
             break
+    # the rows below the pivots are zero; write them as ints like the rest
+    for i in range(r, rows):
+        a[i] = [0] * cols
     return a, pivots
 
 
@@ -237,7 +249,7 @@ def psd_report(g):
     n = len(g)
     a = [[as_fraction(x) for x in row] for row in g]
     # cumulative transform: current a equals E g E^T
-    E = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    E = identity(n)
     remaining = list(range(n))
     pivots = []
     while remaining:
@@ -252,8 +264,8 @@ def psd_report(g):
             for i in remaining:
                 for j in remaining:
                     if i < j and a[i][j]:
-                        s = a[i][j]
-                        v = [E[j][k] - E[i][k] / s for k in range(n)]
+                        inv = reciprocal(a[i][j])
+                        v = [E[j][k] - E[i][k] * inv for k in range(n)]
                         return {"psd": False, "pivots": pivots,
                                 "witness": v, "step": len(pivots)}
             break
@@ -265,7 +277,7 @@ def psd_report(g):
         remaining.remove(piv)
         for j in remaining:
             if a[j][piv]:
-                f = a[j][piv] / d
+                f = a[j][piv] * reciprocal(d)
                 for k in range(n):
                     a[j][k] -= f * a[piv][k]
                     E[j][k] -= f * E[piv][k]

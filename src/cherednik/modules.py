@@ -133,7 +133,7 @@ class GradedModule:
                 if d > k:
                     continue
                 for m in poly.monomials(self.n, k - d):
-                    prod = poly.p_mul({m: Fraction(1)}, f)
+                    prod = poly.p_mul({m: 1}, f)
                     rows.append(poly.to_vector(prod, monos))
             if rows:
                 red, pivots = linalg.rref(rows)
@@ -209,7 +209,7 @@ class GradedModule:
         columns = []
         for mpos in self.selected(k):
             key = (monos[mpos], 0, _zero_exp(n))
-            prod = helem * self.family.element({key: Fraction(1)})
+            prod = helem * self.family.element({key: 1})
             column = []
             for (a, w, b), coeff in prod.terms.items():
                 k2 = sum(a)
@@ -473,8 +473,8 @@ def _zero_scalar_cells(module):
         for l in range(module.n + 1):
             # the scalar falls by 2 per polynomial degree: d(k) = d(0) - 2k
             try:
-                k2 = as_fraction(d_squared_scalar(g, module.sigma, mu, 0, l,
-                                                  c)) / 2
+                k2 = Fraction(as_fraction(d_squared_scalar(
+                    g, module.sigma, mu, 0, l, c)), 2)
             except NotRational:
                 break
             if k2.denominator != 1 or k2 < 0:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import linalg
 from .clifford import CliffordAlgebra, polarized_algebra
 from .poly import Terms, acc, substitute_linear
-from .scalars import real_sign, reciprocal, scalar_str
+from .scalars import rational, real_sign, reciprocal, scalar_str
 
 
 def _unit(n, j):
@@ -350,7 +350,8 @@ def _c_map(group, c):
         extra = [nm for nm in c if nm not in names]
         if extra:
             raise ValueError("unknown reflection class(es) %s" % ", ".join(extra))
-        return dict(c)
+        return {nm: rational(v) for nm, v in c.items()}
+    c = rational(c)
     return {nm: c for nm in names}
 
 
@@ -371,7 +372,7 @@ def cherednik_forms(group, t, c_map, c_override=None):
     if t != 0:
         a1 = linalg.zeros(2 * n, 2 * n)
         for i in range(n):
-            a1[2 * i + 1][2 * i] = Fraction(t) if isinstance(t, int) else t
+            a1[2 * i + 1][2 * i] = rational(t)
             a1[2 * i][2 * i + 1] = -a1[2 * i + 1][2 * i]
         forms[0] = a1
     for r in group.reflections:
@@ -384,7 +385,7 @@ def cherednik_forms(group, t, c_map, c_override=None):
         mat = linalg.zeros(2 * n, 2 * n)
         for i in range(n):
             for j in range(n):
-                val = -cs * r.alpha[i] * r.alpha_check[j] * pinv
+                val = rational(-cs * r.alpha[i] * r.alpha_check[j] * pinv)
                 if val != 0:
                     mat[2 * i + 1][2 * j] = val
                     mat[2 * j][2 * i + 1] = -val
@@ -524,7 +525,7 @@ def corrupted_family(group, kind=None):
     if kind == "nonskew":
         forms = cherednik_forms(group, 1, _c_map(group, 1))
         bad = forms[group.reflections[0].element_index]
-        bad[0][0] = Fraction(1)
+        bad[0][0] = 1
         return FormFamily(group, forms, preset_tag="corrupted")
     if kind == "class":
         cm = _c_map(group, 1)
@@ -538,7 +539,7 @@ def corrupted_family(group, kind=None):
                 break
         if first is None:
             raise ValueError("every reflection class is a singleton")
-        forms = cherednik_forms(group, 1, cm, c_override={first: Fraction(2)})
+        forms = cherednik_forms(group, 1, cm, c_override={first: 2})
         return FormFamily(group, forms, preset_tag="corrupted")
     if kind == "radical":
         # the natural symplectic pairing is W-invariant but nondegenerate,
@@ -546,8 +547,8 @@ def corrupted_family(group, kind=None):
         cls = group.reflections[0].class_name
         j = linalg.zeros(2 * n, 2 * n)
         for i in range(n):
-            j[2 * i][2 * i + 1] = Fraction(1)
-            j[2 * i + 1][2 * i] = Fraction(-1)
+            j[2 * i][2 * i + 1] = 1
+            j[2 * i + 1][2 * i] = -1
         forms = {r.element_index: [row[:] for row in j]
                  for r in group.reflections if r.class_name == cls}
         return FormFamily(group, forms, preset_tag="corrupted")
@@ -563,8 +564,8 @@ def corrupted_family(group, kind=None):
         if target is None:
             raise ValueError("no non-reflection involution in this group")
         j = linalg.zeros(n, n)
-        j[0][1] = Fraction(1)
-        j[1][0] = Fraction(-1)
+        j[0][1] = 1
+        j[1][0] = -1
         return FormFamily(group, {target: j}, preset_tag="corrupted",
                           space="orthogonal")
     raise ValueError("unknown corruption kind %r" % kind)

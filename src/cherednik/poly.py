@@ -8,14 +8,19 @@ the algebra, family or group its keys belong to.  Zero coefficients are
 always stripped, so dict equality is equality.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 
 def acc(d, key, val):
-    """Add val to d[key] in place, dropping the key when the sum is zero."""
+    """Add val to d[key] in place, dropping the key when the sum is zero.
+    A sum stays in the rational form: an integral Fraction is stored as
+    its int (scalars.rational, inlined on this hot path)."""
     s = d.get(key)
     s = val if s is None else s + val
     if s:
+        if type(s) is Fraction and s.denominator == 1:
+            s = s.numerator
         d[key] = s
     else:
         d.pop(key, None)

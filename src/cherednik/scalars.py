@@ -1,5 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
+The rational form: across the package a rational value is an int when it
+is integral and a Fraction only when its denominator is > 1 (never a
+float, never a Fraction with denominator 1); rational() puts a value in
+that form.  Python's int does the same arithmetic as Fraction in C, and
+most rationals met here (group matrices, unit coefficients, c = 1 or 2)
+are integers.  CyclotomicScalar values keep their own canonical form.
+
 An element is stored in the power basis modulo the N-th cyclotomic
 polynomial, as integer numerators over one positive common denominator.
 Phi_N is monic over Z, so reduction, products, sums and field maps run on
@@ -418,12 +425,23 @@ def conjugate(a):
     return a.conjugate()
 
 
+def rational(x):
+    """x in the rational form: an integral Fraction becomes its int; ints,
+    other Fractions and CyclotomicScalars are returned unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def reciprocal(x):
-    """Exact 1/x of an int, Fraction or CyclotomicScalar; ints give
-    Fractions, never floats."""
+    """Exact 1/x of an int, Fraction or CyclotomicScalar, in the rational
+    form for rationals: 1/-1 is -1, 1/2 is Fraction(1, 2); never a float."""
     if isinstance(x, CyclotomicScalar):
         return x.inverse()
-    return 1 / Fraction(x)
+    if type(x) is int:
+        return x if x == 1 or x == -1 else Fraction(1, x)
+    x = Fraction(x)
+    return rational(Fraction(x.denominator, x.numerator))
 
 
 def as_fraction(x) -> Fraction:
@@ -525,17 +543,26 @@ def scalar_map_str(m) -> dict:
 _CYCLO_RE = re.compile(r"cyclo\((\d+);\s*(.*)\)\s*$")
 
 
+def _parse_rational(text, whole):
+    try:
+        return rational(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {whole!r}") from None
+
+
 def parse_scalar(s: str):
-    """Inverse of scalar_str; also accepts bare integers like '7'."""
+    """Inverse of scalar_str; also accepts bare integers like '7'.
+    Rationals come back in the rational form; a zero denominator raises
+    ValueError naming the input."""
     s = s.strip()
     m = _CYCLO_RE.match(s)
     if not m:
-        return Fraction(s)
+        return _parse_rational(s, s)
     n = int(m.group(1))
     coeffs = {}
     body = m.group(2).strip()
     if body:
         for part in body.split(","):
             e, _, val = part.strip().partition(":")
-            coeffs[int(e)] = Fraction(val)
+            coeffs[int(e)] = _parse_rational(val, s)
     return reduce(coeffs, n)

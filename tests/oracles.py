@@ -90,6 +90,36 @@ def cyclotomic_conjugate_sympy(a, n):
     return _qq_dict(_qq_poly_at(flipped, n, n, x).rem(phi))
 
 
+def cyclotomic_field_sympy(n):
+    """QQ for n = 1, else sympy's number field QQ<zeta_n>, whose primitive
+    element is zeta_n itself (its modulus is Phi_n)."""
+    if n == 1:
+        return sympy.QQ
+    return sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / n))
+
+
+def domain_matrix_sympy(rows, ncols, n):
+    """A sympy DomainMatrix over cyclotomic_field_sympy(n) from a list of
+    rows of ints, Fractions or power-basis dicts exponent -> Fraction."""
+    from sympy.polys.matrices import DomainMatrix
+
+    field = cyclotomic_field_sympy(n)
+
+    def entry(x):
+        coeffs = x if isinstance(x, dict) else {0: Fraction(x)}
+        coeffs = {e: Fraction(c) for e, c in coeffs.items() if c}
+        if n == 1:
+            c = coeffs.get(0, Fraction(0))
+            return field(c.numerator, c.denominator)
+        top = max(coeffs, default=0)
+        return field([sympy.QQ(c.numerator, c.denominator)
+                      for c in (coeffs.get(e, Fraction(0))
+                                for e in range(top, -1, -1))])
+
+    return DomainMatrix([[entry(x) for x in row] for row in rows],
+                        (len(rows), ncols), field)
+
+
 # ---------------------------------------------------------------------------
 # polynomial / differential operator model of H_{1,0} = Weyl algebra x| W
 

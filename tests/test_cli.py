@@ -109,8 +109,15 @@ def test_mixed_c_values_rejected(capsys):
 
 def test_zero_denominator_exits_two(capsys):
     assert main(["partition", "--group", "B2", "--c", "1/0"]) == 2
-    # the whole of stderr: one error line and no traceback
-    assert capsys.readouterr().err == "error: Fraction(1, 0)\n"
+    # the whole of stderr: one error line naming the input, no traceback
+    assert (capsys.readouterr().err
+            == "error: zero denominator in scalar '1/0'\n")
+
+
+def test_zero_denominator_in_class_parameter_names_it(capsys):
+    assert main(["partition", "--group", "A1", "--c", "s=3/0"]) == 2
+    assert (capsys.readouterr().err
+            == "error: zero denominator in scalar '3/0'\n")
 
 
 def test_per_class_parameters(capsys):

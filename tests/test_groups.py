@@ -14,7 +14,7 @@ from cherednik.groups import (
     inner_product,
     isotypic_projector,
 )
-from cherednik.scalars import zeta
+from cherednik.scalars import reciprocal, zeta
 
 F = Fraction
 
@@ -149,7 +149,7 @@ def test_reflection_eigen_relations():
             assert linalg.mat_vec(s, r.alpha_check) == [r.lam * x
                                                         for x in r.alpha_check]
             B = g.h_star_matrix(r.element_index)
-            lam_inv = 1 / r.lam
+            lam_inv = reciprocal(r.lam)
             assert linalg.mat_vec(B, r.alpha) == [lam_inv * x for x in r.alpha]
             n = g.n
             dh = [[s[i][j] - (1 if i == j else 0) for j in range(n)]

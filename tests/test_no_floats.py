@@ -1,6 +1,8 @@
 """Exactness: no float enters any decision in the library.  Every value is
 an int, a Fraction or a CyclotomicScalar, and the only math functions used
-are integer-valued ones."""
+are integer-valued ones.  Rationals are ints when integral, and int / int is
+a float, so true division appears only in scalars.py; everywhere else it
+goes through scalars.reciprocal or Fraction(a, b)."""
 import ast
 import glob
 import os
@@ -33,6 +35,10 @@ def test_no_float_use_in_src():
                   and node.value.id == "math"
                   and node.attr not in INTEGER_MATH):
                 found.append(f"{where}:{node.lineno} math.{node.attr}")
+            elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div)
+                  and where != "scalars.py"):
+                found.append(f"{where}:{node.lineno} true division")
     assert not found, f"float use in src: {found}"
 
 

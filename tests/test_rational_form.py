@@ -1,0 +1,93 @@
+"""The rational form, checked where values are built: a rational is an int
+when it is integral and a Fraction only when its denominator is > 1
+(scalars.rational).  Cyclotomic values are CyclotomicScalars.  No float
+and no Fraction with denominator 1 appears in the catalogue's group data,
+in the parameters of H_{t,c}, in partition evidence or in the witnesses
+of the invariant factorization."""
+from fractions import Fraction
+
+import pytest
+
+from cherednik import calogero_moser
+from cherednik.calogero_moser import dirac_partition, verify_cm_factorization
+from cherednik.groups import CATALOGUE_IDS, build_group
+from cherednik.pbw import cherednik_family, invariant_form
+from cherednik.scalars import CyclotomicScalar
+
+
+def _scalars(obj):
+    """Every leaf of nested lists, tuples and dict values."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _scalars(x)
+    else:
+        yield obj
+
+
+def _off_form(obj):
+    return [x for x in _scalars(obj)
+            if not (type(x) is int
+                    or (type(x) is Fraction and x.denominator > 1)
+                    or isinstance(x, CyclotomicScalar))]
+
+
+def test_catalogue_lists_sixteen_groups():
+    assert len(CATALOGUE_IDS) == 16
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_group_data_is_in_rational_form(gid):
+    g = build_group(gid)
+    data = {
+        "elements": g.elements,
+        "h_star": [g.h_star_matrix(i) for i in range(g.order)],
+        "irreps": [g.irreps[label].matrices for label in g.irrep_labels],
+        "alpha": [r.alpha for r in g.reflections],
+        "alpha_check": [r.alpha_check for r in g.reflections],
+        "lam": [r.lam for r in g.reflections],
+        "character_table": g.character_table,
+        "invariants": g.invariant_generators,
+        "c": [cherednik_family(g, 1, c).params["c"]
+              for c in (1, Fraction(2), Fraction(1, 2))],
+    }
+    if g.family == "real":
+        # the symmetric invariant form exists on the real groups only
+        data["invariant_form"] = invariant_form(g)
+    for name, value in data.items():
+        assert not _off_form(value), (name, _off_form(value)[:3])
+
+
+def test_integral_parameters_are_ints():
+    g = build_group("B2")
+    assert all(type(v) is int
+               for v in cherednik_family(g, 1, Fraction(2)).params["c"]
+               .values())
+
+
+@pytest.mark.parametrize("gid", ["A2", "B2"])
+def test_partition_evidence_has_no_float(gid):
+    part = dirac_partition(build_group(gid), 1)
+    leaves = list(_scalars([part.evidence, part.c, part.undecided_pairs]))
+    assert leaves
+    assert not [x for x in leaves if isinstance(x, float)]
+    assert not _off_form(part.c)
+
+
+def test_factorization_witnesses_are_in_rational_form(monkeypatch):
+    found = []
+    decompose = calogero_moser.decompose_kernel_element
+
+    def recording(*args, **kw):
+        s, b = decompose(*args, **kw)
+        found.append(b)
+        return s, b
+
+    monkeypatch.setattr(calogero_moser, "decompose_kernel_element",
+                        recording)
+    verify_cm_factorization(build_group("A2"), 1, 3)
+    assert len(found) == 4
+    for b in found:
+        assert b.terms
+        assert not _off_form(b.terms)
