@@ -210,18 +210,20 @@ def _build_module(args, group, t, c):
     sigma = args.sigma
     if sigma is None:
         raise UsageError("--sigma is required")
-    if args.simple:
-        if t != 0:
-            raise UsageError("--simple needs --t 0")
-        try:
-            return one_dimensional_quotient(group, sigma, c)
-        except ValueError as err:
-            raise UsageError(str(err))
-    if t == 0:
-        return baby_verma(group, sigma, c)
+    if args.simple and t != 0:
+        raise UsageError("--simple needs --t 0")
     if t == 1:
-        return standard_module(group, sigma, c, K=args.K or 4)
-    raise UsageError("modules are implemented at t = 0 and t = 1")
+        if args.K is None:
+            return standard_module(group, sigma, c)
+        return standard_module(group, sigma, c, args.K)
+    if t != 0:
+        raise UsageError("modules are implemented at t = 0 and t = 1")
+    if args.K is not None:
+        raise UsageError("--K needs --t 1: a t = 0 module reports every "
+                         "degree")
+    if args.simple:
+        return one_dimensional_quotient(group, sigma, c)
+    return baby_verma(group, sigma, c)
 
 
 def cmd_dirac_cohomology(args):
@@ -263,7 +265,7 @@ def cmd_unitarity(args):
     if args.sigma is None:
         raise UsageError("--sigma is required")
     c = _parse_c(args.c)
-    report = unitarity_report(group, args.sigma, c, K=args.K or 4)
+    report = unitarity_report(group, args.sigma, c, args.K)
     report["t"] = "1/1"
     report["c"] = _c_strings(c)
     lines = [f"unitarity report for M({args.sigma}) over "

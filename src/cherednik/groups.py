@@ -655,13 +655,14 @@ def check_representation(rep, group) -> bool:
 
 def inner_product(group, chi, label):
     """<chi, chi_label> = (1/|W|) sum_C |C| chi(C) chi_label(C^-1) for a
-    class function chi listed per conjugacy class.  The value is returned
-    as computed; callers decide whether it must be a nonnegative integer."""
+    class function chi listed per conjugacy class, in the rational form
+    when rational; callers decide whether it must be a nonnegative
+    integer."""
     row = group.character_table[group.irrep_labels.index(label)]
     s = 0
     for cl, x, y in zip(group.conjugacy_classes, chi, row):
         s = s + len(cl) * x * conjugate(y)
-    return s * Fraction(1, group.order)
+    return rational(s * Fraction(1, group.order))
 
 
 def isotypic_projector(rep, irrep_label, group):

@@ -243,8 +243,8 @@ def psd_report(g):
       pivots: the nonzero pivots encountered, in elimination order
       witness: a vector v with v^T g v < 0, or None
       step: index (into pivot order) where the failure surfaced, or None
-    Raises NotRational on irrational entries; positivity is only decided
-    over Q.
+    Pivots and witness are in the rational form.  Raises NotRational on
+    irrational entries; positivity is only decided over Q.
     """
     n = len(g)
     a = [[as_fraction(x) for x in row] for row in g]
@@ -265,15 +265,17 @@ def psd_report(g):
                 for j in remaining:
                     if i < j and a[i][j]:
                         inv = reciprocal(a[i][j])
-                        v = [E[j][k] - E[i][k] * inv for k in range(n)]
+                        v = [rational(E[j][k] - E[i][k] * inv)
+                             for k in range(n)]
                         return {"psd": False, "pivots": pivots,
                                 "witness": v, "step": len(pivots)}
             break
         d = a[piv][piv]
         if d < 0:
             return {"psd": False, "pivots": pivots,
-                    "witness": list(E[piv]), "step": len(pivots)}
-        pivots.append(d)
+                    "witness": [rational(x) for x in E[piv]],
+                    "step": len(pivots)}
+        pivots.append(rational(d))
         remaining.remove(piv)
         for j in remaining:
             if a[j][piv]:

@@ -1,12 +1,13 @@
 """Graded modules over the rational Cherednik presets and their Dirac
 cohomology.
 
-Standard modules live on S(h*) (x) V_sigma with the polynomial grading
-and are built lazily, so the declared window K only bounds what gets
-reported.  Baby Verma modules (t = 0) live on the coinvariant algebra
-(x) V_sigma and are honestly finite dimensional.  The Dirac operator
-acts on cells (polynomial degree k, exterior degree l) of module (x)
-wedge(h); every matrix is exact.
+Every module is Delta(sigma) = S(h*) (x) V_sigma modulo J.Delta(sigma) for
+a graded ideal J of S(h*), with the polynomial grading: J = 0 gives the
+standard module at t = 1, the positive-degree invariants give the baby
+Verma module at t = 0, and J = h* its one-dimensional quotient.  Pieces
+are built lazily, degree by degree, so K only bounds what gets reported.
+The Dirac operator acts on cells (polynomial degree k, exterior degree l)
+of module (x) wedge(h); every matrix is exact.
 """
 
 import math
@@ -64,18 +65,19 @@ def d_squared_scalar(group, sigma, mu, k, l, c, t=1):
 
 
 class GradedModule:
-    """A graded module over a Cherednik preset with exact action tables.
+    """Delta(sigma) = S(h*) (x) V_sigma modulo J.Delta(sigma), for a graded
+    ideal J of S(h*) given by homogeneous generators (f, deg f), over a
+    Cherednik preset, with exact action tables.
 
-    kind "standard": the full polynomial module over the t=1 preset.
-    kind "baby": the baby Verma module over the t=0 preset, carried on a
-    monomial section of the coinvariant algebra.
-    kind "simple": x and y act by zero on V_sigma; only built when the
-    commutators [y_i, x_j] visibly kill sigma.
-    What does not depend on sigma (the monomial section, its reduction and
-    the straightened generators) is shared, per kind, through the family.
+    Degree k is carried on the monomials of degree k outside the pivots of
+    J_k (its ideal section), and a vector is reduced modulo J_k by the
+    echelon rows of J_k.  K is the top degree reported.  `kind` labels
+    the report and keys the sigma-independent data (the ideal sections
+    and the straightened generators) shared through the family, so one
+    kind names one ideal per family (another ideal is a ValueError).
     """
 
-    def __init__(self, kind, family, sigma, K):
+    def __init__(self, kind, family, sigma, K, ideal=()):
         self.kind = kind
         self.family = family
         self.group = family.group
@@ -88,81 +90,57 @@ class GradedModule:
         self.dim_sigma = self.rep.dimension
         self.K = K
         self._blocks = {}
-        shared = family._module_data
-        if kind not in shared:
-            self._sel, self._red = {}, {}
-            if kind == "baby":
-                self._coinvariant_sections()
-            elif kind == "simple":
-                self._sel[0] = [0]
-            shared[kind] = (self._sel, self._red, {})
-        self._sel, self._red, self._terms = shared[kind]
+        ideal = list(ideal)
+        shared = family._module_data.setdefault(kind, (ideal, {}, {}))
+        if shared[0] != ideal:
+            raise ValueError(f"module kind {kind!r} has another ideal on "
+                             f"this family")
+        self.ideal, self._sections, self._terms = shared
 
     # -- graded pieces
 
+    def _section(self, k):
+        """(kept monomial positions, [(pivot, echelon row)]) of degree k:
+        the rows span J_k on the degree-k monomials, and the non-pivot
+        monomials are kept as a basis of S^k / J_k."""
+        got = self._sections.get(k)
+        if got is None:
+            if k and not self._section(k - 1)[0]:
+                # J holds all of degree k - 1, hence all of degree k
+                got = ([], [])
+            else:
+                monos = poly.monomials(self.n, k)
+                rows = [poly.to_vector(poly.p_mul({m: 1}, f), monos)
+                        for f, d in self.ideal if d <= k
+                        for m in poly.monomials(self.n, k - d)]
+                red, pivots = linalg.rref(rows) if rows else ([], [])
+                taken = set(pivots)
+                got = ([i for i in range(len(monos)) if i not in taken],
+                       list(zip(pivots, red)))
+            self._sections[k] = got
+        return got
+
     def selected(self, k):
         """Positions of the kept degree-k monomials."""
-        if k < 0:
-            return []
-        if self.kind == "standard":
-            got = self._sel.get(k)
-            if got is None:
-                got = list(range(len(poly.monomials(self.n, k))))
-                self._sel[k] = got
-            return got
-        return self._sel.get(k, [])
+        return self._section(k)[0] if k >= 0 else []
 
     def piece_dim(self, k):
         return len(self.selected(k)) * self.dim_sigma
 
     def degrees(self):
-        if self.kind == "standard":
-            return list(range(self.K + 1))
-        return sorted(k for k, s in self._sel.items() if s)
-
-    def _coinvariant_sections(self):
-        g = self.group
-        degrees = g.invariant_degrees
-        gens = list(zip(g.invariant_generators, degrees))
-        top = sum(d - 1 for d in degrees)
-        total = 0
-        for k in range(top + 1):
-            monos = poly.monomials(self.n, k)
-            rows = []
-            for f, d in gens:
-                if d > k:
-                    continue
-                for m in poly.monomials(self.n, k - d):
-                    prod = poly.p_mul({m: 1}, f)
-                    rows.append(poly.to_vector(prod, monos))
-            if rows:
-                red, pivots = linalg.rref(rows)
-                red = red[:len(pivots)]
-            else:
-                red, pivots = [], []
-            self._red[k] = (red, list(pivots))
-            taken = set(pivots)
-            self._sel[k] = [i for i in range(len(monos)) if i not in taken]
-            total += len(self._sel[k])
-        if total != g.order:
-            raise AssertionError("coinvariant dimension mismatch")
+        return [k for k in range(self.K + 1) if self.selected(k)]
 
     def _reduce(self, k, vec):
-        """Normal form of a degree-k coefficient vector on the kept
-        monomials."""
-        sel = self.selected(k)
-        if not sel:
-            return []
-        if self.kind == "baby":
-            red, pivots = self._red[k]
-            vec = list(vec)
-            for row, p in zip(red, pivots):
-                cv = vec[p]
-                if cv:
-                    for j, rv in enumerate(row):
-                        if rv:
-                            vec[j] = vec[j] - cv * rv
-        return [vec[i] for i in sel]
+        """Normal form modulo J_k of a degree-k coefficient vector, on the
+        kept monomials; vec is overwritten."""
+        kept, rows = self._section(k)
+        for p, row in rows:
+            cv = vec[p]
+            if cv:
+                for j, rv in enumerate(row):
+                    if rv:
+                        vec[j] = vec[j] - cv * rv
+        return [vec[i] for i in kept]
 
     # -- actions
 
@@ -241,7 +219,7 @@ class GradedModule:
         return self._gen_block(("x_gen", i), k, k + 1)
 
     def y_block(self, i, k):
-        if k == 0 or not self.selected(k) or not self.selected(k - 1):
+        if not self.selected(k) or not self.selected(k - 1):
             return None
         return self._gen_block(("y_gen", i), k, k - 1)
 
@@ -252,24 +230,35 @@ class GradedModule:
 
 
 def standard_module(group, sigma, c, K=4):
+    """Delta(sigma) over t = 1 (J = 0), reported up to degree K."""
+    if K < 0:
+        raise ValueError(f"K must be >= 0, not {K}")
     return GradedModule("standard", cherednik_family(group, 1, c), sigma, K)
 
 
 def baby_verma(group, sigma, c):
-    return GradedModule("baby", cherednik_family(group, 0, c), sigma, 0)
+    """Delta(sigma) modulo the invariants of positive degree over t = 0,
+    carried on the coinvariant algebra: |W| monomials up to the top
+    degree sum(d_i - 1)."""
+    degrees = group.invariant_degrees
+    module = GradedModule("baby", cherednik_family(group, 0, c), sigma,
+                          sum(d - 1 for d in degrees),
+                          zip(group.invariant_generators, degrees))
+    if sum(len(module.selected(k)) for k in module.degrees()) != group.order:
+        raise AssertionError("coinvariant dimension mismatch")
+    return module
 
 
 def one_dimensional_quotient(group, sigma, c):
-    """The simple quotient with x = y = 0, available exactly when every
-    commutator [y_i, x_j] acts by zero on the one-dimensional sigma."""
-    fam = cherednik_family(group, 0, c)
-    try:
-        rep = group.irrep(sigma)
-    except UnknownGroup:
-        raise UnknownIrrep(sigma) from None
-    if rep.dimension != 1:
-        raise ValueError("the visible quotient needs dim(sigma) = 1")
+    """Delta(sigma) modulo h*.Delta(sigma) over t = 0: the simple quotient
+    with x = y = 0, available exactly when every commutator [y_i, x_j]
+    acts by zero on the one-dimensional sigma."""
     n = group.n
+    module = GradedModule("simple", cherednik_family(group, 0, c), sigma, 0,
+                          [({e: 1}, 1) for e in poly.monomials(n, 1)])
+    if module.dim_sigma != 1:
+        raise ValueError("the visible quotient needs dim(sigma) = 1")
+    fam = module.family
     for i in range(n):
         for j in range(n):
             comm = (fam.y_gen(i) * fam.x_gen(j)
@@ -278,11 +267,11 @@ def one_dimensional_quotient(group, sigma, c):
             for (a, w, b), coeff in comm.terms.items():
                 if any(a) or any(b):
                     raise AssertionError("commutator outside the group part")
-                total = total + coeff * rep.matrices[w][0][0]
+                total = total + coeff * module.rep.matrices[w][0][0]
             if total != 0:
                 raise ValueError(
                     f"[y_{i + 1}, x_{j + 1}] does not kill {sigma}")
-    return GradedModule("simple", fam, sigma, 0)
+    return module
 
 
 # --------------------------------------------------------------------------
@@ -642,11 +631,14 @@ def _contravariant_grams(module):
     return grams
 
 
-def unitarity_report(group, sigma, c, K):
+def unitarity_report(group, sigma, c, K=None):
     """Side-by-side unitarity evidence: exact Gram verdicts of the
     contravariant form by degree, and the Dirac inequality scan for the
-    standard module and its simple-quotient variant."""
-    module = standard_module(group, sigma, c, K)
+    standard module and its simple-quotient variant, up to degree K
+    (standard_module's default when None)."""
+    module = (standard_module(group, sigma, c) if K is None
+              else standard_module(group, sigma, c, K))
+    K = module.K
     grams = contravariant_form(module)
     verdicts = []
     all_psd = True

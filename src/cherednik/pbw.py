@@ -63,7 +63,7 @@ class FormFamily:
         self._wx = {}
         self._wy = {}
         self._ins = {}
-        # per module kind, the sigma-independent data of modules.GradedModule
+        # per module kind: its ideal and sigma-independent GradedModule data
         self._module_data = {}
 
     # -- basic data

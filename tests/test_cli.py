@@ -98,6 +98,45 @@ def test_window_cap_is_usage_error(capsys):
     assert "K >= 3" in capsys.readouterr().err
 
 
+def _unitarity_degrees(capsys, argv):
+    code, payload = run_json(capsys, ["unitarity"] + argv)
+    assert code == 0
+    return payload["K"], [v["degree"] for v in payload["gram_verdicts"]]
+
+
+def test_k_zero_is_a_window_not_the_default(tmp_path, capsys):
+    argv = ["--group", "A1", "--sigma", "triv", "--c", "1/4"]
+    assert _unitarity_degrees(capsys, argv + ["--K", "0"]) == (0, [0])
+    assert _unitarity_degrees(capsys, argv) == (4, [0, 1, 2, 3, 4])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group = A1\nsigma = triv\nc = 1/4\nK = 0\n")
+    assert _unitarity_degrees(capsys, ["--config", str(cfg)]) == (0, [0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["unitarity", "--group", "A1", "--sigma", "triv", "--c", "1/4",
+     "--K", "-2"],
+    ["dirac-cohomology", "--group", "A1", "--t", "1", "--c", "1/3",
+     "--sigma", "triv", "--K", "-1"],
+])
+def test_negative_k_exits_two(capsys, argv):
+    assert main(argv) == 2
+    assert (capsys.readouterr().err
+            == f"error: K must be >= 0, not {argv[-1]}\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--simple"]])
+def test_k_with_t_zero_exits_two(tmp_path, capsys, extra):
+    argv = ["dirac-cohomology", "--group", "B2", "--t", "0", "--c", "1",
+            "--sigma", "11x0"] + extra
+    assert main(argv + ["--K", "1"]) == 2
+    assert "--K needs --t 1" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K = 0\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "--K needs --t 1" in capsys.readouterr().err
+
+
 def test_missing_group_exit_two(capsys):
     assert main(["partition", "--c", "1"]) == 2
 

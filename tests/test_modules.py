@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik import linalg
+from cherednik import linalg, poly
 from cherednik.dirac import UnknownIrrep, casimir_scalar
-from cherednik.groups import WRepresentation, build_group, isotypic_projector
+from cherednik.groups import (
+    CATALOGUE_IDS,
+    WRepresentation,
+    build_group,
+    isotypic_projector,
+)
 from cherednik.modules import (
     DiracOperatorMatrix,
     GradedModule,
@@ -136,19 +141,22 @@ def test_h_weight_equals_casimir_on_real_groups():
                 casimir_scalar(sigma, Fraction(2, 7), g)
 
 
-def test_coinvariant_dims():
-    expected = {
-        "A1": [1, 1],
-        "A2": [1, 2, 2, 1],
-        "B2": [1, 2, 2, 2, 1],
-        "Z4": [1, 1, 1, 1],
-    }
-    for gid, dims in expected.items():
-        g = build_group(gid)
-        m = baby_verma(g, g.irrep_labels[0], 1)
-        got = [m.piece_dim(k) // m.dim_sigma for k in m.degrees()]
-        assert got == dims
-        assert sum(got) == g.order
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_coinvariant_dims(gid):
+    """The ideal sections of the baby Verma module have Chevalley's
+    Poincare polynomial prod_i (1 + q + ... + q^(d_i - 1)), whose degree is
+    the number of reflections; nothing survives above it."""
+    g = build_group(gid)
+    poincare = [1]
+    for d in g.invariant_degrees:
+        # times 1 + q + ... + q^(d - 1)
+        poincare = [sum(poincare[max(0, k - d + 1):k + 1])
+                    for k in range(len(poincare) + d - 1)]
+    m = baby_verma(g, g.irrep_labels[0], 1)
+    assert m.K == len(g.reflections) == len(poincare) - 1
+    assert [len(m.selected(k)) for k in range(m.K + 2)] == poincare + [0]
+    assert m.degrees() == list(range(m.K + 1))
+    assert sum(poincare) == g.order
 
 
 def test_baby_invariant_generator_acts_by_zero():
@@ -174,6 +182,8 @@ def test_simple_quotient_existence():
 def test_simple_quotient_kills_generators():
     g = build_group("B2")
     m = one_dimensional_quotient(g, "11x0", 1)
+    assert m.degrees() == [0]
+    assert m.selected(0) == [0] and m.selected(1) == []
     fam = m.family
     for i in range(2):
         assert nonzero_blocks(m.action_blocks(fam.x_gen(i), 0)) == {}
@@ -184,33 +194,61 @@ def test_simple_quotient_kills_generators():
 def test_shared_generator_blocks_match_fresh_modules(gid):
     """Blocks read from the straightening shared across sigma equal the
     uncached action of the generator elements on a module built over a
-    fresh family; sigma runs in reverse label order so the shared data
-    is filled by a different irrep than the catalogue's first."""
+    fresh family, for the baby Verma modules and, where they exist, the
+    one-dimensional quotients; sigma runs in reverse label order so the
+    shared data is filled by a different irrep than the catalogue's
+    first."""
     g = build_group(gid)
     c = Fraction(1, 3)
+    degrees = g.invariant_degrees
+    ideals = {
+        "baby": (sum(d - 1 for d in degrees),
+                 list(zip(g.invariant_generators, degrees))),
+        "simple": (0, [({e: 1}, 1) for e in poly.monomials(g.n, 1)]),
+    }
+    simple = []
     for sigma in reversed(g.irrep_labels):
-        m = baby_verma(g, sigma, c)
-        fam = FormFamily(g, cherednik_forms(g, 0, _c_map(g, c)))
-        ref = GradedModule("baby", fam, sigma, 0)
-        assert m.degrees() == ref.degrees()
+        modules = [baby_verma(g, sigma, c)]
+        try:
+            modules.append(one_dimensional_quotient(g, sigma, c))
+            simple.append(sigma)
+        except ValueError:
+            pass
+        for m in modules:
+            fam = FormFamily(g, cherednik_forms(g, 0, _c_map(g, c)))
+            ref = GradedModule(m.kind, fam, sigma, *ideals[m.kind])
+            _check_blocks_match(g, m, ref, fam)
+    # A2 has no one-dimensional quotient at c = 1/3; the others have two
+    assert len(simple) == (0 if gid == "A2" else 2)
 
-        def want(elem, k, target):
-            got = ref.action_blocks(elem, k).get(target)
-            if got is None:
-                return linalg.zeros(ref.piece_dim(target), ref.piece_dim(k))
-            return got
 
-        for k in m.degrees():
-            for i in range(g.n):
-                for blk, elem, target in (
-                        (m.x_block(i, k), fam.x_gen(i), k + 1),
-                        (m.y_block(i, k), fam.y_gen(i), k - 1)):
-                    if blk is None:
-                        assert target not in m.degrees()
-                    else:
-                        assert blk == want(elem, k, target)
-            for w in range(g.order):
-                assert m.w_block(w, k) == want(fam.group_element(w), k, k)
+def _check_blocks_match(g, m, ref, fam):
+    assert m.degrees() == ref.degrees()
+
+    def want(elem, k, target):
+        got = ref.action_blocks(elem, k).get(target)
+        if got is None:
+            return linalg.zeros(ref.piece_dim(target), ref.piece_dim(k))
+        return got
+
+    for k in m.degrees():
+        for i in range(g.n):
+            for blk, elem, target in (
+                    (m.x_block(i, k), fam.x_gen(i), k + 1),
+                    (m.y_block(i, k), fam.y_gen(i), k - 1)):
+                if blk is None:
+                    assert target not in m.degrees()
+                else:
+                    assert blk == want(elem, k, target)
+        for w in range(g.order):
+            assert m.w_block(w, k) == want(fam.group_element(w), k, k)
+
+
+def test_module_kind_names_one_ideal_per_family():
+    g = build_group("B2")
+    fam = baby_verma(g, "2x0", 1).family
+    with pytest.raises(ValueError, match="another ideal"):
+        GradedModule("baby", fam, "1x1", 4)
 
 
 def test_modules_share_one_family_per_t_and_c():

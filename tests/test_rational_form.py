@@ -10,9 +10,10 @@ import pytest
 
 from cherednik import calogero_moser
 from cherednik.calogero_moser import dirac_partition, verify_cm_factorization
-from cherednik.groups import CATALOGUE_IDS, build_group
+from cherednik.groups import CATALOGUE_IDS, build_group, inner_product
+from cherednik.linalg import psd_report
 from cherednik.pbw import cherednik_family, invariant_form
-from cherednik.scalars import CyclotomicScalar
+from cherednik.scalars import CyclotomicScalar, NotRational, zeta
 
 
 def _scalars(obj):
@@ -91,3 +92,29 @@ def test_factorization_witnesses_are_in_rational_form(monkeypatch):
     for b in found:
         assert b.terms
         assert not _off_form(b.terms)
+
+
+@pytest.mark.parametrize("gram,psd,pivots,witness", [
+    ([[2, 1], [1, 2]], True, [2, Fraction(3, 2)], None),
+    # a negative pivot: the witness is a row of the congruence transform
+    ([[1, 2], [2, 1]], False, [1], [-2, 1]),
+    # a vanishing diagonal against a nonzero off-diagonal entry
+    ([[0, 2], [2, 0]], False, [], [Fraction(-1, 2), 1]),
+])
+def test_psd_report_is_in_rational_form(gram, psd, pivots, witness):
+    rep = psd_report(gram)
+    assert (rep["psd"], rep["pivots"], rep["witness"]) == (psd, pivots,
+                                                           witness)
+    assert not _off_form([rep["pivots"], rep["witness"] or []])
+
+
+def test_psd_report_refuses_irrational_entries():
+    with pytest.raises(NotRational):
+        psd_report([[zeta(5)]])
+
+
+def test_inner_product_is_in_rational_form():
+    g = build_group("B2")
+    triv = g.character_table[0]
+    got = inner_product(g, triv, g.irrep_labels[0])
+    assert got == 1 and type(got) is int
