@@ -11,7 +11,6 @@ of module (x) wedge(h); every matrix is exact.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, poly
@@ -19,7 +18,7 @@ from .clifford import _spin_generator_matrices, tau_spin
 from .dirac import UnknownIrrep, casimir_scalar
 from .groups import UnknownGroup, class_character, inner_product
 from .pbw import cherednik_family
-from .scalars import NotRational, as_fraction
+from .scalars import NotRational, as_fraction, reciprocal
 
 
 class WindowExceedsCap(ValueError):
@@ -54,7 +53,8 @@ def h_weight(sigma, c, group):
 def d_squared_scalar(group, sigma, mu, k, l, c, t=1):
     """Scalar of the Dirac square on the mu-isotypic of the (k, l) cell,
     mu taken in the natural diagonal W-action on S^k (x) V_sigma (x)
-    wedge^l(h)."""
+    wedge^l(h): on standard modules, and at t = 0 on baby Verma modules
+    and their quotients."""
     n = group.n
     base = h_weight(sigma, c, group) + casimir_scalar(mu, c, group)
     return base - 2 * t * (k + n - l)
@@ -453,24 +453,39 @@ def _span_character(basis, blocks, classes):
 
 
 def _zero_scalar_cells(module):
-    """For a standard module: {mu: sorted cells} where the Dirac square
-    scalar vanishes and the mu-isotypic is nonzero."""
-    g = module.group
-    c = module.family.params["c"]
-    out = {}
+    """{cell: dim ker D^2} over the cells whose D^2 scalar (d_squared_scalar)
+    vanishes on a nonzero isotypic: at t != 0 in one degree per (mu, l),
+    as the scalar falls by 2t per degree, and at t = 0 in every degree or
+    in none.  Multiplicities come from the module's own character, so J = 0
+    and quotients follow one rule.  WindowExceedsCap names the largest
+    zero-scalar degree when it passes K."""
+    g, n = module.group, module.n
+    c, t = module.family.params["c"], module.family.params["t"]
+    hw = h_weight(module.sigma, c, g)
+    found, chars, out = [], {}, {}
     for mu in g.irrep_labels:
-        for l in range(module.n + 1):
-            # the scalar falls by 2 per polynomial degree: d(k) = d(0) - 2k
-            try:
-                k2 = Fraction(as_fraction(d_squared_scalar(
-                    g, module.sigma, mu, 0, l, c)), 2)
-            except NotRational:
-                break
-            if k2.denominator != 1 or k2 < 0:
-                continue
-            k = int(k2)
-            if cell_multiplicity(g, module.sigma, k, l, mu) > 0:
-                out.setdefault(mu, []).append((k, l))
+        base = hw + casimir_scalar(mu, c, g)
+        if t == 0:
+            found += [(k, l, mu) for k in module.degrees()
+                      for l in range(n + 1) if base == 0]
+            continue
+        try:
+            k0 = as_fraction(base * reciprocal(2 * t)) - n
+        except NotRational:
+            continue
+        found += [(int(k0) + l, l, mu) for l in range(n + 1)
+                  if k0.denominator == 1 and k0 + l >= 0]
+    # from the top degree down, so a window past K is refused at once
+    for k, l, mu in sorted(found, reverse=True):
+        if k not in chars:
+            chars[k] = class_character(
+                g, lambda w: module.w_block(w, k) or [])
+        mult = _multiplicity(g, [a * b for a, b in zip(
+            chars[k], _wedge_char(g, l))], mu)
+        if mult and k > module.K:
+            raise WindowExceedsCap(k)
+        if mult:
+            out[(k, l)] = out.get((k, l), 0) + g.dim_of(mu) * mult
     return out
 
 
@@ -491,25 +506,23 @@ def dirac_cohomology(module):
     """Exact Dirac cohomology report for a graded module.
 
     The up and down parts of D each square to zero, so D^2 = D_x D_y +
-    D_y D_x preserves every cell and acts on each W-isotypic there by a
-    scalar.  Hence ker D and its intersection with im D, which is D(Z),
-    both lie in Z = ker D^2, found cell by cell.  Standard modules meet Z
-    only on the zero-scalar window (checked against the cell
-    multiplicities); baby Verma and simple modules use every nonempty
-    cell.  D is applied once to a basis of Z, and since D(Z) ~
-    Z / ker(D|Z) as W-modules, H_D has character 2 chi_ker - chi_Z.
+    D_y D_x preserves every cell and acts on each W-isotypic there by
+    d_squared_scalar.  Hence ker D and D(Z) = ker D n im D lie in
+    Z = ker D^2, which lives on the cells of _zero_scalar_cells; only there
+    is D^2 built, and its nullspace is checked against them.  D is applied
+    once to a basis of Z, and since D(Z) ~ Z / ker(D|Z) as W-modules, H_D
+    has character 2 chi_ker - chi_Z.  A module that ends by degree K
+    reports every nonempty cell as its window and rank D as image_dim;
+    any other reports the zero-scalar window and image_dim = dim D(Z).
+    A t = 0 module that goes on past K has no such window: ValueError.
     """
+    finite = not module.selected(module.K + 1)
+    if not finite and module.family.params["t"] == 0:
+        raise ValueError(f"a t = 0 module must end by degree K = {module.K}")
+    want = _zero_scalar_cells(module)
     dirac = DiracOperatorMatrix(module)
     g = module.group
-    if module.kind == "standard":
-        by_mu = _zero_scalar_cells(module)
-        needed = max((k for cells in by_mu.values() for k, _ in cells),
-                     default=0)
-        if needed > module.K:
-            raise WindowExceedsCap(needed)
-        cellset = sorted({cell for cells in by_mu.values() for cell in cells})
-    else:
-        cellset = [cell for cell in dirac.cells() if dirac.cell_dim(*cell)]
+    cellset = sorted(want)
 
     offsets = {}
     total = 0
@@ -527,14 +540,10 @@ def dirac_cohomology(module):
     for cell in cellset:
         zero = linalg.column_space_basis(
             linalg.nullspace(dirac.d_squared_on_cell(*cell)))
-        if module.kind == "standard":
-            want = sum(g.dim_of(mu)
-                       * cell_multiplicity(g, module.sigma, *cell, mu)
-                       for mu, cells in by_mu.items() if cell in cells)
-            if len(zero) != want:
-                raise AssertionError(
-                    f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
-                    f"its zero-scalar isotypics {want}")
+        if len(zero) != want[cell]:
+            raise AssertionError(
+                f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
+                f"its zero-scalar isotypics {want[cell]}")
         chi = _span_character(zero, [(0, wmats[cell])], classes)
         chi_z = [a + b for a, b in zip(chi_z, chi)]
         zbasis.extend((cell, v) for v in zero)
@@ -571,16 +580,17 @@ def dirac_cohomology(module):
                 cell for cell in cellset
                 if _multiplicity(g, chi_cells[cell], mu)]})
     overlap_dim = len(zbasis) - len(ker)
+    window = dirac.cells() if finite else cellset
     return {
         "group": g.catalogue_id,
         "kind": module.kind,
         "sigma": module.sigma,
         "H_D": entries,
         "kernel_dim": len(ker),
-        "image_dim": (overlap_dim if module.kind == "standard"
-                      else total - len(ker)),
+        "image_dim": (sum(dirac.cell_dim(*cell) for cell in window)
+                      - len(ker) if finite else overlap_dim),
         "overlap_dim": overlap_dim,
-        "window": [list(cell) for cell in cellset],
+        "window": [list(cell) for cell in window],
     }
 
 
@@ -592,7 +602,7 @@ def contravariant_form(module):
     """Gram matrices {degree: matrix} of the contravariant form on a
     standard module, seeded by the group-averaged inner product on
     V_sigma and propagated by the star pairing (x_i against y_i)."""
-    if module.kind != "standard":
+    if module.family.params["t"] != 1 or any(f for f, _ in module.ideal):
         raise ValueError("contravariant forms live on standard modules")
     try:
         return _contravariant_grams(module)

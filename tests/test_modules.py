@@ -16,6 +16,7 @@ from cherednik.modules import (
     GradedModule,
     UnsupportedField,
     WindowExceedsCap,
+    _zero_scalar_cells,
     baby_verma,
     cell_multiplicity,
     contravariant_form,
@@ -26,7 +27,13 @@ from cherednik.modules import (
     standard_module,
     unitarity_report,
 )
-from cherednik.pbw import FormFamily, _c_map, casimir_omega, cherednik_forms
+from cherednik.pbw import (
+    FormFamily,
+    _c_map,
+    casimir_omega,
+    cherednik_family,
+    cherednik_forms,
+)
 
 
 def compose_blocks(module, outer, inner):
@@ -488,6 +495,66 @@ def test_cohomology_simple_quotient_b2():
     ]
 
 
+def test_d_squared_kernels_follow_the_scalar_law_at_t_zero():
+    # the fast path (zero-scalar isotypics from characters) against the
+    # slow one (the nullspace of the D^2 matrix) on every nonempty cell
+    checked = 0
+    for gid in CATALOGUE_IDS:
+        g = build_group(gid)
+        for c in ((1, Fraction(1, 3)) if g.order <= 12 else (1,)):
+            for sigma in g.irrep_labels:
+                modules = [baby_verma(g, sigma, c)]
+                try:
+                    modules.append(one_dimensional_quotient(g, sigma, c))
+                except ValueError:
+                    pass
+                for m in modules:
+                    want = _zero_scalar_cells(m)
+                    d = DiracOperatorMatrix(m)
+                    for cell in d.cells():
+                        got = linalg.nullspace(d.d_squared_on_cell(*cell))
+                        assert len(got) == want.get(cell, 0), \
+                            (gid, c, sigma, m.kind, cell)
+                        checked += 1
+    assert checked == 2492
+
+
+def _without_kind(report):
+    return {key: v for key, v in report.items() if key != "kind"}
+
+
+def test_cohomology_ignores_the_label_of_a_standard_module():
+    g = build_group("A1")
+    fam = cherednik_family(g, 1, 3)
+    with pytest.raises(WindowExceedsCap) as err:
+        dirac_cohomology(GradedModule("mine", fam, "triv", 2))
+    assert err.value.minimal == 3
+    rep = dirac_cohomology(GradedModule("mine", fam, "triv", 3))
+    assert rep["kind"] == "mine"
+    assert _without_kind(rep) == _without_kind(
+        dirac_cohomology(standard_module(g, "triv", 3, 3)))
+
+
+def test_cohomology_ignores_the_label_of_a_baby_verma():
+    g = build_group("B2")
+    fam = cherednik_family(g, 0, 1)
+    degrees = g.invariant_degrees
+    for sigma in g.irrep_labels:
+        # the label of another module kind, on the baby Verma ideal
+        mine = GradedModule("standard", fam, sigma,
+                            sum(d - 1 for d in degrees),
+                            zip(g.invariant_generators, degrees))
+        assert _without_kind(dirac_cohomology(mine)) == _without_kind(
+            dirac_cohomology(baby_verma(g, sigma, 1)))
+
+
+def test_cohomology_refuses_an_unbounded_t_zero_module():
+    module = GradedModule("inf", cherednik_family(build_group("A1"), 0, 1),
+                          "triv", 3)
+    with pytest.raises(ValueError, match="end by degree K = 3"):
+        dirac_cohomology(module)
+
+
 # --------------------------------------------------------------------------
 # contravariant forms
 
@@ -570,6 +637,19 @@ def test_contravariant_needs_rational_entries():
     m = standard_module(g, "rho1", 1, K=2)
     with pytest.raises(UnsupportedField):
         contravariant_form(m)
+
+
+def test_contravariant_form_reads_the_ideal_and_t_not_the_label():
+    g = build_group("A1")
+    mine = GradedModule("mine", cherednik_family(g, 1, 3), "triv", 3)
+    assert contravariant_form(mine) == \
+        contravariant_form(standard_module(g, "triv", 3, 3))
+    refused = [baby_verma(g, "triv", 1),
+               one_dimensional_quotient(build_group("B2"), "11x0", 1),
+               GradedModule("mine", cherednik_family(g, 0, 3), "triv", 3)]
+    for module in refused:
+        with pytest.raises(ValueError, match="live on standard modules"):
+            contravariant_form(module)
 
 
 # --------------------------------------------------------------------------
