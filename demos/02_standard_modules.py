@@ -10,8 +10,9 @@ the image is concentrated where that scalar vanishes.
 from fractions import Fraction
 
 from cherednik import build_group, dirac_cohomology, standard_module
-from cherednik.modules import WindowExceedsCap, d_squared_scalar, h_weight
+from cherednik.modules import d_squared_scalar, h_weight
 from cherednik.pbw import casimir_omega
+from cherednik.scalars import CapExceeded
 
 g = build_group("A1")
 c = Fraction(1, 3)
@@ -39,5 +40,5 @@ for entry in rep["H_D"]:
 # large c pushes the kernel window past the cap; the error says how far
 try:
     dirac_cohomology(standard_module(g, "triv", 3, K=2))
-except WindowExceedsCap as err:
+except CapExceeded as err:
     print("cap too small:", err, "(minimal K =", err.minimal, ")")

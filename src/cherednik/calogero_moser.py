@@ -178,8 +178,8 @@ def verify_cm_factorization(group, c, degree_cap):
     """For each fundamental invariant f of degree <= degree_cap, on both
     the polynomial and the dual side, solve f (x) 1 = d(b) exactly at
     t = 0 and report the witness.  The witness b is searched at degree
-    <= deg f + 1 on f's own polynomial side; dirac.NoDecomposition
-    propagates when none exists there."""
+    <= deg f + 1 on f's own polynomial side; CapExceeded (bound
+    "degree_cap") propagates when none exists there."""
     fam = cherednik_family(group, 0, c)
     n = group.n
     zero = (0,) * n

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Every subcommand is a thin adapter: parse exact parameters, call one
-library operation, serialize the report.  Exit codes: 0 success, 1 a
-mathematical identity failed, 2 usage error.
+library operation, serialize the report.  Exit codes: 0 success; 1 a
+mathematical identity failed (a FAIL verdict, or an AssertionError with
+its traceback); 2 a refused input or an exceeded cap, i.e. any ValueError,
+printed as one `error:` line.
 """
 import argparse
 import json
@@ -12,14 +14,12 @@ from . import poly
 from .calogero_moser import dirac_partition
 from .clifford import tau_spin
 from .dirac import (
-    UnknownIrrep,
     delta_element,
     dirac_element,
     dirac_split,
     verify_dirac_square,
 )
 from .groups import (
-    UnknownGroup,
     WRepresentation,
     build_group,
     check_representation,
@@ -36,10 +36,6 @@ from .pbw import cherednik_family, corrupted_family, gaha_family, pbw_check
 from .scalars import parse_scalar, scalar_map_str, scalar_str
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_c(entries):
     """--c 1/2 gives a constant; repeated --c long=1 --c short=1/2 gives a
     per-class map."""
@@ -48,10 +44,10 @@ def _parse_c(entries):
     pairs = [e for e in entries if "=" in e]
     plain = [e for e in entries if "=" not in e]
     if pairs and plain:
-        raise UsageError("mix of per-class and constant --c values")
+        raise ValueError("mix of per-class and constant --c values")
     if plain:
         if len(plain) > 1:
-            raise UsageError("more than one constant --c value")
+            raise ValueError("more than one constant --c value")
         return parse_scalar(plain[0])
     out = {}
     for e in pairs:
@@ -69,11 +65,11 @@ def _load_config(path):
                 if not line:
                     continue
                 if "=" not in line:
-                    raise UsageError(f"bad config line: {raw.strip()!r}")
+                    raise ValueError(f"bad config line: {raw.strip()!r}")
                 key, _, val = line.partition("=")
                 cfg[key.strip()] = val.strip()
     except OSError as err:
-        raise UsageError(f"cannot read config file: {err}")
+        raise ValueError(f"cannot read config file: {err}")
     return cfg
 
 
@@ -86,7 +82,7 @@ def _apply_config(parser, args):
     argv = []
     for key, val in _load_config(args.config).items():
         if key in ("command", "handler", "config") or key not in vars(args):
-            raise UsageError(f"unknown config key {key!r} for "
+            raise ValueError(f"unknown config key {key!r} for "
                              f"{args.command}")
         if getattr(args, key) is not None:
             continue
@@ -95,7 +91,7 @@ def _apply_config(parser, args):
                 argv += ["--c", part.strip()]
         elif key == "simple":
             if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
-                raise UsageError(f"config key 'simple' takes true or false, "
+                raise ValueError(f"config key 'simple' takes true or false, "
                                  f"not {val!r}")
             if val.lower() in ("1", "true", "yes"):
                 argv.append("--simple")
@@ -118,8 +114,11 @@ def _emit(args, payload, table_lines):
     else:
         text = "\n".join(table_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write output file: {err}")
     else:
         sys.stdout.write(text)
 
@@ -138,7 +137,7 @@ def _build_family(args, group, t, c):
         return gaha_family(group, c)
     if preset == "corrupted":
         return corrupted_family(group, kind=args.kind)
-    raise UsageError(f"unknown preset {preset!r}")
+    raise ValueError(f"unknown preset {preset!r}")
 
 
 # --------------------------------------------------------------------------
@@ -209,17 +208,17 @@ def cmd_verify(args):
 def _build_module(args, group, t, c):
     sigma = args.sigma
     if sigma is None:
-        raise UsageError("--sigma is required")
+        raise ValueError("--sigma is required")
     if args.simple and t != 0:
-        raise UsageError("--simple needs --t 0")
+        raise ValueError("--simple needs --t 0")
     if t == 1:
         if args.K is None:
             return standard_module(group, sigma, c)
         return standard_module(group, sigma, c, args.K)
     if t != 0:
-        raise UsageError("modules are implemented at t = 0 and t = 1")
+        raise ValueError("modules are implemented at t = 0 and t = 1")
     if args.K is not None:
-        raise UsageError("--K needs --t 1: a t = 0 module reports every "
+        raise ValueError("--K needs --t 1: a t = 0 module reports every "
                          "degree")
     if args.simple:
         return one_dimensional_quotient(group, sigma, c)
@@ -263,7 +262,7 @@ def cmd_partition(args):
 def cmd_unitarity(args):
     group = build_group(args.group)
     if args.sigma is None:
-        raise UsageError("--sigma is required")
+        raise ValueError("--sigma is required")
     c = _parse_c(args.c)
     report = unitarity_report(group, args.sigma, c, args.K)
     report["t"] = "1/1"
@@ -368,13 +367,9 @@ def main(argv=None):
         if args.format is None:
             args.format = "table"
         if not args.group:
-            raise UsageError("--group is required")
+            raise ValueError("--group is required")
         return args.handler(args)
-    except UnknownIrrep as err:
-        print(f"error: unknown irrep label {err}", file=sys.stderr)
-        return 2
-    except (UsageError, UnknownGroup, ValueError, ZeroDivisionError) as err:
-        # WindowExceedsCap is a ValueError
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

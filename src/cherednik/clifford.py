@@ -16,11 +16,6 @@ from .poly import Terms, acc
 from .scalars import rational, reciprocal, scalar_str
 
 
-class WordRequired(ValueError):
-    """Raised when a pin element is requested for something that is not a
-    catalogued group element."""
-
-
 class CliffordAlgebra:
     def __init__(self, gram, labels=None):
         self.ngens = len(gram)
@@ -272,7 +267,7 @@ def tau_reflection(r, alg: CliffordAlgebra) -> CliffordElement:
 def _word_reflections(w_index, group):
     """The reflections along the group's BFS word for w."""
     if not isinstance(w_index, int) or not 0 <= w_index < group.order:
-        raise WordRequired(f"no reflection word for {w_index!r}")
+        raise ValueError(f"no reflection word for {w_index!r}")
     return [group.reflection_at(group.generator_indices[gi])
             for gi in group.words[w_index]]
 

@@ -19,27 +19,8 @@ from .clifford import (
 )
 from .pbw import AlgebraElement, _c_map
 from .poly import Terms, acc
-from .scalars import rational, reciprocal, scalar_map_str, scalar_str
-
-
-class DegenerateWitness(ArithmeticError):
-    """No usable witness vector x with x - w(x) != 0 was found."""
-
-
-class UnknownIrrep(KeyError):
-    pass
-
-
-class NotInKernel(ValueError):
-    """The element does not lie in ker d."""
-
-
-class NoDecomposition(ValueError):
-    """No split z = Delta(s) + d(b) exists within the degree cap."""
-
-
-class SolverOverflow(RuntimeError):
-    """The bounded-degree linear system exceeds the configured size cap."""
+from .scalars import (CapExceeded, rational, reciprocal, scalar_map_str,
+                      scalar_str)
 
 
 def compute_e_w(family, w):
@@ -77,7 +58,7 @@ def compute_e_w(family, w):
             raise ValueError("witness-dependent e_w for w=%d" % w)
         found = e
     if found is None:
-        raise DegenerateWitness("every basis vector is fixed by w=%d" % w)
+        raise ValueError("every basis vector is fixed by w=%d" % w)
     return found
 
 
@@ -291,7 +272,7 @@ class GroupAlgebraClassFunction(Terms):
         known = set(group.class_names)
         for name in self.terms:
             if name not in known:
-                raise KeyError(f"unknown conjugacy class {name!r}")
+                raise ValueError(f"unknown conjugacy class {name!r}")
 
     @classmethod
     def from_element_map(cls, group, emap):
@@ -338,10 +319,7 @@ class GroupAlgebraClassFunction(Terms):
     def act_on(self, sigma):
         """The scalar by which this central element acts in irrep sigma."""
         g = self.group
-        try:
-            chi = g.character_table[g.irrep_labels.index(sigma)]
-        except ValueError:
-            raise UnknownIrrep(sigma) from None
+        chi = g.character(sigma)
         dim = chi[0]
         total = 0
         for ci, cl in enumerate(g.conjugacy_classes):
@@ -382,10 +360,7 @@ def group_algebra_casimir(family):
 def casimir_scalar(sigma, c, group):
     """N_c(sigma): the scalar of the group-algebra Casimir on irrep sigma,
     (1/dim) sum over reflections of 2 c_s/(1 - lambda_s) chi_sigma(s)."""
-    try:
-        chi = group.character_table[group.irrep_labels.index(sigma)]
-    except ValueError:
-        raise UnknownIrrep(sigma) from None
+    chi = group.character(sigma)
     c_map = _c_map(group, c)
     dim = chi[0]
     total = 0
@@ -485,8 +460,10 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     odd subspace of degree <= degree_cap + 1; candidate_filter, when
     given, restricts the raw search keys (hkey, clifford mono) before
     averaging, which can only shrink the solution space.  Returns (s, b)
-    with s a class function; raises NotInKernel when d(z) != 0 and
-    NoDecomposition when no split exists at this degree_cap.
+    with s a class function; raises ValueError when d(z) != 0 and
+    CapExceeded (bound "degree_cap") when no split exists at this
+    degree_cap, or (bound "column_limit") when the search has more raw
+    keys than column_limit.
 
     Each raw key h (x) m is averaged factor by factor: Delta(w) conjugates
     it to (w h w^(-1)) (x) (tau_w m tau_w^(-1)), with both factor images
@@ -512,14 +489,15 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
             raise ValueError("element does not commute with the lifted "
                              "Casimir")
     if derivation_d(z):
-        raise NotInKernel("d(z) != 0")
+        raise ValueError("d(z) != 0")
 
     raw = _candidate_keys(g, degree_cap + 1)
     if candidate_filter is not None:
         raw = [key for key in raw if candidate_filter(key)]
     if len(raw) > column_limit:
-        raise SolverOverflow(f"{len(raw)} candidate terms exceed the "
-                             f"configured limit {column_limit}")
+        raise CapExceeded(f"{len(raw)} candidate terms exceed the "
+                          f"configured limit {column_limit}",
+                          "column_limit", len(raw))
 
     average = _diagonal_averager(family)
     seen = {}
@@ -553,8 +531,8 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     ncols = nd + g.order
     reduced, pivots = linalg.rref(_coords(d_cols + deltas + [z])[0])
     if ncols in pivots:
-        raise NoDecomposition("no decomposition at this degree cap; raise "
-                              "degree_cap")
+        raise CapExceeded("no decomposition at this degree cap; raise "
+                          "degree_cap", "degree_cap")
     if not set(range(nd, ncols)) <= set(pivots):
         raise ValueError("group-algebra block meets the derivation image; "
                          "the decomposition would not be unique")

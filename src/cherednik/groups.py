@@ -22,14 +22,6 @@ from .scalars import (CyclotomicScalar, conjugate, rational, reciprocal,
                       scalar_str, zeta)
 
 
-class UnknownGroup(KeyError):
-    pass
-
-
-class NotARepresentation(ValueError):
-    pass
-
-
 def _entry_key(x, n):
     if not isinstance(x, CyclotomicScalar):
         x = CyclotomicScalar.from_rational(x)
@@ -133,18 +125,29 @@ class ReflectionGroup:
     def reflection_at(self, element_index):
         return self._refl_by_element.get(element_index)
 
-    def tensor_with_eps(self, label):
-        return self._eps_tensor[label]
+    # -- irreps, by label: every lookup goes through irrep_index
+
+    def irrep_index(self, label):
+        """Catalogue position of an irrep label; ValueError for a label
+        the group does not have."""
+        index = self._irrep_index.get(label)
+        if index is None:
+            raise ValueError(f"unknown irrep label {label!r} "
+                             f"for {self.catalogue_id}")
+        return index
 
     def irrep(self, label):
-        try:
-            return self.irreps[label]
-        except KeyError:
-            raise UnknownGroup(f"unknown irrep label {label!r} "
-                               f"for {self.catalogue_id}") from None
+        return self.irreps[self.irrep_labels[self.irrep_index(label)]]
 
     def dim_of(self, label):
-        return self.irrep_dims[self.irrep_labels.index(label)]
+        return self.irrep_dims[self.irrep_index(label)]
+
+    def character(self, label):
+        """Character of an irrep, one value per conjugacy class."""
+        return self.character_table[self.irrep_index(label)]
+
+    def tensor_with_eps(self, label):
+        return self._eps_tensor[self.irrep_index(label)]
 
 
 # --------------------------------------------------------------------------
@@ -499,8 +502,8 @@ def _verify_reflection(group, r):
 def build_group(catalogue_id: str) -> ReflectionGroup:
     cat = _catalogue()
     if catalogue_id not in cat:
-        raise UnknownGroup(f"unknown group {catalogue_id!r}; "
-                           f"known: {', '.join(CATALOGUE_IDS)}")
+        raise ValueError(f"unknown group {catalogue_id!r}; "
+                         f"known: {', '.join(CATALOGUE_IDS)}")
     data = cat[catalogue_id]
     gens = data["generators"]
     conductor = 1
@@ -580,6 +583,7 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
     group.irrep_labels = irrep_labels
     group.irrep_dims = irrep_dims
     group.irreps = irreps
+    group._irrep_index = {label: i for i, label in enumerate(irrep_labels)}
 
     for label in irrep_labels:
         if not check_representation(irreps[label], group):
@@ -600,13 +604,13 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
     if group.eps_label is None:
         raise AssertionError("det_h missing from irreps")
 
-    # sigma tensor eps lookup
-    eps_tensor = {}
+    # sigma tensor eps lookup, by catalogue position
+    eps_tensor = []
     for label, row in zip(irrep_labels, group.character_table):
         prod = [a * b for a, b in zip(row, eps_char)]
         for label2, row2 in zip(irrep_labels, group.character_table):
             if row2 == prod:
-                eps_tensor[label] = label2
+                eps_tensor.append(label2)
                 break
         else:
             raise AssertionError(f"{label} tensor eps not in table")
@@ -658,7 +662,7 @@ def inner_product(group, chi, label):
     class function chi listed per conjugacy class, in the rational form
     when rational; callers decide whether it must be a nonnegative
     integer."""
-    row = group.character_table[group.irrep_labels.index(label)]
+    row = group.character(label)
     s = 0
     for cl, x, y in zip(group.conjugacy_classes, chi, row):
         s = s + len(cl) * x * conjugate(y)
@@ -668,8 +672,8 @@ def inner_product(group, chi, label):
 def isotypic_projector(rep, irrep_label, group):
     """Projector onto the irrep_label-isotypic component of rep."""
     if not check_representation(rep, group):
-        raise NotARepresentation("homomorphism check failed")
-    row = group.character_table[group.irrep_labels.index(irrep_label)]
+        raise ValueError("homomorphism check failed")
+    row = group.character(irrep_label)
     dim_sigma = group.dim_of(irrep_label)
     scale = Fraction(dim_sigma, group.order)
     out = linalg.zeros(rep.dimension, rep.dimension)

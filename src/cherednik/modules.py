@@ -15,22 +15,10 @@ from functools import lru_cache
 
 from . import linalg, poly
 from .clifford import _spin_generator_matrices, tau_spin
-from .dirac import UnknownIrrep, casimir_scalar
-from .groups import UnknownGroup, class_character, inner_product
+from .dirac import casimir_scalar
+from .groups import class_character, inner_product
 from .pbw import cherednik_family
-from .scalars import NotRational, as_fraction, reciprocal
-
-
-class WindowExceedsCap(ValueError):
-    """The zero-scalar window of the Dirac square needs a larger K."""
-
-    def __init__(self, minimal):
-        super().__init__(f"kernel window needs K >= {minimal}")
-        self.minimal = minimal
-
-
-class UnsupportedField(ValueError):
-    """Contravariant forms need rational module data."""
+from .scalars import CapExceeded, NotRational, as_fraction, reciprocal
 
 
 def _zero_exp(n):
@@ -83,15 +71,12 @@ class GradedModule:
         self.group = family.group
         self.n = family.group.n
         self.sigma = sigma
-        try:
-            self.rep = family.group.irrep(sigma)
-        except UnknownGroup:
-            raise UnknownIrrep(sigma) from None
+        self.rep = family.group.irrep(sigma)
         self.dim_sigma = self.rep.dimension
         self.K = K
         self._blocks = {}
         ideal = list(ideal)
-        shared = family._module_data.setdefault(kind, (ideal, {}, {}))
+        shared = family._module_data.setdefault(kind, (ideal, [], {}))
         if shared[0] != ideal:
             raise ValueError(f"module kind {kind!r} has another ideal on "
                              f"this family")
@@ -102,23 +87,23 @@ class GradedModule:
     def _section(self, k):
         """(kept monomial positions, [(pivot, echelon row)]) of degree k:
         the rows span J_k on the degree-k monomials, and the non-pivot
-        monomials are kept as a basis of S^k / J_k."""
-        got = self._sections.get(k)
-        if got is None:
-            if k and not self._section(k - 1)[0]:
-                # J holds all of degree k - 1, hence all of degree k
-                got = ([], [])
-            else:
-                monos = poly.monomials(self.n, k)
-                rows = [poly.to_vector(poly.p_mul({m: 1}, f), monos)
-                        for f, d in self.ideal if d <= k
-                        for m in poly.monomials(self.n, k - d)]
-                red, pivots = linalg.rref(rows) if rows else ([], [])
-                taken = set(pivots)
-                got = ([i for i in range(len(monos)) if i not in taken],
-                       list(zip(pivots, red)))
-            self._sections[k] = got
-        return got
+        monomials are kept as a basis of S^k / J_k.  Sections are built
+        upward from degree 0, and once J holds all of a degree it holds
+        all of every higher one."""
+        sections = self._sections
+        while len(sections) <= k:
+            d = len(sections)
+            if d and not sections[-1][0]:
+                return [], []
+            monos = poly.monomials(self.n, d)
+            rows = [poly.to_vector(poly.p_mul({m: 1}, f), monos)
+                    for f, deg in self.ideal if deg <= d
+                    for m in poly.monomials(self.n, d - deg)]
+            red, pivots = linalg.rref(rows) if rows else ([], [])
+            taken = set(pivots)
+            sections.append(([i for i in range(len(monos)) if i not in taken],
+                             list(zip(pivots, red))))
+        return sections[k]
 
     def selected(self, k):
         """Positions of the kept degree-k monomials."""
@@ -418,9 +403,7 @@ def _multiplicity(group, chi, mu):
 def cell_multiplicity(group, sigma, k, l, mu):
     """Multiplicity of mu in S^k(h*) (x) V_sigma (x) wedge^l(h) under the
     natural diagonal action, by characters."""
-    if mu not in group.irrep_labels:
-        raise UnknownIrrep(mu)
-    chi_sigma = group.character_table[group.irrep_labels.index(sigma)]
+    chi_sigma = group.character(sigma)
     chi = [a * b * c for a, b, c in zip(
         _sym_char(group, k), chi_sigma, _wedge_char(group, l))]
     return _multiplicity(group, chi, mu)
@@ -457,8 +440,8 @@ def _zero_scalar_cells(module):
     vanishes on a nonzero isotypic: at t != 0 in one degree per (mu, l),
     as the scalar falls by 2t per degree, and at t = 0 in every degree or
     in none.  Multiplicities come from the module's own character, so J = 0
-    and quotients follow one rule.  WindowExceedsCap names the largest
-    zero-scalar degree when it passes K."""
+    and quotients follow one rule.  CapExceeded (bound "K") names the
+    largest zero-scalar degree when it passes K."""
     g, n = module.group, module.n
     c, t = module.family.params["c"], module.family.params["t"]
     hw = h_weight(module.sigma, c, g)
@@ -483,7 +466,7 @@ def _zero_scalar_cells(module):
         mult = _multiplicity(g, [a * b for a, b in zip(
             chars[k], _wedge_char(g, l))], mu)
         if mult and k > module.K:
-            raise WindowExceedsCap(k)
+            raise CapExceeded(f"kernel window needs K >= {k}", "K", k)
         if mult:
             out[(k, l)] = out.get((k, l), 0) + g.dim_of(mu) * mult
     return out
@@ -604,13 +587,6 @@ def contravariant_form(module):
     V_sigma and propagated by the star pairing (x_i against y_i)."""
     if module.family.params["t"] != 1 or any(f for f, _ in module.ideal):
         raise ValueError("contravariant forms live on standard modules")
-    try:
-        return _contravariant_grams(module)
-    except NotRational:
-        raise UnsupportedField("irrational scalar in rational context")
-
-
-def _contravariant_grams(module):
     n, dim = module.n, module.dim_sigma
     for value in module.family.params["c"].values():
         as_fraction(value)
@@ -662,11 +638,8 @@ def unitarity_report(group, sigma, c, K=None):
         verdicts.append(entry)
 
     n = group.n
-    try:
-        nvals = {mu: as_fraction(casimir_scalar(mu, c, group))
-                 for mu in group.irrep_labels}
-    except NotRational:
-        raise UnsupportedField("irrational scalar in rational context")
+    nvals = {mu: as_fraction(casimir_scalar(mu, c, group))
+             for mu in group.irrep_labels}
     gap0 = nvals[sigma]
     standard = []
     for k in range(K + 1):

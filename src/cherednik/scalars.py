@@ -28,9 +28,26 @@ from functools import lru_cache
 from math import gcd, lcm
 
 
-class NotRational(ArithmeticError):
-    """Raised when a rational value is required but the scalar has
-    irrational content."""
+# The package's failure rule: a refused argument raises ValueError, an
+# exceeded cap raises CapExceeded (a ValueError naming the bound it needs),
+# and a failed identity raises AssertionError explicitly (so that it
+# survives `python -O`).  These are the package's only exception classes.
+
+
+class CapExceeded(ValueError):
+    """A computation needs more than a cap allows: `bound` names the cap
+    and `minimal` is the least value that suffices, or None when that is
+    unknown."""
+
+    def __init__(self, message, bound, minimal=None):
+        super().__init__(message)
+        self.bound = bound
+        self.minimal = minimal
+
+
+class NotRational(ValueError):
+    """A rational value is required but the scalar has irrational
+    content."""
 
 
 # --- cyclotomic polynomials -------------------------------------------------
@@ -371,7 +388,8 @@ class CyclotomicScalar:
 
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
-            raise NotRational(f"not rational: {scalar_str(self)}")
+            raise NotRational("irrational scalar in rational context: "
+                              f"{scalar_str(self)}")
         return Fraction(self.num.get(0, 0), self.den)
 
     def key(self):
@@ -540,29 +558,49 @@ def scalar_map_str(m) -> dict:
     return {name: scalar_str(v) for name, v in sorted(m.items())}
 
 
-_CYCLO_RE = re.compile(r"cyclo\((\d+);\s*(.*)\)\s*$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_CYCLO_RE = re.compile(r"cyclo\(\s*([0-9]+)\s*;(.*)\)")
+_TERM_RE = re.compile(r"\s*([0-9]+)\s*:\s*(\S+)\s*")
+
+
+def _malformed(whole):
+    return ValueError(f"malformed scalar {whole!r}: want p/q, an integer "
+                      f"or cyclo(N; e:p/q, ...)")
 
 
 def _parse_rational(text, whole):
-    try:
-        return rational(Fraction(text))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar {whole!r}") from None
+    m = _RATIONAL_RE.fullmatch(text)
+    if not m:
+        raise _malformed(whole)
+    den = int(m.group(2) or 1)
+    if not den:
+        raise ValueError(f"zero denominator in scalar {whole!r}")
+    return rational(Fraction(int(m.group(1)), den))
 
 
 def parse_scalar(s: str):
     """Inverse of scalar_str; also accepts bare integers like '7'.
-    Rationals come back in the rational form; a zero denominator raises
-    ValueError naming the input."""
+
+    The grammar is exactly [+-]digits[/digits], or cyclo(N; e:p/q, ...)
+    with N >= 1, distinct exponents e and rational coefficients of that
+    form; anything else, a zero denominator included, raises ValueError
+    naming the input.  Rationals come back in the rational form."""
     s = s.strip()
-    m = _CYCLO_RE.match(s)
+    m = _CYCLO_RE.fullmatch(s)
     if not m:
         return _parse_rational(s, s)
     n = int(m.group(1))
+    if n < 1:
+        raise ValueError(f"conductor must be >= 1 in scalar {s!r}")
     coeffs = {}
     body = m.group(2).strip()
     if body:
         for part in body.split(","):
-            e, _, val = part.strip().partition(":")
-            coeffs[int(e)] = _parse_rational(val, s)
+            term = _TERM_RE.fullmatch(part)
+            if not term:
+                raise _malformed(s)
+            e = int(term.group(1))
+            if e in coeffs:
+                raise ValueError(f"repeated exponent {e} in scalar {s!r}")
+            coeffs[e] = _parse_rational(term.group(2), s)
     return reduce(coeffs, n)

@@ -9,9 +9,9 @@ from cherednik.calogero_moser import (
     omega_central_character,
     verify_cm_factorization,
 )
-from cherednik.dirac import NoDecomposition
 from cherednik.groups import build_group
 from cherednik.modules import h_weight
+from cherednik.scalars import CapExceeded
 
 
 def test_central_character_values():
@@ -144,10 +144,11 @@ def test_cm_factorization_makes_one_attempt(monkeypatch):
 
     def missing(z, fam, degree_cap, candidate_filter=None):
         calls.append((degree_cap, candidate_filter is not None))
-        raise NoDecomposition("no decomposition at this degree cap")
+        raise CapExceeded("no decomposition at this degree cap; raise "
+                          "degree_cap", "degree_cap")
 
     monkeypatch.setattr(calogero_moser, "decompose_kernel_element", missing)
-    with pytest.raises(NoDecomposition):
+    with pytest.raises(CapExceeded, match="raise degree_cap"):
         verify_cm_factorization(build_group("A1"), 1, 2)
     # the degree-2 invariant is searched once, at its own degree and on
     # its own polynomial side

@@ -159,6 +159,24 @@ def test_zero_denominator_in_class_parameter_names_it(capsys):
             == "error: zero denominator in scalar '3/0'\n")
 
 
+@pytest.mark.parametrize("value", [
+    "1e400", "0.5", "1_000", "cyclo(3; 1:1/1, 1:2/1)"])
+def test_scalar_outside_the_grammar_exits_two(capsys, value):
+    # p/q, an integer or cyclo(N; e:p/q, ...) with distinct exponents
+    assert main(["partition", "--group", "A1", "--c", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(value) in err
+
+
+def test_large_k_reports_the_zero_scalar_window(capsys):
+    argv = ["dirac-cohomology", "--group", "A1", "--t", "1", "--c", "1/3",
+            "--sigma", "triv"]
+    code, big = run_json(capsys, argv + ["--K", "2000"])
+    assert code == 0
+    assert big == run_json(capsys, argv + ["--K", "3"])[1]
+
+
 def test_per_class_parameters(capsys):
     code, payload = run_json(capsys, ["partition", "--group", "B2",
                                       "--c", "long=1", "--c", "short=0"])

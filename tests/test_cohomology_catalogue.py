@@ -14,12 +14,12 @@ from fractions import Fraction
 
 from cherednik.groups import build_group
 from cherednik.modules import (
-    WindowExceedsCap,
     baby_verma,
     dirac_cohomology,
     one_dimensional_quotient,
     standard_module,
 )
+from cherednik.scalars import CapExceeded
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "cohomology_catalogue.json")
@@ -46,7 +46,7 @@ def catalogue_text():
                     reports[f"simple/{tag}"] = dirac_cohomology(simple)
                 try:
                     got = dirac_cohomology(standard_module(g, sigma, c, K))
-                except WindowExceedsCap as err:
+                except CapExceeded as err:
                     got = {"window_exceeds_cap": err.minimal}
                 reports[f"standard/{tag}"] = got
     return json.dumps(reports, indent=2, sort_keys=True) + "\n"
