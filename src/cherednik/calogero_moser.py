@@ -8,7 +8,7 @@ and equal-Casimir pairs without a witness chain stay marked undecided.
 """
 
 
-from .dirac import (casimir_scalar, decompose_kernel_element, derivation_d,
+from .dirac import (casimir_table, decompose_kernel_element, derivation_d,
                     tensor)
 from .groups import _invariant_generators
 from .modules import (baby_verma, dirac_cohomology, h_weight,
@@ -121,7 +121,7 @@ def dirac_partition(group, c):
     for block in blocks:
         block.sort(key=labels.index)
 
-    nvals = {lab: casimir_scalar(lab, c, group) for lab in labels}
+    nvals = dict(zip(labels, casimir_table(group, c)))
     for block in blocks:
         base = nvals[block[0]]
         for lab in block[1:]:

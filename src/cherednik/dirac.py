@@ -370,6 +370,18 @@ def casimir_scalar(sigma, c, group):
     return rational(total * reciprocal(dim))
 
 
+def casimir_table(group, c):
+    """[N_c(mu) for mu in group.irrep_labels], built once per (group, c)
+    and kept on the group; index it by group.irrep_index."""
+    c_map = _c_map(group, c)
+    key = tuple(sorted((name, scalar_str(v)) for name, v in c_map.items()))
+    table = group._casimir_tables.get(key)
+    if table is None:
+        table = group._casimir_tables[key] = [
+            casimir_scalar(mu, c_map, group) for mu in group.irrep_labels]
+    return table
+
+
 # --------------------------------------------------------------------------
 # bounded-degree kernel decomposition
 

@@ -146,6 +146,17 @@ class ReflectionGroup:
         """Character of an irrep, one value per conjugacy class."""
         return self.character_table[self.irrep_index(label)]
 
+    def dual_character(self, label):
+        """|C| chi_label(C^-1) = |C| conj chi_label(C) per conjugacy class
+        C, built once per irrep: the row inner_product pairs with."""
+        index = self.irrep_index(label)
+        row = self._dual_characters.get(index)
+        if row is None:
+            row = self._dual_characters[index] = [
+                len(cl) * conjugate(y) for cl, y in
+                zip(self.conjugacy_classes, self.character_table[index])]
+        return row
+
     def tensor_with_eps(self, label):
         return self._eps_tensor[self.irrep_index(label)]
 
@@ -526,6 +537,8 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         _mult_cache={},
         _inv_cache={},
         _hstar_cache={},
+        _dual_characters={},
+        _casimir_tables={},
     )
     group.generator_indices = [index[_mat_key(g, conductor)] for g in gens]
     if catalogue_id.startswith("G") and data["family"] == "gm12":
@@ -662,10 +675,10 @@ def inner_product(group, chi, label):
     class function chi listed per conjugacy class, in the rational form
     when rational; callers decide whether it must be a nonnegative
     integer."""
-    row = group.character(label)
     s = 0
-    for cl, x, y in zip(group.conjugacy_classes, chi, row):
-        s = s + len(cl) * x * conjugate(y)
+    for x, y in zip(chi, group.dual_character(label)):
+        if x:
+            s = s + x * y
     return rational(s * Fraction(1, group.order))
 
 

@@ -58,8 +58,12 @@ def mat_vec(m, v):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def add_into(acc, m):
+    """acc += m in place, skipping the zero entries of m."""
+    for row, mrow in zip(acc, m):
+        for j, y in enumerate(mrow):
+            if y:
+                row[j] = row[j] + y
 
 
 def mat_sub(a, b):
@@ -75,7 +79,7 @@ def mean_gram(mats):
     finite group it is the Gram matrix of an invariant form."""
     total = zeros(len(mats[0]), len(mats[0]))
     for m in mats:
-        total = mat_add(total, mat_mul(transpose(m), m))
+        add_into(total, mat_mul(transpose(m), m))
     return mat_scale(Fraction(1, len(mats)), total)
 
 
@@ -94,6 +98,20 @@ def kron(a, b):
                     row.extend([0] * cb)
             out.append(row)
     return out
+
+
+def add_kron(acc, a, b):
+    """acc += kron(a, b) in place, skipping zero entries of a and b."""
+    rb, cb = len(b), len(b[0]) if b else 0
+    for r, ra in enumerate(a):
+        for j, v in enumerate(ra):
+            if not v:
+                continue
+            for i, bi in enumerate(b):
+                row = acc[r * rb + i]
+                for jj, y in enumerate(bi):
+                    if y:
+                        row[j * cb + jj] = row[j * cb + jj] + v * y
 
 
 def rref(m):

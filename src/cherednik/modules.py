@@ -15,10 +15,11 @@ from functools import lru_cache
 
 from . import linalg, poly
 from .clifford import _spin_generator_matrices, tau_spin
-from .dirac import casimir_scalar
+from .dirac import casimir_table
 from .groups import class_character, inner_product
 from .pbw import cherednik_family
-from .scalars import CapExceeded, NotRational, as_fraction, reciprocal
+from .scalars import (CapExceeded, NotRational, as_fraction, rational,
+                      reciprocal)
 
 
 def _zero_exp(n):
@@ -35,7 +36,8 @@ def h_weight(sigma, c, group):
     the degree-k piece of a standard module by t(2k + n) - h_weight, and
     on a baby Verma module by -h_weight.  Equal to N_c(sigma) for real
     reflection groups."""
-    return -casimir_scalar(group.tensor_with_eps(sigma), c, group)
+    return -casimir_table(group, c)[
+        group.irrep_index(group.tensor_with_eps(sigma))]
 
 
 def d_squared_scalar(group, sigma, mu, k, l, c, t=1):
@@ -44,7 +46,8 @@ def d_squared_scalar(group, sigma, mu, k, l, c, t=1):
     wedge^l(h): on standard modules, and at t = 0 on baby Verma modules
     and their quotients."""
     n = group.n
-    base = h_weight(sigma, c, group) + casimir_scalar(mu, c, group)
+    base = (h_weight(sigma, c, group)
+            + casimir_table(group, c)[group.irrep_index(mu)])
     return base - 2 * t * (k + n - l)
 
 
@@ -329,8 +332,7 @@ class DiracOperatorMatrix:
                 sg = 2 * i
             if mb is None:
                 continue
-            out = linalg.mat_add(
-                out, linalg.kron(mb, self._wedge_slice(self._spin[sg], l2, l)))
+            linalg.add_kron(out, mb, self._wedge_slice(self._spin[sg], l2, l))
         return out
 
     def apply(self, comp):
@@ -353,16 +355,20 @@ class DiracOperatorMatrix:
         return {cell: v for cell, v in out.items() if any(v)}
 
     def d_squared_on_cell(self, k, l):
-        dim = self.cell_dim(k, l)
-        total = linalg.zeros(dim, dim)
         blk = self.block(k, l)
+        products = []
         if blk["up"] is not None:
-            back = self.block(k + 1, l + 1)["down"]
-            total = linalg.mat_add(total, linalg.mat_mul(back, blk["up"]))
+            products.append(linalg.mat_mul(self.block(k + 1, l + 1)["down"],
+                                           blk["up"]))
         if blk["down"] is not None:
-            back = self.block(k - 1, l - 1)["up"]
-            total = linalg.mat_add(total, linalg.mat_mul(back, blk["down"]))
-        return total
+            products.append(linalg.mat_mul(self.block(k - 1, l - 1)["up"],
+                                           blk["down"]))
+        if not products:
+            dim = self.cell_dim(k, l)
+            return linalg.zeros(dim, dim)
+        for other in products[1:]:
+            linalg.add_into(products[0], other)
+        return products[0]
 
     def w_cell(self, w, k, l):
         """Diagonal action of a group element on the (k, l) cell, spin
@@ -377,10 +383,33 @@ class DiracOperatorMatrix:
 
 
 @lru_cache(maxsize=None)
+def _molien(group):
+    """The coefficients d_i = (-1)^i tr wedge^i(B_w), i = 1..n, of
+    det(1 - q B_w) = 1 + d_1 q + ... + d_n q^n per conjugacy class, where
+    B_w = h_star_matrix(w); and the list of S^k(h*) characters found so
+    far, which _sym_char extends."""
+    dets = [[(-1) ** i * x for x in class_character(
+        group, lambda w: poly.wedge_matrix(group.h_star_matrix(w), i))]
+        for i in range(1, group.n + 1)]
+    return dets, [[1] * len(group.conjugacy_classes)]
+
+
 def _sym_char(group, k):
-    """Character of S^k(h*) per conjugacy class."""
-    return class_character(group, lambda w: poly.action_matrix_on_degree(
-        group.h_star_matrix(w), group.n, k))
+    """Character of S^k(h*) per conjugacy class: the q^k coefficient of the
+    Molien series 1/det(1 - q B_w), by the recurrence
+    a_k = -(d_1 a_{k-1} + ... + d_n a_{k-n}), a_0 = 1 and a_j = 0 for j < 0."""
+    dets, chars = _molien(group)
+    while len(chars) <= k:
+        m = len(chars)
+        row = []
+        for ci in range(len(chars[0])):
+            s = 0
+            for i, d in enumerate(dets[:m], 1):
+                if d[ci]:
+                    s = s - d[ci] * chars[m - i][ci]
+            row.append(rational(s))
+        chars.append(row)
+    return chars[k]
 
 
 @lru_cache(maxsize=None)
@@ -409,20 +438,32 @@ def cell_multiplicity(group, sigma, k, l, mu):
     return _multiplicity(group, chi, mu)
 
 
-def _span_character(basis, blocks, classes):
+def _leading(rows):
+    """Pivot columns of reduced echelon rows: each row's first nonzero."""
+    return [next(i for i, x in enumerate(u) if x) for u in rows]
+
+
+def _free_columns(basis):
+    """Free columns of a linalg.nullspace basis: vector f is 1 at free
+    column f and zero past it (a pivot row's entry at f is nonzero only
+    when its pivot precedes f), so f is its last nonzero."""
+    return [max(i for i, x in enumerate(v) if x) for v in basis]
+
+
+def _span_character(basis, pivots, blocks, classes):
     """Character, one value per conjugacy class, of the span of `basis`.
 
-    Precondition: `basis` holds reduced echelon rows (as returned by
-    linalg.column_space_basis) spanning a W-stable subspace, and `blocks`
-    lists (offset, matrices of the class representatives) for the
-    W-stable coordinate blocks, by increasing offset.  Every other basis
-    row vanishes at the pivot p_i of u_i, so (w u_i)[p_i] is the coefficient
-    of u_i in w u_i and tr(w) = sum_i (w u_i)[p_i]: one matrix row per
-    basis vector and no solve.
+    Precondition: `basis` spans a W-stable subspace, and u_i is 1 at
+    position pivots[i], where every other basis vector is 0: reduced
+    echelon rows at their _leading columns (linalg.column_space_basis), or
+    a linalg.nullspace basis at its _free_columns.  `blocks` lists (offset,
+    matrices of the class representatives) for the W-stable coordinate
+    blocks, by increasing offset.  Then (w u_i)[p_i] is the coefficient of
+    u_i in w u_i and tr(w) = sum_i (w u_i)[p_i]: one matrix row per basis
+    vector and no solve.
     """
     chi = [0] * classes
-    for u in basis:
-        p = next(i for i, x in enumerate(u) if x)
+    for u, p in zip(basis, pivots):
         off, mats = next(b for b in reversed(blocks) if b[0] <= p)
         for ci, m in enumerate(mats):
             for j, a in enumerate(m[p - off]):
@@ -439,15 +480,16 @@ def _zero_scalar_cells(module):
     """{cell: dim ker D^2} over the cells whose D^2 scalar (d_squared_scalar)
     vanishes on a nonzero isotypic: at t != 0 in one degree per (mu, l),
     as the scalar falls by 2t per degree, and at t = 0 in every degree or
-    in none.  Multiplicities come from the module's own character, so J = 0
-    and quotients follow one rule.  CapExceeded (bound "K") names the
-    largest zero-scalar degree when it passes K."""
+    in none.  Multiplicities come from the module's degree-k character:
+    _sym_char(k) chi_sigma when J = 0, which needs no degree-k piece, and
+    the trace of w_block(w, k) on a quotient.  CapExceeded (bound "K")
+    names the largest zero-scalar degree when it passes K."""
     g, n = module.group, module.n
     c, t = module.family.params["c"], module.family.params["t"]
     hw = h_weight(module.sigma, c, g)
     found, chars, out = [], {}, {}
-    for mu in g.irrep_labels:
-        base = hw + casimir_scalar(mu, c, g)
+    for mu, n_mu in zip(g.irrep_labels, casimir_table(g, c)):
+        base = hw + n_mu
         if t == 0:
             found += [(k, l, mu) for k in module.degrees()
                       for l in range(n + 1) if base == 0]
@@ -460,9 +502,12 @@ def _zero_scalar_cells(module):
                   if k0.denominator == 1 and k0 + l >= 0]
     # from the top degree down, so a window past K is refused at once
     for k, l, mu in sorted(found, reverse=True):
-        if k not in chars:
+        if k not in chars and module.ideal:
             chars[k] = class_character(
                 g, lambda w: module.w_block(w, k) or [])
+        elif k not in chars:
+            chars[k] = [a * b for a, b in zip(_sym_char(g, k),
+                                              g.character(module.sigma))]
         mult = _multiplicity(g, [a * b for a, b in zip(
             chars[k], _wedge_char(g, l))], mu)
         if mult and k > module.K:
@@ -492,8 +537,10 @@ def dirac_cohomology(module):
     D_y D_x preserves every cell and acts on each W-isotypic there by
     d_squared_scalar.  Hence ker D and D(Z) = ker D n im D lie in
     Z = ker D^2, which lives on the cells of _zero_scalar_cells; only there
-    is D^2 built, and its nullspace is checked against them.  D is applied
-    once to a basis of Z, and since D(Z) ~ Z / ker(D|Z) as W-modules, H_D
+    is D^2 built, and its nullspace is checked against them.  chi_Z is read
+    at the free columns of that nullspace basis, with no second
+    elimination.  D is applied once to this basis of Z, and since
+    D(Z) ~ Z / ker(D|Z) as W-modules, H_D
     has character 2 chi_ker - chi_Z.  A module that ends by degree K
     reports every nonempty cell as its window and rank D as image_dim;
     any other reports the zero-scalar window and image_dim = dim D(Z).
@@ -521,13 +568,13 @@ def dirac_cohomology(module):
     chi_z = [0] * classes
     zbasis = []
     for cell in cellset:
-        zero = linalg.column_space_basis(
-            linalg.nullspace(dirac.d_squared_on_cell(*cell)))
+        zero = linalg.nullspace(dirac.d_squared_on_cell(*cell))
         if len(zero) != want[cell]:
             raise AssertionError(
                 f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
                 f"its zero-scalar isotypics {want[cell]}")
-        chi = _span_character(zero, [(0, wmats[cell])], classes)
+        chi = _span_character(zero, _free_columns(zero), [(0, wmats[cell])],
+                              classes)
         chi_z = [a + b for a, b in zip(chi_z, chi)]
         zbasis.extend((cell, v) for v in zero)
 
@@ -546,14 +593,15 @@ def dirac_cohomology(module):
     ker = linalg.column_space_basis(ker)
 
     blocks = [(offsets[cell], wmats[cell]) for cell in cellset]
-    chi_h = [2 * a - b for a, b in zip(_span_character(ker, blocks, classes),
-                                       chi_z)]
+    chi_h = [2 * a - b for a, b in zip(
+        _span_character(ker, _leading(ker), blocks, classes), chi_z)]
     chi_cells = {}
     for cell in cellset:
         off = offsets[cell]
         coords = linalg.column_space_basis(
             [v[off:off + dirac.cell_dim(*cell)] for v in ker])
-        chi_cells[cell] = _span_character(coords, [(0, wmats[cell])], classes)
+        chi_cells[cell] = _span_character(coords, _leading(coords),
+                                          [(0, wmats[cell])], classes)
 
     entries = []
     for mu in g.irrep_labels:
@@ -638,8 +686,8 @@ def unitarity_report(group, sigma, c, K=None):
         verdicts.append(entry)
 
     n = group.n
-    nvals = {mu: as_fraction(casimir_scalar(mu, c, group))
-             for mu in group.irrep_labels}
+    nvals = {mu: as_fraction(n_mu) for mu, n_mu in
+             zip(group.irrep_labels, casimir_table(group, c))}
     gap0 = nvals[sigma]
     standard = []
     for k in range(K + 1):

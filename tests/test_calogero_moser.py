@@ -105,6 +105,32 @@ def test_partition_is_deterministic():
     assert dirac_partition(g, 1).to_data() == dirac_partition(g, 1).to_data()
 
 
+def test_partition_builds_each_group_table_once(monkeypatch):
+    # however many modules read them, N_c(mu) is computed once per irrep
+    # and the dual character row |C| conj chi_mu(C) is built once per irrep
+    from cherednik import dirac, groups
+    g = build_group("G3_1_2")
+    monkeypatch.setattr(g, "_casimir_tables", {})
+    monkeypatch.setattr(g, "_dual_characters", {})
+    casimirs, conjugates = [], []
+    casimir_scalar, conjugate = dirac.casimir_scalar, groups.conjugate
+
+    def counted_casimir(sigma, c, group):
+        casimirs.append(sigma)
+        return casimir_scalar(sigma, c, group)
+
+    def counted_conjugate(x):
+        conjugates.append(x)
+        return conjugate(x)
+
+    monkeypatch.setattr(dirac, "casimir_scalar", counted_casimir)
+    monkeypatch.setattr(groups, "conjugate", counted_conjugate)
+    dirac_partition(g, 1)
+    assert casimirs and len(casimirs) == len(set(casimirs))
+    assert conjugates
+    assert len(conjugates) <= len(g.irrep_labels) * len(g.conjugacy_classes)
+
+
 def test_gordon_martino_table():
     g = build_group("B2")
     table = gordon_martino_table(dirac_partition(g, 1))

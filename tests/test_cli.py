@@ -4,6 +4,9 @@ import os
 import pytest
 
 from cherednik.cli import main
+from cherednik.groups import build_group
+from cherednik.modules import dirac_cohomology, standard_module
+from cherednik.scalars import CapExceeded
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -175,6 +178,20 @@ def test_large_k_reports_the_zero_scalar_window(capsys):
     code, big = run_json(capsys, argv + ["--K", "2000"])
     assert code == 0
     assert big == run_json(capsys, argv + ["--K", "3"])[1]
+
+
+def test_a_window_past_k_is_refused_before_its_degree_is_built(capsys):
+    # at c = 300 the zero-scalar degree of B2's 2x0 is 1200; the closed-form
+    # character of S^k(h*) refuses it without building that piece
+    argv = ["dirac-cohomology", "--group", "B2", "--sigma", "2x0", "--t", "1",
+            "--c", "300"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: kernel window needs K >= 1200\n"
+    module = standard_module(build_group("B2"), "2x0", 300)
+    with pytest.raises(CapExceeded) as err:
+        dirac_cohomology(module)
+    assert err.value.minimal == 1200
+    assert len(module._sections) <= module.K + 2
 
 
 def test_per_class_parameters(capsys):

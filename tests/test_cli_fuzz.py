@@ -29,8 +29,9 @@ _TEXT = st.text(_ALPHABET, max_size=20)
 # at most 60.  Larger values are not malformed but cost more:
 # - a conductor N costs arithmetic in Q(zeta_N), and there is no cap on N
 #   (`--c 'cyclo(1000003; 1:1/1)'` runs past 20 s);
-# - at t = 1 a zero-scalar degree k past --K is refused only after the
-#   degree-k piece is built, in time growing with k, which grows with c.
+# - at t = 1 a zero-scalar degree k past --K is refused from the closed
+#   form of the S^k(h*) character, whose recurrence still runs in time
+#   linear in k, which grows with c.
 _NUM = st.one_of(st.integers(0, 999).map(str),
                  st.sampled_from(["", "0", "007", "1e3", "1_0", "0.5", "x",
                                   "\u0663", " 1"]))

@@ -9,11 +9,18 @@ from cherednik.groups import (
     CATALOGUE_IDS,
     WRepresentation,
     build_group,
+    class_character,
+    inner_product,
     isotypic_projector,
 )
 from cherednik.modules import (
     DiracOperatorMatrix,
     GradedModule,
+    _free_columns,
+    _leading,
+    _span_character,
+    _sym_char,
+    _wedge_char,
     _zero_scalar_cells,
     baby_verma,
     cell_multiplicity,
@@ -32,7 +39,7 @@ from cherednik.pbw import (
     cherednik_family,
     cherednik_forms,
 )
-from cherednik.scalars import CapExceeded, NotRational
+from cherednik.scalars import CapExceeded, NotRational, as_fraction, conjugate
 
 
 def compose_blocks(module, outer, inner):
@@ -41,7 +48,7 @@ def compose_blocks(module, outer, inner):
         for k3, m1 in module.action_blocks(outer, k2).items():
             prod = linalg.mat_mul(m1, m2)
             if k3 in out:
-                out[k3] = linalg.mat_add(out[k3], prod)
+                linalg.add_into(out[k3], prod)
             else:
                 out[k3] = prod
     return {k: m for k, m in out.items() if any(any(row) for row in m)}
@@ -411,7 +418,10 @@ def test_cell_projectors_resolve_identity():
     for mu in g.irrep_labels:
         p = cell_projector(d, mu, 0, 1)
         assert linalg.mat_mul(p, p) == p
-        total = p if total is None else linalg.mat_add(total, p)
+        if total is None:
+            total = p
+        else:
+            linalg.add_into(total, p)
     assert total == linalg.identity(d.cell_dim(0, 1))
 
 
@@ -494,9 +504,24 @@ def test_cohomology_simple_quotient_b2():
     ]
 
 
+def _z_character_agrees(d, cell):
+    """The D^2 kernel of a cell, and whether its character read at the free
+    columns of the nullspace basis equals the one read at the pivots of its
+    echelon form."""
+    zero = linalg.nullspace(d.d_squared_on_cell(*cell))
+    reps = [cl[0] for cl in d.module.group.conjugacy_classes]
+    blocks = [(0, [d.w_cell(w, *cell) for w in reps])]
+    echelon = linalg.column_space_basis(zero)
+    fast = _span_character(zero, _free_columns(zero), blocks, len(reps))
+    slow = _span_character(echelon, _leading(echelon), blocks, len(reps))
+    return zero, fast == slow
+
+
 def test_d_squared_kernels_follow_the_scalar_law_at_t_zero():
-    # the fast path (zero-scalar isotypics from characters) against the
-    # slow one (the nullspace of the D^2 matrix) on every nonempty cell
+    # the fast paths (zero-scalar isotypics from characters, and the Z
+    # character at the nullspace's free columns) against the slow ones
+    # (the nullspace of the D^2 matrix, and its echelonised basis) on
+    # every nonempty cell
     checked = 0
     for gid in CATALOGUE_IDS:
         g = build_group(gid)
@@ -511,11 +536,54 @@ def test_d_squared_kernels_follow_the_scalar_law_at_t_zero():
                     want = _zero_scalar_cells(m)
                     d = DiracOperatorMatrix(m)
                     for cell in d.cells():
-                        got = linalg.nullspace(d.d_squared_on_cell(*cell))
+                        got, agrees = _z_character_agrees(d, cell)
                         assert len(got) == want.get(cell, 0), \
                             (gid, c, sigma, m.kind, cell)
+                        assert agrees, (gid, c, sigma, m.kind, cell)
                         checked += 1
     assert checked == 2492
+
+
+def test_z_characters_at_free_columns_on_standard_modules():
+    for gid in ("A1", "B2"):
+        g = build_group(gid)
+        for c in (1, Fraction(1, 3)):
+            for sigma in g.irrep_labels:
+                d = DiracOperatorMatrix(standard_module(g, sigma, c, 4))
+                for cell in d.cells():
+                    assert _z_character_agrees(d, cell)[1], \
+                        (gid, c, sigma, cell)
+
+
+def test_sym_char_matches_the_matrix_trace():
+    # the Molien recurrence against the trace of w on S^k(h*)
+    for gid in CATALOGUE_IDS:
+        g = build_group(gid)
+        for k in range(7):
+            slow = class_character(g, lambda w: poly.action_matrix_on_degree(
+                g.h_star_matrix(w), g.n, k))
+            assert _sym_char(g, k) == slow, (gid, k)
+
+
+def test_multiplicities_match_the_per_element_sum():
+    # the cached dual character rows against (1/|W|) sum_w chi(w) conj
+    # chi_mu(w), element by element
+    for gid in CATALOGUE_IDS:
+        g = build_group(gid)
+        for sigma in g.irrep_labels:
+            for k in range(4):
+                for l in range(g.n + 1):
+                    chi = [a * b * x for a, b, x in zip(
+                        g.character(sigma), _wedge_char(g, l), _sym_char(g, k))]
+                    for mu in g.irrep_labels:
+                        row = g.character(mu)
+                        total = 0
+                        for w in range(g.order):
+                            ci = g.class_of(w)
+                            total = total + chi[ci] * conjugate(row[ci])
+                        slow = as_fraction(total) * Fraction(1, g.order)
+                        assert inner_product(g, chi, mu) == slow
+                        assert cell_multiplicity(g, sigma, k, l, mu) == slow
 
 
 def _without_kind(report):

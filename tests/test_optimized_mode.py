@@ -1,6 +1,6 @@
 """The library's checks survive `python -O`: the CLI prints the same bytes
-and exits with the same code with and without it, and the scalar layer's
-identity checks still raise."""
+and exits with the same code with and without it, the scalar layer's
+identity checks still raise, and the twelve acceptance criteria pass."""
 import os
 import subprocess
 import sys
@@ -50,3 +50,13 @@ def test_scalar_identity_check_raises_under_dash_o():
     proc = _run(["-O"], ["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "non-exact cyclotomic division"
+
+
+def test_acceptance_criteria_pass_under_dash_o():
+    # pytest rewrites the asserts of test modules into explicit raises, so
+    # they still fire under -O; the library's own checks must too
+    proc = _run(["-O"], ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                         str(ROOT / "tests" / "test_acceptance.py")])
+    out = proc.stdout.decode()
+    assert proc.returncode == 0, out[-2000:]
+    assert "12 passed" in out
