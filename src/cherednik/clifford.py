@@ -24,6 +24,8 @@ class CliffordAlgebra:
             labels = [f"e{i}" for i in range(self.ngens)]
         self.labels = labels
         self._gram_inv = None
+        # products of two monomials, read by H (x) C(V) products
+        self._units = {}
 
     def __eq__(self, other):
         # the algebra is its form; labels only name the generators
@@ -93,6 +95,15 @@ class CliffordAlgebra:
                 self._insert(mono, g, coeff, nxt)
             cur = nxt
         return cur
+
+    def _unit_product(self, m1, m2):
+        """Canonical form of the product of monomials m1 and m2 as a
+        memoised tuple of (monomial, coefficient) pairs."""
+        got = self._units.get((m1, m2))
+        if got is None:
+            got = self._units[(m1, m2)] = tuple(
+                self._times_gen_sequence({m1: 1}, m2).items())
+        return got
 
     def _mul_terms(self, aterms, bterms):
         out = {}

@@ -72,7 +72,9 @@ class TensorElement(Terms):
     terms maps (PBW key, Clifford monomial) to a scalar; both factors are
     kept canonical, so equality is term-map equality.  Multiplication is
     componentwise (the tensor product is not super here; the parity twist
-    enters only through the eps automorphism and the derivation d).
+    enters only through the eps automorphism and the derivation d): each
+    pair of terms reads the product of its PBW keys from the family's memo
+    and that of its Clifford monomials from the algebra's.
     """
 
     __slots__ = ("family", "algebra")
@@ -86,12 +88,14 @@ class TensorElement(Terms):
         out = {}
         for (hk1, cm1), c1 in self.terms.items():
             for (hk2, cm2), c2 in other.terms.items():
-                hprod = fam._mul_terms({hk1: 1}, {hk2: 1})
-                cprod = alg._mul_terms({cm1: 1}, {cm2: 1})
+                cprod = alg._unit_product(cm1, cm2)
                 cc = c1 * c2
-                for hk, hc in hprod.items():
-                    for cm, cf in cprod.items():
-                        acc(out, (hk, cm), cc * hc * cf)
+                for hk, hc in fam._unit_product(hk1, hk2):
+                    # most factors are 1, and a Fraction product is slow
+                    if cc != 1:
+                        hc = cc * hc
+                    for cm, cf in cprod:
+                        acc(out, (hk, cm), hc if cf == 1 else hc * cf)
         return TensorElement(fam, alg, out)
 
     def degree(self):

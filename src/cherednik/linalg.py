@@ -1,16 +1,18 @@
-"""Dense exact linear algebra over rational and cyclotomic entries.
+"""Exact linear algebra over rational and cyclotomic entries.
 
-Matrices are lists of rows; vectors are lists.  Entries only need +, -, *,
-equality and truthiness-as-nonzero, so ints, Fractions and CyclotomicScalars
-mix freely; division goes through scalars.reciprocal, never through `/`,
-which would turn two ints into a float.  rref keeps rational entries in the
-rational form of scalars.py (an int when integral), so its results, and
-those of nullspace, solve and inverse built on it, hold no Fraction with
-denominator 1.  Everything is exact; there is no pivoting for numerical
+Matrices are dense lists of rows and vectors are lists.  Entries only need
++, -, *, equality and truthiness-as-nonzero, so ints, Fractions and
+CyclotomicScalars mix freely; division goes through scalars.reciprocal,
+never through `/`, which would turn two ints into a float.  rref, the one
+elimination, works on sparse rows, on integers when the input is rational.
+Its results, and those of nullspace, solve and inverse built on it, are in
+the rational form of scalars.py (an int when integral) and hold every zero
+as the int 0.  Everything is exact; there is no pivoting for numerical
 stability because there is no rounding.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import as_fraction, rational, reciprocal
 
@@ -114,46 +116,116 @@ def add_kron(acc, a, b):
                         row[j * cb + jj] = row[j * cb + jj] + v * y
 
 
+def _primitive(row):
+    """The primitive integer row proportional to a row of ints and
+    Fractions (int has numerator and denominator too)."""
+    if Fraction in map(type, row.values()):
+        den = lcm(*[x.denominator for x in row.values()])
+        row = {j: x.numerator * (den // x.denominator)
+               for j, x in row.items()}
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g != 1 else row
+
+
+def _cancel_int(row, piv, c):
+    """Primitive integer row proportional to row - (row[c]/piv[c]) piv,
+    formed fraction-free as (piv[c]/g) row - (row[c]/g) piv."""
+    g = gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, y in piv.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
+def _cancel_field(row, piv, c):
+    """row - row[c] piv for a pivot row with piv[c] == 1."""
+    f = row[c]
+    out = dict(row)
+    for j, y in piv.items():
+        x = out[j] - f * y if j in out else -f * y
+        if x:
+            # scalars.rational, inlined on this hot path
+            if type(x) is Fraction and x.denominator == 1:
+                x = x.numerator
+            out[j] = x
+        else:
+            del out[j]
+    return out
+
+
 def rref(m):
     """Reduced row echelon form; returns (matrix, pivot column list).
-    Rational entries of the result are in the rational form, zeros are
-    ints."""
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        # invert once: a cyclotomic inverse is a whole extended Euclid
-        inv = reciprocal(a[r][c])
-        a[r] = [rational(x * inv) if x else 0 for x in a[r]]
-        support = [(j, y) for j, y in enumerate(a[r]) if y]
-        for i in range(rows):
-            f = a[i][c]
-            if i != r and f:
-                row = a[i]
-                for j, y in support:
-                    # scalars.rational, inlined on this hot path
-                    x = row[j] - f * y
-                    if type(x) is Fraction and x.denominator == 1:
-                        x = x.numerator
-                    row[j] = x
+
+    Rows are eliminated as sparse {column: nonzero} dicts.  Rational input
+    (ints and Fractions) becomes primitive integer rows and is eliminated
+    fraction-free, every step staying in Z (Bareiss, Math. Comp. 1968),
+    each new row divided by its content; a Fraction is formed only when a
+    pivot row is divided by its pivot on the way out.  Other input divides
+    each pivot row by its pivot once, one reciprocal per row.  At each
+    column the sparsest candidate row becomes the pivot row, which limits
+    fill-in; the reduced form is unique, so that choice does not show in
+    the result.  Rational entries of the result are in the rational form
+    and every zero is the int 0.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    live = [{j: x for j, x in enumerate(row) if x} for row in m if any(row)]
+    over_q = {type(x) for row in live
+              for x in row.values()} <= {int, Fraction}
+    if over_q:
+        live = [_primitive(row) for row in live]
+    cancel = _cancel_int if over_q else _cancel_field
+    # forward pass: a live row waits at its leading column
+    waiting = {}
+    for row in live:
+        waiting.setdefault(min(row), []).append(row)
+    pivots, prows = [], []
+    while waiting:
+        c = min(waiting)
+        group = waiting.pop(c)
+        first = min(group, key=len)
+        piv = first
+        p = piv[c]
+        # p != 1 would lift a CyclotomicScalar to compare it with 1
+        if not over_q and (type(p) is not int or p != 1):
+            # invert once: a cyclotomic inverse is a whole extended Euclid
+            inv = reciprocal(p)
+            piv = {j: rational(x * inv) for j, x in piv.items()}
+            piv[c] = 1
+        for row in group:
+            if row is not first:
+                row = cancel(row, piv, c)
+                if row:
+                    waiting.setdefault(min(row), []).append(row)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    # the rows below the pivots are zero; write them as ints like the rest
-    for i in range(r, rows):
-        a[i] = [0] * cols
-    return a, pivots
+        prows.append(piv)
+    # backward pass: clear each later pivot column from the rows above it
+    at = {c: k for k, c in enumerate(pivots)}
+    for k in range(len(prows) - 2, -1, -1):
+        row = prows[k]
+        for c in [j for j in row if j in at and j != pivots[k]]:
+            row = cancel(row, prows[at[c]], c)
+        prows[k] = row
+    out = []
+    for c, row in zip(pivots, prows):
+        dense = [0] * cols
+        if over_q:
+            p = row[c]
+            for j, x in row.items():
+                q, r = divmod(x, p)
+                dense[j] = Fraction(x, p) if r else q
+        else:
+            for j, x in row.items():
+                dense[j] = x
+        out.append(dense)
+    out.extend([0] * cols for _ in range(rows - len(pivots)))
+    return out, pivots
 
 
 def rank(m):

@@ -63,6 +63,8 @@ class FormFamily:
         self._wx = {}
         self._wy = {}
         self._ins = {}
+        # products of two PBW monomials, read by H (x) C(V) products
+        self._units = {}
         # per module kind: its ideal and sigma-independent GradedModule data
         self._module_data = {}
 
@@ -262,6 +264,15 @@ class FormFamily:
                 for b2, d in self._w_on_y(w2, b).items():
                     acc(out, (a, self.group.mult(w, w2), b2), c * d)
         return out
+
+    def _unit_product(self, k1, k2):
+        """Normal form of the product of PBW monomials k1 and k2 as a
+        memoised tuple of (key, coefficient) pairs."""
+        got = self._units.get((k1, k2))
+        if got is None:
+            got = self._units[(k1, k2)] = tuple(
+                self._mul_terms({k1: 1}, {k2: 1}).items())
+        return got
 
     def _mul_terms(self, uterms, vterms):
         res = {}

@@ -1,11 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-The rational form: across the package a rational value is an int when it
-is integral and a Fraction only when its denominator is > 1 (never a
-float, never a Fraction with denominator 1); rational() puts a value in
-that form.  Python's int does the same arithmetic as Fraction in C, and
-most rationals met here (group matrices, unit coefficients, c = 1 or 2)
-are integers.  CyclotomicScalar values keep their own canonical form.
+The rational form: a rational value is an int when it is integral and a
+Fraction only when its denominator is > 1 (never a float, never a
+Fraction with denominator 1); rational() puts a value in that form.  It
+holds for parsed scalars and reciprocal() here, for the sums of poly.acc,
+for the results of linalg's rref, nullspace, solve and inverse, and for
+the catalogue's group data.  Matrix products (linalg.mat_mul, kron,
+add_kron) skip the check on their hot paths, so module matrices may hold
+integral Fractions; rref accepts them.  Python's int does the same
+arithmetic as Fraction in C, and most rationals met here (group matrices,
+unit coefficients, c = 1 or 2) are integers.  CyclotomicScalar values keep
+their own canonical form.
 
 An element is stored in the power basis modulo the N-th cyclotomic
 polynomial, as integer numerators over one positive common denominator.
@@ -84,11 +89,20 @@ def cyclotomic_polynomial(n: int) -> dict:
     return {e: c for e, c in enumerate(_phi_coeff_list(n)) if c}
 
 
+# The reduction table costs O(n phi(n)) time and memory (at n = 1000003 it
+# never finishes), so a conductor past this cap is refused at once.
+MAX_CONDUCTOR = 1000
+
+
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int):
     """(deg Phi_n, rows): rows[e] is zeta_n^e in the power basis as integer
     (k, c) pairs, for 0 <= e < 2n (products of reduced elements stay below
-    2 deg Phi_n - 1)."""
+    2 deg Phi_n - 1).  Every cyclotomic operation reads it, lcm promotions
+    included; CapExceeded (bound "conductor") past MAX_CONDUCTOR."""
+    if n > MAX_CONDUCTOR:
+        raise CapExceeded(f"conductor {n} exceeds the cap {MAX_CONDUCTOR}",
+                          "conductor", n)
     phi = _phi_coeff_list(n)
     deg = len(phi) - 1
     vec = [0] * deg

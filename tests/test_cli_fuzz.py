@@ -7,6 +7,7 @@ import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,16 +26,18 @@ _TEXT = st.text(_ALPHABET, max_size=20)
 
 # Near-misses of the grammar [+-]digits[/digits] | cyclo(N; e:p/q, ...):
 # signs, doubled or odd separators, float and underscore forms, repeated
-# exponents, unclosed cyclo(.  Magnitudes stay below 10^3 and conductors
-# at most 60.  Larger values are not malformed but cost more:
-# - a conductor N costs arithmetic in Q(zeta_N), and there is no cap on N
-#   (`--c 'cyclo(1000003; 1:1/1)'` runs past 20 s);
-# - at t = 1 a zero-scalar degree k past --K is refused from the closed
-#   form of the S^k(h*) character, whose recurrence still runs in time
-#   linear in k, which grows with c.
+# exponents, unclosed cyclo(.  Magnitudes stay below 10^3.  Conductors run
+# up to 999, under scalars.MAX_CONDUCTOR, where arithmetic in Q(zeta_N)
+# costs up to about 0.2 s a command, plus a few past it, which are refused
+# at once (exit 2).  Larger magnitudes are not malformed but cost more: at
+# t = 1 a zero-scalar degree k past --K is refused from the closed form of
+# the S^k(h*) character, whose recurrence still runs in time linear in k,
+# which grows with c.
 _NUM = st.one_of(st.integers(0, 999).map(str),
                  st.sampled_from(["", "0", "007", "1e3", "1_0", "0.5", "x",
                                   "\u0663", " 1"]))
+PAST_CAP = (1001, 4000, 1000003)
+_PAST_CAP = st.sampled_from([str(n) for n in PAST_CAP])
 _RATIONAL = st.builds(
     lambda sign, p, sep, q: sign + p + sep + q,
     st.sampled_from(["", "+", "-", "+-", "--"]), _NUM,
@@ -44,7 +47,7 @@ _TERM = st.builds(
     _NUM, st.sampled_from([":", "", "::", " : "]), _RATIONAL)
 _CYCLO = st.builds(
     lambda n, semi, terms, close: f"cyclo({n}{semi} {', '.join(terms)}{close}",
-    st.one_of(st.integers(0, 60).map(str), _NUM),
+    st.one_of(st.integers(0, 60).map(str), _NUM, _PAST_CAP),
     st.sampled_from([";", "", ",", ";;"]),
     st.lists(_TERM, max_size=4), st.sampled_from([")", "", "))", " )"]))
 _SCALAR = st.one_of(_TEXT, _RATIONAL, _CYCLO)
@@ -80,6 +83,14 @@ def test_any_c_and_t_exit_zero_or_two(command, cs, t):
     if t is not None and command[0] == "dirac-cohomology":
         argv += ["--t", t]
     _check(argv)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("n", PAST_CAP)
+def test_conductor_past_the_cap_exits_two(command, n):
+    code, err = _run(command + ["--c", f"cyclo({n}; 1:1/1)"])
+    assert code == 2
+    assert err == f"error: conductor {n} exceeds the cap 1000\n"
 
 
 _KEYS = st.one_of(

@@ -8,10 +8,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cherednik import dirac, linalg
+from cherednik import dirac, linalg, pbw
+from cherednik.calogero_moser import verify_cm_factorization
 from cherednik.clifford import pin_tau_inverse
 from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.pbw import (
+    FormFamily,
     casimir_h,
     cherednik_family,
     gaha_family,
@@ -607,3 +609,49 @@ def test_tensor_product_mixed_families_rejected():
     b = tensor(f2.one(), f2.clifford.one())
     with pytest.raises(ValueError):
         a + b
+
+
+def test_tensor_products_reuse_the_family_unit_products(monkeypatch):
+    # a fresh family cache, so the first pass starts from empty memos
+    monkeypatch.setattr(pbw, "_CHEREDNIK_FAMILIES", {})
+    inside, calls = [0], []
+    tensor_mul, mul_terms = TensorElement.__mul__, FormFamily._mul_terms
+
+    def traced_mul(self, other):
+        inside[0] += 1
+        try:
+            return tensor_mul(self, other)
+        finally:
+            inside[0] -= 1
+
+    def counting(self, uterms, vterms):
+        if inside[0]:
+            calls.append(self)
+        return mul_terms(self, uterms, vterms)
+
+    monkeypatch.setattr(TensorElement, "__mul__", traced_mul)
+    monkeypatch.setattr(FormFamily, "_mul_terms", counting)
+    g = build_group("A2")
+    first = verify_cm_factorization(g, 1, 3)
+    made = len(calls)
+    assert made
+    assert verify_cm_factorization(g, 1, 3) == first
+    assert len(calls) == made
+
+
+def test_tensor_product_terms_are_not_memo_aliases():
+    fam = c_fam("A2", 0, 1)
+    alg = fam.clifford
+    a = tensor(fam.y_gen(0) * fam.group_element(1), alg.gen(1))
+    b = tensor(fam.x_gen(0), alg.gen(0) * alg.gen(3))
+    p = a * b
+    want = dict(p.terms)
+    assert len(want) > 1
+    for k in p.terms:
+        p.terms[k] = 7
+    p.terms[((0, 0), 0, (0, 0)), ()] = 1
+    assert (a * b).terms == want
+    q = tensor(fam.x_gen(0), alg.one()) * tensor(fam.x_gen(1), alg.one())
+    q.terms.clear()
+    assert (tensor(fam.x_gen(0), alg.one())
+            * tensor(fam.x_gen(1), alg.one())).terms

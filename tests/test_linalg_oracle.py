@@ -3,9 +3,12 @@
 Seeded sparse matrices up to 12 x 15 (about 30 % nonzero, some rows made
 dependent on earlier ones) over Q, Q(zeta_5) and Q(zeta_12) go through
 rref, nullspace, solve and inverse, and every result is compared by value
-with sympy's DomainMatrix over the same field.  The Q matrices mix ints
-with Fractions, integral Fractions included, and every integral entry of a
-Q result must come back as an int: the rational form of scalars.py.
+with sympy's DomainMatrix over the same field.  Tall matrices shaped like
+those of the kernel decomposition (60-150 rows, 20-40 columns, about 5 %
+nonzero, rank-deficient) go through rref the same way.  The matrices mix
+ints with Fractions, integral Fractions included; every integral entry of
+a Q result must come back as an int, the rational form of scalars.py, and
+every zero of any result as the int 0.
 """
 import random
 from fractions import Fraction
@@ -56,12 +59,13 @@ def _oracle(rows, ncols, n):
 
 
 def _assert_rational_form(rows, n):
-    if n != 1:
-        return
     for row in rows:
         for x in row:
-            assert type(x) is int or (type(x) is Fraction
-                                      and x.denominator > 1), repr(x)
+            if not x:
+                assert type(x) is int, repr(x)
+            elif n == 1:
+                assert type(x) is int or (type(x) is Fraction
+                                          and x.denominator > 1), repr(x)
 
 
 def _cases(n):
@@ -93,6 +97,53 @@ def test_rref_and_nullspace_match_sympy(n):
                   for row, f in zip(kernel.to_list(), free)]
         assert _oracle(ns, cols, n).to_list() == scaled
         _assert_rational_form(ns, n)
+
+
+def _tall(rng, n):
+    """A kernel-shaped matrix: many more rows than columns, about 5 %
+    nonzero, and a rank well below the column count."""
+    rows, cols = rng.randint(60, 150), rng.randint(20, 40)
+    rank = rng.randint(cols // 3, cols - 3)
+    # a sparse rank-`rank` product: independent rows, then sparse
+    # combinations of them, shuffled among each other
+    basis = [[0] * cols for _ in range(rank)]
+    for i, row in enumerate(basis):
+        row[rng.randrange(cols)] = _entry(rng, n)
+        for j in range(cols):
+            if rng.random() < 0.015:
+                row[j] = _entry(rng, n)
+    m = [list(row) for row in basis]
+    while len(m) < rows:
+        row = [0] * cols
+        for b in rng.sample(basis, rng.choice([1, 1, 2])):
+            f = _entry(rng, n)
+            row = [x + f * y if y else x for x, y in zip(row, b)]
+        m.append(row)
+    rng.shuffle(m)
+    return m, rows, cols
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_tall_sparse_rref_matches_sympy(n):
+    for seed in range(3):
+        rng = random.Random(5000 + 1000 * n + seed)
+        m, rows, cols = _tall(rng, n)
+        a, pivots = linalg.rref(m)
+        want, want_pivots = _oracle(m, cols, n).rref()
+        assert len(pivots) < cols
+        assert pivots == list(want_pivots)
+        assert _oracle(a, cols, n) == want
+        _assert_rational_form(a, n)
+
+
+def test_rref_of_integral_fractions_is_in_rational_form():
+    # products of matrices may hold Fraction(k, 1), and rref accepts them
+    m = [[Fraction(2, 1), Fraction(4, 1), 0], [Fraction(3, 1), 6, 1],
+         [Fraction(1, 2), 1, Fraction(-5, 5)]]
+    a, pivots = linalg.rref(m)
+    assert pivots == [0, 2]
+    assert a == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+    _assert_rational_form(a, 1)
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)

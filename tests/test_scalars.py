@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cherednik.scalars import (
+    MAX_CONDUCTOR,
+    CapExceeded,
     CyclotomicScalar,
     NotRational,
     as_fraction,
@@ -151,6 +153,19 @@ def test_mixed_conductor_promotion():
     # zeta_6 = 1 + zeta_3 (both primitive 6th/3rd roots live in conductor 6)
     want = reduce_cyclotomic_sympy({2: F(1), 1: F(1)}, 6)  # zeta_6^2 = zeta_3
     assert as_dict(s.at_conductor(6)) == want
+
+
+def test_conductor_past_the_cap_is_refused():
+    assert zeta(MAX_CONDUCTOR) ** MAX_CONDUCTOR == 1
+    for n in (MAX_CONDUCTOR + 1, 4000, 1000003):
+        with pytest.raises(CapExceeded) as err:
+            zeta(n)
+        assert (err.value.bound, err.value.minimal) == ("conductor", n)
+    # an lcm promotion past the cap is refused the same way
+    with pytest.raises(CapExceeded, match="conductor 1080 "):
+        zeta(40) * zeta(27)
+    with pytest.raises(CapExceeded, match="conductor 1080 "):
+        zeta(40) + zeta(27)
 
 
 def test_rational_interop_and_shrink():
