@@ -283,13 +283,31 @@ def _word_reflections(w_index, group):
             for gi in group.words[w_index]]
 
 
+@lru_cache(maxsize=None)
+def _pin_taus(group):
+    """tau_w by element index, as _pin_tau forms them."""
+    return {0: polarized_algebra(group.n).one()}
+
+
+def _pin_tau(w_index, group):
+    # the words are prefix-closed, so tau_w = tau_parent tau_s for the
+    # last letter s of w's word: the same products as along the word
+    taus = _pin_taus(group)
+    tau = taus.get(w_index)
+    if tau is None:
+        gi = group.generator_indices[group.words[w_index][-1]]
+        tau = taus[w_index] = (
+            _pin_tau(group.parents[w_index], group)
+            * tau_reflection(group.reflection_at(gi),
+                             polarized_algebra(group.n)))
+    return tau
+
+
 def pin_tau(w_index, group) -> CliffordElement:
-    """tau_w in C(h + h*) along the group's BFS reflection word for w."""
-    alg = polarized_algebra(group.n)
-    out = alg.one()
-    for r in _word_reflections(w_index, group):
-        out = out * tau_reflection(r, alg)
-    return out
+    """tau_w in C(h + h*) along the group's BFS reflection word for w,
+    formed once per group and element."""
+    _word_reflections(w_index, group)  # refuses a bad index
+    return _pin_tau(w_index, group)
 
 
 def pin_tau_inverse(w_index, group) -> CliffordElement:

@@ -23,9 +23,9 @@ from .scalars import (CyclotomicScalar, conjugate, rational, reciprocal,
 
 
 def _entry_key(x, n):
-    if not isinstance(x, CyclotomicScalar):
-        x = CyclotomicScalar.from_rational(x)
-    return x.at_conductor(n).key()
+    if isinstance(x, CyclotomicScalar):
+        return x.at_conductor(n).key()
+    return (x.numerator, x.denominator)
 
 
 def _mat_key(m, n):
@@ -297,11 +297,14 @@ CATALOGUE_IDS = sorted(_catalogue().keys())
 
 
 def _enumerate(generators, conductor):
-    """BFS closure; returns (elements, words, index, identity first)."""
+    """BFS closure; returns (elements, words, parents, index), identity
+    first.  The words are prefix-closed: words[i] is words[parents[i]]
+    followed by one generator."""
     n = len(generators[0])
     ident = linalg.identity(n)
     elements = [ident]
     words = [()]
+    parents = [None]
     index = {_mat_key(ident, conductor): 0}
     frontier = [0]
     while frontier:
@@ -314,11 +317,12 @@ def _enumerate(generators, conductor):
                     index[key] = len(elements)
                     elements.append(prod)
                     words.append(words[i] + (gi,))
+                    parents.append(i)
                     nxt.append(index[key])
         frontier = nxt
         if len(elements) > 2000:
             raise ValueError("group too large for the catalogue")
-    return elements, words, index
+    return elements, words, parents, index
 
 
 def _conjugacy_classes(group_mult, inverse_index, order, gens):
@@ -523,7 +527,7 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
             for x in row:
                 if isinstance(x, CyclotomicScalar):
                     conductor = math.lcm(conductor, x.conductor)
-    elements, words, index = _enumerate(gens, conductor)
+    elements, words, parents, index = _enumerate(gens, conductor)
 
     group = ReflectionGroup(
         catalogue_id=catalogue_id,
@@ -531,6 +535,7 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         family=data["family"],
         elements=elements,
         words=words,
+        parents=parents,
         invariant_degrees=list(data["invariant_degrees"]),
         _index=index,
         _conductor=conductor,
@@ -576,19 +581,17 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
     for r in reflections:
         r.class_name = group.class_names[class_of[r.element_index]]
 
-    # irreps from shipped generator images, expanded along BFS words
+    # irreps from shipped generator images, expanded along BFS words: one
+    # product per element, the parent's image times the last letter's
     irrep_labels = []
     irrep_dims = []
     irreps = {}
     for label, gen_images in data["irreps"]:
         dim = len(gen_images[0])
-        mats = [None] * group.order
-        mats[0] = linalg.identity(dim)
-        for i in range(group.order):
-            m = linalg.identity(dim)
-            for gi in words[i]:
-                m = linalg.mat_mul(m, gen_images[gi])
-            mats[i] = m
+        mats = [linalg.identity(dim)]
+        for i in range(1, group.order):
+            mats.append(linalg.mat_mul(mats[parents[i]],
+                                       gen_images[words[i][-1]]))
         rep = WRepresentation(dim, mats)
         irrep_labels.append(label)
         irrep_dims.append(dim)

@@ -4,8 +4,9 @@ Matrices are dense lists of rows and vectors are lists.  Entries only need
 +, -, *, equality and truthiness-as-nonzero, so ints, Fractions and
 CyclotomicScalars mix freely; division goes through scalars.reciprocal,
 never through `/`, which would turn two ints into a float.  rref, the one
-elimination, works on sparse rows, on integers when the input is rational.
-Its results, and those of nullspace, solve and inverse built on it, are in
+elimination, works on sparse rows, on integers when the input is rational;
+a CyclotomicScalar is never rational-valued, so a matrix of rational
+values always takes that path.  Its results, and those of nullspace, solve and inverse built on it, are in
 the rational form of scalars.py (an int when integral) and hold every zero
 as the int 0.  Everything is exact; there is no pivoting for numerical
 stability because there is no rounding.
@@ -163,7 +164,7 @@ def rref(m):
     """Reduced row echelon form; returns (matrix, pivot column list).
 
     Rows are eliminated as sparse {column: nonzero} dicts.  Rational input
-    (ints and Fractions) becomes primitive integer rows and is eliminated
+    (ints and Fractions: every rational value) becomes primitive integer rows and is eliminated
     fraction-free, every step staying in Z (Bareiss, Math. Comp. 1968),
     each new row divided by its content; a Fraction is formed only when a
     pivot row is divided by its pivot on the way out.  Other input divides
@@ -192,8 +193,7 @@ def rref(m):
         first = min(group, key=len)
         piv = first
         p = piv[c]
-        # p != 1 would lift a CyclotomicScalar to compare it with 1
-        if not over_q and (type(p) is not int or p != 1):
+        if not over_q and p != 1:
             # invert once: a cyclotomic inverse is a whole extended Euclid
             inv = reciprocal(p)
             piv = {j: rational(x * inv) for j, x in piv.items()}

@@ -5,21 +5,22 @@ Fraction only when its denominator is > 1 (never a float, never a
 Fraction with denominator 1); rational() puts a value in that form.  It
 holds for parsed scalars and reciprocal() here, for the sums of poly.acc,
 for the results of linalg's rref, nullspace, solve and inverse, and for
-the catalogue's group data.  Matrix products (linalg.mat_mul, kron,
-add_kron) skip the check on their hot paths, so module matrices may hold
-integral Fractions; rref accepts them.  Python's int does the same
-arithmetic as Fraction in C, and most rationals met here (group matrices,
-unit coefficients, c = 1 or 2) are integers.  CyclotomicScalar values keep
-their own canonical form.
+the catalogue's group data, and for every cyclotomic result whose value
+is rational.  Matrix products (linalg.mat_mul, kron, add_kron) skip the
+check on their hot paths, so module matrices may hold integral Fractions;
+rref accepts them.  Python's int does the same arithmetic as Fraction in
+C, and most rationals met here (group matrices, unit coefficients, c = 1
+or 2) are integers.
 
 An element is stored in the power basis modulo the N-th cyclotomic
 polynomial, as integer numerators over one positive common denominator.
 Phi_N is monic over Z, so reduction, products, sums and field maps run on
 Python ints with one gcd normalisation per result; nothing here rounds and
-no Fraction is built in the arithmetic itself.  Rational values are
-automatically shrunk to conductor 1 so that a computation whose answer
-happens to be rational compares equal to the plain Fraction and serializes
-as one.
+no Fraction is built in the arithmetic itself.  A result whose value is
+rational leaves the type: it comes back in the rational form, so a
+CyclotomicScalar is never rational (its conductor is > 2 and it is never
+zero), and a computation whose answer happens to be rational meets the
+integer paths of linalg and serializes as p/q.
 
 Mixed-conductor arithmetic promotes both operands to the lcm of their
 conductors via zeta_N = zeta_M^(M/N).
@@ -178,21 +179,23 @@ def _make(n, num, den):
 
 
 def _canon(n, vals, den):
-    """The scalar sum_e vals[e] zeta_n^e / den, in canonical form."""
+    """The scalar sum_e vals[e] zeta_n^e / den, in canonical form: in the
+    rational form when only vals[0] is nonzero."""
     g = gcd(den, *vals)
+    if not any(vals[1:]):
+        p, q = vals[0] // g, den // g
+        return Fraction(p, q) if q != 1 else p
     if g != 1:  # most results are already reduced: skip the division pass
         num = {e: v // g for e, v in enumerate(vals) if v}
     else:
         num = {e: v for e, v in enumerate(vals) if v}
-    if n != 1 and (not num or (len(num) == 1 and 0 in num)):
-        n = 1
     return _make(n, num, den // g)
 
 
 def _scale(x, p, q):
-    """x * p / q for integers p and q > 0."""
+    """x * p / q for integers p and q > 0; 0 when p is."""
     if not p:
-        return _ZERO
+        return 0
     num = {e: v * p for e, v in x.num.items()}
     den = x.den * q
     g = gcd(den, *num.values())
@@ -214,17 +217,17 @@ def _parts(v):
 
 
 class CyclotomicScalar:
-    """An element of Q(zeta_N), reduced modulo Phi_N.
+    """An irrational element of Q(zeta_N), reduced modulo Phi_N.
 
-    conductor: the N of the ambient field; 1 exactly when the value is
-        rational (at_conductor alone writes a value at a larger N on
-        request).
-    num: dict exponent -> nonzero int, exponents in [0, deg Phi_N).
-    den: positive int with gcd(den, *num.values()) == 1; zero is
-        ({}, 1).
+    conductor: the N of the ambient field, > 2 (at_conductor writes a
+        value at a larger N on request).
+    num: dict exponent -> nonzero int, exponents in [0, deg Phi_N), with
+        some exponent other than 0.
+    den: positive int with gcd(den, *num.values()) == 1.
     The value is sum_e num[e] * zeta_N^e / den.  coeffs gives the same
-    value as a dict exponent -> Fraction.  Values come from reduce, zeta
-    and from_rational.
+    value as a dict exponent -> Fraction.  Values come from reduce and
+    zeta; an operation whose value is rational returns it in the rational
+    form instead.
     """
 
     __slots__ = ("conductor", "num", "den")
@@ -232,11 +235,6 @@ class CyclotomicScalar:
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicScalar is immutable")
-
-    @staticmethod
-    def from_rational(q) -> "CyclotomicScalar":
-        q = Fraction(q)
-        return _make(1, {0: q.numerator} if q else {}, q.denominator)
 
     @property
     def coeffs(self) -> dict:
@@ -258,9 +256,6 @@ class CyclotomicScalar:
 
     # -- arithmetic
 
-    def __bool__(self):
-        return bool(self.num)
-
     def __neg__(self):
         return _make(self.conductor, {e: -v for e, v in self.num.items()},
                      self.den)
@@ -271,13 +266,10 @@ class CyclotomicScalar:
             return NotImplemented
         nb, b, db = o
         n, a, da = self.conductor, self.num, self.den
-        if nb != n:
-            if n == 1:
-                n = nb
-            elif nb != 1:
-                m = lcm(n, nb)
-                a, b = _lift(a, n, m), _lift(b, nb, m)
-                n = m
+        if nb != n and nb != 1:
+            m = lcm(n, nb)
+            a, b = _lift(a, n, m), _lift(b, nb, m)
+            n = m
         g = gcd(da, db)
         ma, mb = db // g, da // g
         vals = [0] * _reduction_rows(n)[0]
@@ -301,12 +293,7 @@ class CyclotomicScalar:
 
     def __mul__(self, other):
         if isinstance(other, CyclotomicScalar):
-            nb = other.conductor
-            if nb == 1:
-                return _scale(self, other.num.get(0, 0), other.den)
-            n = self.conductor
-            if n == 1:
-                return _scale(other, self.num.get(0, 0), self.den)
+            n, nb = self.conductor, other.conductor
             a, b = self.num, other.num
             if n != nb:
                 m = lcm(n, nb)
@@ -322,13 +309,7 @@ class CyclotomicScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicScalar":
-        num = self.num
-        if not num:
-            raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        n, den = self.conductor, self.den
-        if len(num) == 1 and 0 in num:
-            p = num[0]
-            return _make(1, {0: den if p > 0 else -den}, abs(p))
+        n, num, den = self.conductor, self.num, self.den
         # x = P / den with P in Z[zeta_n]; Y = prod_{k != 1} sigma_k(P)
         # makes P * Y = N(P) an integer, positive since Q(zeta_n) is totally
         # complex for n > 2, so 1/x = den * Y / N(P)
@@ -366,7 +347,7 @@ class CyclotomicScalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = CyclotomicScalar.from_rational(1)
+        out = 1
         base = self
         while k:
             if k & 1:
@@ -381,7 +362,7 @@ class CyclotomicScalar:
             return NotImplemented
         nb, b, db = o
         n = self.conductor
-        if db != self.den:
+        if nb == 1 or db != self.den:
             return False
         if nb == n:
             return self.num == b
@@ -396,21 +377,11 @@ class CyclotomicScalar:
 
     def conjugate(self) -> "CyclotomicScalar":
         n = self.conductor
-        if n == 1:
-            return self
         return _canon(n, _galois(self.num, n, n - 1), self.den)
-
-    def rational_value(self) -> Fraction:
-        if self.conductor != 1:
-            raise NotRational("irrational scalar in rational context: "
-                              f"{scalar_str(self)}")
-        return Fraction(self.num.get(0, 0), self.den)
 
     def key(self):
         """Canonical hashable form; equal scalars at equal conductor share it."""
         den = self.den
-        if self.conductor == 1:
-            return (self.num.get(0, 0), den)
         return (self.conductor,
                 tuple((e, v // g, den // g) for e, v, g in
                       ((e, v, gcd(v, den))
@@ -423,13 +394,13 @@ class CyclotomicScalar:
 _SET_N = CyclotomicScalar.conductor.__set__
 _SET_NUM = CyclotomicScalar.num.__set__
 _SET_DEN = CyclotomicScalar.den.__set__
-_ZERO = _make(1, {}, 1)
 
 
 # --- module-level operations ------------------------------------------------
 
-def reduce(poly: dict, n: int) -> CyclotomicScalar:
-    """Reduce sum_e poly[e] * zeta_n^e into canonical form.
+def reduce(poly: dict, n: int):
+    """Reduce sum_e poly[e] * zeta_n^e into canonical form: a
+    CyclotomicScalar, or the rational form when the value is rational.
 
     Exponents may be any integers (zeta_n^n = 1 is applied first);
     coefficients are ints or Fractions.
@@ -445,8 +416,8 @@ def reduce(poly: dict, n: int) -> CyclotomicScalar:
                             for e, c in acc.items()], n), den)
 
 
-def zeta(n: int, power: int = 1) -> CyclotomicScalar:
-    """The root of unity zeta_n^power."""
+def zeta(n: int, power: int = 1):
+    """The root of unity zeta_n^power (an int when it is 1 or -1)."""
     return reduce({power: 1}, n)
 
 
@@ -477,10 +448,11 @@ def reciprocal(x):
 
 
 def as_fraction(x) -> Fraction:
-    """The Fraction value of an int, Fraction or rational
-    CyclotomicScalar; raises NotRational off the rational subfield."""
+    """The Fraction value of an int or Fraction; raises NotRational for a
+    CyclotomicScalar, which is never rational."""
     if isinstance(x, CyclotomicScalar):
-        return x.rational_value()
+        raise NotRational("irrational scalar in rational context: "
+                          f"{scalar_str(x)}")
     return Fraction(x)
 
 
@@ -530,13 +502,10 @@ def real_sign(x) -> int:
     that are refined until they exclude 0, which happens for every nonzero
     value.
     """
+    if isinstance(x, CyclotomicScalar):
+        x = x + x.conjugate()
     if not isinstance(x, CyclotomicScalar):
-        x = Fraction(x)
         return (x > 0) - (x < 0)
-    x = x + x.conjugate()
-    if x.conductor == 1:
-        q = x.num.get(0, 0)
-        return (q > 0) - (q < 0)
     n = x.conductor
     eps = Fraction(1, 2 ** 16)
     while True:
@@ -560,7 +529,7 @@ def real_sign(x) -> int:
 
 def scalar_str(a) -> str:
     """'p/q' for rationals, 'cyclo(N; e:p/q, ...)' otherwise."""
-    if isinstance(a, CyclotomicScalar) and a.conductor != 1:
+    if isinstance(a, CyclotomicScalar):
         parts = ", ".join(f"{e}:{p}/{q}" for e, p, q in a.key()[1])
         return f"cyclo({a.conductor}; {parts})"
     a = as_fraction(a)

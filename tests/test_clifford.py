@@ -213,6 +213,23 @@ def test_pin_tau_identity_is_one():
     assert pin_tau(0, g) == alg.one()
 
 
+@pytest.mark.parametrize("gid", ["B3", "G4_1_2"])
+def test_pin_tau_matches_word_products(gid):
+    # pin_tau forms tau_w as tau_parent tau_s; the product of the
+    # reflection factors along the whole word is the reference
+    g = build_group(gid)
+    alg = polarized_algebra(g.n)
+    for w, word in enumerate(g.words):
+        want = alg.one()
+        for gi in word:
+            want = want * tau_reflection(
+                g.reflection_at(g.generator_indices[gi]), alg)
+        got = pin_tau(w, g)
+        assert got.terms == want.terms, w
+        assert ({m: type(c) for m, c in got.terms.items()}
+                == {m: type(c) for m, c in want.terms.items()}), w
+
+
 def test_pin_tau_homomorphism_small_groups():
     for gid in ["A1", "A2", "B2", "Z3", "Z4", "G3_1_2"]:
         g = build_group(gid)

@@ -5,7 +5,9 @@ import pytest
 
 from cherednik import linalg, poly
 from cherednik.groups import (
+    CATALOGUE_IDS,
     WRepresentation,
+    _catalogue,
     build_group,
     check_representation,
     export_data,
@@ -175,6 +177,27 @@ def test_words_multiply_back():
             for gi in w:
                 m = linalg.mat_mul(m, g.elements[g.generator_indices[gi]])
             assert g.element_index(m) == i
+
+
+def _identical(a, b):
+    """Equal values of equal types, entry for entry."""
+    return [[(type(x), x) for x in row] for row in a] == \
+        [[(type(y), y) for y in row] for row in b]
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_irreps_match_word_products(gid):
+    # build_group forms each irrep image as parent image times the last
+    # generator image; the product along the whole word is the reference
+    g = build_group(gid)
+    shipped = dict(_catalogue()[gid]["irreps"])
+    for label in g.irrep_labels:
+        images = shipped[label]
+        for i, w in enumerate(g.words):
+            m = linalg.identity(g.dim_of(label))
+            for gi in w:
+                m = linalg.mat_mul(m, images[gi])
+            assert _identical(g.irreps[label].matrices[i], m), (label, i)
 
 
 def test_mult_and_inverse():

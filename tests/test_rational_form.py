@@ -1,14 +1,15 @@
 """The rational form, checked where values are built: a rational is an int
 when it is integral and a Fraction only when its denominator is > 1
-(scalars.rational).  Cyclotomic values are CyclotomicScalars.  No float
-and no Fraction with denominator 1 appears in the catalogue's group data,
-in the parameters of H_{t,c}, in partition evidence or in the witnesses
-of the invariant factorization."""
+(scalars.rational).  Irrational cyclotomic values are CyclotomicScalars,
+and a rational value never is one.  No float, no Fraction with
+denominator 1 and no rational CyclotomicScalar appears in the catalogue's
+group data, in the parameters of H_{t,c}, in partition evidence, in the
+witnesses of the invariant factorization or in the input of rref."""
 from fractions import Fraction
 
 import pytest
 
-from cherednik import calogero_moser
+from cherednik import calogero_moser, linalg
 from cherednik.calogero_moser import dirac_partition, verify_cm_factorization
 from cherednik.groups import CATALOGUE_IDS, build_group, inner_product
 from cherednik.linalg import psd_report
@@ -31,7 +32,8 @@ def _off_form(obj):
     return [x for x in _scalars(obj)
             if not (type(x) is int
                     or (type(x) is Fraction and x.denominator > 1)
-                    or isinstance(x, CyclotomicScalar))]
+                    or (isinstance(x, CyclotomicScalar)
+                        and x.conductor > 1))]
 
 
 def test_catalogue_lists_sixteen_groups():
@@ -118,3 +120,23 @@ def test_inner_product_is_in_rational_form():
     triv = g.character_table[0]
     got = inner_product(g, triv, g.irrep_labels[0])
     assert got == 1 and type(got) is int
+
+
+def test_rref_sees_no_rational_cyclotomic_scalar(monkeypatch):
+    # a rational-valued CyclotomicScalar would send a rational matrix down
+    # rref's cyclotomic path instead of its integer one
+    seen = []
+    rref = linalg.rref
+
+    def recording(m):
+        seen.append([x for row in m for x in row
+                     if isinstance(x, CyclotomicScalar)])
+        return rref(m)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    for gid in ("I2_3", "I2_5", "G3_1_2"):
+        dirac_partition(build_group(gid), 1)
+    cyclotomic = [xs for xs in seen if xs]
+    assert cyclotomic
+    for xs in cyclotomic:
+        assert all(x.conductor > 2 and set(x.num) - {0} for x in xs)

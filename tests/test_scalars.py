@@ -12,6 +12,7 @@ from cherednik.scalars import (
     conjugate,
     cyclotomic_polynomial,
     parse_scalar,
+    reciprocal,
     reduce,
     scalar_str,
     zeta,
@@ -22,8 +23,12 @@ from oracles import cyclotomic_inverse_sympy, reduce_cyclotomic_sympy
 F = Fraction
 
 
-def as_dict(a: CyclotomicScalar):
-    return dict(a.coeffs)
+def as_dict(a, n=None):
+    """The value of a scalar as a dict exponent -> Fraction, written at
+    conductor n when given; a rational is {0: a} at every conductor."""
+    if isinstance(a, CyclotomicScalar):
+        return dict((a.at_conductor(n) if n else a).coeffs)
+    return {0: F(a)} if a else {}
 
 
 def test_cyclotomic_polynomial_small():
@@ -61,7 +66,7 @@ def test_reduce_zeta5_plus_zeta_at_8():
     got = reduce({5: F(1), 1: F(1)}, 8)
     want = reduce_cyclotomic_sympy({5: F(1), 1: F(1)}, 8)
     assert as_dict(got) == want
-    assert got == 0
+    assert got == 0 and type(got) is int
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 10, 12])
@@ -72,12 +77,12 @@ def test_reduce_random_against_oracle(n):
                 for _ in range(4)}
         got = reduce(poly, n)
         want = reduce_cyclotomic_sympy(poly, n)
-        assert as_dict(got.at_conductor(n)) == want
+        assert as_dict(got, n) == want
 
 
 def test_reduce_idempotent():
     a = reduce({1: F(2), 7: F(-3, 2)}, 12)
-    again = reduce(dict(a.at_conductor(12).coeffs), 12)
+    again = reduce(as_dict(a, 12), 12)
     assert a == again
 
 
@@ -127,7 +132,7 @@ def test_field_axioms_randomized():
         assert a * b == b * a
         assert a - a == 0
         if a:
-            inv = a.inverse()
+            inv = reciprocal(a)
             assert a * inv == 1
             assert a / a == 1
 
@@ -139,9 +144,8 @@ def test_inverse_against_oracle():
         a = _random_scalar(rng, n)
         if not a:
             continue
-        inv = a.inverse().at_conductor(n)
-        want = cyclotomic_inverse_sympy(as_dict(a.at_conductor(n)), n)
-        assert as_dict(inv) == want
+        want = cyclotomic_inverse_sympy(as_dict(a, n), n)
+        assert as_dict(reciprocal(a), n) == want
 
 
 def test_mixed_conductor_promotion():
@@ -169,15 +173,16 @@ def test_conductor_past_the_cap_is_refused():
 
 
 def test_rational_interop_and_shrink():
+    # a rational-valued result leaves CyclotomicScalar for the rational form
     a = zeta(4) * zeta(4) * zeta(4) * zeta(4)
-    assert a == 1
-    assert a.conductor == 1
+    assert a == 1 and type(a) is int
     b = zeta(8) ** 4 + F(3, 2)  # -1 + 3/2
-    assert b == F(1, 2)
-    assert b.rational_value() == F(1, 2)
+    assert b == F(1, 2) and type(b) is F
+    assert as_fraction(b) == F(1, 2)
     c = 2 - zeta(3) - zeta(3) ** 2  # 2 + 1 = 3
-    assert c.rational_value() == 3
-    assert (F(1, 3) + zeta(3) - zeta(3)).conductor == 1
+    assert c == 3 and type(c) is int
+    d = F(1, 3) + zeta(3) - zeta(3)
+    assert d == F(1, 3) and type(d) is F
 
 
 def test_as_fraction():
@@ -231,5 +236,5 @@ def test_key_is_canonical_at_fixed_conductor():
     a = (zeta(5) + 1) * (zeta(5) - 1)  # zeta^2 - 1
     b = zeta(5) ** 2 - 1
     assert a.key() == b.key()
-    r = zeta(3) + zeta(3) ** 2 + F(3, 2)  # = 1/2, shrinks
-    assert r.key() == CyclotomicScalar.from_rational(F(1, 2)).key()
+    r = zeta(3) + zeta(3) ** 2 + F(3, 2)  # = 1/2, leaves the type
+    assert r == F(1, 2) and type(r) is F
