@@ -50,12 +50,6 @@ class DiracPartition:
         self.evidence = evidence
         self.undecided_pairs = undecided_pairs
 
-    def block_of(self, label):
-        for block in self.blocks:
-            if label in block:
-                return block
-        raise KeyError(label)
-
     def to_data(self):
         return {
             "group": self.group,

@@ -154,29 +154,6 @@ def polarized_algebra(n: int) -> CliffordAlgebra:
     return CliffordAlgebra(gram, labels)
 
 
-def eps_automorphism(a: CliffordElement) -> CliffordElement:
-    return CliffordElement(a.algebra,
-                           {m: (c if len(m) % 2 == 0 else -c)
-                            for m, c in a.terms.items()})
-
-
-def transpose_element(a: CliffordElement) -> CliffordElement:
-    """Anti-involution with v^t = -v on generators."""
-    alg = a.algebra
-    out = {}
-    for mono, c in a.terms.items():
-        sign = -c if len(mono) % 2 else c
-        partial = alg._times_gen_sequence({(): sign}, tuple(reversed(mono)))
-        for m, coeff in partial.items():
-            acc(out, m, coeff)
-    return CliffordElement(alg, out)
-
-
-def involutions(a: CliffordElement):
-    """(eps(a), a^t)."""
-    return eps_automorphism(a), transpose_element(a)
-
-
 def chevalley_lift(form, alg: CliffordAlgebra) -> CliffordElement:
     """kappa = sum_{i,j} a(v_i, v^j) v^i v_j for a skew matrix on the
     generator basis; dual bases are taken against the algebra's Gram form."""

@@ -145,34 +145,14 @@ def tensor(helem, celem):
         for cm, cc in celem.terms.items()})
 
 
-def dirac_element(family, basis=None):
-    """D = sum_i v_i (x) v^i, duals against the family's V form.
-
-    basis, when given, lists basis vectors of V as columns in generator
-    slot coordinates; the result does not depend on the choice.
-    """
+def dirac_element(family):
+    """D = sum_i v_i (x) v^i, v^i the dual basis of the generators against
+    the family's V form."""
     alg = family.clifford
-    nv = family.nv
-    if basis is None:
-        ginv = alg.gram_inverse()
-        vecs = [family.v_gen(i) for i in range(nv)]
-        cols = None
-    else:
-        pt = linalg.transpose(basis)
-        ginv = linalg.inverse(
-            linalg.mat_mul(pt, linalg.mat_mul(alg.gram, basis)))
-        vecs = [family.vector_element([basis[r][i] for r in range(nv)])
-                for i in range(nv)]
-        cols = basis
+    ginv = alg.gram_inverse()
     out = None
-    for i in range(nv):
-        if cols is None:
-            dual = alg.vector(ginv[i])
-        else:
-            coords = [sum(cols[r][j] * ginv[i][j] for j in range(nv))
-                      for r in range(nv)]
-            dual = alg.vector(coords)
-        term = tensor(vecs[i], dual)
+    for i in range(family.nv):
+        term = tensor(family.v_gen(i), alg.vector(ginv[i]))
         out = term if out is None else out + term
     return out
 
@@ -319,18 +299,6 @@ class GroupAlgebraClassFunction(Terms):
                 if cu:
                     acc(emap, u, cw * cu)
         return GroupAlgebraClassFunction.from_element_map(g, emap)
-
-    def act_on(self, sigma):
-        """The scalar by which this central element acts in irrep sigma."""
-        g = self.group
-        chi = g.character(sigma)
-        dim = chi[0]
-        total = 0
-        for ci, cl in enumerate(g.conjugacy_classes):
-            c = self.terms.get(g.class_names[ci], 0)
-            if c:
-                total = total + c * chi[ci] * len(cl)
-        return rational(total * reciprocal(dim))
 
     def to_data(self):
         return scalar_map_str(self.terms)

@@ -371,21 +371,6 @@ def _find_reflection_data(mat, family):
     return alpha, alpha_check, lam
 
 
-def _root_of_unity_data(lam):
-    """(order r, exponent t) with lam = zeta_r^t, t coprime to r."""
-    r = 1
-    acc = lam
-    while acc != 1:
-        acc = acc * lam
-        r += 1
-        if r > 100:
-            raise ValueError("not a root of unity")
-    for t in range(1, r + 1):
-        if zeta(r, t) == lam:
-            return r, t
-    raise ValueError("not a root of unity")
-
-
 def _name_reflection_classes(namer, group):
     names = {}
     for r in group.reflections:
@@ -412,10 +397,9 @@ def _name_reflection_classes(namer, group):
             if mat[0][1] or mat[1][0]:
                 names[ci] = "s"
             else:
-                rr, t = _root_of_unity_data(r.lam)
                 # exponent of zeta_m: lam = zeta_m^k
                 m = group._zm
-                k = t * (m // rr) % m
+                k = next(k for k in range(1, m) if zeta(m, k) == r.lam)
                 names[ci] = f"d{k}"
         else:
             raise AssertionError(namer)
@@ -683,28 +667,6 @@ def inner_product(group, chi, label):
         if x:
             s = s + x * y
     return rational(s * Fraction(1, group.order))
-
-
-def isotypic_projector(rep, irrep_label, group):
-    """Projector onto the irrep_label-isotypic component of rep."""
-    if not check_representation(rep, group):
-        raise ValueError("homomorphism check failed")
-    row = group.character(irrep_label)
-    dim_sigma = group.dim_of(irrep_label)
-    scale = Fraction(dim_sigma, group.order)
-    out = linalg.zeros(rep.dimension, rep.dimension)
-    for i in range(group.order):
-        coeff = scale * conjugate(row[group.class_of(i)])
-        if not coeff:
-            continue
-        m = rep.matrices[i]
-        for r in range(rep.dimension):
-            row_out = out[r]
-            row_m = m[r]
-            for c in range(rep.dimension):
-                if row_m[c]:
-                    row_out[c] = row_out[c] + coeff * row_m[c]
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .dirac import casimir_table
 from .groups import class_character, inner_product
 from .pbw import cherednik_family
 from .scalars import (CapExceeded, NotRational, as_fraction, rational,
-                      reciprocal)
+                      reciprocal, scalar_str)
 
 
 def _zero_exp(n):
@@ -62,10 +62,11 @@ class GradedModule:
 
     Degree k is carried on the monomials of degree k outside the pivots of
     J_k (its ideal section), and a vector is reduced modulo J_k by the
-    echelon rows of J_k.  K is the top degree reported.  `kind` labels
-    the report and keys the sigma-independent data (the ideal sections
-    and the straightened generators) shared through the family, so one
-    kind names one ideal per family (another ideal is a ValueError).
+    echelon rows of J_k.  K is the top degree reported.  `kind` only
+    labels the report.  The sigma-independent data (the ideal sections
+    and the straightened generators) is shared through the family, keyed
+    by the ideal's generators, so modules over one ideal share it and
+    modules over two ideals never mix it.
     """
 
     def __init__(self, kind, family, sigma, K, ideal=()):
@@ -78,12 +79,11 @@ class GradedModule:
         self.dim_sigma = self.rep.dimension
         self.K = K
         self._blocks = {}
-        ideal = list(ideal)
-        shared = family._module_data.setdefault(kind, (ideal, [], {}))
-        if shared[0] != ideal:
-            raise ValueError(f"module kind {kind!r} has another ideal on "
-                             f"this family")
-        self.ideal, self._sections, self._terms = shared
+        self.ideal = list(ideal)
+        key = tuple((tuple(sorted((e, scalar_str(c)) for e, c in f.items())),
+                     d) for f, d in self.ideal)
+        self._sections, self._terms = family._module_data.setdefault(
+            key, ([], {}))
 
     # -- graded pieces
 
@@ -137,7 +137,7 @@ class GradedModule:
         {target degree: matrix}.  The element is straightened; y-tails
         act by zero on the inducing line.  A generator given as a key
         ("x_gen", i), ("y_gen", i) or ("group_element", w) is straightened
-        once per family and kind."""
+        once per family and ideal."""
         if not self.selected(k):
             return {}
         if isinstance(helem, tuple):

@@ -65,7 +65,7 @@ class FormFamily:
         self._ins = {}
         # products of two PBW monomials, read by H (x) C(V) products
         self._units = {}
-        # per module kind: its ideal and sigma-independent GradedModule data
+        # per ideal: the sigma-independent GradedModule data
         self._module_data = {}
 
     # -- basic data
@@ -482,18 +482,14 @@ def positive_system(group):
     return sorted(out, key=lambda p: p[1])
 
 
-def gaha_forms(group, k_map, roots=None):
-    """Graded-affine-Hecke forms on V0 = h.
+def gaha_forms(group, roots):
+    """Graded-affine-Hecke forms on V0 = h for a positive system given as
+    (covector, k, reflection index) triples.
 
     a_w(u, v) = -sum over ordered pairs of distinct positive roots with
-    s_al s_be = w of k_al k_be (al(u)be(v) - al(v)be(u)).  The default
-    positive system comes from positive_system; roots may instead give
-    the system explicitly as (covector, k, reflection index) triples.
+    s_al s_be = w of k_al k_be (al(u)be(v) - al(v)be(u)).
     """
     n = group.n
-    if roots is None:
-        roots = [(a, k_map[group.reflection_at(i).class_name], i)
-                 for a, i in positive_system(group)]
     forms = {}
     for al1, k1, i1 in roots:
         for al2, k2, i2 in roots:
@@ -508,13 +504,15 @@ def gaha_forms(group, k_map, roots=None):
     return {w: m for w, m in forms.items() if not _zero_matrix(m)}
 
 
-def gaha_family(group, k, roots=None):
-    """Lusztig's graded affine Hecke algebra as an orthogonal-space family."""
+def gaha_family(group, k):
+    """Lusztig's graded affine Hecke algebra as an orthogonal-space family,
+    on the positive system of positive_system."""
     if any(r.lam != -1 for r in group.reflections):
         raise ValueError("graded affine Hecke preset needs a real "
                          "reflection group")
     k_map = _c_map(group, k)
-    forms = gaha_forms(group, k_map, roots)
+    forms = gaha_forms(group, [(a, k_map[group.reflection_at(i).class_name], i)
+                               for a, i in positive_system(group)])
     return FormFamily(group, forms, preset_tag="graded-affine-hecke",
                       space="orthogonal", params={"k": k_map})
 
@@ -709,26 +707,13 @@ def pbw_check(family):
 # -- Casimir elements
 
 
-def casimir_h(family, basis=None):
-    """The element sum_i v_i v^i for a dual pair of bases of V.
-
-    basis, if given, is a list of nv coordinate vectors; the duals are
-    computed against the family's symmetric form.  The result does not
-    depend on the choice.
-    """
-    nv = family.nv
-    if basis is None:
-        p = linalg.identity(nv)
-        u = family.clifford.gram_inverse()
-    else:
-        p = [[basis[i][r] for i in range(nv)] for r in range(nv)]
-        u = linalg.inverse(
-            linalg.mat_mul(linalg.transpose(p), family.clifford.gram))
+def casimir_h(family):
+    """The element sum_i v_i v^i, v^i the dual basis of the generators
+    against the family's symmetric form."""
+    ginv = family.clifford.gram_inverse()
     total = family.zero()
-    for i in range(nv):
-        vi = family.vector_element([p[r][i] for r in range(nv)])
-        di = family.vector_element([u[r][i] for r in range(nv)])
-        total = total + vi * di
+    for i in range(family.nv):
+        total = total + family.v_gen(i) * family.vector_element(ginv[i])
     return total
 
 
@@ -743,15 +728,3 @@ def casimir_omega(family):
         if e != 0:
             om = om - e * family.group_element(w)
     return om
-
-
-def j_map(family, coords):
-    """j(x) = sum_i a_1(x, v_i) v^i as an algebra element; [x, Omega] = 2 j(x)."""
-    a1 = family.forms.get(0)
-    if a1 is None:
-        return family.zero()
-    nv = family.nv
-    vals = [sum(coords[p] * a1[p][i] for p in range(nv)) for i in range(nv)]
-    ginv = family.clifford.gram_inverse()
-    out = [sum(vals[i] * ginv[r][i] for i in range(nv)) for r in range(nv)]
-    return family.vector_element(out)

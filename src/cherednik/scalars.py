@@ -23,7 +23,9 @@ zero), and a computation whose answer happens to be rational meets the
 integer paths of linalg and serializes as p/q.
 
 Mixed-conductor arithmetic promotes both operands to the lcm of their
-conductors via zeta_N = zeta_M^(M/N).
+conductors via zeta_N = zeta_M^(M/N).  Division is x * reciprocal(y):
+reciprocal is the one exact 1/x, and a CyclotomicScalar has no `/`, so
+x / y with a CyclotomicScalar on either side raises TypeError.
 """
 
 from __future__ import annotations
@@ -75,19 +77,13 @@ def _poly_divide_exact(num, den):
 
 @lru_cache(maxsize=None)
 def _phi_coeff_list(n: int):
-    # Phi_n via x^n - 1 = prod_{d | n} Phi_d
+    # the integer coefficients of Phi_n, lowest degree first, via
+    # x^n - 1 = prod_{d | n} Phi_d
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
             poly = _poly_divide_exact(poly, _phi_coeff_list(d))
     return tuple(poly)
-
-
-def cyclotomic_polynomial(n: int) -> dict:
-    """Coefficients of Phi_n as a dict exponent -> integer."""
-    if n < 1:
-        raise ValueError("conductor must be >= 1")
-    return {e: c for e, c in enumerate(_phi_coeff_list(n)) if c}
 
 
 # The reduction table costs O(n phi(n)) time and memory (at n = 1000003 it
@@ -224,10 +220,10 @@ class CyclotomicScalar:
     num: dict exponent -> nonzero int, exponents in [0, deg Phi_N), with
         some exponent other than 0.
     den: positive int with gcd(den, *num.values()) == 1.
-    The value is sum_e num[e] * zeta_N^e / den.  coeffs gives the same
-    value as a dict exponent -> Fraction.  Values come from reduce and
-    zeta; an operation whose value is rational returns it in the rational
-    form instead.
+    The value is sum_e num[e] * zeta_N^e / den.  Values come from reduce
+    and zeta; an operation whose value is rational returns it in the
+    rational form instead.  There is no `/`: reciprocal is the one exact
+    1/x, so x / y is a TypeError and x * reciprocal(y) divides.
     """
 
     __slots__ = ("conductor", "num", "den")
@@ -235,12 +231,6 @@ class CyclotomicScalar:
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicScalar is immutable")
-
-    @property
-    def coeffs(self) -> dict:
-        """dict exponent -> Fraction, zero entries omitted."""
-        den = self.den
-        return {e: Fraction(v, den) for e, v in self.num.items()}
 
     # -- representation changes
 
@@ -324,23 +314,6 @@ class CyclotomicScalar:
             raise AssertionError("cyclotomic polynomial not coprime")
         return _canon(n, [den * y.get(e, 0) for e in range(len(norm))],
                       norm[0])
-
-    def __truediv__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        nb, b, db = o
-        if nb == 1:
-            p = b.get(0, 0)
-            if not p:
-                raise ZeroDivisionError("scalar division by zero")
-            return _scale(self, db, p) if p > 0 else _scale(self, -db, -p)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        if _parts(other) is None:
-            return NotImplemented
-        return self.inverse() * other
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

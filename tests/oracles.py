@@ -4,12 +4,22 @@ Everything here deliberately avoids the library's own code paths: cyclotomic
 reduction goes through sympy polynomial division, characters are checked by
 brute sums over group elements, and the differential-operator model of the
 t=1, c=0 rational Cherednik algebra is built directly as matrices acting on
-polynomials.  Tests compare library output against these.
+polynomials.  The last section keeps the second constructions that the
+library runs only one way: the Dirac element and the Casimir in another
+basis of V, isotypic projectors summed over W, and the Clifford involutions.
+Tests compare library output against these.
 """
 
 from fractions import Fraction
 
 import sympy
+
+from cherednik import linalg
+from cherednik.clifford import CliffordElement
+from cherednik.dirac import tensor
+from cherednik.groups import check_representation
+from cherednik.poly import acc
+from cherednik.scalars import conjugate
 
 
 def reduce_cyclotomic_sympy(coeffs, n):
@@ -27,6 +37,12 @@ def reduce_cyclotomic_sympy(coeffs, n):
         if c != 0:
             out[e] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
     return out
+
+
+def cyclotomic_coeffs(x):
+    """The value of a CyclotomicScalar as a dict exponent -> Fraction, read
+    from its integer numerators and their common denominator."""
+    return {e: Fraction(v, x.den) for e, v in x.num.items()}
 
 
 def cyclotomic_inverse_sympy(coeffs, n):
@@ -247,3 +263,84 @@ def element_matrix(elem, model):
                 if row[c]:
                     out[r][c] += co * row[c]
     return out
+
+
+# ---------------------------------------------------------------------------
+# second constructions of objects the library builds one way
+
+
+def dirac_element_in_basis(family, basis):
+    """D = sum_i b_i (x) b^i for the basis b_i of V given by the columns of
+    basis (generator slot coordinates) and its dual basis b^i against the
+    family's V form; D does not depend on the choice."""
+    alg = family.clifford
+    nv = family.nv
+    ginv = linalg.inverse(linalg.mat_mul(linalg.transpose(basis),
+                                         linalg.mat_mul(alg.gram, basis)))
+    out = None
+    for i in range(nv):
+        vec = family.vector_element([basis[r][i] for r in range(nv)])
+        dual = alg.vector([sum(basis[r][j] * ginv[i][j] for j in range(nv))
+                           for r in range(nv)])
+        term = tensor(vec, dual)
+        out = term if out is None else out + term
+    return out
+
+
+def casimir_h_in_basis(family, basis):
+    """sum_i b_i b^i in H for the basis b_i of V given as a list of nv
+    coordinate vectors and its dual basis against the family's symmetric
+    form; the element does not depend on the choice."""
+    nv = family.nv
+    p = [[basis[i][r] for i in range(nv)] for r in range(nv)]
+    u = linalg.inverse(
+        linalg.mat_mul(linalg.transpose(p), family.clifford.gram))
+    total = family.zero()
+    for i in range(nv):
+        vi = family.vector_element([p[r][i] for r in range(nv)])
+        di = family.vector_element([u[r][i] for r in range(nv)])
+        total = total + vi * di
+    return total
+
+
+def isotypic_projector(rep, irrep_label, group):
+    """Projector onto the irrep_label-isotypic component of rep, summed
+    over W: (dim sigma / |W|) sum_w conj(chi_sigma(w)) rep(w)."""
+    if not check_representation(rep, group):
+        raise ValueError("homomorphism check failed")
+    row = group.character(irrep_label)
+    scale = Fraction(group.dim_of(irrep_label), group.order)
+    out = linalg.zeros(rep.dimension, rep.dimension)
+    for i in range(group.order):
+        coeff = scale * conjugate(row[group.class_of(i)])
+        if not coeff:
+            continue
+        m = rep.matrices[i]
+        for r in range(rep.dimension):
+            for c in range(rep.dimension):
+                if m[r][c]:
+                    out[r][c] = out[r][c] + coeff * m[r][c]
+    return out
+
+
+def eps_automorphism(a):
+    """The Clifford automorphism that negates odd monomials."""
+    return CliffordElement(a.algebra, {m: (c if len(m) % 2 == 0 else -c)
+                                       for m, c in a.terms.items()})
+
+
+def transpose_element(a):
+    """The Clifford anti-involution with v^t = -v on generators."""
+    alg = a.algebra
+    out = {}
+    for mono, c in a.terms.items():
+        sign = -c if len(mono) % 2 else c
+        partial = alg._times_gen_sequence({(): sign}, tuple(reversed(mono)))
+        for m, coeff in partial.items():
+            acc(out, m, coeff)
+    return CliffordElement(alg, out)
+
+
+def involutions(a):
+    """(eps(a), a^t) for a Clifford element a."""
+    return eps_automorphism(a), transpose_element(a)

@@ -7,17 +7,16 @@ from cherednik import linalg, poly
 from cherednik.clifford import (
     CliffordAlgebra,
     chevalley_lift,
-    eps_automorphism,
-    involutions,
     pin_tau,
     pin_tau_inverse,
     polarized_algebra,
     spin_action,
     tau_reflection,
-    transpose_element,
 )
 from cherednik.groups import build_group
 from cherednik.scalars import reciprocal
+
+from oracles import eps_automorphism, involutions, transpose_element
 
 F = Fraction
 

@@ -36,8 +36,10 @@ from cherednik.dirac import (
     verify_dirac_square,
     zeta,
 )
-from cherednik.scalars import CapExceeded
+from cherednik.scalars import CapExceeded, reciprocal
 from cherednik.scalars import zeta as zeta_root
+
+from oracles import dirac_element_in_basis
 
 
 def c_fam(gid, t, c):
@@ -76,14 +78,14 @@ def test_dirac_basis_independence():
                  for _ in range(nv)]
             if linalg.rank([row[:] for row in p]) == nv:
                 break
-        assert dirac_element(fam, basis=p) == d0
+        assert dirac_element_in_basis(fam, p) == d0
 
 
 def test_dirac_basis_independence_orthogonal():
     fam = gaha_family(build_group("B2"), 1)
     d0 = dirac_element(fam)
     p = [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(-1)]]
-    assert dirac_element(fam, basis=p) == d0
+    assert dirac_element_in_basis(fam, p) == d0
 
 
 def test_family_clifford_algebra_and_gram_inverse_are_built_once(
@@ -281,9 +283,16 @@ def test_casimir_scalar_class_parameters():
 def test_casimir_scalar_matches_class_function_action():
     for gid, c in (("B2", 1), ("Z3", Fraction(1, 2)), ("G3_1_2", 1)):
         fam = c_fam(gid, 1, c)
+        g = fam.group
         om = group_algebra_casimir(fam)
-        for label in fam.group.irrep_labels:
-            assert om.act_on(label) == casimir_scalar(label, c, fam.group)
+        for label in g.irrep_labels:
+            # a central element sum_C f(C) C acts on sigma by
+            # sum_C f(C) |C| chi_sigma(C) / dim sigma
+            chi = g.character(label)
+            total = sum(om.terms.get(name, 0) * len(cl) * chi[ci]
+                        for ci, (name, cl) in enumerate(
+                            zip(g.class_names, g.conjugacy_classes)))
+            assert total * reciprocal(chi[0]) == casimir_scalar(label, c, g)
 
 
 def test_class_function_convolution():

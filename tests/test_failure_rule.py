@@ -36,7 +36,6 @@ def test_a_cap_names_its_bound():
 
 def _lookups(g):
     """Every entry point that takes an irrep label, given 'nope'."""
-    central = GroupAlgebraClassFunction(g, {"e": 1})
     return {
         "irrep": lambda: g.irrep("nope"),
         "dim_of": lambda: g.dim_of("nope"),
@@ -44,7 +43,6 @@ def _lookups(g):
         "inner_product": lambda: inner_product(g, g.character_table[0],
                                                "nope"),
         "casimir_scalar": lambda: casimir_scalar("nope", 1, g),
-        "act_on": lambda: central.act_on("nope"),
         "cell_multiplicity sigma": lambda: cell_multiplicity(
             g, "nope", 0, 0, "2x0"),
         "cell_multiplicity mu": lambda: cell_multiplicity(

@@ -12,9 +12,10 @@ from cherednik.groups import (
     check_representation,
     export_data,
     inner_product,
-    isotypic_projector,
 )
 from cherednik.scalars import reciprocal, zeta
+
+from oracles import isotypic_projector
 
 F = Fraction
 

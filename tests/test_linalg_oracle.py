@@ -18,7 +18,7 @@ import pytest
 from cherednik import linalg
 from cherednik.scalars import CyclotomicScalar, reduce
 
-from oracles import domain_matrix_sympy
+from oracles import cyclotomic_coeffs, domain_matrix_sympy
 
 CONDUCTORS = (1, 5, 12)
 SEEDS = range(8)
@@ -54,7 +54,8 @@ def _matrix(rng, n, rows, cols):
 
 def _oracle(rows, ncols, n):
     return domain_matrix_sympy(
-        [[x.coeffs if isinstance(x, CyclotomicScalar) else x for x in row]
+        [[cyclotomic_coeffs(x) if isinstance(x, CyclotomicScalar) else x
+          for x in row]
          for row in rows], ncols, n)
 
 

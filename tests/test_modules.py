@@ -11,7 +11,6 @@ from cherednik.groups import (
     build_group,
     class_character,
     inner_product,
-    isotypic_projector,
 )
 from cherednik.modules import (
     DiracOperatorMatrix,
@@ -40,6 +39,8 @@ from cherednik.pbw import (
     cherednik_forms,
 )
 from cherednik.scalars import CapExceeded, NotRational, as_fraction, conjugate
+
+from oracles import isotypic_projector
 
 
 def compose_blocks(module, outer, inner):
@@ -257,11 +258,18 @@ def _check_blocks_match(g, m, ref, fam):
             assert m.w_block(w, k) == want(fam.group_element(w), k, k)
 
 
-def test_module_kind_names_one_ideal_per_family():
+def test_two_ideals_under_one_kind_get_separate_data():
     g = build_group("B2")
-    fam = baby_verma(g, "2x0", 1).family
-    with pytest.raises(ValueError, match="another ideal"):
-        GradedModule("baby", fam, "1x1", 4)
+    baby = baby_verma(g, "2x0", 1)
+    free = GradedModule("baby", baby.family, "1x1", 4)
+    # J = 0 keeps every monomial; the coinvariants stop after degree 4
+    assert [len(free.selected(k)) for k in range(6)] == [1, 2, 3, 4, 5, 6]
+    assert [len(baby.selected(k)) for k in range(6)] == [1, 2, 2, 2, 1, 0]
+    assert free._sections is not baby._sections
+    assert free._terms is not baby._terms
+    same = GradedModule("mine", baby.family, "1x1", 4, baby.ideal)
+    assert same._sections is baby._sections
+    assert same._terms is baby._terms
 
 
 def test_modules_share_one_family_per_t_and_c():

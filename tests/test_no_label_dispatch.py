@@ -1,7 +1,7 @@
 """Modules are chosen by their mathematics, not by their label: no
 comparison in the library reads an attribute named `kind`.  The label of
-a graded module only names its report and keys the data its family
-shares; the ideal and t decide what is computed."""
+a graded module only names its report; the data its family shares is keyed
+by the ideal, and the ideal and t decide what is computed."""
 import ast
 import glob
 import os
