@@ -6,10 +6,19 @@ CyclotomicScalars mix freely; division goes through scalars.reciprocal,
 never through `/`, which would turn two ints into a float.  rref, the one
 elimination, works on sparse rows, on integers when the input is rational;
 a CyclotomicScalar is never rational-valued, so a matrix of rational
-values always takes that path.  Its results, and those of nullspace, solve and inverse built on it, are in
-the rational form of scalars.py (an int when integral) and hold every zero
-as the int 0.  Everything is exact; there is no pivoting for numerical
-stability because there is no rounding.
+values always takes that path.  Its results, and those of nullspace,
+solve and inverse built on it, are in the rational form of scalars.py (an
+int when integral) and hold every zero as the int 0.  Everything is
+exact; there is no pivoting for numerical stability because there is no
+rounding.
+
+The identity rule: the products (mat_mul, mat_vec, kron, add_kron,
+add_into) skip zero entries, multiply only by factors other than 1, and
+store the first term into an empty (zero) slot instead of adding it to 0,
+since most entries met here are 0 or +-1 and a Fraction or cyclotomic
+operation normalises its result.  The values are those of the full
+arithmetic; where that would leave an integral Fraction, a result may
+hold its int instead.
 """
 
 from fractions import Fraction
@@ -42,10 +51,12 @@ def mat_mul(a, b):
         for k in range(rb):
             v = row[k]
             if v:
-                bk = b[k]
-                for j in range(cb):
-                    if bk[j]:
-                        acc[j] = acc[j] + v * bk[j]
+                one = v == 1
+                for j, y in enumerate(b[k]):
+                    if y:
+                        if not one:
+                            y = v if y == 1 else v * y
+                        acc[j] = acc[j] + y if acc[j] else y
         out.append(acc)
     return out
 
@@ -56,7 +67,9 @@ def mat_vec(m, v):
         s = 0
         for x, y in zip(row, v):
             if x and y:
-                s = s + x * y
+                if x != 1:
+                    y = x if y == 1 else x * y
+                s = s + y if s else y
         out.append(s)
     return out
 
@@ -66,7 +79,7 @@ def add_into(acc, m):
     for row, mrow in zip(acc, m):
         for j, y in enumerate(mrow):
             if y:
-                row[j] = row[j] + y
+                row[j] = row[j] + y if row[j] else y
 
 
 def mat_sub(a, b):
@@ -94,11 +107,15 @@ def kron(a, b):
     for ra in a:
         for i in range(rb):
             row = []
+            bi = b[i]
             for v in ra:
-                if v:
-                    row.extend(v * y if y else y for y in b[i])
-                else:
+                if not v:
                     row.extend([0] * cb)
+                elif v == 1:
+                    row.extend(bi)
+                else:
+                    row.extend([(v if y == 1 else v * y) if y else y
+                                for y in bi])
             out.append(row)
     return out
 
@@ -110,11 +127,14 @@ def add_kron(acc, a, b):
         for j, v in enumerate(ra):
             if not v:
                 continue
+            one = v == 1
             for i, bi in enumerate(b):
                 row = acc[r * rb + i]
-                for jj, y in enumerate(bi):
+                for jj, y in enumerate(bi, j * cb):
                     if y:
-                        row[j * cb + jj] = row[j * cb + jj] + v * y
+                        if not one:
+                            y = v if y == 1 else v * y
+                        row[jj] = row[jj] + y if row[jj] else y
 
 
 def _primitive(row):
@@ -164,15 +184,15 @@ def rref(m):
     """Reduced row echelon form; returns (matrix, pivot column list).
 
     Rows are eliminated as sparse {column: nonzero} dicts.  Rational input
-    (ints and Fractions: every rational value) becomes primitive integer rows and is eliminated
-    fraction-free, every step staying in Z (Bareiss, Math. Comp. 1968),
-    each new row divided by its content; a Fraction is formed only when a
-    pivot row is divided by its pivot on the way out.  Other input divides
-    each pivot row by its pivot once, one reciprocal per row.  At each
-    column the sparsest candidate row becomes the pivot row, which limits
-    fill-in; the reduced form is unique, so that choice does not show in
-    the result.  Rational entries of the result are in the rational form
-    and every zero is the int 0.
+    (ints and Fractions: every rational value) becomes primitive integer
+    rows and is eliminated fraction-free, every step staying in Z
+    (Bareiss, Math. Comp. 1968), each new row divided by its content; a
+    Fraction is formed only when a pivot row is divided by its pivot on
+    the way out.  Other input divides each pivot row by its pivot once,
+    one reciprocal per row.  At each column the sparsest candidate row
+    becomes the pivot row, which limits fill-in; the reduced form is
+    unique, so that choice does not show in the result.  Rational entries
+    of the result are in the rational form and every zero is the int 0.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0

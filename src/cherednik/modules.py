@@ -118,6 +118,27 @@ class GradedModule:
     def degrees(self):
         return [k for k in range(self.K + 1) if self.selected(k)]
 
+    def character(self, k):
+        """Character of the degree-k piece, one value per conjugacy class:
+        _sym_char(k) chi_sigma when J = 0, which needs no degree-k piece.
+        On a quotient w acts as P_k(w) (x) rho_sigma(w), P_k(w) being the
+        straightened action of w on the kept monomials (each term of w x^a
+        carries w), so the trace is tr P_k(w) chi_sigma(w); tr P_k(w) sums
+        the diagonal coordinate of each column, once per family, ideal and
+        degree, and no sigma-block is built."""
+        g = self.group
+        if not self.ideal:
+            traces = _sym_char(g, k)
+        else:
+            traces = self._terms.get(("class_traces", k))
+            if traces is None:
+                traces = self._terms[("class_traces", k)] = [
+                    sum(coords[p] for p, column in enumerate(
+                        self._columns(("group_element", cl[0]), k))
+                        for k2, _, coords in column if k2 == k)
+                    for cl in g.conjugacy_classes]
+        return [a * b for a, b in zip(traces, g.character(self.sigma))]
+
     def _reduce(self, k, vec):
         """Normal form modulo J_k of a degree-k coefficient vector, on the
         kept monomials; vec is overwritten."""
@@ -141,10 +162,7 @@ class GradedModule:
         if not self.selected(k):
             return {}
         if isinstance(helem, tuple):
-            if (helem, k) not in self._terms:
-                gen = getattr(self.family, helem[0])(helem[1])
-                self._terms[(helem, k)] = self._straighten(gen, k)
-            columns = self._terms[(helem, k)]
+            columns = self._columns(helem, k)
         else:
             columns = self._straighten(helem, k)
         dim = self.dim_sigma
@@ -160,13 +178,25 @@ class GradedModule:
                 for rp, cv in enumerate(coords):
                     if not cv:
                         continue
+                    one = cv == 1
                     for i in range(dim):
-                        for j in range(dim):
-                            sv = smat[i][j]
+                        row = mat[rp * dim + i]
+                        for j, sv in enumerate(smat[i], p * dim):
                             if sv:
-                                mat[rp * dim + i][p * dim + j] = (
-                                    mat[rp * dim + i][p * dim + j] + cv * sv)
+                                if not one:
+                                    sv = cv if sv == 1 else cv * sv
+                                row[j] = row[j] + sv if row[j] else sv
         return out
+
+    def _columns(self, key, k):
+        """The straightened terms of a generator key ("x_gen", i),
+        ("y_gen", i) or ("group_element", w) at degree k, kept per family
+        and ideal."""
+        got = self._terms.get((key, k))
+        if got is None:
+            gen = getattr(self.family, key[0])(key[1])
+            got = self._terms[(key, k)] = self._straighten(gen, k)
+        return got
 
     def _straighten(self, helem, k):
         """Terms (degree, w, reduced coords) of helem * x^a per kept x^a."""
@@ -465,10 +495,13 @@ def _span_character(basis, pivots, blocks, classes):
     chi = [0] * classes
     for u, p in zip(basis, pivots):
         off, mats = next(b for b in reversed(blocks) if b[0] <= p)
+        seg = u[off:]
         for ci, m in enumerate(mats):
-            for j, a in enumerate(m[p - off]):
-                if a and u[off + j]:
-                    chi[ci] = chi[ci] + a * u[off + j]
+            for a, x in zip(m[p - off], seg):
+                if a and x:
+                    if a != 1:
+                        x = a if x == 1 else a * x
+                    chi[ci] = chi[ci] + x if chi[ci] else x
     return chi
 
 
@@ -480,10 +513,10 @@ def _zero_scalar_cells(module):
     """{cell: dim ker D^2} over the cells whose D^2 scalar (d_squared_scalar)
     vanishes on a nonzero isotypic: at t != 0 in one degree per (mu, l),
     as the scalar falls by 2t per degree, and at t = 0 in every degree or
-    in none.  Multiplicities come from the module's degree-k character:
-    _sym_char(k) chi_sigma when J = 0, which needs no degree-k piece, and
-    the trace of w_block(w, k) on a quotient.  CapExceeded (bound "K")
-    names the largest zero-scalar degree when it passes K."""
+    in none.  Multiplicities come from the module's degree-k character
+    (GradedModule.character), so no sigma-block is built here.
+    CapExceeded (bound "K") names the largest zero-scalar degree when it
+    passes K."""
     g, n = module.group, module.n
     c, t = module.family.params["c"], module.family.params["t"]
     hw = h_weight(module.sigma, c, g)
@@ -502,12 +535,8 @@ def _zero_scalar_cells(module):
                   if k0.denominator == 1 and k0 + l >= 0]
     # from the top degree down, so a window past K is refused at once
     for k, l, mu in sorted(found, reverse=True):
-        if k not in chars and module.ideal:
-            chars[k] = class_character(
-                g, lambda w: module.w_block(w, k) or [])
-        elif k not in chars:
-            chars[k] = [a * b for a, b in zip(_sym_char(g, k),
-                                              g.character(module.sigma))]
+        if k not in chars:
+            chars[k] = module.character(k)
         mult = _multiplicity(g, [a * b for a, b in zip(
             chars[k], _wedge_char(g, l))], mu)
         if mult and k > module.K:

@@ -228,14 +228,16 @@ class FormFamily:
         out = {}
         for (a, w, b), c in terms.items():
             for c1, a1, w1, b1 in self._y_past_x(b, j):
+                # most factors are 1, and a Fraction product is slow
+                cc = c1 if c == 1 else (c if c1 == 1 else c * c1)
                 if w == 0:
                     key = (tuple(p + q for p, q in zip(a, a1)), w1, b1)
-                    acc(out, key, c * c1)
+                    acc(out, key, cc)
                 else:
                     for a2, d in self._w_on_x(w, a1).items():
                         key = (tuple(p + q for p, q in zip(a, a2)),
                                self.group.mult(w, w1), b1)
-                        acc(out, key, c * c1 * d)
+                        acc(out, key, cc if d == 1 else cc * d)
         return out
 
     def _times_v(self, terms, j):
@@ -291,7 +293,7 @@ class FormFamily:
                     nxt[(a, w, tuple(p + q for p, q in zip(b, b2)))] = c
                 cur = nxt
             for k, v in cur.items():
-                acc(res, k, v * c2)
+                acc(res, k, v if c2 == 1 else v * c2)
         return res
 
 

@@ -22,6 +22,10 @@ CyclotomicScalar is never rational (its conductor is > 2 and it is never
 zero), and a computation whose answer happens to be rational meets the
 integer paths of linalg and serializes as p/q.
 
+The identity rule: a scalar is immutable and always canonical, so x * 1,
+1 * x, x + 0 and 0 + x (with the int 1 and 0) return x itself, and x * -1
+returns -x; none of them normalises.
+
 Mixed-conductor arithmetic promotes both operands to the lcm of their
 conductors via zeta_N = zeta_M^(M/N).  Division is x * reciprocal(y):
 reciprocal is the one exact 1/x, and a CyclotomicScalar has no `/`, so
@@ -251,6 +255,8 @@ class CyclotomicScalar:
                      self.den)
 
     def __add__(self, other):
+        if type(other) is int and not other:
+            return self  # x + 0 is x: the scalar is immutable and canonical
         o = _parts(other)
         if o is None:
             return NotImplemented
@@ -291,6 +297,10 @@ class CyclotomicScalar:
                 n = m
             return _canon(n, _mul_vals(a, b, n), self.den * other.den)
         if isinstance(other, int):
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             return _scale(self, other, 1)
         if isinstance(other, Fraction):
             return _scale(self, other.numerator, other.denominator)
@@ -330,6 +340,8 @@ class CyclotomicScalar:
         return out
 
     def __eq__(self, other):
+        if type(other) is int:
+            return False  # a CyclotomicScalar is never rational
         o = _parts(other)
         if o is None:
             return NotImplemented

@@ -4,10 +4,12 @@ Everything here deliberately avoids the library's own code paths: cyclotomic
 reduction goes through sympy polynomial division, characters are checked by
 brute sums over group elements, and the differential-operator model of the
 t=1, c=0 rational Cherednik algebra is built directly as matrices acting on
-polynomials.  The last section keeps the second constructions that the
+polynomials.  The last sections keep the second constructions that the
 library runs only one way: the Dirac element and the Casimir in another
-basis of V, isotypic projectors summed over W, and the Clifford involutions.
-Tests compare library output against these.
+basis of V, isotypic projectors summed over W, the Clifford involutions,
+matrix products with every product and sum carried out, and module
+characters traced off the full sigma-blocks.  Tests compare library output
+against these.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ import sympy
 from cherednik import linalg
 from cherednik.clifford import CliffordElement
 from cherednik.dirac import tensor
-from cherednik.groups import check_representation
+from cherednik.groups import check_representation, class_character
 from cherednik.poly import acc
 from cherednik.scalars import conjugate
 
@@ -344,3 +346,38 @@ def transpose_element(a):
 def involutions(a):
     """(eps(a), a^t) for a Clifford element a."""
     return eps_automorphism(a), transpose_element(a)
+
+
+# ---------------------------------------------------------------------------
+# matrix products with no shortcut: every product and every sum is formed,
+# zeros and units included, starting each sum from the int 0
+
+
+def mat_mul_naive(a, b):
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), 0)
+             for j in range(len(b[0]))] for row in a]
+
+
+def mat_vec_naive(m, v):
+    return [sum((x * y for x, y in zip(row, v)), 0) for row in m]
+
+
+def kron_naive(a, b):
+    return [[x * y for x in ra for y in b[i]]
+            for ra in a for i in range(len(b))]
+
+
+def add_naive(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+# ---------------------------------------------------------------------------
+# module characters from the full sigma-blocks
+
+
+def quotient_character_by_blocks(module, k):
+    """The degree-k character of a graded module, one value per conjugacy
+    class, as the trace of its sigma-block w_block(w, k) (0 on an empty
+    degree)."""
+    return class_character(module.group,
+                           lambda w: module.w_block(w, k) or [])
