@@ -7,7 +7,7 @@ Dirac-cohomology witnesses, separations only by Casimir disagreement,
 and equal-Casimir pairs without a witness chain stay marked undecided.
 """
 
-
+from . import linalg
 from .dirac import (casimir_table, decompose_kernel_element, derivation_d,
                     tensor)
 from .groups import _invariant_generators
@@ -28,15 +28,10 @@ def omega_central_character(sigma, c, group):
         stray = [k2 for k2 in blocks if k2 != k]
         if stray:
             raise AssertionError("grading Casimir moved a degree piece")
-        mat = blocks.get(k)
         dim = module.piece_dim(k)
-        for i in range(dim):
-            for j in range(dim):
-                got = mat[i][j] if mat is not None else 0
-                want = expected if i == j else 0
-                if got != want:
-                    raise AssertionError(
-                        f"central character fails at degree {k}")
+        if (blocks.get(k) or linalg.zeros(dim, dim)) != linalg.mat_scale(
+                expected, linalg.identity(dim)):
+            raise AssertionError(f"central character fails at degree {k}")
     return expected
 
 

@@ -43,12 +43,6 @@ class CliffordAlgebra:
 
     # -- constructors
 
-    def element(self, terms):
-        for mono in terms:
-            if any(mono[i] >= mono[i + 1] for i in range(len(mono) - 1)):
-                raise ValueError("monomials must be strictly increasing")
-        return CliffordElement(self, {tuple(m): c for m, c in terms.items()})
-
     def zero(self):
         return CliffordElement(self, {})
 
@@ -209,7 +203,8 @@ def _spin_generator_matrices(n: int):
 
 
 def spin_action(a: CliffordElement, alg: CliffordAlgebra):
-    """2^n x 2^n matrix of a on the spin module; alg must be polarized."""
+    """2^n x 2^n matrix of a on the spin module, in the rational form;
+    alg must be polarized."""
     n = alg.ngens // 2
     if alg.gram != polarized_algebra(n).gram:
         raise ValueError("spin module needs h + h*")
@@ -228,7 +223,7 @@ def spin_action(a: CliffordElement, alg: CliffordAlgebra):
                 for j in range(dim):
                     if m[i][j]:
                         out[i][j] = out[i][j] + c * m[i][j]
-    return out
+    return [[rational(x) for x in row] for row in out]
 
 
 # --------------------------------------------------------------------------

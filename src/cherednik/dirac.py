@@ -17,7 +17,7 @@ from .clifford import (
     pin_tau_inverse,
     spin_basis,
 )
-from .pbw import AlgebraElement, _c_map
+from .pbw import AlgebraElement, _c_map, casimir_omega
 from .poly import Terms, acc
 from .scalars import (CapExceeded, rational, reciprocal, scalar_map_str,
                       scalar_str)
@@ -181,7 +181,6 @@ def delta_element(family, w):
 
 def omega_tilde(family):
     """Omega_H (x) 1 - 1 (x) kappa_1/2; commutes with D."""
-    from .pbw import casimir_omega
     alg = family.clifford
     out = tensor(casimir_omega(family), alg.one())
     a1 = family.forms.get(0)
@@ -203,7 +202,6 @@ def verify_dirac_square(family):
 
     Returns a JSON-ready report echoing the summands.
     """
-    from .pbw import casimir_omega
     alg = family.clifford
     d = dirac_element(family)
     d2 = d * d
@@ -433,8 +431,11 @@ def _d_by_keys(a, d, cache):
     return TensorElement(a.family, a.algebra, out)
 
 
-def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
-                             candidate_filter=None):
+# raw search keys past which decompose_kernel_element refuses to search
+COLUMN_LIMIT = 8000
+
+
+def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None):
     """Split z in ker d as Delta(s) + d(b) at bounded filtration degree.
 
     z must be diagonally W-invariant, of even Clifford parity and degree
@@ -447,7 +448,7 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     with s a class function; raises ValueError when d(z) != 0 and
     CapExceeded (bound "degree_cap") when no split exists at this
     degree_cap, or (bound "column_limit") when the search has more raw
-    keys than column_limit.
+    keys than COLUMN_LIMIT.
 
     Each raw key h (x) m is averaged factor by factor: Delta(w) conjugates
     it to (w h w^(-1)) (x) (tau_w m tau_w^(-1)), with both factor images
@@ -478,9 +479,9 @@ def decompose_kernel_element(z, family, degree_cap=4, column_limit=8000,
     raw = _candidate_keys(g, degree_cap + 1)
     if candidate_filter is not None:
         raw = [key for key in raw if candidate_filter(key)]
-    if len(raw) > column_limit:
+    if len(raw) > COLUMN_LIMIT:
         raise CapExceeded(f"{len(raw)} candidate terms exceed the "
-                          f"configured limit {column_limit}",
+                          f"configured limit {COLUMN_LIMIT}",
                           "column_limit", len(raw))
 
     average = _diagonal_averager(family)

@@ -95,9 +95,6 @@ class ReflectionGroup:
             self._inv_cache[i] = got
         return got
 
-    def element_index(self, matrix):
-        return self._index[_mat_key(matrix, self._conductor)]
-
     def h_star_matrix(self, i):
         got = self._hstar_cache.get(i)
         if got is None:

@@ -6,8 +6,12 @@ a graded ideal J of S(h*), with the polynomial grading: J = 0 gives the
 standard module at t = 1, the positive-degree invariants give the baby
 Verma module at t = 0, and J = h* its one-dimensional quotient.  Pieces
 are built lazily, degree by degree, so K only bounds what gets reported.
-The Dirac operator acts on cells (polynomial degree k, exterior degree l)
-of module (x) wedge(h); every matrix is exact.
+A PBW element acts on degree k as sum_w P(w) (x) rho_sigma(w), where the
+sigma-independent matrices P(w) hold the normal forms modulo J of its
+straightened terms; every sigma-block is built from them by one Kronecker
+kernel (linalg.add_kron).  The Dirac operator acts on cells (polynomial
+degree k, exterior degree l) of module (x) wedge(h), and is applied to a
+basis of ker D^2 by block products; every matrix is exact.
 """
 
 import math
@@ -61,12 +65,14 @@ class GradedModule:
     Cherednik preset, with exact action tables.
 
     Degree k is carried on the monomials of degree k outside the pivots of
-    J_k (its ideal section), and a vector is reduced modulo J_k by the
-    echelon rows of J_k.  K is the top degree reported.  `kind` only
-    labels the report.  The sigma-independent data (the ideal sections
-    and the straightened generators) is shared through the family, keyed
-    by the ideal's generators, so modules over one ideal share it and
-    modules over two ideals never mix it.
+    J_k (its ideal section), and every degree-k monomial has a sparse
+    normal form modulo J_k on them.  An element acts as sum_w P(w) (x)
+    rho_sigma(w), P(w) the sigma-independent matrix of its straightened
+    terms x^a' w on the kept monomials.  K is the top degree reported.
+    `kind` only labels the report.  The sigma-independent data (the ideal
+    sections and the matrices P of the generators) is shared through the
+    family, keyed by the ideal's generators, so modules over one ideal
+    share it and modules over two ideals never mix it.
     """
 
     def __init__(self, kind, family, sigma, K, ideal=()):
@@ -88,11 +94,13 @@ class GradedModule:
     # -- graded pieces
 
     def _section(self, k):
-        """(kept monomial positions, [(pivot, echelon row)]) of degree k:
-        the rows span J_k on the degree-k monomials, and the non-pivot
-        monomials are kept as a basis of S^k / J_k.  Sections are built
-        upward from degree 0, and once J holds all of a degree it holds
-        all of every higher one."""
+        """(kept monomial positions, normal forms) of degree k.  The echelon
+        rows of J_k on the degree-k monomials leave the non-pivot monomials
+        as a basis of S^k / J_k; the normal form of the i-th monomial is
+        {kept index: value}, {j: 1} for the j-th kept monomial and the
+        negated echelon row for a pivot.  Sections are built upward from
+        degree 0, and once J holds all of a degree it holds all of every
+        higher one."""
         sections = self._sections
         while len(sections) <= k:
             d = len(sections)
@@ -104,8 +112,13 @@ class GradedModule:
                     for m in poly.monomials(self.n, d - deg)]
             red, pivots = linalg.rref(rows) if rows else ([], [])
             taken = set(pivots)
-            sections.append(([i for i in range(len(monos)) if i not in taken],
-                             list(zip(pivots, red))))
+            kept = [i for i in range(len(monos)) if i not in taken]
+            normal = [None] * len(monos)
+            for j, i in enumerate(kept):
+                normal[i] = {j: 1}
+            for p, row in zip(pivots, red):
+                normal[p] = {j: -row[i] for j, i in enumerate(kept) if row[i]}
+            sections.append((kept, normal))
         return sections[k]
 
     def selected(self, k):
@@ -121,77 +134,45 @@ class GradedModule:
     def character(self, k):
         """Character of the degree-k piece, one value per conjugacy class:
         _sym_char(k) chi_sigma when J = 0, which needs no degree-k piece.
-        On a quotient w acts as P_k(w) (x) rho_sigma(w), P_k(w) being the
-        straightened action of w on the kept monomials (each term of w x^a
-        carries w), so the trace is tr P_k(w) chi_sigma(w); tr P_k(w) sums
-        the diagonal coordinate of each column, once per family, ideal and
-        degree, and no sigma-block is built."""
+        On a quotient w acts as P_k(w) (x) rho_sigma(w), so the trace is
+        tr P_k(w) chi_sigma(w), read off the matrix kept per family, ideal
+        and degree; no sigma-block is built."""
         g = self.group
         if not self.ideal:
             traces = _sym_char(g, k)
         else:
-            traces = self._terms.get(("class_traces", k))
-            if traces is None:
-                traces = self._terms[("class_traces", k)] = [
-                    sum(coords[p] for p, column in enumerate(
-                        self._columns(("group_element", cl[0]), k))
-                        for k2, _, coords in column if k2 == k)
-                    for cl in g.conjugacy_classes]
+            traces = [sum(row[i] for i, row in enumerate(
+                self._columns(("group_element", w), k).get((k, w), ())))
+                for w in (cl[0] for cl in g.conjugacy_classes)]
         return [a * b for a, b in zip(traces, g.character(self.sigma))]
-
-    def _reduce(self, k, vec):
-        """Normal form modulo J_k of a degree-k coefficient vector, on the
-        kept monomials; vec is overwritten."""
-        kept, rows = self._section(k)
-        for p, row in rows:
-            cv = vec[p]
-            if cv:
-                for j, rv in enumerate(row):
-                    if rv:
-                        vec[j] = vec[j] - cv * rv
-        return [vec[i] for i in kept]
 
     # -- actions
 
     def action_blocks(self, helem, k):
         """Matrices of a PBW element on the degree-k piece, as a map
-        {target degree: matrix}.  The element is straightened; y-tails
-        act by zero on the inducing line.  A generator given as a key
+        {target degree: matrix}: sum_w P(w) (x) rho_sigma(w) over the
+        matrices P of _straighten.  A generator given as a key
         ("x_gen", i), ("y_gen", i) or ("group_element", w) is straightened
         once per family and ideal."""
         if not self.selected(k):
             return {}
         if isinstance(helem, tuple):
-            columns = self._columns(helem, k)
+            terms = self._columns(helem, k)
         else:
-            columns = self._straighten(helem, k)
+            terms = self._straighten(helem, k)
         dim = self.dim_sigma
-        cols = len(columns) * dim
         out = {}
-        for p, column in enumerate(columns):
-            for k2, w, coords in column:
-                smat = self.rep.matrices[w]
-                mat = out.get(k2)
-                if mat is None:
-                    mat = linalg.zeros(len(self.selected(k2)) * dim, cols)
-                    out[k2] = mat
-                for rp, cv in enumerate(coords):
-                    if not cv:
-                        continue
-                    one = cv == 1
-                    for i in range(dim):
-                        row = mat[rp * dim + i]
-                        for j, sv in enumerate(smat[i], p * dim):
-                            if sv:
-                                if not one:
-                                    sv = cv if sv == 1 else cv * sv
-                                row[j] = row[j] + sv if row[j] else sv
+        for (k2, w), mat in terms.items():
+            block = out.get(k2)
+            if block is None:
+                block = out[k2] = linalg.zeros(len(mat) * dim,
+                                               len(mat[0]) * dim)
+            linalg.add_kron(block, mat, self.rep.matrices[w])
         return out
 
     def _columns(self, key, k):
-        """The straightened terms of a generator key ("x_gen", i),
-        ("y_gen", i) or ("group_element", w) at degree k, kept per family
-        and ideal."""
+        """_straighten of a generator key ("x_gen", i), ("y_gen", i) or
+        ("group_element", w) at degree k, kept per family and ideal."""
         got = self._terms.get((key, k))
         if got is None:
             gen = getattr(self.family, key[0])(key[1])
@@ -199,23 +180,31 @@ class GradedModule:
         return got
 
     def _straighten(self, helem, k):
-        """Terms (degree, w, reduced coords) of helem * x^a per kept x^a."""
+        """{(degree k2, w): P} for helem on the kept degree-k monomials.
+        helem x^a straightens to terms x^a' w y^b; a y-tail kills the
+        inducing line, and x^a' w sends x^a (x) v to (the normal form of
+        x^a') (x) w v, so column a of P(w) sums the normal forms of the
+        x^a' terms that carry w."""
         n = self.n
         monos = poly.monomials(n, k)
-        columns = []
-        for mpos in self.selected(k):
+        kept = self.selected(k)
+        out = {}
+        for p, mpos in enumerate(kept):
             key = (monos[mpos], 0, _zero_exp(n))
             prod = helem * self.family.element({key: 1})
-            column = []
             for (a, w, b), coeff in prod.terms.items():
                 k2 = sum(a)
                 if any(b) or not self.selected(k2):
                     continue
-                vec = [0] * len(_mono_index(n, k2))
-                vec[_mono_index(n, k2)[a]] = coeff
-                column.append((k2, w, self._reduce(k2, vec)))
-            columns.append(column)
-        return columns
+                mat = out.get((k2, w))
+                if mat is None:
+                    mat = out[(k2, w)] = linalg.zeros(
+                        len(self.selected(k2)), len(kept))
+                normal = self._section(k2)[1][_mono_index(n, k2)[a]]
+                for r, v in normal.items():
+                    x = coeff if v == 1 else coeff * v
+                    mat[r][p] = mat[r][p] + x if mat[r][p] else x
+        return out
 
     def _gen_block(self, cache_key, k, expect):
         got = self._blocks.get((cache_key, k))
@@ -364,25 +353,6 @@ class DiracOperatorMatrix:
                 continue
             linalg.add_kron(out, mb, self._wedge_slice(self._spin[sg], l2, l))
         return out
-
-    def apply(self, comp):
-        """Apply the operator to {(k, l): coefficient vector}; exact."""
-        out = {}
-        for (k, l), vec in comp.items():
-            blk = self.block(k, l)
-            for direction, mat in ((1, blk["up"]), (-1, blk["down"])):
-                if mat is None:
-                    continue
-                img = linalg.mat_vec(mat, vec)
-                if not any(img):
-                    continue
-                tgt = (k + direction, l + direction)
-                have = out.get(tgt)
-                if have is None:
-                    out[tgt] = img
-                else:
-                    out[tgt] = [u + v for u, v in zip(have, img)]
-        return {cell: v for cell, v in out.items() if any(v)}
 
     def d_squared_on_cell(self, k, l):
         blk = self.block(k, l)
@@ -546,19 +516,6 @@ def _zero_scalar_cells(module):
     return out
 
 
-def _embed(offsets, comp, total):
-    vec = [0] * total
-    for cell, local in comp.items():
-        if cell not in offsets:
-            if any(local):
-                raise AssertionError(f"component escapes the window at {cell}")
-            continue
-        off = offsets[cell]
-        for i, v in enumerate(local):
-            vec[off + i] = v
-    return vec
-
-
 def dirac_cohomology(module):
     """Exact Dirac cohomology report for a graded module.
 
@@ -568,11 +525,12 @@ def dirac_cohomology(module):
     Z = ker D^2, which lives on the cells of _zero_scalar_cells; only there
     is D^2 built, and its nullspace is checked against them.  chi_Z is read
     at the free columns of that nullspace basis, with no second
-    elimination.  D is applied once to this basis of Z, and since
-    D(Z) ~ Z / ker(D|Z) as W-modules, H_D
-    has character 2 chi_ker - chi_Z.  A module that ends by degree K
-    reports every nonempty cell as its window and rank D as image_dim;
-    any other reports the zero-scalar window and image_dim = dim D(Z).
+    elimination.  D is applied to this basis of Z by block products, one
+    up and one down block per cell, into one matrix whose nullspace gives
+    ker(D|Z); since D(Z) ~ Z / ker(D|Z) as W-modules, H_D has character
+    2 chi_ker - chi_Z.  A module that ends by degree K reports every
+    nonempty cell as its window and rank D as image_dim; any other
+    reports the zero-scalar window and image_dim = dim D(Z).
     A t = 0 module that goes on past K has no such window: ValueError.
     """
     finite = not module.selected(module.K + 1)
@@ -595,7 +553,9 @@ def dirac_cohomology(module):
     classes = len(reps)
     wmats = {cell: [dirac.w_cell(w, *cell) for w in reps] for cell in cellset}
     chi_z = [0] * classes
+    # zbasis: Z in window coordinates; images: D of each, one per column
     zbasis = []
+    images = linalg.zeros(total, sum(want.values()))
     for cell in cellset:
         zero = linalg.nullspace(dirac.d_squared_on_cell(*cell))
         if len(zero) != want[cell]:
@@ -605,21 +565,25 @@ def dirac_cohomology(module):
         chi = _span_character(zero, _free_columns(zero), [(0, wmats[cell])],
                               classes)
         chi_z = [a + b for a, b in zip(chi_z, chi)]
-        zbasis.extend((cell, v) for v in zero)
-
-    images = [_embed(offsets, dirac.apply({cell: local}), total)
-              for cell, local in zbasis]
-    ker = []
-    for coefs in linalg.nullspace(linalg.transpose(images)):
-        vec = [0] * total
-        for cf, (cell, local) in zip(coefs, zbasis):
-            if cf:
-                off = offsets[cell]
-                for i, v in enumerate(local):
-                    if v:
-                        vec[off + i] = vec[off + i] + cf * v
-        ker.append(vec)
-    ker = linalg.column_space_basis(ker)
+        col, off = len(zbasis), offsets[cell]
+        zbasis.extend([0] * off + v + [0] * (total - off - len(v))
+                      for v in zero)
+        zt = linalg.transpose(zero)
+        for step, part in ((1, "up"), (-1, "down")):
+            mat = dirac.block(*cell)[part]
+            if mat is None:
+                continue
+            target = (cell[0] + step, cell[1] + step)
+            image = linalg.mat_mul(mat, zt)
+            if target not in offsets:
+                if any(any(row) for row in image):
+                    raise AssertionError(
+                        f"component escapes the window at {target}")
+                continue
+            for row, got in zip(images[offsets[target]:], image):
+                row[col:col + len(zero)] = got
+    ker = linalg.column_space_basis(
+        linalg.mat_mul(linalg.nullspace(images), zbasis))
 
     blocks = [(offsets[cell], wmats[cell]) for cell in cellset]
     chi_h = [2 * a - b for a, b in zip(

@@ -310,12 +310,6 @@ class AlgebraElement(Terms):
         return AlgebraElement(self.family,
                               self.family._mul_terms(self.terms, other.terms))
 
-    def degree(self):
-        """Filtration degree; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) for a, _w, b in self.terms)
-
     def to_data(self):
         """Canonical term list sorted by (x exponents, w, y exponents)."""
         out = []

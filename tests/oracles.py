@@ -7,9 +7,10 @@ t=1, c=0 rational Cherednik algebra is built directly as matrices acting on
 polynomials.  The last sections keep the second constructions that the
 library runs only one way: the Dirac element and the Casimir in another
 basis of V, isotypic projectors summed over W, the Clifford involutions,
-matrix products with every product and sum carried out, and module
-characters traced off the full sigma-blocks.  Tests compare library output
-against these.
+matrix products with every product and sum carried out, module
+characters traced off the full sigma-blocks, and module actions by a walk
+over the straightened terms, one term at a time.  Tests compare library
+output against these.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from cherednik import linalg
 from cherednik.clifford import CliffordElement
 from cherednik.dirac import tensor
 from cherednik.groups import check_representation, class_character
-from cherednik.poly import acc
+from cherednik.poly import acc, monomials, p_mul, to_vector
 from cherednik.scalars import conjugate
 
 
@@ -381,3 +382,84 @@ def quotient_character_by_blocks(module, k):
     degree)."""
     return class_character(module.group,
                            lambda w: module.w_block(w, k) or [])
+
+
+# ---------------------------------------------------------------------------
+# module actions by the column walk: each straightened term reduced modulo
+# J on its own and multiplied entry by entry into rho_sigma(w)
+
+
+def ideal_section(module, k):
+    """(kept monomial positions, [(pivot, echelon row)]) of degree k: the
+    echelon rows of J_k on the degree-k monomials and the non-pivot
+    monomials they leave."""
+    monos = monomials(module.n, k)
+    rows = [to_vector(p_mul({m: 1}, f), monos)
+            for f, deg in module.ideal if deg <= k
+            for m in monomials(module.n, k - deg)]
+    red, pivots = linalg.rref(rows) if rows else ([], [])
+    taken = set(pivots)
+    return ([i for i in range(len(monos)) if i not in taken],
+            list(zip(pivots, red)))
+
+
+def _reduce(section, vec):
+    """Normal form modulo J_k of a degree-k coefficient vector, on the kept
+    monomials; vec is overwritten."""
+    kept, rows = section
+    for p, row in rows:
+        cv = vec[p]
+        if cv:
+            for j, rv in enumerate(row):
+                if rv:
+                    vec[j] = vec[j] - cv * rv
+    return [vec[i] for i in kept]
+
+
+def straightened_columns(module, helem, k):
+    """Per kept degree-k monomial x^a, the terms (degree, w, reduced
+    coords) of helem x^a with no y-tail; sigma-independent."""
+    n = module.n
+    zero = (0,) * n
+    monos = monomials(n, k)
+    columns = []
+    for mpos in ideal_section(module, k)[0]:
+        prod = helem * module.family.element({(monos[mpos], 0, zero): 1})
+        column = []
+        for (a, w, b), coeff in prod.terms.items():
+            k2 = sum(a)
+            section = ideal_section(module, k2)
+            if any(b) or not section[0]:
+                continue
+            monos2 = monomials(n, k2)
+            vec = [0] * len(monos2)
+            vec[monos2.index(a)] = coeff
+            column.append((k2, w, _reduce(section, vec)))
+        columns.append(column)
+    return columns
+
+
+def action_blocks_by_columns(module, columns):
+    """{target degree: matrix} of the straightened columns on the module,
+    each coordinate times each entry of rho_sigma(w)."""
+    dim = module.dim_sigma
+    cols = len(columns) * dim
+    out = {}
+    for p, column in enumerate(columns):
+        for k2, w, coords in column:
+            smat = module.rep.matrices[w]
+            mat = out.get(k2)
+            if mat is None:
+                mat = out[k2] = linalg.zeros(len(coords) * dim, cols)
+            for rp, cv in enumerate(coords):
+                if not cv:
+                    continue
+                one = cv == 1
+                for i in range(dim):
+                    row = mat[rp * dim + i]
+                    for j, sv in enumerate(smat[i], p * dim):
+                        if sv:
+                            if not one:
+                                sv = cv if sv == 1 else cv * sv
+                            row[j] = row[j] + sv if row[j] else sv
+    return out

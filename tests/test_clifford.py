@@ -6,6 +6,7 @@ import pytest
 from cherednik import linalg, poly
 from cherednik.clifford import (
     CliffordAlgebra,
+    CliffordElement,
     chevalley_lift,
     pin_tau,
     pin_tau_inverse,
@@ -82,7 +83,7 @@ def test_associativity_randomized():
             k = rng.randrange(0, 4)
             mono = tuple(sorted(rng.sample(range(6), k)))
             terms[mono] = F(rng.randrange(-3, 4))
-        return alg.element(terms)
+        return CliffordElement(alg, terms)
 
     for _ in range(12):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
@@ -179,7 +180,7 @@ def test_involutions_properties():
             k = rng.randrange(0, 5)
             mono = tuple(sorted(rng.sample(range(4), k)))
             terms[mono] = F(rng.randrange(-3, 4))
-        return alg.element(terms)
+        return CliffordElement(alg, terms)
 
     for _ in range(10):
         a, b = rand_elem(), rand_elem()

@@ -571,12 +571,13 @@ def test_factorwise_search_matches_products(gid, t):
     assert nonzero
 
 
-def test_decompose_column_limit():
+def test_decompose_column_limit(monkeypatch):
     fam = c_fam("A1", 0, 1)
+    monkeypatch.setattr(dirac, "COLUMN_LIMIT", 3)
     with pytest.raises(CapExceeded,
                        match="candidate terms exceed the configured limit 3"
                        ) as err:
-        decompose_kernel_element(omega_tilde(fam), fam, column_limit=3)
+        decompose_kernel_element(omega_tilde(fam), fam)
     assert err.value.bound == "column_limit"
     assert err.value.minimal > 3
 

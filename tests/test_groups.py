@@ -177,7 +177,7 @@ def test_words_multiply_back():
             m = linalg.identity(g.n)
             for gi in w:
                 m = linalg.mat_mul(m, g.elements[g.generator_indices[gi]])
-            assert g.element_index(m) == i
+            assert m == g.elements[i]
 
 
 def _identical(a, b):

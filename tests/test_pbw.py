@@ -483,10 +483,14 @@ def test_degree_filtration_multiplicative():
     fam = cherednik_family(build_group("A1"), 1, Fraction(1, 2))
     x, y = fam.x_gen(0), fam.y_gen(0)
     u = x + y
+
+    def degree(elem):
+        return max((sum(a) + sum(b) for a, _w, b in elem.terms), default=-1)
+
     cube = u * u * u
-    assert cube.degree() == 3
-    assert (y * x).degree() == 2
-    assert fam.zero().degree() == -1
+    assert degree(cube) == 3
+    assert degree(y * x) == 2
+    assert degree(fam.zero()) == -1
 
 
 def test_serialization_is_sorted_and_canonical():

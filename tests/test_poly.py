@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from cherednik import poly
-from cherednik.clifford import CliffordAlgebra, polarized_algebra
+from cherednik.clifford import (CliffordAlgebra, CliffordElement,
+                               polarized_algebra)
 from cherednik.dirac import GroupAlgebraClassFunction, TensorElement
 from cherednik.groups import build_group
 from cherednik.pbw import AlgebraElement, cherednik_family
@@ -140,7 +141,7 @@ def _pbw_case():
 
 def _clifford_case():
     other = CliffordAlgebra([[F(1), F(0)], [F(0), F(1)]])
-    return (lambda a, t: a.element(t)), polarized_algebra(1), other, \
+    return CliffordElement, polarized_algebra(1), other, \
         [(0,), (0, 1)]
 
 
