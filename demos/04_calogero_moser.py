@@ -13,7 +13,6 @@ from cherednik import (
     build_group,
     dirac_cohomology,
     dirac_partition,
-    gordon_martino_table,
     omega_central_character,
     one_dimensional_quotient,
 )
@@ -35,8 +34,6 @@ print("simple quotient kernel types:",
 
 p = dirac_partition(g, 1)
 print("blocks at c = 1:", p.blocks)
-table = gordon_martino_table(p)
-print("matches the hard-coded families:", table["agree"])
 
 # degenerate parameters can leave equal central characters unmerged;
 # those pairs are reported, never silently glued

@@ -3,7 +3,6 @@ graded Hecke algebras over small reflection groups."""
 
 from .calogero_moser import (
     dirac_partition,
-    gordon_martino_table,
     omega_central_character,
     verify_cm_factorization,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "dirac_element",
     "dirac_partition",
     "gaha_family",
-    "gordon_martino_table",
     "omega_central_character",
     "one_dimensional_quotient",
     "pbw_check",

@@ -129,37 +129,6 @@ def dirac_partition(group, c):
 
 
 # --------------------------------------------------------------------------
-# comparison table against hard-coded family data
-
-
-LUSZTIG_FAMILIES = {
-    "A1": [["triv"], ["sgn"]],
-    "A2": [["triv"], ["std"], ["sgn"]],
-    "B2": [["2x0"], ["11x0", "1x1", "0x2"], ["0x11"]],
-}
-
-
-def gordon_martino_table(partition):
-    """Side-by-side table of computed blocks against hard-coded family
-    data; informational only."""
-    fams = LUSZTIG_FAMILIES.get(partition.group)
-    if fams is None:
-        raise ValueError("family data is hard-coded only for A1, A2, B2")
-    blocks = [set(b) for b in partition.blocks]
-    rows = []
-    for fam in fams:
-        hits = [sorted(b) for b in blocks if b & set(fam)]
-        rows.append({"family": list(fam), "blocks": hits,
-                     "match": hits == [sorted(fam)]})
-    return {
-        "group": partition.group,
-        "note": "informational",
-        "rows": rows,
-        "agree": all(r["match"] for r in rows),
-    }
-
-
-# --------------------------------------------------------------------------
 # factorization of invariants through the derivation image
 
 

@@ -247,60 +247,65 @@ def tau_reflection(r, alg: CliffordAlgebra) -> CliffordElement:
     return alg.scalar(mu) * a + alg.one()
 
 
-def _word_reflections(w_index, group):
-    """The reflections along the group's BFS word for w."""
-    if not isinstance(w_index, int) or not 0 <= w_index < group.order:
-        raise ValueError(f"no reflection word for {w_index!r}")
-    return [group.reflection_at(group.generator_indices[gi])
-            for gi in group.words[w_index]]
+@lru_cache(maxsize=None)
+def _pin_taus(group):
+    alg = polarized_algebra(group.n)
+    return group.along_words(
+        [tau_reflection(group.reflection_at(gi), alg)
+         for gi in group.generator_indices],
+        lambda parent, s: parent * s, alg.one())
 
 
 @lru_cache(maxsize=None)
-def _pin_taus(group):
-    """tau_w by element index, as _pin_tau forms them."""
-    return {0: polarized_algebra(group.n).one()}
+def _pin_tau_inverses(group):
+    # tau_w^-1 = tau_s^-1 tau_parent^-1; with A = alpha^v alpha one has
+    # A^2 = -2<alpha^v, alpha> A, so (1 + mu A)^-1 = 1 - (mu/lambda) A
+    alg = polarized_algebra(group.n)
+    inverses = []
+    for gi in group.generator_indices:
+        r = group.reflection_at(gi)
+        mu, a = _reflection_factor(r, alg)
+        inverses.append(alg.one() - alg.scalar(mu * reciprocal(r.lam)) * a)
+    return group.along_words(inverses, lambda parent, s: s * parent,
+                             alg.one())
 
 
-def _pin_tau(w_index, group):
-    # the words are prefix-closed, so tau_w = tau_parent tau_s for the
-    # last letter s of w's word: the same products as along the word
-    taus = _pin_taus(group)
-    tau = taus.get(w_index)
-    if tau is None:
-        gi = group.generator_indices[group.words[w_index][-1]]
-        tau = taus[w_index] = (
-            _pin_tau(group.parents[w_index], group)
-            * tau_reflection(group.reflection_at(gi),
-                             polarized_algebra(group.n)))
-    return tau
+@lru_cache(maxsize=None)
+def _tau_spins(group):
+    # spin is multiplicative, so the spin matrix of tau_w is the product
+    # of the generators' along the word
+    alg = polarized_algebra(group.n)
+    return group.along_words(
+        [spin_action(pin_tau(gi, group), alg)
+         for gi in group.generator_indices],
+        lambda parent, s: [[rational(x) for x in row]
+                           for row in linalg.mat_mul(parent, s)],
+        linalg.identity(2 ** group.n))
+
+
+def _at(values, w_index):
+    """values[w_index], refusing anything but an element index."""
+    if not isinstance(w_index, int) or not 0 <= w_index < len(values):
+        raise ValueError(f"no reflection word for {w_index!r}")
+    return values[w_index]
 
 
 def pin_tau(w_index, group) -> CliffordElement:
-    """tau_w in C(h + h*) along the group's BFS reflection word for w,
-    formed once per group and element."""
-    _word_reflections(w_index, group)  # refuses a bad index
-    return _pin_tau(w_index, group)
+    """tau_w in C(h + h*): the product of the reflection factors tau_s
+    along the group's BFS word for w, formed once per group."""
+    return _at(_pin_taus(group), w_index)
 
 
 def pin_tau_inverse(w_index, group) -> CliffordElement:
-    """Inverse of tau_w, inverting each reflection factor along the
-    reversed word.
-
-    With A = alpha^v alpha one has A^2 = -2<alpha^v, alpha> A, so
-    (1 + mu A)^(-1) = 1 - (mu/lambda) A exactly.
-    """
-    alg = polarized_algebra(group.n)
-    out = alg.one()
-    for r in reversed(_word_reflections(w_index, group)):
-        mu, a = _reflection_factor(r, alg)
-        out = out * (alg.one() - alg.scalar(mu * reciprocal(r.lam)) * a)
-    return out
+    """Inverse of tau_w: the inverted reflection factors along the
+    reversed word, formed once per group."""
+    return _at(_pin_tau_inverses(group), w_index)
 
 
-@lru_cache(maxsize=None)
 def tau_spin(group, w_index):
-    """Spin-module matrix of tau_w, built once per group element."""
-    return spin_action(pin_tau(w_index, group), polarized_algebra(group.n))
+    """Spin-module matrix of tau_w, in the rational form, formed once per
+    group from spin_action on the generators."""
+    return _at(_tau_spins(group), w_index)
 
 
 # --------------------------------------------------------------------------

@@ -114,27 +114,18 @@ class TensorElement(Terms):
                              {k: (-c if len(k[1]) % 2 else c)
                               for k, c in self.terms.items()})
 
-    def to_data(self):
-        labels = self.algebra.labels
-        items = []
-        for (hk, cm) in sorted(self.terms,
-                               key=lambda k: (k[0][1], k[0][0], k[0][2],
-                                              len(k[1]), k[1])):
-            items.append({"x": list(hk[0]), "w": hk[1], "y": list(hk[2]),
-                          "clifford": [labels[g] for g in cm],
-                          "coeff": scalar_str(self.terms[(hk, cm)])})
-        return items
-
     def __str__(self):
         if not self.terms:
             return "0"
+        labels = self.algebra.labels
         bits = []
-        for item in self.to_data():
-            h = AlgebraElement(self.family,
-                               {(tuple(item["x"]), item["w"],
-                                 tuple(item["y"])): 1})
-            cpart = "*".join(item["clifford"]) or "1"
-            bits.append(f"({item['coeff']})*[{h}](x){cpart}")
+        for hk, cm in sorted(self.terms,
+                             key=lambda k: (k[0][1], k[0][0], k[0][2],
+                                            len(k[1]), k[1])):
+            h = AlgebraElement(self.family, {hk: 1})
+            cpart = "*".join(labels[g] for g in cm) or "1"
+            bits.append(f"({scalar_str(self.terms[(hk, cm)])})*[{h}](x)"
+                        f"{cpart}")
         return " + ".join(bits)
 
 
@@ -297,9 +288,6 @@ class GroupAlgebraClassFunction(Terms):
                 if cu:
                     acc(emap, u, cw * cu)
         return GroupAlgebraClassFunction.from_element_map(g, emap)
-
-    def to_data(self):
-        return scalar_map_str(self.terms)
 
     def __str__(self):
         if not self.terms:

@@ -6,6 +6,14 @@ matrices acting on h; reflection data (alpha, coroot, lambda), conjugacy
 classes, characters and fundamental invariants are computed and verified at
 build time.  Character tables come from irreducible matrices shipped with
 each entry, validated against orthogonality, not from a general algorithm.
+Each entry gives one name template per generator; a reflection class takes
+the template of the first generator g with a power g^k in it, formatted
+with k ("long", "s1", "g{}", "d{}").
+
+The BFS words are prefix-closed, so a value that is multiplicative along
+words is formed at every element from the generators' values by one
+product with the parent's (ReflectionGroup.along_words): the irreps, the
+matrices on h*, and in clifford.py tau_w, tau_w^-1 and their spin matrices.
 
 Conventions: group elements are matrices on h; the action on h* is the
 inverse transpose; pairing of h and h* coordinates is the dot product.
@@ -88,19 +96,20 @@ class ReflectionGroup:
         return got
 
     def inverse_index(self, i):
-        got = self._inv_cache.get(i)
-        if got is None:
-            inv = linalg.inverse(self.elements[i])
-            got = self._index[_mat_key(inv, self._conductor)]
-            self._inv_cache[i] = got
-        return got
+        return self._inverses[i]
 
     def h_star_matrix(self, i):
-        got = self._hstar_cache.get(i)
-        if got is None:
-            got = linalg.transpose(linalg.inverse(self.elements[i]))
-            self._hstar_cache[i] = got
-        return got
+        return self._h_star[i]
+
+    def along_words(self, images, mul, one):
+        """Per-element values of a map that is multiplicative along the
+        words, from the images of the generators: one at the identity and
+        mul(value at the parent, image of the last letter) elsewhere."""
+        values = [one]
+        for i in range(1, self.order):
+            values.append(mul(values[self.parents[i]],
+                              images[self.words[i][-1]]))
+        return values
 
     @property
     def order(self):
@@ -175,7 +184,7 @@ def _catalogue():
         irreps=[("triv", [[[1]]]),
                 ("sgn", [[[-1]]])],
         invariant_degrees=[2],
-        namer="single",
+        names=["s"],
     )
 
     cat["A2"] = dict(
@@ -185,7 +194,7 @@ def _catalogue():
                 ("sgn", [[[-1]], [[-1]]]),
                 ("std", _a2_std())],
         invariant_degrees=[2, 3],
-        namer="single",
+        names=["s", "s"],
     )
 
     b2_long = [[0, 1], [1, 0]]
@@ -199,7 +208,7 @@ def _catalogue():
                 ("0x11", [[[-1]], [[-1]]]),
                 ("1x1", [b2_long, b2_short])],
         invariant_degrees=[2, 4],
-        namer="b_type",
+        names=["long", "short"],
     )
 
     m1 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
@@ -225,7 +234,7 @@ def _catalogue():
                 ("1x2", [m1, m2, nmt]),
                 ("1x11", [nm1, nm2, nmt])],
         invariant_degrees=[2, 4, 6],
-        namer="b_type",
+        names=["long", "long", "short"],
     )
 
     # dihedral I2(m): generators with c1*c2 = 4cos^2(pi/m)
@@ -250,7 +259,7 @@ def _catalogue():
             generators=[s1, s2],
             irreps=irreps,
             invariant_degrees=[2, m],
-            namer="i2_even" if m % 2 == 0 else "single",
+            names=["s1", "s2"] if m % 2 == 0 else ["s", "s"],
         )
 
     for m in range(2, 7):
@@ -260,7 +269,7 @@ def _catalogue():
             generators=[[[z]]],
             irreps=[(f"chi{j}", [[[zeta(m, j)]]]) for j in range(m)],
             invariant_degrees=[m],
-            namer="cyclic",
+            names=["g{}"],
         )
 
     for m in range(2, 5):
@@ -280,7 +289,7 @@ def _catalogue():
             generators=[swap, delta],
             irreps=irreps,
             invariant_degrees=[m, 2 * m],
-            namer="gm12",
+            names=["s", "d{}"],
         )
 
     return cat
@@ -368,38 +377,20 @@ def _find_reflection_data(mat, family):
     return alpha, alpha_check, lam
 
 
-def _name_reflection_classes(namer, group):
+def _name_reflection_classes(templates, group):
+    """{class index: name} for the reflection classes: a class takes the
+    template of the first generator g with a power g^k in it, formatted
+    with k."""
     names = {}
+    for template, gi in zip(templates, group.generator_indices):
+        power, k = gi, 1
+        while power != 0:
+            names.setdefault(group.class_of(power), template.format(k))
+            power, k = group.mult(power, gi), k + 1
     for r in group.reflections:
-        ci = group.class_of(r.element_index)
-        if ci in names:
-            continue
-        if namer == "single":
-            names[ci] = "s"
-        elif namer == "b_type":
-            mat = group.elements[r.element_index]
-            n = len(mat)
-            diag = all(not mat[i][j] for i in range(n) for j in range(n) if i != j)
-            names[ci] = "short" if diag else "long"
-        elif namer == "i2_even":
-            refl_classes = sorted({group.class_of(rr.element_index)
-                                   for rr in group.reflections})
-            for pos, cl in enumerate(refl_classes):
-                names[cl] = f"s{pos + 1}"
-        elif namer == "cyclic":
-            # gamma^k sits at BFS depth k
-            names[ci] = f"g{len(group.words[r.element_index])}"
-        elif namer == "gm12":
-            mat = group.elements[r.element_index]
-            if mat[0][1] or mat[1][0]:
-                names[ci] = "s"
-            else:
-                # exponent of zeta_m: lam = zeta_m^k
-                m = group._zm
-                k = next(k for k in range(1, m) if zeta(m, k) == r.lam)
-                names[ci] = f"d{k}"
-        else:
-            raise AssertionError(namer)
+        if group.class_of(r.element_index) not in names:
+            raise AssertionError("a reflection class holds no power of a "
+                                 "generator")
     return names
 
 
@@ -521,14 +512,17 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         _index=index,
         _conductor=conductor,
         _mult_cache={},
-        _inv_cache={},
-        _hstar_cache={},
         _dual_characters={},
         _casimir_tables={},
     )
     group.generator_indices = [index[_mat_key(g, conductor)] for g in gens]
-    if catalogue_id.startswith("G") and data["family"] == "gm12":
-        group._zm = int(catalogue_id[1:].split("_")[0])
+    # w acts on h* by its inverse transpose, and w^-1 is the transpose of
+    # that matrix
+    group._h_star = group.along_words(
+        [linalg.transpose(linalg.inverse(g)) for g in gens],
+        linalg.mat_mul, linalg.identity(group.n))
+    group._inverses = [index[_mat_key(linalg.transpose(m), conductor)]
+                       for m in group._h_star]
 
     classes = _conjugacy_classes(group.mult, group.inverse_index,
                                  group.order, group.generator_indices)
@@ -556,24 +550,20 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
             raise AssertionError("generators must be reflections")
 
     # class names
-    names = _name_reflection_classes(data["namer"], group)
+    names = _name_reflection_classes(data["names"], group)
     group.class_names = [names.get(ci, f"cl{ci}") for ci in range(len(classes))]
     group.class_names[class_of[0]] = "e"
     for r in reflections:
         r.class_name = group.class_names[class_of[r.element_index]]
 
-    # irreps from shipped generator images, expanded along BFS words: one
-    # product per element, the parent's image times the last letter's
+    # irreps from shipped generator images, expanded along the words
     irrep_labels = []
     irrep_dims = []
     irreps = {}
     for label, gen_images in data["irreps"]:
         dim = len(gen_images[0])
-        mats = [linalg.identity(dim)]
-        for i in range(1, group.order):
-            mats.append(linalg.mat_mul(mats[parents[i]],
-                                       gen_images[words[i][-1]]))
-        rep = WRepresentation(dim, mats)
+        rep = WRepresentation(dim, group.along_words(
+            gen_images, linalg.mat_mul, linalg.identity(dim)))
         irrep_labels.append(label)
         irrep_dims.append(dim)
         irreps[label] = rep
@@ -621,8 +611,7 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         degrees_product *= d
     if degrees_product != group.order:
         raise AssertionError("product of degrees equals |W|")
-    group.invariant_generators = _invariant_generators(
-        group, {i: group.h_star_matrix(i) for i in group.generator_indices})
+    group.invariant_generators = _invariant_generators(group, group._h_star)
     for f, d in zip(group.invariant_generators, group.invariant_degrees):
         if poly.total_degree(f) != d:
             raise AssertionError("invariant generator has its degree")

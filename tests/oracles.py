@@ -8,9 +8,13 @@ polynomials.  The last sections keep the second constructions that the
 library runs only one way: the Dirac element and the Casimir in another
 basis of V, isotypic projectors summed over W, the Clifford involutions,
 matrix products with every product and sum carried out, module
-characters traced off the full sigma-blocks, and module actions by a walk
-over the straightened terms, one term at a time.  Tests compare library
-output against these.
+characters traced off the full sigma-blocks, module actions by a walk
+over the straightened terms, one term at a time, and the per-element
+group data (h* matrices, inverses, tau_w^-1 and the spin matrices of
+tau_w) formed element by element instead of along the BFS words.  Tests
+compare library output against these.  The last section holds the
+canonical term lists of H (x) C(V) elements and central class functions
+that tests/golden/kernel_witnesses.json stores.
 """
 
 from fractions import Fraction
@@ -18,11 +22,13 @@ from fractions import Fraction
 import sympy
 
 from cherednik import linalg
-from cherednik.clifford import CliffordElement
+from cherednik.clifford import (CliffordElement, _reflection_factor,
+                                pin_tau, polarized_algebra, spin_action)
 from cherednik.dirac import tensor
 from cherednik.groups import check_representation, class_character
 from cherednik.poly import acc, monomials, p_mul, to_vector
-from cherednik.scalars import conjugate
+from cherednik.scalars import (conjugate, reciprocal, scalar_map_str,
+                               scalar_str)
 
 
 def reduce_cyclotomic_sympy(coeffs, n):
@@ -463,3 +469,59 @@ def action_blocks_by_columns(module, columns):
                                 sv = cv if sv == 1 else cv * sv
                             row[j] = row[j] + sv if row[j] else sv
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-element group data, one element at a time
+
+
+def h_star_by_inverse(group, w):
+    """The matrix of w on h*, as the transpose of the inverse of w."""
+    return linalg.transpose(linalg.inverse(group.elements[w]))
+
+
+def inverse_by_lookup(group, w):
+    """The index of the element whose matrix is the inverse of w's."""
+    inv = linalg.inverse(group.elements[w])
+    found = [j for j, m in enumerate(group.elements) if m == inv]
+    assert len(found) == 1, (group.catalogue_id, w, found)
+    return found[0]
+
+
+def pin_tau_inverse_by_reversed_word(group, w):
+    """tau_w^-1 as the product of the inverted reflection factors along
+    the reversed word of w: (1 + mu A)^-1 = 1 - (mu/lambda) A, since
+    A^2 = -2<alpha^v, alpha> A for A = alpha^v alpha."""
+    alg = polarized_algebra(group.n)
+    out = alg.one()
+    for gi in reversed(group.words[w]):
+        r = group.reflection_at(group.generator_indices[gi])
+        mu, a = _reflection_factor(r, alg)
+        out = out * (alg.one() - alg.scalar(mu * reciprocal(r.lam)) * a)
+    return out
+
+
+def tau_spin_by_element(group, w):
+    """The spin-module matrix of tau_w, read off tau_w itself."""
+    return spin_action(pin_tau(w, group), polarized_algebra(group.n))
+
+
+# ---------------------------------------------------------------------------
+# canonical term lists, as tests/golden/kernel_witnesses.json stores them
+
+
+def tensor_element_data(e):
+    """Terms of an H (x) C(V) element sorted by (w, x exponents, y
+    exponents, Clifford degree, Clifford monomial)."""
+    labels = e.algebra.labels
+    return [{"x": list(hk[0]), "w": hk[1], "y": list(hk[2]),
+             "clifford": [labels[g] for g in cm],
+             "coeff": scalar_str(e.terms[(hk, cm)])}
+            for hk, cm in sorted(e.terms,
+                                 key=lambda k: (k[0][1], k[0][0], k[0][2],
+                                                len(k[1]), k[1]))]
+
+
+def class_function_data(s):
+    """A central class function as {class name: coefficient string}."""
+    return scalar_map_str(s.terms)

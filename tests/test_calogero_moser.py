@@ -5,7 +5,6 @@ import pytest
 from cherednik import calogero_moser
 from cherednik.calogero_moser import (
     dirac_partition,
-    gordon_martino_table,
     omega_central_character,
     verify_cm_factorization,
 )
@@ -130,18 +129,76 @@ def test_partition_builds_each_group_table_once(monkeypatch):
     assert len(conjugates) <= len(g.irrep_labels) * len(g.conjugacy_classes)
 
 
-def test_gordon_martino_table():
-    g = build_group("B2")
-    table = gordon_martino_table(dirac_partition(g, 1))
-    assert table["agree"]
-    assert table["note"] == "informational"
-    middle = table["rows"][1]
-    assert middle["family"] == ["11x0", "1x1", "0x2"]
-    assert middle["match"]
-    assert middle["blocks"] == [["0x2", "11x0", "1x1"]]
-    z = build_group("Z3")
-    with pytest.raises(ValueError):
-        gordon_martino_table(dirac_partition(z, 1))
+# Lusztig's families at equal parameters, in the catalogue's labels.
+# Type B (B2, B3): Lusztig, "Characters of reductive groups over a finite
+# field" (1984), 4.5.  The bipartition (lam, mu) lies in the family of the
+# multiset of entries of its symbol: top row lam_i + i - 1 (m + 1 parts),
+# bottom row mu_i + i - 1 (m parts), both ascending and padded with zeros.
+# Here lam x mu has the sign change t (the short class) acting by +1 on
+# lam and -1 on mu, so 2x1 is the reflection representation and 0x111 the
+# sign; Gordon-Martino show these are the Calogero-Moser families at equal
+# parameters.  Dihedral I2(m) (A2 = I2(3), B2 = I2(4)): the trivial, the
+# sign, and all other irreps in one family, the Calogero-Moser families
+# of Bellamy, Bull. LMS 41 (2009).
+LUSZTIG_FAMILIES = {
+    "A1": [["triv"], ["sgn"]],
+    "A2": [["triv"], ["std"], ["sgn"]],
+    "I2_3": [["triv"], ["rho1"], ["sgn"]],
+    "B2": [["2x0"], ["11x0", "1x1", "0x2"], ["0x11"]],
+    "I2_4": [["triv"], ["sgn1", "sgn2", "rho1"], ["sgn"]],
+    "I2_5": [["triv"], ["rho1", "rho2"], ["sgn"]],
+    "I2_6": [["triv"], ["sgn1", "sgn2", "rho1", "rho2"], ["sgn"]],
+    "B3": [["3x0"], ["21x0", "2x1", "0x3"], ["111x0", "1x11", "0x21"],
+           ["11x1"], ["1x2"], ["0x111"]],
+}
+
+
+def _family_of(gid):
+    return {lab: i for i, fam in enumerate(LUSZTIG_FAMILIES[gid])
+            for lab in fam}
+
+
+def _symbol_entries(label, m=3):
+    """The sorted entries of the symbol of the bipartition lam x mu."""
+    lam, mu = ([int(d) for d in part if d != "0"] for part in label.split("x"))
+    top = sorted(lam + [0] * (m + 1 - len(lam)))
+    bottom = sorted(mu + [0] * (m - len(mu)))
+    return tuple(sorted([x + i for i, x in enumerate(top)]
+                        + [x + i for i, x in enumerate(bottom)]))
+
+
+def test_lusztig_families_partition_the_irreps():
+    for gid, fams in LUSZTIG_FAMILIES.items():
+        labels = [lab for fam in fams for lab in fam]
+        assert sorted(labels) == sorted(build_group(gid).irrep_labels), gid
+    # type B: the table is the grouping by symbol entries
+    for gid in ("B2", "B3"):
+        by_entries = {}
+        for lab in build_group(gid).irrep_labels:
+            by_entries.setdefault(_symbol_entries(lab), set()).add(lab)
+        assert sorted(map(sorted, by_entries.values())) == \
+            sorted(map(sorted, LUSZTIG_FAMILIES[gid])), gid
+
+
+def test_partition_is_lusztig_families_where_decided():
+    # no undecided pair here: the blocks are the families
+    for gid in ("A1", "A2", "B2", "I2_3", "I2_4"):
+        for c in (1, Fraction(1, 3)):
+            p = dirac_partition(build_group(gid), c)
+            assert not p.undecided_pairs, (gid, c)
+            assert sorted(map(sorted, p.blocks)) == \
+                sorted(map(sorted, LUSZTIG_FAMILIES[gid])), (gid, c)
+
+
+@pytest.mark.parametrize("gid, c", [("B3", 1), ("I2_5", 1),
+                                    ("I2_5", Fraction(1, 3)), ("I2_6", 1),
+                                    ("I2_6", Fraction(1, 3))])
+def test_partition_lies_inside_lusztig_families(gid, c):
+    # the witnessed merges and the undecided pairs never cross a family
+    family = _family_of(gid)
+    p = dirac_partition(build_group(gid), c)
+    for group in p.blocks + [u["pair"] for u in p.undecided_pairs]:
+        assert len({family[lab] for lab in group}) == 1, (gid, c, group)
 
 
 def test_cm_factorization_rank_one():

@@ -39,7 +39,7 @@ from cherednik.dirac import (
 from cherednik.scalars import CapExceeded, reciprocal
 from cherednik.scalars import zeta as zeta_root
 
-from oracles import dirac_element_in_basis
+from oracles import dirac_element_in_basis, tensor_element_data
 
 
 def c_fam(gid, t, c):
@@ -604,7 +604,7 @@ def test_tensor_element_serialization():
     fam = c_fam("A1", 1, 1)
     alg = fam.clifford
     d = dirac_element(fam)
-    data = d.to_data()
+    data = tensor_element_data(d)
     assert data == [
         {"x": [0], "w": 0, "y": [1], "clifford": ["x1"], "coeff": "1/1"},
         {"x": [1], "w": 0, "y": [0], "clifford": ["y1"], "coeff": "1/1"},

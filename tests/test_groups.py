@@ -123,13 +123,37 @@ def test_z3_reflections():
     assert {r.class_name for r in g.reflections} == {"g1", "g2"}
 
 
+CLASS_NAMES = {
+    "A1": ["e", "s"],
+    "A2": ["e", "s", "cl2"],
+    "B2": ["e", "long", "short", "cl3", "cl4"],
+    "B3": ["e", "long", "short", "cl3", "cl4", "cl5", "cl6", "cl7", "cl8",
+           "cl9"],
+    "G2_1_2": ["e", "s", "d1", "cl3", "cl4"],
+    "G3_1_2": ["e", "s", "d1", "cl3", "d2", "cl5", "cl6", "cl7", "cl8"],
+    "G4_1_2": ["e", "s", "d1", "cl3", "d2", "cl5", "d3", "cl7", "cl8", "cl9",
+               "cl10", "cl11", "cl12", "cl13"],
+    "I2_3": ["e", "s", "cl2"],
+    "I2_4": ["e", "s1", "s2", "cl3", "cl4"],
+    "I2_5": ["e", "s", "cl2", "cl3"],
+    "I2_6": ["e", "s1", "s2", "cl3", "cl4", "cl5"],
+    "Z2": ["e", "g1"],
+    "Z3": ["e", "g1", "g2"],
+    "Z4": ["e", "g1", "g2", "g3"],
+    "Z5": ["e", "g1", "g2", "g3", "g4"],
+    "Z6": ["e", "g1", "g2", "g3", "g4", "g5"],
+}
+
+
 def test_class_names():
-    assert build_group("A2").reflection_class_names() == ["s"]
-    assert set(build_group("B3").reflection_class_names()) == {"long", "short"}
-    assert set(build_group("I2_4").reflection_class_names()) == {"s1", "s2"}
-    assert build_group("I2_5").reflection_class_names() == ["s"]
-    assert set(build_group("G3_1_2").reflection_class_names()) == {"s", "d1", "d2"}
-    assert set(build_group("Z4").reflection_class_names()) == {"g1", "g2", "g3"}
+    # every class name of every group, in class order; the reflection
+    # classes are the named ones other than e
+    assert sorted(CLASS_NAMES) == CATALOGUE_IDS
+    for gid, want in CLASS_NAMES.items():
+        g = build_group(gid)
+        assert g.class_names == want, gid
+        assert g.reflection_class_names() == [
+            n for n in want[1:] if not n.startswith("cl")], gid
 
 
 def test_eps_labels():

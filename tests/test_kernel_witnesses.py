@@ -1,9 +1,9 @@
 """Differential golden for kernel decompositions z = Delta(s) + d(b).
 
-tests/golden/kernel_witnesses.json holds s.to_data() and b.to_data() of
-the implementation that averaged every candidate with full H (x) C(V)
-products Delta(w) e Delta(w)^(-1) and applied d through derivation_d one
-candidate at a time.  It covers every decomposition verify_cm_factorization
+tests/golden/kernel_witnesses.json holds the canonical term lists of s and
+b (tests/oracles.py) of the implementation that averaged every candidate
+with full H (x) C(V) products Delta(w) e Delta(w)^(-1) and applied d
+through derivation_d one candidate at a time.  It covers every decomposition verify_cm_factorization
 runs on A2 (cap 3), B2 and I2_3 (cap 2), all at c = 1, and the lifted
 Casimir omega_tilde at t = 1, c = 1, cap 2 on the same groups.  The
 reports of verify_cm_factorization keep only witness term counts; this
@@ -18,6 +18,7 @@ from cherednik import calogero_moser
 from cherednik.dirac import decompose_kernel_element, omega_tilde
 from cherednik.groups import build_group
 from cherednik.pbw import cherednik_family
+from oracles import class_function_data, tensor_element_data
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "kernel_witnesses.json")
@@ -26,7 +27,7 @@ CASIMIRS = ["A2", "B2", "I2_3"]
 
 
 def _pair(s, b):
-    return {"s": s.to_data(), "b": b.to_data()}
+    return {"s": class_function_data(s), "b": tensor_element_data(b)}
 
 
 def witnesses_text():

@@ -10,7 +10,9 @@ an attribute access or a string constant (a getattr key such as "x_gen",
 or a part of a dotted name such as bench/tracing.py's TARGETS), never by a
 bare identifier: a local variable that shares its name calls nothing.
 Tests do not count, so code that only a test reaches belongs in the tests
-(`tests/oracles.py` keeps the references they compare against).
+(`tests/oracles.py` keeps the references they compare against).  A method
+whose bare name another definition shares passes here;
+tests/test_src_is_executed.py checks by running the entry points.
 """
 import ast
 import re
