@@ -10,21 +10,15 @@ import argparse
 import json
 import sys
 
-from . import poly
 from .calogero_moser import dirac_partition
-from .clifford import tau_spin
+from .clifford import pin_cover_holds
 from .dirac import (
     delta_element,
     dirac_element,
     dirac_split,
     verify_dirac_square,
 )
-from .groups import (
-    WRepresentation,
-    build_group,
-    check_representation,
-    export_data,
-)
+from .groups import build_group, export_data
 from .modules import (
     baby_verma,
     dirac_cohomology,
@@ -167,22 +161,7 @@ def cmd_verify(args):
             record("delta-invariance",
                    all(delta_element(fam, w) * d == d * delta_element(fam, w)
                        for w in group.generator_indices))
-        # the spin module is faithful, so tau is a homomorphism exactly
-        # when its spin matrices form a representation
-        spins = [tau_spin(group, w) for w in range(group.order)]
-        hom = check_representation(
-            WRepresentation(len(spins[0]), spins), group)
-        wedge_ok = True
-        for w, m in enumerate(spins):
-            off = 0
-            for l in range(group.n + 1):
-                b = poly.wedge_matrix(group.elements[w], l)
-                for i in range(len(b)):
-                    for j in range(len(b)):
-                        if m[off + i][off + j] != b[i][j]:
-                            wedge_ok = False
-                off += len(b)
-        record("pin-cover", hom and wedge_ok)
+        record("pin-cover", pin_cover_holds(group))
     else:
         for name in ("dirac-square", "split-squares", "delta-invariance",
                      "pin-cover"):

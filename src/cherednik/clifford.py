@@ -7,11 +7,15 @@ form given by the algebra's Gram matrix.  The standard polarized algebra on
 V = h + h* uses the interleaved generator order x1 < y1 < ... < xn < yn with
 <x_i, y_j> = delta_ij and both halves isotropic; a general symmetric Gram
 matrix is supported for orthogonal-space presets.
+
+The pin lift tau_w is checked once per generator (pin_cover_holds); W then
+acts on C(V) through w itself and on wedge^l(h) as wedge^l(w).
 """
 
+import math
 from functools import lru_cache
 
-from . import linalg
+from . import linalg, poly
 from .poly import Terms, acc
 from .scalars import rational, reciprocal, scalar_str
 
@@ -256,56 +260,48 @@ def _pin_taus(group):
         lambda parent, s: parent * s, alg.one())
 
 
-@lru_cache(maxsize=None)
-def _pin_tau_inverses(group):
-    # tau_w^-1 = tau_s^-1 tau_parent^-1; with A = alpha^v alpha one has
-    # A^2 = -2<alpha^v, alpha> A, so (1 + mu A)^-1 = 1 - (mu/lambda) A
-    alg = polarized_algebra(group.n)
-    inverses = []
-    for gi in group.generator_indices:
-        r = group.reflection_at(gi)
-        mu, a = _reflection_factor(r, alg)
-        inverses.append(alg.one() - alg.scalar(mu * reciprocal(r.lam)) * a)
-    return group.along_words(inverses, lambda parent, s: s * parent,
-                             alg.one())
-
-
-@lru_cache(maxsize=None)
-def _tau_spins(group):
-    # spin is multiplicative, so the spin matrix of tau_w is the product
-    # of the generators' along the word
-    alg = polarized_algebra(group.n)
-    return group.along_words(
-        [spin_action(pin_tau(gi, group), alg)
-         for gi in group.generator_indices],
-        lambda parent, s: [[rational(x) for x in row]
-                           for row in linalg.mat_mul(parent, s)],
-        linalg.identity(2 ** group.n))
-
-
-def _at(values, w_index):
-    """values[w_index], refusing anything but an element index."""
-    if not isinstance(w_index, int) or not 0 <= w_index < len(values):
-        raise ValueError(f"no reflection word for {w_index!r}")
-    return values[w_index]
-
-
 def pin_tau(w_index, group) -> CliffordElement:
     """tau_w in C(h + h*): the product of the reflection factors tau_s
     along the group's BFS word for w, formed once per group."""
-    return _at(_pin_taus(group), w_index)
+    taus = _pin_taus(group)
+    # a bool is an int, and 1.0 equals 1: only an element index is taken
+    if type(w_index) is not int or not 0 <= w_index < len(taus):
+        raise ValueError(f"no reflection word for {w_index!r}")
+    return taus[w_index]
 
 
-def pin_tau_inverse(w_index, group) -> CliffordElement:
-    """Inverse of tau_w: the inverted reflection factors along the
-    reversed word, formed once per group."""
-    return _at(_pin_tau_inverses(group), w_index)
+def spin_block(mat, n, lrow, lcol):
+    """The wedge^lrow x wedge^lcol block of a spin-module matrix; the spin
+    basis runs by wedge degree (spin_basis)."""
+    ro = sum(math.comb(n, l) for l in range(lrow))
+    co = sum(math.comb(n, l) for l in range(lcol))
+    return [row[co:co + math.comb(n, lcol)]
+            for row in mat[ro:ro + math.comb(n, lrow)]]
 
 
-def tau_spin(group, w_index):
-    """Spin-module matrix of tau_w, in the rational form, formed once per
-    group from spin_action on the generators."""
-    return _at(_tau_spins(group), w_index)
+@lru_cache(maxsize=None)
+def pin_cover_holds(group) -> bool:
+    """Whether, for every generator s, tau_s v = s(v) tau_s for the 2n
+    generators v of V and spin_action(tau_s) is block-diagonal with blocks
+    wedge^l(s).  Both sides are multiplicative along the words, so then
+    tau_w conjugates V as w does and acts on wedge^l(h) as wedge^l(w)."""
+    n, alg = group.n, polarized_algebra(group.n)
+    for s in group.generator_indices:
+        tau = pin_tau(s, group)
+        # generator 2i + off is x_i in h* (off = 0) or y_i in h (off = 1)
+        if any(tau * alg.gen(2 * i + off)
+               != alg.vector([row[i] for row in m], off, 2) * tau
+               for off, m in ((0, group.h_star_matrix(s)),
+                              (1, group.elements[s])) for i in range(n)):
+            return False
+        spin = spin_action(tau, alg)
+        for a in range(n + 1):
+            for b in range(n + 1):
+                block = spin_block(spin, n, a, b)
+                if (block != poly.wedge_matrix(group.elements[s], a)
+                        if a == b else any(map(any, block))):
+                    return False
+    return True
 
 
 # --------------------------------------------------------------------------

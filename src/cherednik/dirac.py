@@ -8,13 +8,14 @@ zeta projection.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg, poly
 from .clifford import (
     chevalley_lift,
     element_to_data,
+    pin_cover_holds,
     pin_tau,
-    pin_tau_inverse,
     spin_basis,
 )
 from .pbw import AlgebraElement, _c_map, casimir_omega
@@ -344,20 +345,18 @@ def casimir_table(group, c):
 # bounded-degree kernel decomposition
 
 
-def _coords(elems, index=None):
+def _coords(elems):
     """Exact coordinate matrix of tensor elements; columns are elements."""
-    if index is None:
-        index = {}
-        for e in elems:
-            for k in e.terms:
-                if k not in index:
-                    index[k] = len(index)
-    rows = len(index)
-    mat = [[0] * len(elems) for _ in range(rows)]
+    index = {}
+    for e in elems:
+        for k in e.terms:
+            if k not in index:
+                index[k] = len(index)
+    mat = [[0] * len(elems) for _ in range(len(index))]
     for j, e in enumerate(elems):
         for k, c in e.terms.items():
             mat[index[k]][j] = c
-    return mat, index
+    return mat
 
 
 def _candidate_keys(group, cap):
@@ -375,28 +374,34 @@ def _candidate_keys(group, cap):
 def _diagonal_averager(family):
     """key -> sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key.
 
-    The product is componentwise, so h (x) m goes to (w h w^(-1)) (x)
-    (tau_w m tau_w^(-1)); each factor image is formed once per
-    (w, PBW key) and once per (w, Clifford monomial).
+    The product is componentwise, so h (x) m goes to (w h w^(-1)) (x) w(m),
+    where tau_w conjugates the Clifford monomial m = v_i1 ... v_ir to
+    w(v_i1) ... w(v_ir) (clifford.pin_cover_holds); each factor image is
+    formed once per (w, PBW key) and once per (w, Clifford monomial).
     """
     g, alg = family.group, family.clifford
-    pins = [(family.group_element(w).terms, pin_tau(w, g).terms,
+    if not pin_cover_holds(g):
+        raise AssertionError(f"the pin lift does not cover {g.catalogue_id}")
+    # images[i] = w(v_i), column i of w's matrix on V
+    pins = [(family.group_element(w).terms,
              family.group_element(g.inverse_index(w)).terms,
-             pin_tau_inverse(w, g).terms) for w in range(g.order)]
+             [alg.vector(col).terms
+              for col in linalg.transpose(family.v_matrix(w))])
+            for w in range(g.order)]
     himg, cimg = {}, {}
 
     def average(key):
         hk, cm = key
         out = {}
-        for w, (gw, tw, gwi, twi) in enumerate(pins):
+        for w, (gw, gwi, images) in enumerate(pins):
             hw = himg.get((w, hk))
             if hw is None:
                 hw = himg[(w, hk)] = family._mul_terms(
                     family._mul_terms(gw, {hk: 1}), gwi)
             cw = cimg.get((w, cm))
             if cw is None:
-                cw = cimg[(w, cm)] = alg._mul_terms(
-                    alg._mul_terms(tw, {cm: 1}), twi)
+                cw = cimg[(w, cm)] = reduce(
+                    alg._mul_terms, (images[i] for i in cm), {(): 1})
             for hk2, hc in hw.items():
                 for cm2, cc in cw.items():
                     acc(out, (hk2, cm2), hc * cc)
@@ -439,10 +444,10 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None):
     keys than COLUMN_LIMIT.
 
     Each raw key h (x) m is averaged factor by factor: Delta(w) conjugates
-    it to (w h w^(-1)) (x) (tau_w m tau_w^(-1)), with both factor images
-    cached per w, so no full H (x) C(V) product is formed.  d is linear:
-    D is built once and d(e) = D e - eps(e) D is formed once per unit
-    key e, so each d(b) is a linear combination of cached images.  One
+    it to (w h w^(-1)) (x) w(m), with both factor images cached per w,
+    so no full H (x) C(V) product is formed.  d is linear: D is built
+    once and d(e) = D e - eps(e) D is formed once per unit key e, so each
+    d(b) is a linear combination of cached images.  One
     elimination over [d(b) | Delta(w) | z] then settles existence and
     uniqueness.
     """
@@ -502,7 +507,7 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None):
     # Delta column is a pivot, i.e. span Delta meets span d(b) in zero
     nd = len(d_cols)
     ncols = nd + g.order
-    reduced, pivots = linalg.rref(_coords(d_cols + deltas + [z])[0])
+    reduced, pivots = linalg.rref(_coords(d_cols + deltas + [z]))
     if ncols in pivots:
         raise CapExceeded("no decomposition at this degree cap; raise "
                           "degree_cap", "degree_cap")

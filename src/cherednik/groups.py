@@ -13,7 +13,7 @@ with k ("long", "s1", "g{}", "d{}").
 The BFS words are prefix-closed, so a value that is multiplicative along
 words is formed at every element from the generators' values by one
 product with the parent's (ReflectionGroup.along_words): the irreps, the
-matrices on h*, and in clifford.py tau_w, tau_w^-1 and their spin matrices.
+matrices on h*, and in clifford.py tau_w.
 
 Conventions: group elements are matrices on h; the action on h* is the
 inverse transpose; pairing of h and h* coordinates is the dot product.

@@ -11,19 +11,20 @@ sigma-independent matrices P(w) hold the normal forms modulo J of its
 straightened terms; every sigma-block is built from them by one Kronecker
 kernel (linalg.add_kron).  The Dirac operator acts on cells (polynomial
 degree k, exterior degree l) of module (x) wedge(h), and is applied to a
-basis of ker D^2 by block products; every matrix is exact.
+basis of ker D^2 by block products; every matrix is exact.  Once
+clifford.pin_cover_holds, w acts on wedge^l(h) as wedge^l(w) (_wedge).
 """
 
 import math
 from functools import lru_cache
 
 from . import linalg, poly
-from .clifford import _spin_generator_matrices, tau_spin
+from .clifford import _spin_generator_matrices, pin_cover_holds, spin_block
 from .dirac import casimir_table
 from .groups import class_character, inner_product
 from .pbw import cherednik_family
-from .scalars import (CapExceeded, NotRational, as_fraction, rational,
-                      reciprocal, scalar_str)
+from .scalars import (CapExceeded, NotRational, as_fraction, conjugate,
+                      rational, reciprocal, scalar_str)
 
 
 def _zero_exp(n):
@@ -296,14 +297,12 @@ class DiracOperatorMatrix:
     """
 
     def __init__(self, module):
+        if not pin_cover_holds(module.group):
+            raise AssertionError("the pin lift does not cover "
+                                 + module.group.catalogue_id)
         self.module = module
         self.n = module.n
         self._spin = _spin_generator_matrices(self.n)
-        self._offsets = {}
-        off = 0
-        for l in range(self.n + 1):
-            self._offsets[l] = off
-            off += math.comb(self.n, l)
         self._blocks = {}
 
     def wedge_dim(self, l):
@@ -317,12 +316,6 @@ class DiracOperatorMatrix:
     def cells(self):
         return [(k, l) for k in self.module.degrees()
                 for l in range(self.n + 1)]
-
-    def _wedge_slice(self, mat, lrow, lcol):
-        """The wedge^lrow x wedge^lcol block of a spin-module matrix."""
-        ro, co = self._offsets[lrow], self._offsets[lcol]
-        return [[mat[ro + a][co + b] for b in range(self.wedge_dim(lcol))]
-                for a in range(self.wedge_dim(lrow))]
 
     def block(self, k, l):
         got = self._blocks.get((k, l))
@@ -351,7 +344,7 @@ class DiracOperatorMatrix:
                 sg = 2 * i
             if mb is None:
                 continue
-            linalg.add_kron(out, mb, self._wedge_slice(self._spin[sg], l2, l))
+            linalg.add_kron(out, mb, spin_block(self._spin[sg], self.n, l2, l))
         return out
 
     def d_squared_on_cell(self, k, l):
@@ -371,11 +364,11 @@ class DiracOperatorMatrix:
         return products[0]
 
     def w_cell(self, w, k, l):
-        """Diagonal action of a group element on the (k, l) cell, spin
-        side through the pin lift."""
-        tau = tau_spin(self.module.group, w)
+        """Diagonal action of a group element on the (k, l) cell: w on the
+        module (x) wedge^l(w), which is tau_w on the spin side
+        (clifford.pin_cover_holds)."""
         return linalg.kron(self.module.w_block(w, k),
-                           self._wedge_slice(tau, l, l))
+                           _wedge(self.module.group, w, l))
 
 
 # --------------------------------------------------------------------------
@@ -386,11 +379,11 @@ class DiracOperatorMatrix:
 def _molien(group):
     """The coefficients d_i = (-1)^i tr wedge^i(B_w), i = 1..n, of
     det(1 - q B_w) = 1 + d_1 q + ... + d_n q^n per conjugacy class, where
-    B_w = h_star_matrix(w); and the list of S^k(h*) characters found so
-    far, which _sym_char extends."""
-    dets = [[(-1) ** i * x for x in class_character(
-        group, lambda w: poly.wedge_matrix(group.h_star_matrix(w), i))]
-        for i in range(1, group.n + 1)]
+    B_w = h_star_matrix(w), whose wedge^i traces are the conjugates of
+    wedge^i(h)'s; and the list of S^k(h*) characters found so far, which
+    _sym_char extends."""
+    dets = [[(-1) ** i * conjugate(x) for x in _wedge_char(group, i)]
+            for i in range(1, group.n + 1)]
     return dets, [[1] * len(group.conjugacy_classes)]
 
 
@@ -413,10 +406,16 @@ def _sym_char(group, k):
 
 
 @lru_cache(maxsize=None)
+def _wedge(group, w, l):
+    """wedge^l(w), the matrix of w on wedge^l(h): the spin module's
+    degree-l block, on which the pin lift acts by it."""
+    return poly.wedge_matrix(group.elements[w], l)
+
+
+@lru_cache(maxsize=None)
 def _wedge_char(group, l):
     """Character of wedge^l(h) per conjugacy class."""
-    return class_character(
-        group, lambda w: poly.wedge_matrix(group.elements[w], l))
+    return class_character(group, lambda w: _wedge(group, w, l))
 
 
 def _multiplicity(group, chi, mu):

@@ -519,8 +519,9 @@ def corrupted_family(group, kind=None):
     kind: "nonskew" (malformed matrix, reported as condition 0), "class"
     (breaks conjugation-invariance, condition 1), "radical" (kernel of a_s
     differs from V^s, condition 2), "rotation" (orthogonal family supported
-    on an involution, conditions 1 and 3).  The default picks "class" when
-    some reflection class has at least two members, else "nonskew".
+    on an involution, conditions 1 and 3, and 2 as well on B3).  The
+    default picks "class" when some reflection class has at least two
+    members, else "nonskew".  A kind that cannot corrupt is a ValueError.
     """
     if kind is None:
         multi = [nm for nm in group.reflection_class_names()
@@ -549,6 +550,9 @@ def corrupted_family(group, kind=None):
     if kind == "radical":
         # the natural symplectic pairing is W-invariant but nondegenerate,
         # so its kernel is 0 instead of V^s
+        if n == 1:
+            raise ValueError("on rank 1 V^s = 0 is the kernel of the "
+                             "symplectic pairing, so it is no corruption")
         cls = group.reflections[0].class_name
         j = linalg.zeros(2 * n, 2 * n)
         for i in range(n):

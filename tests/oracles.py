@@ -9,9 +9,11 @@ library runs only one way: the Dirac element and the Casimir in another
 basis of V, isotypic projectors summed over W, the Clifford involutions,
 matrix products with every product and sum carried out, module
 characters traced off the full sigma-blocks, module actions by a walk
-over the straightened terms, one term at a time, and the per-element
-group data (h* matrices, inverses, tau_w^-1 and the spin matrices of
-tau_w) formed element by element instead of along the BFS words.  Tests
+over the straightened terms, one term at a time, the per-element group
+data (h* matrices, inverses) formed element by element instead of along
+the BFS words, and the pin data the library no longer forms because W
+acts through w itself once clifford.pin_cover_holds passes: tau_w^-1,
+the spin matrices of tau_w and the averager by pin conjugation.  Tests
 compare library output against these.  The last section holds the
 canonical term lists of H (x) C(V) elements and central class functions
 that tests/golden/kernel_witnesses.json stores.
@@ -24,7 +26,7 @@ import sympy
 from cherednik import linalg
 from cherednik.clifford import (CliffordElement, _reflection_factor,
                                 pin_tau, polarized_algebra, spin_action)
-from cherednik.dirac import tensor
+from cherednik.dirac import TensorElement, tensor
 from cherednik.groups import check_representation, class_character
 from cherednik.poly import acc, monomials, p_mul, to_vector
 from cherednik.scalars import (conjugate, reciprocal, scalar_map_str,
@@ -472,7 +474,7 @@ def action_blocks_by_columns(module, columns):
 
 
 # ---------------------------------------------------------------------------
-# per-element group data, one element at a time
+# per-element group data and pin data, one element at a time
 
 
 def h_star_by_inverse(group, w):
@@ -504,6 +506,33 @@ def pin_tau_inverse_by_reversed_word(group, w):
 def tau_spin_by_element(group, w):
     """The spin-module matrix of tau_w, read off tau_w itself."""
     return spin_action(pin_tau(w, group), polarized_algebra(group.n))
+
+
+def pin_conjugation_averager(family):
+    """key -> sum_w Delta(w) e_key Delta(w)^(-1), with the Clifford factor
+    conjugated by tau_w and its reversed-word inverse; each factor image
+    is formed once per (w, PBW key) and once per (w, Clifford monomial)."""
+    g, alg = family.group, family.clifford
+    pins = [(family.group_element(w), pin_tau(w, g),
+             family.group_element(g.inverse_index(w)),
+             pin_tau_inverse_by_reversed_word(g, w)) for w in range(g.order)]
+    himg, cimg = {}, {}
+
+    def average(key):
+        hk, cm = key
+        total = {}
+        for w, (gw, tw, gwi, twi) in enumerate(pins):
+            if (w, hk) not in himg:
+                himg[(w, hk)] = (gw * family.element({hk: 1}) * gwi).terms
+            if (w, cm) not in cimg:
+                cimg[(w, cm)] = (tw * CliffordElement(alg, {cm: 1})
+                                 * twi).terms
+            for hk2, hc in himg[(w, hk)].items():
+                for cm2, cc in cimg[(w, cm)].items():
+                    acc(total, (hk2, cm2), hc * cc)
+        return TensorElement(family, alg, total)
+
+    return average
 
 
 # ---------------------------------------------------------------------------

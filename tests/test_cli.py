@@ -3,9 +3,12 @@ import os
 
 import pytest
 
+from cherednik import clifford
 from cherednik.cli import main
-from cherednik.groups import build_group
-from cherednik.modules import dirac_cohomology, standard_module
+from cherednik.dirac import decompose_kernel_element, omega_tilde
+from cherednik.groups import CATALOGUE_IDS, build_group
+from cherednik.modules import baby_verma, dirac_cohomology, standard_module
+from cherednik.pbw import cherednik_family
 from cherednik.scalars import CapExceeded
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -51,6 +54,40 @@ def test_verify_corrupted_fails(capsys):
     states = {e["identity"]: e["passed"] for e in payload["identities"]}
     assert states["pbw"] is False
     assert states["dirac-square"] is None
+
+
+@pytest.fixture
+def broken_pin_lift(monkeypatch):
+    """tau_s = 1 - mu A in place of 1 + mu A, on cleared pin caches."""
+    factor = clifford._reflection_factor
+
+    def negated(r, alg):
+        mu, a = factor(r, alg)
+        return -mu, a
+
+    monkeypatch.setattr(clifford, "_reflection_factor", negated)
+    clifford._pin_taus.cache_clear()
+    clifford.pin_cover_holds.cache_clear()
+    yield
+    clifford._pin_taus.cache_clear()
+    clifford.pin_cover_holds.cache_clear()
+
+
+def test_broken_pin_lift_is_refused(capsys, broken_pin_lift):
+    # the lift is checked once, per generator; every W-action on the spin
+    # side and on C(V) refuses to run without it
+    assert not any(clifford.pin_cover_holds(build_group(gid))
+                   for gid in CATALOGUE_IDS)
+    code, payload = run_json(capsys, ["verify", "--group", "B3"])
+    assert code == 1
+    states = {e["identity"]: e["passed"] for e in payload["identities"]}
+    assert states["pin-cover"] is False
+    g = build_group("B2")
+    with pytest.raises(AssertionError, match="pin lift does not cover B2"):
+        dirac_cohomology(baby_verma(g, "2x0", 1))
+    fam = cherednik_family(g, 0, 1)
+    with pytest.raises(AssertionError, match="pin lift does not cover B2"):
+        decompose_kernel_element(omega_tilde(fam), fam)
 
 
 def test_pbw_check_corruption_kind(capsys):

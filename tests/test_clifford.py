@@ -9,7 +9,6 @@ from cherednik.clifford import (
     CliffordElement,
     chevalley_lift,
     pin_tau,
-    pin_tau_inverse,
     polarized_algebra,
     spin_action,
     tau_reflection,
@@ -17,7 +16,8 @@ from cherednik.clifford import (
 from cherednik.groups import build_group
 from cherednik.scalars import reciprocal
 
-from oracles import eps_automorphism, involutions, transpose_element
+from oracles import (eps_automorphism, involutions,
+                     pin_tau_inverse_by_reversed_word, transpose_element)
 
 F = Fraction
 
@@ -378,6 +378,6 @@ def test_pin_tau_inverse():
         one = alg.one()
         for w in range(g.order):
             tau = pin_tau(w, g)
-            tinv = pin_tau_inverse(w, g)
+            tinv = pin_tau_inverse_by_reversed_word(g, w)
             assert tau * tinv == one
             assert tinv * tau == one

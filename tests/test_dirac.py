@@ -10,7 +10,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from cherednik import dirac, linalg, pbw
 from cherednik.calogero_moser import verify_cm_factorization
-from cherednik.clifford import pin_tau_inverse
 from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.pbw import (
     FormFamily,
@@ -39,7 +38,8 @@ from cherednik.dirac import (
 from cherednik.scalars import CapExceeded, reciprocal
 from cherednik.scalars import zeta as zeta_root
 
-from oracles import dirac_element_in_basis, tensor_element_data
+from oracles import (dirac_element_in_basis, pin_conjugation_averager,
+                     pin_tau_inverse_by_reversed_word, tensor_element_data)
 
 
 def c_fam(gid, t, c):
@@ -123,7 +123,7 @@ def test_dirac_commutes_with_diagonal_group():
 def delta_inverse(fam, w):
     g = fam.group
     return tensor(fam.group_element(g.inverse_index(w)),
-                  pin_tau_inverse(w, g))
+                  pin_tau_inverse_by_reversed_word(g, w))
 
 
 def test_delta_inverse():
@@ -569,6 +569,23 @@ def test_factorwise_search_matches_products(gid, t):
             nonzero += 1
             assert dirac._d_by_keys(got, d, cache) == derivation_d(got)
     assert nonzero
+
+
+@pytest.mark.parametrize("gid", ["A2", "B2", "G3_1_2"])
+def test_averager_by_w_matches_pin_conjugation(gid):
+    # the averager sends a Clifford monomial to its image under w; the
+    # oracle conjugates it by tau_w and the reversed-word inverse
+    fam = c_fam(gid, 0, 1)
+    average = dirac._diagonal_averager(fam)
+    oracle = pin_conjugation_averager(fam)
+    # the raw keys that decompose_kernel_element searches at degree_cap 2
+    keys = dirac._candidate_keys(fam.group, 2 + 1)
+    assert keys
+    for key in keys:
+        got, want = average(key), oracle(key)
+        assert got == want, key
+        assert ({k: type(c) for k, c in got.terms.items()}
+                == {k: type(c) for k, c in want.terms.items()}), key
 
 
 def test_decompose_column_limit(monkeypatch):

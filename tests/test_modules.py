@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cherednik import linalg, poly
+from cherednik.clifford import spin_block
 from cherednik.dirac import casimir_scalar
 from cherednik.groups import (
     CATALOGUE_IDS,
@@ -40,7 +41,7 @@ from cherednik.pbw import (
 )
 from cherednik.scalars import CapExceeded, NotRational, as_fraction, conjugate
 
-from oracles import isotypic_projector
+from oracles import isotypic_projector, tau_spin_by_element
 
 
 def compose_blocks(module, outer, inner):
@@ -318,6 +319,23 @@ def test_dirac_equivariance():
                     rho2 = d.w_cell(w, k - 1, l - 1)
                     assert linalg.mat_mul(blk["down"], rho) == \
                         linalg.mat_mul(rho2, blk["down"])
+
+
+@pytest.mark.parametrize("gid", ["A2", "B2", "G3_1_2", "Z3"])
+def test_w_cell_is_the_pin_lift_on_the_spin_side(gid):
+    # w_cell reads wedge^l(w) on the spin side; the oracle reads the
+    # spin matrix of tau_w itself
+    g = build_group(gid)
+    d = DiracOperatorMatrix(baby_verma(g, g.irrep_labels[-1], 1))
+    for w in range(g.order):
+        spin = tau_spin_by_element(g, w)
+        for l in range(g.n + 1):
+            want = linalg.kron(d.module.w_block(w, 1),
+                               spin_block(spin, g.n, l, l))
+            got = d.w_cell(w, 1, l)
+            assert got == want, (w, l)
+            assert ([[type(x) for x in row] for row in got]
+                    == [[type(x) for x in row] for row in want]), (w, l)
 
 
 def test_w_cell_homomorphism():

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = [
     (["verify", "--group", "I2_5"], None),
+    (["verify", "--group", "B3"], None),
     (["partition", "--group", "B2", "--c", "1", "--format", "json"],
      "partition_b2_c1.json"),
     (["export-group", "--group", "Z3", "--format", "json"], "group_z3.json"),

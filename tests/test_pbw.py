@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cherednik import linalg
-from cherednik.groups import build_group
+from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.pbw import (
     FormFamily,
     casimir_h,
@@ -454,6 +454,42 @@ def test_corrupted_nonskew_is_condition_zero():
         verdict = pbw_check(fam)
         assert not verdict["passed"]
         assert {f["condition"] for f in verdict["failures"]} == {0}
+
+
+# the failing conditions of each corruption kind, as corrupted_family
+# documents them; the default kind is "class" or "nonskew"
+_CORRUPTION_CONDITIONS = {"nonskew": [{0}], "class": [{1}], "radical": [{2}],
+                          "rotation": [{1, 3}, {1, 2, 3}]}
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_every_corruption_fails_or_is_refused(gid):
+    g = build_group(gid)
+    refused = []
+    for kind in (None, "nonskew", "class", "radical", "rotation"):
+        try:
+            fam = corrupted_family(g, kind)
+        except ValueError:
+            refused.append(kind)
+            continue
+        verdict = pbw_check(fam)
+        conds = {f["condition"] for f in verdict["failures"]}
+        allowed = (_CORRUPTION_CONDITIONS[kind] if kind else
+                   [{0}, {1}])
+        assert not verdict["passed"] and conds in allowed, (kind, conds)
+        if kind == "rotation" and conds == {1, 2, 3}:
+            assert gid == "B3"
+    rank_one = g.n == 1
+    assert ("radical" in refused) == rank_one
+    assert ("class" in refused) == rank_one
+    assert ("rotation" in refused) == (gid in {
+        "A1", "A2", "G3_1_2", "G4_1_2", "I2_3", "I2_5",
+        "Z2", "Z3", "Z4", "Z5", "Z6"})
+
+
+def test_radical_corruption_names_why_it_is_refused():
+    with pytest.raises(ValueError, match="rank 1"):
+        corrupted_family(build_group("Z3"), "radical")
 
 
 def test_family_construction_refuses_failing_forms():

@@ -3,18 +3,18 @@ when it is integral and a Fraction only when its denominator is > 1
 (scalars.rational).  Irrational cyclotomic values are CyclotomicScalars,
 and a rational value never is one.  No float, no Fraction with
 denominator 1 and no rational CyclotomicScalar appears in the catalogue's
-group data, in the pin-cover spin matrices, in the parameters of H_{t,c},
-in partition evidence, in the witnesses of the invariant factorization or
-in the input of rref."""
+group data, in the wedge^l(w) blocks by which w acts on the spin module, in
+the parameters of H_{t,c}, in partition evidence, in the witnesses of the
+invariant factorization or in the input of rref."""
 from fractions import Fraction
 
 import pytest
 
 from cherednik import calogero_moser, linalg
 from cherednik.calogero_moser import dirac_partition, verify_cm_factorization
-from cherednik.clifford import tau_spin
 from cherednik.groups import CATALOGUE_IDS, build_group, inner_product
 from cherednik.linalg import psd_report
+from cherednik.modules import _wedge
 from cherednik.pbw import cherednik_family, invariant_form
 from cherednik.scalars import CyclotomicScalar, NotRational, zeta
 
@@ -67,7 +67,8 @@ def test_group_data_is_in_rational_form(gid):
 @pytest.mark.parametrize("gid", CATALOGUE_IDS)
 def test_spin_matrices_are_in_rational_form(gid):
     g = build_group(gid)
-    spins = [tau_spin(g, w) for w in range(g.order)]
+    # w_cell reads these blocks as tau_w's spin matrix
+    spins = [_wedge(g, w, l) for w in range(g.order) for l in range(g.n + 1)]
     assert not _off_form(spins), _off_form(spins)[:3]
 
 
