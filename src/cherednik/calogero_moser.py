@@ -8,8 +8,8 @@ and equal-Casimir pairs without a witness chain stay marked undecided.
 """
 
 from . import linalg
-from .dirac import (casimir_table, decompose_kernel_element, derivation_d,
-                    tensor)
+from .dirac import (KernelSearch, casimir_table, decompose_kernel_element,
+                    derivation_d, tensor)
 from .groups import _invariant_generators
 from .modules import (baby_verma, dirac_cohomology, h_weight,
                       one_dimensional_quotient)
@@ -137,47 +137,41 @@ def verify_cm_factorization(group, c, degree_cap):
     the polynomial and the dual side, solve f (x) 1 = d(b) exactly at
     t = 0 and report the witness.  The witness b is searched at degree
     <= deg f + 1 on f's own polynomial side; CapExceeded (bound
-    "degree_cap") propagates when none exists there."""
+    "degree_cap") propagates when none exists there.  The solves of one
+    side share one KernelSearch, so each raw key is averaged and sent
+    through d once per side; its memos are dropped with the side."""
     fam = cherednik_family(group, 0, c)
-    n = group.n
-    zero = (0,) * n
-
-    jobs = []
+    zero = (0,) * group.n
     # polynomial side: invariants of S(h*) in the x generators
-    degrees = group.invariant_degrees
-    for f, d in zip(group.invariant_generators, degrees):
-        if d <= degree_cap:
-            jobs.append(("h_star", f, d))
-    for f, d in zip(_invariant_generators(group, group.elements), degrees):
-        if d <= degree_cap:
-            jobs.append(("h", f, d))
-
+    sides = [("h_star", group.invariant_generators,
+              lambda mono: (mono, 0, zero), lambda key: not any(key[0][2])),
+             ("h", _invariant_generators(group, group.elements),
+              lambda mono: (zero, 0, mono), lambda key: not any(key[0][0]))]
     results = []
-    for side, f, d in jobs:
-        terms = {}
-        for mono, coeff in f.items():
-            if side == "h_star":
-                terms[(mono, 0, zero)] = coeff
-            else:
-                terms[(zero, 0, mono)] = coeff
-        z = tensor(fam.element(terms), fam.clifford.one())
-        if side == "h_star":
-            same_side = lambda key: not any(key[0][2])
-        else:
-            same_side = lambda key: not any(key[0][0])
-        s, b = decompose_kernel_element(z, fam, degree_cap=d,
-                                        candidate_filter=same_side)
-        if s.coefficients:
-            raise AssertionError("invariant left a group-algebra residue")
-        if derivation_d(b) != z:
-            raise AssertionError("witness does not reproduce the invariant")
-        results.append({
-            "side": side,
-            "degree": d,
-            "monomials": len(f),
-            "witness_terms": len(b.terms),
-            "verified": True,
-        })
+    for side, invariants, embed, same_side in sides:
+        search = KernelSearch(fam)
+        for f, d in zip(invariants, group.invariant_degrees):
+            if d > degree_cap:
+                continue
+            z = tensor(fam.element({embed(mono): coeff
+                                    for mono, coeff in f.items()}),
+                       fam.clifford.one())
+            s, b = decompose_kernel_element(z, fam, degree_cap=d,
+                                            candidate_filter=same_side,
+                                            search=search)
+            if s.coefficients:
+                raise AssertionError("invariant left a group-algebra "
+                                     "residue")
+            if derivation_d(b) != z:
+                raise AssertionError("witness does not reproduce the "
+                                     "invariant")
+            results.append({
+                "side": side,
+                "degree": d,
+                "monomials": len(f),
+                "witness_terms": len(b.terms),
+                "verified": True,
+            })
     return {
         "group": group.catalogue_id,
         "c": scalar_map_str(fam.params["c"]),

@@ -371,64 +371,84 @@ def _candidate_keys(group, cap):
             if sum(hk[0]) + sum(hk[2]) + len(cm) <= cap]
 
 
-def _diagonal_averager(family):
-    """key -> sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key.
+class KernelSearch:
+    """The per-key work of decompose_kernel_element on one family.
 
-    The product is componentwise, so h (x) m goes to (w h w^(-1)) (x) w(m),
-    where tau_w conjugates the Clifford monomial m = v_i1 ... v_ir to
-    w(v_i1) ... w(v_ir) (clifford.pin_cover_holds); each factor image is
-    formed once per (w, PBW key) and once per (w, Clifford monomial).
+    A raw key h (x) m is averaged factor by factor: Delta(w) conjugates it
+    to (w h w^(-1)) (x) w(m), where tau_w conjugates the Clifford monomial
+    m = v_i1 ... v_ir to w(v_i1) ... w(v_ir) (clifford.pin_cover_holds);
+    each factor image is formed once per (w, PBW key) and once per (w,
+    Clifford monomial), so no full H (x) C(V) product is formed.  d is
+    linear: D is built once and d(e) = D e - eps(e) D once per unit key e,
+    so each d(b) is a linear combination of cached images.  Every memo is
+    a pure function of (family, key), so the solves that share a search
+    (verify_cm_factorization shares one per polynomial side) read each
+    other's work; the memos live as long as the search.
     """
-    g, alg = family.group, family.clifford
-    if not pin_cover_holds(g):
-        raise AssertionError(f"the pin lift does not cover {g.catalogue_id}")
-    # images[i] = w(v_i), column i of w's matrix on V
-    pins = [(family.group_element(w).terms,
-             family.group_element(g.inverse_index(w)).terms,
-             [alg.vector(col).terms
-              for col in linalg.transpose(family.v_matrix(w))])
-            for w in range(g.order)]
-    himg, cimg = {}, {}
 
-    def average(key):
+    def __init__(self, family):
+        g, alg = family.group, family.clifford
+        if not pin_cover_holds(g):
+            raise AssertionError(f"the pin lift does not cover "
+                                 f"{g.catalogue_id}")
+        self.family, self._d = family, dirac_element(family)
+        # images[i] = w(v_i), column i of w's matrix on V
+        self._pins = [(family.group_element(w).terms,
+                       family.group_element(g.inverse_index(w)).terms,
+                       [alg.vector(col).terms
+                        for col in linalg.transpose(family.v_matrix(w))])
+                      for w in range(g.order)]
+        self._himg, self._cimg, self._d_units = {}, {}, {}
+        self._averages, self._d_averages = {}, {}
+
+    def average(self, key):
+        """sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key,
+        memoized per raw key."""
+        if key in self._averages:
+            return self._averages[key]
+        family, alg = self.family, self.family.clifford
         hk, cm = key
         out = {}
-        for w, (gw, gwi, images) in enumerate(pins):
-            hw = himg.get((w, hk))
+        for w, (gw, gwi, images) in enumerate(self._pins):
+            hw = self._himg.get((w, hk))
             if hw is None:
-                hw = himg[(w, hk)] = family._mul_terms(
+                hw = self._himg[(w, hk)] = family._mul_terms(
                     family._mul_terms(gw, {hk: 1}), gwi)
-            cw = cimg.get((w, cm))
+            cw = self._cimg.get((w, cm))
             if cw is None:
-                cw = cimg[(w, cm)] = reduce(
+                cw = self._cimg[(w, cm)] = reduce(
                     alg._mul_terms, (images[i] for i in cm), {(): 1})
             for hk2, hc in hw.items():
                 for cm2, cc in cw.items():
                     acc(out, (hk2, cm2), hc * cc)
-        return TensorElement(family, alg, out)
+        self._averages[key] = got = TensorElement(family, alg, out)
+        return got
 
-    return average
+    def d_of(self, a):
+        """d(a), summed from the cached images d(e) of a's unit keys e."""
+        out = {}
+        for key, c in a.terms.items():
+            dk = self._d_units.get(key)
+            if dk is None:
+                e, d = TensorElement(a.family, a.algebra, {key: 1}), self._d
+                dk = self._d_units[key] = (d * e - e.eps() * d).terms
+            for k2, c2 in dk.items():
+                acc(out, k2, c * c2)
+        return TensorElement(a.family, a.algebra, out)
 
-
-def _d_by_keys(a, d, cache):
-    """d(a) from d(e) = D e - eps(e) D on the unit keys e of a (d is
-    linear); cache holds those images for the one Dirac element d."""
-    out = {}
-    for key, c in a.terms.items():
-        dk = cache.get(key)
-        if dk is None:
-            e = TensorElement(a.family, a.algebra, {key: 1})
-            dk = cache[key] = (d * e - e.eps() * d).terms
-        for k2, c2 in dk.items():
-            acc(out, k2, c * c2)
-    return TensorElement(a.family, a.algebra, out)
+    def d_average(self, key):
+        """d of the average of a raw key, memoized per raw key."""
+        if key not in self._d_averages:
+            self._d_averages[key] = self.d_of(self.average(key))
+        return self._d_averages[key]
 
 
 # raw search keys past which decompose_kernel_element refuses to search
 COLUMN_LIMIT = 8000
 
 
-def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None):
+def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
+                             search=None):
     """Split z in ker d as Delta(s) + d(b) at bounded filtration degree.
 
     z must be diagonally W-invariant, of even Clifford parity and degree
@@ -443,13 +463,12 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None):
     degree_cap, or (bound "column_limit") when the search has more raw
     keys than COLUMN_LIMIT.
 
-    Each raw key h (x) m is averaged factor by factor: Delta(w) conjugates
-    it to (w h w^(-1)) (x) w(m), with both factor images cached per w,
-    so no full H (x) C(V) product is formed.  d is linear: D is built
-    once and d(e) = D e - eps(e) D is formed once per unit key e, so each
-    d(b) is a linear combination of cached images.  One
-    elimination over [d(b) | Delta(w) | z] then settles existence and
-    uniqueness.
+    The averages b of the raw keys and their images d(b) come from
+    search, a KernelSearch on family (verify_cm_factorization passes one
+    to both solves of a polynomial side); without one, a fresh search is
+    built and dropped with the call.  The raw-key order, the prefilter of
+    multiples and one elimination over [d(b) | Delta(w) | z] belong to
+    this call alone, so s and b do not depend on what the search holds.
     """
     g = family.group
     if z.degree() > degree_cap:
@@ -476,12 +495,15 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None):
         raise CapExceeded(f"{len(raw)} candidate terms exceed the "
                           f"configured limit {COLUMN_LIMIT}",
                           "column_limit", len(raw))
+    if search is None:
+        search = KernelSearch(family)
+    elif search.family is not family:
+        raise ValueError("the search belongs to another family")
 
-    average = _diagonal_averager(family)
     seen = {}
-    invariant_b = []
+    invariant_b, d_cols = [], []
     for key in raw:
-        p = average(key)
+        p = search.average(key)
         if not p:
             continue
         # cheap prefilter: drop a projection that is a multiple of one
@@ -494,12 +516,10 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None):
         if unit in kept:
             continue
         kept.append(unit)
-        invariant_b.append(p)
-    d, d_images = dirac_element(family), {}
-    d_cols = [_d_by_keys(b, d, d_images) for b in invariant_b]
-    keep = [i for i, col in enumerate(d_cols) if col]
-    invariant_b = [invariant_b[i] for i in keep]
-    d_cols = [d_cols[i] for i in keep]
+        dp = search.d_average(key)
+        if dp:
+            invariant_b.append(p)
+            d_cols.append(dp)
 
     # one elimination over [d(b) | Delta(w) | z]: z is reachable exactly
     # when its column is no pivot, and, the Delta(w) being independent

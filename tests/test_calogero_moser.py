@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,10 @@ from cherednik.calogero_moser import (
     omega_central_character,
     verify_cm_factorization,
 )
+from cherednik.dirac import KernelSearch
 from cherednik.groups import build_group
 from cherednik.modules import h_weight
+from cherednik.pbw import cherednik_family
 from cherednik.scalars import CapExceeded
 
 
@@ -224,7 +227,8 @@ def test_cm_factorization_a2():
 def test_cm_factorization_makes_one_attempt(monkeypatch):
     calls = []
 
-    def missing(z, fam, degree_cap, candidate_filter=None):
+    def missing(z, fam, degree_cap, candidate_filter=None,
+                search=None):
         calls.append((degree_cap, candidate_filter is not None))
         raise CapExceeded("no decomposition at this degree cap; raise "
                           "degree_cap", "degree_cap")
@@ -250,3 +254,67 @@ def test_cm_factorization_does_not_retry_other_errors(monkeypatch):
     with pytest.raises(ValueError, match="not be unique"):
         verify_cm_factorization(build_group("A1"), 1, 2)
     assert len(calls) == 1
+
+
+def _solution(s, b):
+    """(s, b) as term maps with the type of every coefficient."""
+    return [{k: (c, type(c)) for k, c in e.terms.items()} for e in (s, b)]
+
+
+@pytest.mark.parametrize("gid,cap", [("A2", 3), ("I2_3", 3), ("B2", 4),
+                                     ("G2_1_2", 4)])
+@pytest.mark.parametrize("c", [1, Fraction(1, 2)])
+def test_shared_search_matches_fresh_solves(monkeypatch, gid, cap, c):
+    # the solves of each side as verify_cm_factorization makes them, with
+    # the search that side shares
+    inner = calogero_moser.decompose_kernel_element
+    sides = []
+
+    def recording(z, fam, degree_cap, candidate_filter=None, search=None):
+        if not sides or sides[-1][0] is not search:
+            sides.append((search, []))
+        sides[-1][1].append((z, fam, degree_cap, candidate_filter))
+        return inner(z, fam, degree_cap, candidate_filter, search=search)
+
+    monkeypatch.setattr(calogero_moser, "decompose_kernel_element",
+                        recording)
+    group = build_group(gid)
+    verify_cm_factorization(group, c, cap)
+    assert len(sides) == 2
+    for _, jobs in sides:
+        assert [job[2] for job in jobs] == list(group.invariant_degrees)
+        fresh = [_solution(*inner(*job)) for job in jobs]
+        # low degree first and high degree first: no solve may leave state
+        # in the memos that changes another; a caller mutating its b must
+        # not reach them either
+        for order in ([0, 1], [1, 0]):
+            search = KernelSearch(jobs[0][1])
+            for i in order + order[:1]:
+                s, b = inner(*jobs[i], search=search)
+                assert _solution(s, b) == fresh[i], (gid, c, order, i)
+                for k in b.terms:
+                    b.terms[k] = 7
+                b.terms[next(iter(jobs[i][0].terms))] = 1
+
+
+def test_cm_factorization_drops_its_searches(monkeypatch):
+    # each side's search, memos included, dies with the call: nothing of
+    # it is left on the family, which the family cache keeps for good
+    group = build_group("A2")
+    fam = cherednik_family(group, 0, 1)
+    before = set(vars(fam))
+    inner = calogero_moser.decompose_kernel_element
+    ids, refs = [], []
+
+    def recording(*args, search=None, **kwargs):
+        ids.append(id(search))
+        refs.append(weakref.ref(search))
+        return inner(*args, search=search, **kwargs)
+
+    monkeypatch.setattr(calogero_moser, "decompose_kernel_element",
+                        recording)
+    verify_cm_factorization(group, 1, 3)
+    # one search per side, shared by the side's two solves
+    assert ids[0] == ids[1] != ids[2] == ids[3]
+    assert [ref() for ref in refs] == [None] * 4
+    assert set(vars(fam)) == before

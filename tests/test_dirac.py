@@ -527,17 +527,17 @@ def test_decompose_rejects_non_direct_sum(monkeypatch):
     # a derivation image containing Delta(s) makes the split ambiguous
     fam = c_fam("A1", 0, 1)
     s = fam.group.order - 1
-    by_keys = dirac._d_by_keys
+    by_keys = dirac.KernelSearch.d_of
     calls = []
 
-    def leaky(a, d, cache):
+    def leaky(search, a):
         calls.append(a)
         # the first call is the first search candidate
         if len(calls) == 1:
             return delta_element(fam, s)
-        return by_keys(a, d, cache)
+        return by_keys(search, a)
 
-    monkeypatch.setattr(dirac, "_d_by_keys", leaky)
+    monkeypatch.setattr(dirac.KernelSearch, "d_of", leaky)
     with pytest.raises(ValueError, match="not be unique"):
         decompose_kernel_element(omega_tilde(fam), fam)
     assert len(calls) > 1
@@ -553,8 +553,7 @@ def test_factorwise_search_matches_products(gid, t):
     alg = fam.clifford
     deltas = [(delta_element(fam, w), delta_inverse(fam, w))
               for w in range(g.order)]
-    average = dirac._diagonal_averager(fam)
-    d, cache = dirac_element(fam), {}
+    search = dirac.KernelSearch(fam)
     nonzero = 0
     for key in dirac._candidate_keys(g, 3):
         e = TensorElement(fam, alg, {key: Fraction(1)})
@@ -562,12 +561,12 @@ def test_factorwise_search_matches_products(gid, t):
         for dw, dwi in deltas:
             term = dw * e * dwi
             want = term if want is None else want + term
-        got = average(key)
+        got = search.average(key)
         assert got == want, key
-        assert dirac._d_by_keys(e, d, cache) == derivation_d(e), key
+        assert search.d_of(e) == derivation_d(e), key
         if got:
             nonzero += 1
-            assert dirac._d_by_keys(got, d, cache) == derivation_d(got)
+            assert search.d_of(got) == derivation_d(got)
     assert nonzero
 
 
@@ -576,7 +575,7 @@ def test_averager_by_w_matches_pin_conjugation(gid):
     # the averager sends a Clifford monomial to its image under w; the
     # oracle conjugates it by tau_w and the reversed-word inverse
     fam = c_fam(gid, 0, 1)
-    average = dirac._diagonal_averager(fam)
+    average = dirac.KernelSearch(fam).average
     oracle = pin_conjugation_averager(fam)
     # the raw keys that decompose_kernel_element searches at degree_cap 2
     keys = dirac._candidate_keys(fam.group, 2 + 1)
@@ -586,6 +585,15 @@ def test_averager_by_w_matches_pin_conjugation(gid):
         assert got == want, key
         assert ({k: type(c) for k, c in got.terms.items()}
                 == {k: type(c) for k, c in want.terms.items()}), key
+
+
+def test_decompose_refuses_a_search_of_another_family():
+    # the memos are functions of (family, key): another family's averages
+    # and d-images would give a wrong split
+    fam = c_fam("A1", 0, 1)
+    other = dirac.KernelSearch(c_fam("A1", 0, 2))
+    with pytest.raises(ValueError, match="another family"):
+        decompose_kernel_element(omega_tilde(fam), fam, search=other)
 
 
 def test_decompose_column_limit(monkeypatch):
