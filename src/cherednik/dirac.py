@@ -380,10 +380,13 @@ class KernelSearch:
     each factor image is formed once per (w, PBW key) and once per (w,
     Clifford monomial), so no full H (x) C(V) product is formed.  d is
     linear: D is built once and d(e) = D e - eps(e) D once per unit key e,
-    so each d(b) is a linear combination of cached images.  Every memo is
-    a pure function of (family, key), so the solves that share a search
-    (verify_cm_factorization shares one per polynomial side) read each
-    other's work; the memos live as long as the search.
+    so each d(b) is a linear combination of cached images.  The search
+    owns its columns: columns[i] is (b, d(b)) for the i-th average b met
+    that is no multiple of an earlier one, and column maps a raw key to
+    the id of the column its average is a multiple of.  Up to that scale
+    every memo is a function of (family, key), so the solves that share a
+    search (verify_cm_factorization shares one per polynomial side) read
+    each other's work; the memos live as long as the search.
     """
 
     def __init__(self, family):
@@ -399,13 +402,12 @@ class KernelSearch:
                         for col in linalg.transpose(family.v_matrix(w))])
                       for w in range(g.order)]
         self._himg, self._cimg, self._d_units = {}, {}, {}
-        self._averages, self._d_averages = {}, {}
+        # raw key -> column id; least key -> ids of the columns it leads
+        self._ids, self._leads = {}, {}
+        self.columns = []
 
     def average(self, key):
-        """sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key,
-        memoized per raw key."""
-        if key in self._averages:
-            return self._averages[key]
+        """sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key."""
         family, alg = self.family, self.family.clifford
         hk, cm = key
         out = {}
@@ -421,7 +423,31 @@ class KernelSearch:
             for hk2, hc in hw.items():
                 for cm2, cc in cw.items():
                     acc(out, (hk2, cm2), hc * cc)
-        self._averages[key] = got = TensorElement(family, alg, out)
+        return TensorElement(family, alg, out)
+
+    def column(self, key):
+        """The id in columns of the multiples of the raw key's average, or
+        None when the average is 0; memoized per raw key, so each average
+        and each column's d-image are formed once.  Averages with the same
+        least key are compared by cross-multiplication, with no division."""
+        if key in self._ids:
+            return self._ids[key]
+        b = self.average(key)
+        p, got = b.terms, None
+        if p:
+            lead = min(p)
+            ids = self._leads.setdefault(lead, [])
+            for i in ids:
+                q = self.columns[i][0].terms
+                if q.keys() == p.keys() and all(
+                        q[lead] * c == p[lead] * q[k] for k, c in p.items()):
+                    got = i
+                    break
+            else:
+                got = len(self.columns)
+                self.columns.append((b, self.d_of(b)))
+                ids.append(got)
+        self._ids[key] = got
         return got
 
     def d_of(self, a):
@@ -435,12 +461,6 @@ class KernelSearch:
             for k2, c2 in dk.items():
                 acc(out, k2, c * c2)
         return TensorElement(a.family, a.algebra, out)
-
-    def d_average(self, key):
-        """d of the average of a raw key, memoized per raw key."""
-        if key not in self._d_averages:
-            self._d_averages[key] = self.d_of(self.average(key))
-        return self._d_averages[key]
 
 
 # raw search keys past which decompose_kernel_element refuses to search
@@ -463,12 +483,16 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     degree_cap, or (bound "column_limit") when the search has more raw
     keys than COLUMN_LIMIT.
 
-    The averages b of the raw keys and their images d(b) come from
-    search, a KernelSearch on family (verify_cm_factorization passes one
-    to both solves of a polynomial side); without one, a fresh search is
-    built and dropped with the call.  The raw-key order, the prefilter of
-    multiples and one elimination over [d(b) | Delta(w) | z] belong to
-    this call alone, so s and b do not depend on what the search holds.
+    The columns b and d(b) come from search, a KernelSearch on family
+    (verify_cm_factorization passes one to both solves of a polynomial
+    side); without one, a fresh search is built and dropped with the
+    call.  One elimination runs over [d(b) | Delta(w) | z], one b per
+    average up to scale, in the order this call's raw keys first reach
+    it, so s and b do not depend on what the search already holds.  Nor do
+    they depend on a column's scale: rescaling b leaves the pivots alone
+    and rescales b's coefficient inversely.  A raw key whose average is a
+    multiple of an earlier one would add a column that is never a pivot,
+    so it adds none.
     """
     g = family.group
     if z.degree() > degree_cap:
@@ -500,34 +524,18 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     elif search.family is not family:
         raise ValueError("the search belongs to another family")
 
-    seen = {}
-    invariant_b, d_cols = [], []
-    for key in raw:
-        p = search.average(key)
-        if not p:
-            continue
-        # cheap prefilter: drop a projection that is a multiple of one
-        # already kept (compared scaled to 1 at the minimal term); full
-        # independence is settled below
-        mark = min(p.terms)
-        inv = reciprocal(p.terms[mark])
-        unit = {k: c * inv for k, c in p.terms.items()}
-        kept = seen.setdefault(mark, [])
-        if unit in kept:
-            continue
-        kept.append(unit)
-        dp = search.d_average(key)
-        if dp:
-            invariant_b.append(p)
-            d_cols.append(dp)
+    # (b, d(b)) per average up to scale, in first-use order, d(b) != 0
+    cols = [search.columns[i] for i in dict.fromkeys(map(search.column, raw))
+            if i is not None and search.columns[i][1]]
 
     # one elimination over [d(b) | Delta(w) | z]: z is reachable exactly
     # when its column is no pivot, and, the Delta(w) being independent
     # (distinct group parts), the split is unique exactly when every
     # Delta column is a pivot, i.e. span Delta meets span d(b) in zero
-    nd = len(d_cols)
+    nd = len(cols)
     ncols = nd + g.order
-    reduced, pivots = linalg.rref(_coords(d_cols + deltas + [z]))
+    reduced, pivots = linalg.rref(_coords([db for _, db in cols] + deltas
+                                          + [z]))
     if ncols in pivots:
         raise CapExceeded("no decomposition at this degree cap; raise "
                           "degree_cap", "degree_cap")
@@ -541,7 +549,7 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     emap = {w: sol[nd + w] for w in range(g.order) if sol[nd + w]}
     s = GroupAlgebraClassFunction.from_element_map(g, emap)
     b = None
-    for bc, c in zip(invariant_b, sol):
+    for (bc, _), c in zip(cols, sol):
         if c:
             term = c * bc
             b = term if b is None else b + term

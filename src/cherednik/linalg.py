@@ -12,13 +12,13 @@ int when integral) and hold every zero as the int 0.  Everything is
 exact; there is no pivoting for numerical stability because there is no
 rounding.
 
-The identity rule: the products (mat_mul, mat_vec, kron, add_kron,
-add_into) skip zero entries, multiply only by factors other than 1, and
-store the first term into an empty (zero) slot instead of adding it to 0,
-since most entries met here are 0 or +-1 and a Fraction or cyclotomic
-operation normalises its result.  The values are those of the full
-arithmetic; where that would leave an integral Fraction, a result may
-hold its int instead.
+The identity rule: the products (mat_mul, mat_vec, and add_kron, the one
+Kronecker kernel) and add_into skip zero entries, multiply only by
+factors other than 1, and store the first term into an empty (zero) slot
+instead of adding it to 0, since most entries met here are 0 or +-1 and
+a Fraction or cyclotomic operation normalises its result.  The values
+are those of the full arithmetic; where that would leave an integral
+Fraction, a result may hold its int instead.
 """
 
 from fractions import Fraction
@@ -99,29 +99,9 @@ def mean_gram(mats):
     return mat_scale(Fraction(1, len(mats)), total)
 
 
-def kron(a, b):
-    if not a or not b:
-        return []
-    rb, cb = len(b), len(b[0])
-    out = []
-    for ra in a:
-        for i in range(rb):
-            row = []
-            bi = b[i]
-            for v in ra:
-                if not v:
-                    row.extend([0] * cb)
-                elif v == 1:
-                    row.extend(bi)
-                else:
-                    row.extend([(v if y == 1 else v * y) if y else y
-                                for y in bi])
-            out.append(row)
-    return out
-
-
 def add_kron(acc, a, b):
-    """acc += kron(a, b) in place, skipping zero entries of a and b."""
+    """acc += a (x) b in place, skipping zero entries of a and b: the one
+    Kronecker kernel, which forms the product itself into zeros()."""
     rb, cb = len(b), len(b[0]) if b else 0
     for r, ra in enumerate(a):
         for j, v in enumerate(ra):

@@ -260,23 +260,20 @@ def baby_verma(group, sigma, c):
 def one_dimensional_quotient(group, sigma, c):
     """Delta(sigma) modulo h*.Delta(sigma) over t = 0: the simple quotient
     with x = y = 0, available exactly when every commutator [y_i, x_j]
-    acts by zero on the one-dimensional sigma."""
+    acts by zero on the one-dimensional sigma.  On Delta(sigma) over the
+    same family y_i kills 1 (x) v, so y_i sends x_j (x) v to [y_i, x_j] v:
+    the commutators are read off the y-blocks of degree 1."""
     n = group.n
     module = GradedModule("simple", cherednik_family(group, 0, c), sigma, 0,
                           [({e: 1}, 1) for e in poly.monomials(n, 1)])
     if module.dim_sigma != 1:
         raise ValueError("the visible quotient needs dim(sigma) = 1")
-    fam = module.family
+    delta = GradedModule("standard", module.family, sigma, 1)
+    at = _mono_index(n, 1)
     for i in range(n):
+        row = delta.y_block(i, 1)[0]
         for j in range(n):
-            comm = (fam.y_gen(i) * fam.x_gen(j)
-                    - fam.x_gen(j) * fam.y_gen(i))
-            total = 0
-            for (a, w, b), coeff in comm.terms.items():
-                if any(a) or any(b):
-                    raise AssertionError("commutator outside the group part")
-                total = total + coeff * module.rep.matrices[w][0][0]
-            if total != 0:
+            if row[at[tuple(int(t == j) for t in range(n))]]:
                 raise ValueError(
                     f"[y_{i + 1}, x_{j + 1}] does not kill {sigma}")
     return module
@@ -367,8 +364,10 @@ class DiracOperatorMatrix:
         """Diagonal action of a group element on the (k, l) cell: w on the
         module (x) wedge^l(w), which is tau_w on the spin side
         (clifford.pin_cover_holds)."""
-        return linalg.kron(self.module.w_block(w, k),
-                           _wedge(self.module.group, w, l))
+        a, b = self.module.w_block(w, k), _wedge(self.module.group, w, l)
+        out = linalg.zeros(len(a) * len(b), len(a[0]) * len(b[0]))
+        linalg.add_kron(out, a, b)
+        return out
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Elements are kept in the normal form x^a . w . y^b.  For the polarized
 presets V = h + h* with the x block spanning h* and the y block spanning h.
 The orthogonal preset (graded affine Hecke) runs on V0 = h with a
 W-invariant symmetric form; there the whole V-part lives in the x block and
-the y block stays identically zero.
+the y block stays identically zero.  One engine straightens both: a product
+inserts x_j past y^b, then past w, then into x^a.
 """
 
 from fractions import Fraction
@@ -60,8 +61,7 @@ class FormFamily:
         self.params = dict(params or {})
         # straightening caches
         self._past = {}
-        self._wx = {}
-        self._wy = {}
+        self._images = {}
         self._ins = {}
         # products of two PBW monomials, read by H (x) C(V) products
         self._units = {}
@@ -132,25 +132,24 @@ class FormFamily:
 
     # -- straightening
 
-    def _w_on_x(self, w, a):
-        """Expansion of w(x^a) as {exponent: coeff}."""
-        key = (w, a)
-        got = self._wx.get(key)
+    def _image(self, u, e, dual):
+        """Expansion of the monomial with exponents e under the matrix of u
+        on h* (dual) or on h, as {exponent: coeff}."""
+        key = (u, e, dual)
+        got = self._images.get(key)
         if got is None:
-            m = self.group.h_star_matrix(w)
-            got = substitute_linear({a: 1}, m)
-            self._wx[key] = got
+            m = self.group.h_star_matrix(u) if dual else self.group.elements[u]
+            got = self._images[key] = substitute_linear({e: 1}, m)
         return got
+
+    def _w_on_x(self, w, a):
+        """Expansion of w(x^a): the x block spans h* on the polarized space
+        and h on the orthogonal one."""
+        return self._image(w, a, self.space == "polarized")
 
     def _w_on_y(self, w, b):
         """Expansion of (w^(-1)(y))^b, so that y^b . w = w . (that)."""
-        key = (w, b)
-        got = self._wy.get(key)
-        if got is None:
-            m = self.group.elements[self.group.inverse_index(w)]
-            got = substitute_linear({b: 1}, m)
-            self._wy[key] = got
-        return got
+        return self._image(self.group.inverse_index(w), b, False)
 
     def _y_past_x(self, b, j):
         """Normal form of y^b . x_j as a tuple of (coeff, a, w, b')."""
@@ -183,37 +182,31 @@ class FormFamily:
         self._past[key] = res
         return res
 
-    def _insert_v(self, a, k):
-        """Orthogonal space: normal form of x^a . v_k as ((coeff, a', w'), ...)."""
-        key = (a, k)
+    def _insert_x(self, a, e):
+        """Normal form of x^a . x^e, e of degree at most 1, as ((coeff, a',
+        w'), ...).  On the polarized space the x's commute; on the
+        orthogonal one x_l x_k = x_k x_l + sum_w a_w(v_l, v_k) w moves x_k
+        left past every x_l with l > k."""
+        key = (a, e)
         got = self._ins.get(key)
         if got is not None:
             return got
-        n = self.nv
-        live = [t for t in range(n) if a[t]]
-        if not live or live[-1] <= k:
-            up = list(a)
-            up[k] += 1
-            res = ((1, tuple(up), 0),)
+        n = self.group.n
+        k = e.index(1) if any(e) else n
+        l = max((t for t in range(n) if a[t]), default=-1)
+        if self.space == "polarized" or l <= k:
+            res = ((1, tuple(p + q for p, q in zip(a, e)), 0),)
         else:
-            l = live[-1]
             b = list(a)
             b[l] -= 1
             b = tuple(b)
             out = {}
-            # x^a v_k = (x^b v_k) v_l + a_w(v_l, v_k) x^b w
-            for c, a1, w1 in self._insert_v(b, k):
-                if w1 == 0:
-                    for c2, a2, w2 in self._insert_v(a1, l):
-                        acc(out, (a2, w2), c * c2)
-                else:
-                    m = self.group.elements[w1]
-                    for t in range(n):
-                        vv = m[t][l]
-                        if vv == 0:
-                            continue
-                        for c2, a2, w2 in self._insert_v(a1, t):
-                            acc(out, (a2, self.group.mult(w2, w1)), c * vv * c2)
+            # x^a x_k = (x^b x_k) x_l + sum_w a_w(v_l, v_k) x^b w, and
+            # w1 x_l = w1(x_l) w1
+            for c, a1, w1 in self._insert_x(b, e):
+                for e2, d in self._w_on_x(w1, _unit(n, l)).items():
+                    for c2, a2, w2 in self._insert_x(a1, e2):
+                        acc(out, (a2, self.group.mult(w2, w1)), c * d * c2)
             for w, mat in self.forms.items():
                 val = mat[l][k]
                 if val != 0:
@@ -225,36 +218,22 @@ class FormFamily:
     # -- term-by-generator products
 
     def _times_x(self, terms, j):
+        """terms . x_j: x_j moves left past y^b (_y_past_x), past w as
+        w(x_j) (_w_on_x) and into x^a (_insert_x)."""
+        mult = self.group.mult
         out = {}
         for (a, w, b), c in terms.items():
             for c1, a1, w1, b1 in self._y_past_x(b, j):
                 # most factors are 1, and a Fraction product is slow
                 cc = c1 if c == 1 else (c if c1 == 1 else c * c1)
-                if w == 0:
-                    key = (tuple(p + q for p, q in zip(a, a1)), w1, b1)
-                    acc(out, key, cc)
-                else:
-                    for a2, d in self._w_on_x(w, a1).items():
-                        key = (tuple(p + q for p, q in zip(a, a2)),
-                               self.group.mult(w, w1), b1)
-                        acc(out, key, cc if d == 1 else cc * d)
-        return out
-
-    def _times_v(self, terms, j):
-        out = {}
-        nz = (0,) * self.nv
-        for (a, w, _b), c in terms.items():
-            if w == 0:
-                for c1, a1, w1 in self._insert_v(a, j):
-                    acc(out, (a1, w1, nz), c * c1)
-            else:
-                m = self.group.elements[w]
-                for t in range(self.nv):
-                    vv = m[t][j]
-                    if vv == 0:
-                        continue
-                    for c1, a1, w1 in self._insert_v(a, t):
-                        acc(out, (a1, self.group.mult(w1, w), nz), c * vv * c1)
+                # the identity moves past everything unchanged
+                ww1 = mult(w, w1) if w else w1
+                for a2, d in (self._w_on_x(w, a1).items() if w
+                              else ((a1, 1),)):
+                    cd = cc if d == 1 else cc * d
+                    for c3, a3, w3 in self._insert_x(a, a2):
+                        acc(out, (a3, mult(w3, ww1) if w3 else ww1, b1),
+                            cd if c3 == 1 else cd * c3)
         return out
 
     def _times_w(self, terms, w2):
@@ -278,13 +257,11 @@ class FormFamily:
 
     def _mul_terms(self, uterms, vterms):
         res = {}
-        polarized = self.space == "polarized"
         for (a2, w2, b2), c2 in vterms.items():
             cur = uterms
-            gen = self._times_x if polarized else self._times_v
             for j, e in enumerate(a2):
                 for _ in range(e):
-                    cur = gen(cur, j)
+                    cur = self._times_x(cur, j)
             if w2 != 0:
                 cur = self._times_w(cur, w2)
             if any(b2):
@@ -366,13 +343,11 @@ def _pair(alpha, alpha_check):
     return sum(a * b for a, b in zip(alpha, alpha_check))
 
 
-def cherednik_forms(group, t, c_map, c_override=None):
+def cherednik_forms(group, t, c_map):
     """The rational Cherednik commutator forms on V = h + h*.
 
     a_1(y, x) = t<y, x> and for each reflection s
     a_s(y, x) = -c_s <y, alpha_s><alpha_s^vee, x> / <alpha_s^vee, alpha_s>.
-    c_override optionally replaces c per element index (used by seeded
-    corrupted families; it breaks class-invariance on purpose).
     """
     n = group.n
     forms = {}
@@ -384,8 +359,6 @@ def cherednik_forms(group, t, c_map, c_override=None):
         forms[0] = a1
     for r in group.reflections:
         cs = c_map[r.class_name]
-        if c_override and r.element_index in c_override:
-            cs = c_override[r.element_index]
         if cs == 0:
             continue
         pinv = reciprocal(_pair(r.alpha, r.alpha_check))
@@ -545,7 +518,9 @@ def corrupted_family(group, kind=None):
                 break
         if first is None:
             raise ValueError("every reflection class is a singleton")
-        forms = cherednik_forms(group, 1, cm, c_override={first: 2})
+        # doubling one reflection's form breaks class-invariance
+        forms = cherednik_forms(group, 1, cm)
+        forms[first] = linalg.mat_scale(2, forms[first])
         return FormFamily(group, forms, preset_tag="corrupted")
     if kind == "radical":
         # the natural symplectic pairing is W-invariant but nondegenerate,
@@ -653,21 +628,22 @@ def pbw_check(family):
                                        % (len(fixed), nv - 2, w)})
             continue
         kern = linalg.nullspace(family.forms[w])
-        witness = None
-        for v in kern:
-            if not linalg.in_span(fixed, v):
-                witness = v
-                break
+        # a vector of one subspace outside the other, which exists exactly
+        # when the two differ
+        witness = next(((v, mine, other) for basis, span, mine, other in (
+            (kern, fixed, "ker a_w", "V^w"), (fixed, kern, "V^w", "ker a_w"))
+            for v in basis if not linalg.in_span(span, v)), None)
         if witness is None:
-            for v in fixed:
-                if not linalg.in_span(kern, v):
-                    witness = v
-                    break
-        if len(kern) != len(fixed) or witness is not None:
+            continue
+        if len(kern) != len(fixed):
             detail = ("ker a_w has dim %d but V^w has dim %d for w=%d"
                       % (len(kern), len(fixed), w))
-            failures.append({"condition": 2, "w": w, "h": None,
-                             "vector": witness, "detail": detail})
+        else:
+            detail = ("ker a_w and V^w both have dim %d but differ for "
+                      "w=%d: the vector lies in %s, not in %s"
+                      % ((len(kern), w) + witness[1:]))
+        failures.append({"condition": 2, "w": w, "h": None,
+                         "vector": witness[0], "detail": detail})
 
     # (3) det(h | (V^w)-perp) = 1 for h centralizing w
     for w in family.support():

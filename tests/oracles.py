@@ -7,7 +7,8 @@ t=1, c=0 rational Cherednik algebra is built directly as matrices acting on
 polynomials.  The last sections keep the second constructions that the
 library runs only one way: the Dirac element and the Casimir in another
 basis of V, isotypic projectors summed over W, the Clifford involutions,
-matrix products with every product and sum carried out, module
+matrix products with every product and sum carried out, products on
+the orthogonal space by the ordered rewrite alone, module
 characters traced off the full sigma-blocks, module actions by a walk
 over the straightened terms, one term at a time, the per-element group
 data (h* matrices, inverses) formed element by element instead of along
@@ -471,6 +472,66 @@ def action_blocks_by_columns(module, columns):
                                 sv = cv if sv == 1 else cv * sv
                             row[j] = row[j] + sv if row[j] else sv
     return out
+
+
+# ---------------------------------------------------------------------------
+# products on the orthogonal space by the ordered rewrite alone
+
+
+def orthogonal_product(family, u, v):
+    """u * v for an orthogonal-space family, with v's generators inserted
+    one at a time: v_j is carried left past w as w(v_j) by w's matrix on h,
+    then x^a v_k is rewritten by x_l x_k = x_k x_l + sum_w a_w(v_l, v_k) w
+    until the exponents are ordered.  Returns the term map."""
+    g, n = family.group, family.nv
+    nz = (0,) * n
+    memo = {}
+
+    def insert(a, k):
+        # normal form of x^a v_k as ((coeff, a', w'), ...)
+        if (a, k) in memo:
+            return memo[(a, k)]
+        live = [t for t in range(n) if a[t]]
+        if not live or live[-1] <= k:
+            up = list(a)
+            up[k] += 1
+            res = ((1, tuple(up), 0),)
+        else:
+            l = live[-1]
+            b = list(a)
+            b[l] -= 1
+            b = tuple(b)
+            out = {}
+            for c, a1, w1 in insert(b, k):
+                m = g.elements[w1]
+                for t in range(n):
+                    if m[t][l]:
+                        for c2, a2, w2 in insert(a1, t):
+                            acc(out, (a2, g.mult(w2, w1)), c * m[t][l] * c2)
+            for w, mat in family.forms.items():
+                if mat[l][k]:
+                    acc(out, (b, w), mat[l][k])
+            res = tuple((c, key[0], key[1]) for key, c in out.items())
+        memo[(a, k)] = res
+        return res
+
+    res = {}
+    for (a2, w2, _b2), c2 in v.terms.items():
+        cur = dict(u.terms)
+        for j, e in enumerate(a2):
+            for _ in range(e):
+                nxt = {}
+                for (a, w, _b), c in cur.items():
+                    m = g.elements[w]
+                    for t in range(n):
+                        if m[t][j]:
+                            for c1, a1, w1 in insert(a, t):
+                                acc(nxt, (a1, g.mult(w1, w), nz),
+                                    c * m[t][j] * c1)
+                cur = nxt
+        for (a, w, b), c in cur.items():
+            acc(res, (a, g.mult(w, w2), b), c * c2)
+    return res
 
 
 # ---------------------------------------------------------------------------

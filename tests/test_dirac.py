@@ -570,6 +570,36 @@ def test_factorwise_search_matches_products(gid, t):
     assert nonzero
 
 
+@pytest.mark.parametrize("gid,t", [("A2", 0), ("I2_5", 0), ("A1", 1)])
+def test_search_columns_are_the_distinct_averages(gid, t):
+    # raw keys with proportional averages share one column id, a zero
+    # average has none, and there is one column per class of proportional
+    # averages: the first average of the class, with its d-image
+    fam = c_fam(gid, t, 1)
+    search = dirac.KernelSearch(fam)
+    reps = []   # one average per class of proportional averages
+    for key in dirac._candidate_keys(fam.group, 3):
+        p = search.average(key)
+        got = search.column(key)
+        assert search.column(key) == got
+        if not p:
+            assert got is None, key
+            continue
+        k = next(iter(p.terms))
+        same = [i for i, q in enumerate(reps)
+                if q.terms.keys() == p.terms.keys()
+                and q.terms[k] * p == p.terms[k] * q]
+        if not same:
+            same = [len(reps)]
+            reps.append(p)
+        assert got == same[0], key
+        b, db = search.columns[got]
+        assert b == reps[got]
+        assert db == derivation_d(b)
+    assert len(search.columns) == len(reps) < len(
+        dirac._candidate_keys(fam.group, 3))
+
+
 @pytest.mark.parametrize("gid", ["A2", "B2", "G3_1_2"])
 def test_averager_by_w_matches_pin_conjugation(gid):
     # the averager sends a Clifford monomial to its image under w; the

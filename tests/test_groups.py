@@ -15,7 +15,7 @@ from cherednik.groups import (
 )
 from cherednik.scalars import reciprocal, zeta
 
-from oracles import isotypic_projector
+from oracles import isotypic_projector, kron_naive
 
 F = Fraction
 
@@ -46,7 +46,7 @@ def regular_rep(g):
 
 def tensor_rep(a, b):
     return WRepresentation(a.dimension * b.dimension,
-                           [linalg.kron(x, y)
+                           [kron_naive(x, y)
                             for x, y in zip(a.matrices, b.matrices)])
 
 EXPECTED_ORDERS = {

@@ -330,8 +330,9 @@ def test_w_cell_is_the_pin_lift_on_the_spin_side(gid):
     for w in range(g.order):
         spin = tau_spin_by_element(g, w)
         for l in range(g.n + 1):
-            want = linalg.kron(d.module.w_block(w, 1),
-                               spin_block(spin, g.n, l, l))
+            a, b = d.module.w_block(w, 1), spin_block(spin, g.n, l, l)
+            want = linalg.zeros(len(a) * len(b), len(a[0]) * len(b[0]))
+            linalg.add_kron(want, a, b)
             got = d.w_cell(w, 1, l)
             assert got == want, (w, l)
             assert ([[type(x) for x in row] for row in got]

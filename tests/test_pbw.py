@@ -21,9 +21,11 @@ from cherednik.pbw import (
     pbw_check,
     positive_system,
 )
+from cherednik.poly import monomials
 from cherednik.scalars import zeta
 
-from oracles import WeylModel, casimir_h_in_basis, element_matrix
+from oracles import (WeylModel, casimir_h_in_basis, element_matrix,
+                     orthogonal_product)
 
 
 def hstar_vector(fam, coords):
@@ -106,14 +108,23 @@ def test_products_match_differential_operator_model():
                 assert mprod[r][col] == direct[r][col]
 
 
+# the graded affine Hecke family of every real catalogue group, B2 at
+# unequal parameters; I2_5 carries cyclotomic entries
+GAHA_CASES = [("A1", 1), ("A2", 1),
+              ("B2", {"long": 1, "short": Fraction(1, 2)}),
+              ("B3", {"long": 1, "short": 2}), ("I2_3", 1),
+              ("I2_4", {"s1": 1, "s2": 2}), ("I2_5", 1),
+              ("I2_6", {"s1": 1, "s2": Fraction(1, 3)})]
+
+
 def _associativity_cases():
     a1 = cherednik_family(build_group("A1"), 1, Fraction(1, 2))
     b2 = cherednik_family(build_group("B2"), 1,
                           {"long": 1, "short": Fraction(1, 2)})
     z3 = cherednik_family(build_group("Z3"), 1,
                           {"g1": 1, "g2": Fraction(1, 3)})
-    ga = gaha_family(build_group("A2"), 1)
-    return [a1, b2, z3, ga]
+    return [a1, b2, z3] + [gaha_family(build_group(gid), k)
+                           for gid, k in GAHA_CASES]
 
 
 def test_multiplication_is_associative():
@@ -123,7 +134,23 @@ def test_multiplication_is_associative():
             u = random_element(fam, rng)
             v = random_element(fam, rng)
             w = random_element(fam, rng)
-            assert (u * v) * w == u * (v * w)
+            assert (u * v) * w == u * (v * w), fam.group.catalogue_id
+
+
+@pytest.mark.parametrize("gid,k", [
+    *[pytest.param(gid, k, id=gid) for gid, k in GAHA_CASES],
+    pytest.param("B3", "rotation", id="B3-rotation")])
+def test_orthogonal_products_match_ordered_rewrite(gid, k):
+    # the one straightening engine against the ordered rewrite of the
+    # orthogonal space, also on a family that is not PBW
+    g = build_group(gid)
+    fam = corrupted_family(g, k) if k == "rotation" else gaha_family(g, k)
+    rng = random.Random(29)
+    for _ in range(4):
+        u = random_element(fam, rng)
+        v = random_element(fam, rng, nterms=2)
+        v = v * random_element(fam, rng, nterms=2)
+        assert (u * v).terms == orthogonal_product(fam, u, v)
 
 
 def _vgens(fam):
@@ -131,11 +158,12 @@ def _vgens(fam):
 
 
 def test_flatness_probe():
+    # the words of degree <= 3 in V, times W, span a space of the PBW
+    # dimension |W| dim S(V)_{<=3}
     cases = [
         cherednik_family(build_group("A1"), 1, Fraction(1, 2)),
         cherednik_family(build_group("Z3"), 1, {"g1": 1, "g2": 1}),
-        gaha_family(build_group("A2"), 1),
-    ]
+    ] + [gaha_family(build_group(gid), k) for gid, k in GAHA_CASES]
     for fam in cases:
         order = fam.group.order
         gens = _vgens(fam)
@@ -154,14 +182,8 @@ def test_flatness_probe():
             for k, c in el.terms.items():
                 row[pos[k]] = c
             rows.append(row)
-        # dim S(V)_{<=3} x |W|
-        nv = fam.nv
-        smono = 0
-        from itertools import product as iproduct
-        for e in iproduct(range(4), repeat=nv):
-            if sum(e) <= 3:
-                smono += 1
-        assert linalg.rank(rows) == order * smono
+        smono = sum(1 for d in range(4) for _ in monomials(fam.nv, d))
+        assert linalg.rank(rows) == order * smono, fam.group.catalogue_id
         assert len(vocab) <= order * smono
 
 
@@ -446,6 +468,22 @@ def test_corrupted_rotation_fails_condition_three():
     assert conds == {1, 3}  # support on an involution also breaks invariance
     dets = [f["det"] for f in verdict["failures"] if f["condition"] == 3]
     assert all(d == -1 for d in dets)
+
+
+def test_condition_two_witness_lies_in_one_subspace_only():
+    # on B3 the rotation's ker a_w and V^w have equal dimension but differ;
+    # the entry names the subspace its vector lies in
+    fam = corrupted_family(build_group("B3"), "rotation")
+    entries = [f for f in pbw_check(fam)["failures"] if f["condition"] == 2]
+    assert entries
+    for f in entries:
+        w, v = f["w"], f["vector"]
+        in_kernel = not any(linalg.mat_vec(fam.forms[w], v))
+        fixed = linalg.mat_vec(fam.v_matrix(w), v) == v
+        assert in_kernel != fixed
+        assert "both have dim 1 but differ" in f["detail"]
+        where = "ker a_w, not in V^w" if in_kernel else "V^w, not in ker a_w"
+        assert f["detail"].endswith("the vector lies in " + where)
 
 
 def test_corrupted_nonskew_is_condition_zero():
