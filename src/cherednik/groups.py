@@ -1,11 +1,17 @@
 """Catalogue of small complex reflection groups.
 
 Entries: A1, A2, B2, B3, I2_m (m = 3..6), Zm (m = 2..6) and G(m,1,2)
-(m = 2..4).  Groups are enumerated by breadth-first closure from generator
+(m = 2..4), each made on demand by its own builder (CATALOGUE_IDS builds
+none).  Groups are enumerated by breadth-first closure from generator
 matrices acting on h; reflection data (alpha, coroot, lambda), conjugacy
-classes, characters and fundamental invariants are computed and verified at
-build time.  Character tables come from irreducible matrices shipped with
-each entry, validated against orthogonality, not from a general algorithm.
+classes, characters and fundamental invariants are computed at build time.
+Character tables come from irreducible matrices shipped with each entry,
+not from a general algorithm.  build_group checks that the generators are
+reflections; that each shipped irrep is a representation; that the table
+is square, its squared dimensions sum to |W| and its rows and columns are
+orthogonal; that det_h and each sigma (x) det_h are in it; each reflection's
+eigen relations and pairing; that the degrees multiply to |W|; and that the
+invariants have their degrees, are fixed and are independent.
 Each entry gives one name template per generator; a reflection class takes
 the template of the first generator g with a power g^k in it, formatted
 with k ("long", "s1", "g{}", "d{}").
@@ -23,7 +29,7 @@ cyclic and G(m,1,2) entries.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import linalg, poly
 from .scalars import (CyclotomicScalar, conjugate, rational, reciprocal,
@@ -175,10 +181,8 @@ def _a2_std():
     return [[[-1, 1], [0, 1]], [[1, 0], [1, -1]]]
 
 
-def _catalogue():
-    cat = {}
-
-    cat["A1"] = dict(
+def _a1():
+    return dict(
         rank=1, family="real",
         generators=[[[-1]]],
         irreps=[("triv", [[[1]]]),
@@ -187,7 +191,9 @@ def _catalogue():
         names=["s"],
     )
 
-    cat["A2"] = dict(
+
+def _a2():
+    return dict(
         rank=2, family="real",
         generators=_a2_std(),
         irreps=[("triv", [[[1]], [[1]]]),
@@ -197,9 +203,11 @@ def _catalogue():
         names=["s", "s"],
     )
 
+
+def _b2():
     b2_long = [[0, 1], [1, 0]]
     b2_short = [[1, 0], [0, -1]]
-    cat["B2"] = dict(
+    return dict(
         rank=2, family="real",
         generators=[b2_long, b2_short],
         irreps=[("2x0", [[[1]], [[1]]]),
@@ -211,16 +219,16 @@ def _catalogue():
         names=["long", "short"],
     )
 
+
+def _b3():
     m1 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     m2 = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
     mt = [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]
     a2s1, a2s2 = _a2_std()
     i2 = linalg.identity(2)
     neg = linalg.mat_scale(-1, i2)
-    nm1 = linalg.mat_scale(-1, m1)
-    nm2 = linalg.mat_scale(-1, m2)
-    nmt = linalg.mat_scale(-1, mt)
-    cat["B3"] = dict(
+    nm1, nm2, nmt = (linalg.mat_scale(-1, m) for m in (m1, m2, mt))
+    return dict(
         rank=3, family="real",
         generators=[m1, m2, mt],
         irreps=[("3x0", [[[1]], [[1]], [[1]]]),
@@ -237,65 +245,67 @@ def _catalogue():
         names=["long", "long", "short"],
     )
 
-    # dihedral I2(m): generators with c1*c2 = 4cos^2(pi/m)
-    i2_consts = {3: (1, 1), 4: (1, 2),
-                 5: (1 + zeta(5) + zeta(5) ** 4, 1 + zeta(5) + zeta(5) ** 4),
-                 6: (1, 3)}
-    for m, (c1, c2) in i2_consts.items():
-        s1 = [[-1, c1], [0, 1]]
-        s2 = [[1, 0], [c2, -1]]
-        swap = [[0, 1], [1, 0]]
-        irreps = [("triv", [[[1]], [[1]]]),
-                  ("sgn", [[[-1]], [[-1]]])]
-        if m % 2 == 0:
-            irreps += [("sgn1", [[[-1]], [[1]]]),
-                       ("sgn2", [[[1]], [[-1]]])]
-        for j in range(1, (m - 1) // 2 + 1):
-            zj = zeta(m, j)
-            rho_s2 = [[0, zeta(m, -j)], [zj, 0]]
-            irreps.append((f"rho{j}", [swap, rho_s2]))
-        cat[f"I2_{m}"] = dict(
-            rank=2, family="real",
-            generators=[s1, s2],
-            irreps=irreps,
-            invariant_degrees=[2, m],
-            names=["s1", "s2"] if m % 2 == 0 else ["s", "s"],
-        )
 
-    for m in range(2, 7):
-        z = zeta(m)
-        cat[f"Z{m}"] = dict(
-            rank=1, family="cyclic",
-            generators=[[[z]]],
-            irreps=[(f"chi{j}", [[[zeta(m, j)]]]) for j in range(m)],
-            invariant_degrees=[m],
-            names=["g{}"],
-        )
-
-    for m in range(2, 5):
-        z = zeta(m)
-        swap = [[0, 1], [1, 0]]
-        delta = [[z, 0], [0, 1]]
-        irreps = []
-        for j in range(m):
-            irreps.append((f"chi{j}p", [[[1]], [[zeta(m, j)]]]))
-            irreps.append((f"chi{j}m", [[[-1]], [[zeta(m, j)]]]))
-        for j in range(m):
-            for k in range(j + 1, m):
-                dj = [[zeta(m, j), 0], [0, zeta(m, k)]]
-                irreps.append((f"rho{j}{k}", [swap, dj]))
-        cat[f"G{m}_1_2"] = dict(
-            rank=2, family="gm12",
-            generators=[swap, delta],
-            irreps=irreps,
-            invariant_degrees=[m, 2 * m],
-            names=["s", "d{}"],
-        )
-
-    return cat
+def _dihedral(m):
+    # I2(m): generators with c1*c2 = 4cos^2(pi/m)
+    phi = 1 + zeta(5) + zeta(5) ** 4 if m == 5 else None
+    c1, c2 = {3: (1, 1), 4: (1, 2), 5: (phi, phi), 6: (1, 3)}[m]
+    s1 = [[-1, c1], [0, 1]]
+    s2 = [[1, 0], [c2, -1]]
+    swap = [[0, 1], [1, 0]]
+    irreps = [("triv", [[[1]], [[1]]]),
+              ("sgn", [[[-1]], [[-1]]])]
+    if m % 2 == 0:
+        irreps += [("sgn1", [[[-1]], [[1]]]),
+                   ("sgn2", [[[1]], [[-1]]])]
+    for j in range(1, (m - 1) // 2 + 1):
+        zj = zeta(m, j)
+        rho_s2 = [[0, zeta(m, -j)], [zj, 0]]
+        irreps.append((f"rho{j}", [swap, rho_s2]))
+    return dict(
+        rank=2, family="real",
+        generators=[s1, s2],
+        irreps=irreps,
+        invariant_degrees=[2, m],
+        names=["s1", "s2"] if m % 2 == 0 else ["s", "s"],
+    )
 
 
-CATALOGUE_IDS = sorted(_catalogue().keys())
+def _cyclic(m):
+    return dict(
+        rank=1, family="cyclic",
+        generators=[[[zeta(m)]]],
+        irreps=[(f"chi{j}", [[[zeta(m, j)]]]) for j in range(m)],
+        invariant_degrees=[m],
+        names=["g{}"],
+    )
+
+
+def _gm12(m):
+    swap = [[0, 1], [1, 0]]
+    delta = [[zeta(m), 0], [0, 1]]
+    irreps = []
+    for j in range(m):
+        irreps.append((f"chi{j}p", [[[1]], [[zeta(m, j)]]]))
+        irreps.append((f"chi{j}m", [[[-1]], [[zeta(m, j)]]]))
+    for j in range(m):
+        for k in range(j + 1, m):
+            dj = [[zeta(m, j), 0], [0, zeta(m, k)]]
+            irreps.append((f"rho{j}{k}", [swap, dj]))
+    return dict(
+        rank=2, family="gm12",
+        generators=[swap, delta],
+        irreps=irreps,
+        invariant_degrees=[m, 2 * m],
+        names=["s", "d{}"],
+    )
+
+
+_BUILDERS = {"A1": _a1, "A2": _a2, "B2": _b2, "B3": _b3,
+             **{f"I2_{m}": partial(_dihedral, m) for m in range(3, 7)},
+             **{f"Z{m}": partial(_cyclic, m) for m in range(2, 7)},
+             **{f"G{m}_1_2": partial(_gm12, m) for m in range(2, 5)}}
+CATALOGUE_IDS = sorted(_BUILDERS)
 
 
 # --------------------------------------------------------------------------
@@ -445,30 +455,34 @@ def _invariant_generators(group, matrices):
 
 
 def _verify_character_table(group):
+    """Row orthogonality (rows against the dual_character rows) and column
+    orthogonality (columns against the conjugate table's).  The (j, i) sum
+    of either is the complex conjugate of the (i, j) sum and the wanted
+    values are real, so one test per unordered pair i <= j decides both;
+    the first failing pair in that order is the first in k x k order too."""
     order = group.order
     table = group.character_table
     sizes = [len(cl) for cl in group.conjugacy_classes]
     k = len(table)
-    if k != len(group.conjugacy_classes):
+    if k != len(sizes):
         raise AssertionError("square character table")
     if sum(d * d for d in group.irrep_dims) != order:
         raise AssertionError("squared irrep dimensions sum to |W|")
-    for i in range(k):
-        for j in range(k):
-            s = 0
-            for ci in range(k):
-                s = s + sizes[ci] * table[i][ci] * conjugate(table[j][ci])
-            want = order if i == j else 0
-            if s != want:
-                raise AssertionError(f"row orthogonality {i},{j}")
-    for ci in range(k):
-        for cj in range(k):
-            s = 0
-            for i in range(k):
-                s = s + table[i][ci] * conjugate(table[i][cj])
-            want = Fraction(order, sizes[ci]) if ci == cj else 0
-            if s != want:
-                raise AssertionError(f"column orthogonality {ci},{cj}")
+
+    def check(what, rows, right, diagonal):
+        for i in range(k):
+            for j in range(i, k):
+                s = 0
+                for x, y in zip(rows[i], right[j]):
+                    s = s + x * y
+                if s != (diagonal[i] if i == j else 0):
+                    raise AssertionError(f"{what} orthogonality {i},{j}")
+
+    check("row", table, [group.dual_character(label)
+                         for label in group.irrep_labels], [order] * k)
+    conj = [[conjugate(x) for x in row] for row in table]
+    check("column", linalg.transpose(table), linalg.transpose(conj),
+          [Fraction(order, size) for size in sizes])
 
 
 def _verify_reflection(group, r):
@@ -487,11 +501,11 @@ def _verify_reflection(group, r):
 
 @lru_cache(maxsize=None)
 def build_group(catalogue_id: str) -> ReflectionGroup:
-    cat = _catalogue()
-    if catalogue_id not in cat:
+    builder = _BUILDERS.get(catalogue_id)
+    if builder is None:
         raise ValueError(f"unknown group {catalogue_id!r}; "
                          f"known: {', '.join(CATALOGUE_IDS)}")
-    data = cat[catalogue_id]
+    data = builder()
     gens = data["generators"]
     conductor = 1
     for g in gens:
@@ -533,10 +547,11 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
             class_of[i] = ci
     group._class_of = class_of
 
-    # reflections
+    # reflections: det = lambda != 1, so det-1 elements skip the rank test
+    group._det = [poly.det(m) for m in elements]
     reflections = []
     for i, mat in enumerate(elements):
-        if i == 0:
+        if group._det[i] == 1:
             continue
         found = _find_reflection_data(mat, data["family"])
         if found is None:
@@ -581,7 +596,6 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
     _verify_character_table(group)
 
     # epsilon = det_h
-    group._det = [poly.det(m) for m in elements]
     eps_char = [group._det[cl[0]] for cl in classes]
     group.eps_label = None
     for label, row in zip(irrep_labels, group.character_table):

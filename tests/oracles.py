@@ -14,8 +14,11 @@ over the straightened terms, one term at a time, the per-element group
 data (h* matrices, inverses) formed element by element instead of along
 the BFS words, and the pin data the library no longer forms because W
 acts through w itself once clifford.pin_cover_holds passes: tau_w^-1,
-the spin matrices of tau_w and the averager by pin conjugation.  Tests
-compare library output against these.  The last section holds the
+the spin matrices of tau_w and the averager by pin conjugation.  The
+group build's checks are kept in their full forms: character-table
+orthogonality over every ordered pair of rows and of columns, and the
+reflection scan over every non-identity element, det(w) = 1 included.
+Tests compare library output against these.  The last section holds the
 canonical term lists of H (x) C(V) elements and central class functions
 that tests/golden/kernel_witnesses.json stores.
 """
@@ -28,7 +31,8 @@ from cherednik import linalg
 from cherednik.clifford import (CliffordElement, _reflection_factor,
                                 pin_tau, polarized_algebra, spin_action)
 from cherednik.dirac import TensorElement, tensor
-from cherednik.groups import check_representation, class_character
+from cherednik.groups import (_find_reflection_data, check_representation,
+                              class_character)
 from cherednik.poly import acc, monomials, p_mul, to_vector
 from cherednik.scalars import (conjugate, reciprocal, scalar_map_str,
                                scalar_str)
@@ -594,6 +598,52 @@ def pin_conjugation_averager(family):
         return TensorElement(family, alg, total)
 
     return average
+
+
+# ---------------------------------------------------------------------------
+# group build checks in their full forms
+
+
+def character_table_full_loops(group):
+    """Row and column orthogonality of group.character_table, tested for
+    every ordered pair (i, j); AssertionError with the library's messages
+    at the first failing pair."""
+    order = group.order
+    table = group.character_table
+    sizes = [len(cl) for cl in group.conjugacy_classes]
+    k = len(table)
+    if k != len(group.conjugacy_classes):
+        raise AssertionError("square character table")
+    if sum(d * d for d in group.irrep_dims) != order:
+        raise AssertionError("squared irrep dimensions sum to |W|")
+    for i in range(k):
+        for j in range(k):
+            s = 0
+            for ci in range(k):
+                s = s + sizes[ci] * table[i][ci] * conjugate(table[j][ci])
+            want = order if i == j else 0
+            if s != want:
+                raise AssertionError(f"row orthogonality {i},{j}")
+    for ci in range(k):
+        for cj in range(k):
+            s = 0
+            for i in range(k):
+                s = s + table[i][ci] * conjugate(table[i][cj])
+            want = Fraction(order, sizes[ci]) if ci == cj else 0
+            if s != want:
+                raise AssertionError(f"column orthogonality {ci},{cj}")
+
+
+def reflections_by_full_scan(group):
+    """(element index, lambda, alpha, alpha_check) of every element that
+    _find_reflection_data accepts, over every non-identity element."""
+    out = []
+    for i in range(1, group.order):
+        found = _find_reflection_data(group.elements[i], group.family)
+        if found is not None:
+            alpha, alpha_check, lam = found
+            out.append((i, lam, alpha, alpha_check))
+    return out
 
 
 # ---------------------------------------------------------------------------

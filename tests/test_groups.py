@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -5,17 +6,22 @@ import pytest
 
 from cherednik import linalg, poly
 from cherednik.groups import (
+    _BUILDERS,
     CATALOGUE_IDS,
     WRepresentation,
-    _catalogue,
+    _a2,
+    _a2_std,
+    _find_reflection_data,
+    _verify_character_table,
     build_group,
     check_representation,
     export_data,
     inner_product,
 )
-from cherednik.scalars import reciprocal, zeta
+from cherednik.scalars import CyclotomicScalar, conjugate, reciprocal, zeta
 
-from oracles import isotypic_projector, kron_naive
+from oracles import (character_table_full_loops, isotypic_projector,
+                     kron_naive, reflections_by_full_scan)
 
 F = Fraction
 
@@ -215,7 +221,7 @@ def test_irreps_match_word_products(gid):
     # build_group forms each irrep image as parent image times the last
     # generator image; the product along the whole word is the reference
     g = build_group(gid)
-    shipped = dict(_catalogue()[gid]["irreps"])
+    shipped = dict(_BUILDERS[gid]()["irreps"])
     for label in g.irrep_labels:
         images = shipped[label]
         for i, w in enumerate(g.words):
@@ -365,3 +371,111 @@ def test_character_table_first_column_is_dims():
         g = build_group(gid)
         col0 = [row[0] for row in g.character_table]
         assert col0 == g.irrep_dims
+
+
+# --------------------------------------------------------------------------
+# the build's checks against their full forms in tests/oracles.py
+
+
+def _first_failure(check, group):
+    try:
+        check(group)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _with_table(g, table):
+    """A copy of g carrying another character table (and no cached dual
+    rows), for feeding a defective table to both checks."""
+    out = copy.copy(g)
+    out.character_table = table
+    out._dual_characters = {}
+    return out
+
+
+def _mutated_table(name, g):
+    """g's character table with one defect."""
+    rows = [list(row) for row in g.character_table]
+    if name == "duplicated row":
+        return rows[:-1] + [rows[0]]
+    if name == "row scaled by 2":
+        return rows[:-1] + [[2 * x for x in rows[-1]]]
+    if name == "two entries swapped":
+        rows[-1][0], rows[-1][1] = rows[-1][1], rows[-1][0]
+        return rows
+    if name == "non-square":
+        return rows[:-1]
+    # the first non-real entry conjugated
+    i, c = next((i, c) for i, row in enumerate(rows)
+                for c, x in enumerate(row)
+                if isinstance(x, CyclotomicScalar) and conjugate(x) != x)
+    rows[i][c] = conjugate(rows[i][c])
+    return rows
+
+
+TABLE_MUTATIONS = [
+    (name, gid)
+    for name in ["duplicated row", "row scaled by 2", "two entries swapped",
+                 "non-square"]
+    for gid in ["A2", "B2", "B3", "G4_1_2", "Z5"]
+] + [("entry conjugated", "G4_1_2"), ("entry conjugated", "Z5")]
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_character_table_check_accepts_the_catalogue(gid):
+    g = build_group(gid)
+    assert _first_failure(character_table_full_loops, g) is None
+    assert _first_failure(_verify_character_table, g) is None
+
+
+@pytest.mark.parametrize("name,gid", TABLE_MUTATIONS)
+def test_character_table_check_rejects_like_full_loops(name, gid):
+    # one test per unordered pair must fail first where the full k x k
+    # loops fail first, with the same message
+    g = build_group(gid)
+    g = _with_table(g, _mutated_table(name, g))
+    want = _first_failure(character_table_full_loops, g)
+    assert want is not None
+    assert _first_failure(_verify_character_table, g) == want
+    if name == "row scaled by 2":
+        # only the diagonal pair of the scaled row catches it
+        k = len(g.character_table) - 1
+        assert want == f"row orthogonality {k},{k}"
+
+
+def _typed_reflection(i, lam, alpha, alpha_check):
+    return [(type(x), x) for x in [i, lam, *alpha, *alpha_check]]
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_det_filter_keeps_every_reflection(gid):
+    g = build_group(gid)
+    got = [_typed_reflection(r.element_index, r.lam, r.alpha, r.alpha_check)
+           for r in g.reflections]
+    assert got == [_typed_reflection(*t) for t in reflections_by_full_scan(g)]
+    for m in g.elements:
+        if poly.det(m) == 1:
+            assert _find_reflection_data(m, g.family) is None
+
+
+def _a2_with_irreps(irreps):
+    return lambda: dict(_a2(), irreps=irreps)
+
+
+def test_builder_shipping_a_non_representation_is_refused(monkeypatch):
+    # std images of B2's generators: (s1 s2) has order 4, not 3
+    bad = [("triv", [[[1]], [[1]]]), ("sgn", [[[-1]], [[-1]]]),
+           ("std", [[[0, 1], [1, 0]], [[1, 0], [0, -1]]])]
+    monkeypatch.setitem(_BUILDERS, "A2", _a2_with_irreps(bad))
+    with pytest.raises(AssertionError,
+                       match="shipped irrep std is not a representation"):
+        build_group.__wrapped__("A2")
+
+
+def test_builder_shipping_a_duplicated_irrep_is_refused(monkeypatch):
+    twice = [("triv", [[[1]], [[1]]]), ("triv2", [[[1]], [[1]]]),
+             ("std", _a2_std())]
+    monkeypatch.setitem(_BUILDERS, "A2", _a2_with_irreps(twice))
+    with pytest.raises(AssertionError, match="row orthogonality"):
+        build_group.__wrapped__("A2")
