@@ -3,13 +3,15 @@ Dirac partition of the irreducible W-types, and bounded-degree
 factorization of invariants through the derivation image.
 
 The partition is a certificate object: merges are proven by computed
-Dirac-cohomology witnesses, separations only by Casimir disagreement,
-and equal-Casimir pairs without a witness chain stay marked undecided.
+Dirac-cohomology witnesses, separations only by different central
+characters of the baby Verma modules (Omega acts on Delta(sigma) by
+-h_weight(sigma)), and pairs with equal h_weight and no witness chain
+stay marked undecided.
 """
 
 from . import linalg
-from .dirac import (KernelSearch, casimir_table, decompose_kernel_element,
-                    derivation_d, tensor)
+from .dirac import (KernelSearch, decompose_kernel_element, derivation_d,
+                    tensor)
 from .groups import _invariant_generators
 from .modules import (baby_verma, dirac_cohomology, h_weight,
                       one_dimensional_quotient)
@@ -110,18 +112,18 @@ def dirac_partition(group, c):
     for block in blocks:
         block.sort(key=labels.index)
 
-    nvals = dict(zip(labels, casimir_table(group, c)))
+    weights = {lab: h_weight(lab, c_map, group) for lab in labels}
     for block in blocks:
-        base = nvals[block[0]]
+        base = weights[block[0]]
         for lab in block[1:]:
-            if nvals[lab] != base:
-                raise AssertionError("a witness merged across Casimir "
+            if weights[lab] != base:
+                raise AssertionError("a witness merged across h_weight "
                                      "level sets")
 
     undecided = []
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            if nvals[a] == nvals[b] and find(a) != find(b):
+            if weights[a] == weights[b] and find(a) != find(b):
                 undecided.append({"pair": [a, b],
                                   "status": "undecided-separate"})
     return DiracPartition(group.catalogue_id, c_map, blocks, evidence,

@@ -297,9 +297,10 @@ class GroupAlgebraClassFunction(Terms):
                           for n, c in sorted(self.terms.items()))
 
 
-def _reflection_weight(r, c_map):
-    """2 c_s / (1 - lambda_s) for the reflection r."""
-    return 2 * c_map[r.class_name] * reciprocal(1 - r.lam)
+def _reflection_weight(r):
+    """2/(1 - lambda_s) for the reflection r; c_s times it is r's
+    coefficient in the group-algebra Casimir."""
+    return 2 * reciprocal(1 - r.lam)
 
 
 def group_algebra_casimir(family):
@@ -310,35 +311,38 @@ def group_algebra_casimir(family):
     if family.preset_tag != "cherednik":
         raise ValueError("the closed-form group Casimir needs the "
                          "rational Cherednik preset")
-    g = family.group
-    emap = {r.element_index: _reflection_weight(r, family.params["c"])
+    g, c_map = family.group, family.params["c"]
+    emap = {r.element_index: c_map[r.class_name] * _reflection_weight(r)
             for r in g.reflections}
     return GroupAlgebraClassFunction.from_element_map(g, emap)
 
 
+def casimir_forms(group):
+    """N_c as linear forms in the class parameters, one per irrep in
+    catalogue order: form[mu] maps each reflection class name to
+    (1/dim mu) sum over its reflections s of 2 chi_mu(s)/(1 - lambda_s).
+    Built once per group and kept on it."""
+    if group._casimir_forms is None:
+        weights = [(r.class_name, group.class_of(r.element_index),
+                    _reflection_weight(r)) for r in group.reflections]
+        forms = []
+        for chi in group.character_table:
+            form, inv = {}, reciprocal(chi[0])
+            for name, ci, weight in weights:
+                acc(form, name, weight * chi[ci])
+            forms.append({name: rational(v * inv)
+                          for name, v in form.items()})
+        group._casimir_forms = forms
+    return group._casimir_forms
+
+
 def casimir_scalar(sigma, c, group):
     """N_c(sigma): the scalar of the group-algebra Casimir on irrep sigma,
-    (1/dim) sum over reflections of 2 c_s/(1 - lambda_s) chi_sigma(s)."""
-    chi = group.character(sigma)
+    (1/dim) sum over reflections of 2 c_s/(1 - lambda_s) chi_sigma(s),
+    read off sigma's form in casimir_forms at c."""
+    form = casimir_forms(group)[group.irrep_index(sigma)]
     c_map = _c_map(group, c)
-    dim = chi[0]
-    total = 0
-    for r in group.reflections:
-        total = total + (_reflection_weight(r, c_map)
-                         * chi[group.class_of(r.element_index)])
-    return rational(total * reciprocal(dim))
-
-
-def casimir_table(group, c):
-    """[N_c(mu) for mu in group.irrep_labels], built once per (group, c)
-    and kept on the group; index it by group.irrep_index."""
-    c_map = _c_map(group, c)
-    key = tuple(sorted((name, scalar_str(v)) for name, v in c_map.items()))
-    table = group._casimir_tables.get(key)
-    if table is None:
-        table = group._casimir_tables[key] = [
-            casimir_scalar(mu, c_map, group) for mu in group.irrep_labels]
-    return table
+    return rational(sum(v * c_map[name] for name, v in form.items()))
 
 
 # --------------------------------------------------------------------------

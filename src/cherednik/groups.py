@@ -527,7 +527,7 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         _conductor=conductor,
         _mult_cache={},
         _dual_characters={},
-        _casimir_tables={},
+        _casimir_forms=None,
     )
     group.generator_indices = [index[_mat_key(g, conductor)] for g in gens]
     # w acts on h* by its inverse transpose, and w^-1 is the transpose of

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import linalg, poly
 from .clifford import _spin_generator_matrices, pin_cover_holds, spin_block
-from .dirac import casimir_table
+from .dirac import casimir_scalar
 from .groups import class_character, inner_product
 from .pbw import cherednik_family
 from .scalars import (CapExceeded, NotRational, as_fraction, conjugate,
@@ -41,8 +41,7 @@ def h_weight(sigma, c, group):
     the degree-k piece of a standard module by t(2k + n) - h_weight, and
     on a baby Verma module by -h_weight.  Equal to N_c(sigma) for real
     reflection groups."""
-    return -casimir_table(group, c)[
-        group.irrep_index(group.tensor_with_eps(sigma))]
+    return -casimir_scalar(group.tensor_with_eps(sigma), c, group)
 
 
 def d_squared_scalar(group, sigma, mu, k, l, c, t=1):
@@ -51,8 +50,7 @@ def d_squared_scalar(group, sigma, mu, k, l, c, t=1):
     wedge^l(h): on standard modules, and at t = 0 on baby Verma modules
     and their quotients."""
     n = group.n
-    base = (h_weight(sigma, c, group)
-            + casimir_table(group, c)[group.irrep_index(mu)])
+    base = h_weight(sigma, c, group) + casimir_scalar(mu, c, group)
     return base - 2 * t * (k + n - l)
 
 
@@ -487,20 +485,19 @@ def _zero_scalar_cells(module):
     passes K."""
     g, n = module.group, module.n
     c, t = module.family.params["c"], module.family.params["t"]
-    hw = h_weight(module.sigma, c, g)
     found, chars, out = [], {}, {}
-    for mu, n_mu in zip(g.irrep_labels, casimir_table(g, c)):
-        base = hw + n_mu
-        if t == 0:
-            found += [(k, l, mu) for k in module.degrees()
-                      for l in range(n + 1) if base == 0]
-            continue
-        try:
-            k0 = as_fraction(base * reciprocal(2 * t)) - n
-        except NotRational:
-            continue
-        found += [(int(k0) + l, l, mu) for l in range(n + 1)
-                  if k0.denominator == 1 and k0 + l >= 0]
+    for mu in g.irrep_labels:
+        for l in range(n + 1):
+            s0 = d_squared_scalar(g, module.sigma, mu, 0, l, c, t)
+            if t == 0:
+                found += [(k, l, mu) for k in module.degrees() if s0 == 0]
+                continue
+            try:
+                k = as_fraction(s0 * reciprocal(2 * t))
+            except NotRational:
+                continue
+            if k.denominator == 1 and k >= 0:
+                found.append((int(k), l, mu))
     # from the top degree down, so a window past K is refused at once
     for k, l, mu in sorted(found, reverse=True):
         if k not in chars:
@@ -677,8 +674,8 @@ def unitarity_report(group, sigma, c, K=None):
         verdicts.append(entry)
 
     n = group.n
-    nvals = {mu: as_fraction(n_mu) for mu, n_mu in
-             zip(group.irrep_labels, casimir_table(group, c))}
+    nvals = {mu: as_fraction(casimir_scalar(mu, c, group))
+             for mu in group.irrep_labels}
     gap0 = nvals[sigma]
     standard = []
     for k in range(K + 1):

@@ -558,6 +558,13 @@ def corrupted_family(group, kind=None):
 # -- the PBW checker
 
 
+def _first_mismatch(a, b):
+    """The first basis pair (i, j), row by row, at which the square
+    matrices a and b differ, or None."""
+    return next(((i, j) for i, (ra, rb) in enumerate(zip(a, b))
+                 for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+
+
 def pbw_check(family):
     """Check the three PBW conditions; failure is a verdict, not an error.
 
@@ -575,14 +582,7 @@ def pbw_check(family):
             failures.append({"condition": 0, "w": w, "h": None,
                              "detail": "a_w has the wrong shape"})
             continue
-        bad = None
-        for i in range(nv):
-            for j in range(nv):
-                if mat[i][j] != -mat[j][i]:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
+        bad = _first_mismatch(mat, linalg.mat_scale(-1, linalg.transpose(mat)))
         if bad:
             failures.append({"condition": 0, "w": w, "h": None, "pair": bad,
                              "detail": "a_w is not skew-symmetric at basis "
@@ -601,14 +601,7 @@ def pbw_check(family):
             rhs = linalg.mat_mul(linalg.transpose(hm), linalg.mat_mul(aw, hm))
             wc = group.mult(group.mult(group.inverse_index(h), w), h)
             lhs = family.forms.get(wc, zero)
-            pair = None
-            for i in range(nv):
-                for j in range(nv):
-                    if lhs[i][j] != rhs[i][j]:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = _first_mismatch(lhs, rhs)
             if pair:
                 failures.append({"condition": 1, "w": w, "h": h, "pair": pair,
                                  "detail": "a_{h^-1wh} != a_w(h., h.) for "

@@ -18,7 +18,9 @@ the spin matrices of tau_w and the averager by pin conjugation.  The
 group build's checks are kept in their full forms: character-table
 orthogonality over every ordered pair of rows and of columns, and the
 reflection scan over every non-identity element, det(w) = 1 included.
-Tests compare library output against these.  The last section holds the
+The group-algebra Casimir scalar N_c(sigma) is summed reflection by
+reflection at each c, as the library did before it kept one linear form
+in c per irrep.  Tests compare library output against these.  The last section holds the
 canonical term lists of H (x) C(V) elements and central class functions
 that tests/golden/kernel_witnesses.json stores.
 """
@@ -34,8 +36,8 @@ from cherednik.dirac import TensorElement, tensor
 from cherednik.groups import (_find_reflection_data, check_representation,
                               class_character)
 from cherednik.poly import acc, monomials, p_mul, to_vector
-from cherednik.scalars import (conjugate, reciprocal, scalar_map_str,
-                               scalar_str)
+from cherednik.scalars import (conjugate, rational, reciprocal,
+                               scalar_map_str, scalar_str)
 
 
 def reduce_cyclotomic_sympy(coeffs, n):
@@ -644,6 +646,17 @@ def reflections_by_full_scan(group):
             alpha, alpha_check, lam = found
             out.append((i, lam, alpha, alpha_check))
     return out
+
+
+def casimir_scalar_by_reflections(sigma, c_map, group):
+    """N_c(sigma) = (1/dim) sum over reflections s of 2 c_s chi_sigma(s) /
+    (1 - lambda_s), summed afresh at c_map ({class name: c_s})."""
+    chi = group.character(sigma)
+    total = 0
+    for r in group.reflections:
+        total = total + (2 * c_map[r.class_name] * reciprocal(1 - r.lam)
+                         * chi[group.class_of(r.element_index)])
+    return rational(total * reciprocal(chi[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -107,29 +107,83 @@ def test_partition_is_deterministic():
 
 
 def test_partition_builds_each_group_table_once(monkeypatch):
-    # however many modules read them, N_c(mu) is computed once per irrep
-    # and the dual character row |C| conj chi_mu(C) is built once per irrep
+    # however many modules and values of c read them, the Casimir forms
+    # are summed over the reflections once per group, and the dual
+    # character row |C| conj chi_mu(C) is built once per irrep
     from cherednik import dirac, groups
     g = build_group("G3_1_2")
-    monkeypatch.setattr(g, "_casimir_tables", {})
+    monkeypatch.setattr(g, "_casimir_forms", None)
     monkeypatch.setattr(g, "_dual_characters", {})
-    casimirs, conjugates = [], []
-    casimir_scalar, conjugate = dirac.casimir_scalar, groups.conjugate
+    weights, conjugates = [], []
+    reflection_weight, conjugate = dirac._reflection_weight, groups.conjugate
 
-    def counted_casimir(sigma, c, group):
-        casimirs.append(sigma)
-        return casimir_scalar(sigma, c, group)
+    def counted_weight(r):
+        weights.append(r.element_index)
+        return reflection_weight(r)
 
     def counted_conjugate(x):
         conjugates.append(x)
         return conjugate(x)
 
-    monkeypatch.setattr(dirac, "casimir_scalar", counted_casimir)
+    monkeypatch.setattr(dirac, "_reflection_weight", counted_weight)
     monkeypatch.setattr(groups, "conjugate", counted_conjugate)
     dirac_partition(g, 1)
-    assert casimirs and len(casimirs) == len(set(casimirs))
+    dirac_partition(g, Fraction(1, 3))
+    assert sorted(weights) == sorted(r.element_index for r in g.reflections)
     assert conjugates
     assert len(conjugates) <= len(g.irrep_labels) * len(g.conjugacy_classes)
+
+
+def test_partitions_keep_no_data_per_c_on_the_group():
+    # the group's tables and memos hold as much after five values of c as
+    # after one: nothing on it is keyed by c
+    g = build_group("B2")
+
+    def sizes():
+        return {name: len(v) for name, v in vars(g).items()
+                if isinstance(v, (dict, list))}
+
+    dirac_partition(g, 1)
+    after_one = sizes()
+    for c in (Fraction(1, 3), Fraction(-2, 7), 5,
+              {"long": Fraction(1), "short": Fraction(1, 2)}):
+        dirac_partition(g, c)
+    assert sizes() == after_one
+    assert len(g._casimir_forms) == len(g.irrep_labels)
+
+
+def test_partition_g4_undecided_pairs_by_h_weight():
+    # the level sets compare h_weight(sigma) = -N_c(sigma (x) eps), the
+    # scalar by which Omega acts on Delta(sigma); on the complex group
+    # G4_1_2 it differs from N_c(sigma)
+    g = build_group("G4_1_2")
+    want = [["chi0m", "chi2p"], ["chi0m", "rho02"], ["chi1m", "chi3p"],
+            ["chi1m", "rho13"], ["chi2p", "rho02"], ["chi3p", "rho13"],
+            ["rho03", "rho12"]]
+    for c in (1, Fraction(1, 3)):
+        p = dirac_partition(g, c)
+        assert [u["pair"] for u in p.undecided_pairs] == want
+        for a, b in want:
+            assert h_weight(a, c, g) == h_weight(b, c, g)
+
+
+@pytest.mark.parametrize("gid", ["A1", "A2", "B2", "G2_1_2", "I2_3", "I2_4",
+                                 "I2_5", "I2_6"])
+def test_partition_sign_twist(gid):
+    # on a real group, w -> eps(w) w sends s to -s, so H_{0,c} = H_{0,-c}
+    # and Delta_{-c}(sigma (x) eps) pulls back to Delta_c(sigma): the
+    # partition at -c is the one at c with every label tensored with eps,
+    # and so are its undecided pairs
+    g = build_group(gid)
+
+    def shape(p, relabel):
+        return ({frozenset(map(relabel, b)) for b in p.blocks},
+                {frozenset(map(relabel, u["pair"]))
+                 for u in p.undecided_pairs})
+
+    for c in (1, Fraction(1, 2)):
+        assert shape(dirac_partition(g, -c), lambda lab: lab) == \
+            shape(dirac_partition(g, c), g.tensor_with_eps)
 
 
 # Lusztig's families at equal parameters, in the catalogue's labels.

@@ -22,6 +22,7 @@ from cherednik.pbw import (
 from cherednik.dirac import (
     GroupAlgebraClassFunction,
     TensorElement,
+    casimir_forms,
     casimir_scalar,
     compute_e_w,
     decompose_kernel_element,
@@ -38,7 +39,8 @@ from cherednik.dirac import (
 from cherednik.scalars import CapExceeded, reciprocal
 from cherednik.scalars import zeta as zeta_root
 
-from oracles import (dirac_element_in_basis, pin_conjugation_averager,
+from oracles import (casimir_scalar_by_reflections, dirac_element_in_basis,
+                     pin_conjugation_averager,
                      pin_tau_inverse_by_reversed_word, tensor_element_data)
 
 
@@ -293,6 +295,41 @@ def test_casimir_scalar_matches_class_function_action():
                         for ci, (name, cl) in enumerate(
                             zip(g.class_names, g.conjugacy_classes)))
             assert total * reciprocal(chi[0]) == casimir_scalar(label, c, g)
+
+
+def test_casimir_forms_match_reflection_sum_oracle():
+    # sigma's form read at c against the sum over reflections at c, on
+    # every group at three equal points and one unequal point, c_i =
+    # (2i + 1)/(7 - i) on the i-th reflection class
+    for gid in CATALOGUE_IDS:
+        g = build_group(gid)
+        names = g.reflection_class_names()
+        forms = casimir_forms(g)
+        assert casimir_forms(g) is forms
+        assert len(forms) == len(g.irrep_labels)
+        assert all(set(form) <= set(names) for form in forms)
+        unequal = {nm: Fraction(2 * i + 1, 7 - i)
+                   for i, nm in enumerate(names)}
+        for c in (1, Fraction(1, 3), Fraction(-2, 7), unequal):
+            c_map = pbw._c_map(g, c)
+            for mu in g.irrep_labels:
+                assert casimir_scalar(mu, c, g) == \
+                    casimir_scalar_by_reflections(mu, c_map, g)
+
+
+def test_casimir_forms_sign_twist():
+    # where every reflection has lambda = -1, eps(s) = -1 on each of them,
+    # so the form of mu (x) eps is minus the form of mu
+    real = [gid for gid in CATALOGUE_IDS
+            if all(r.lam == -1 for r in build_group(gid).reflections)]
+    assert {"A1", "A2", "B2", "B3", "G2_1_2", "I2_3", "I2_4", "I2_5",
+            "I2_6", "Z2"} == set(real)
+    for gid in real:
+        g = build_group(gid)
+        forms = dict(zip(g.irrep_labels, casimir_forms(g)))
+        for mu, form in forms.items():
+            assert forms[g.tensor_with_eps(mu)] == {
+                name: -v for name, v in form.items()}
 
 
 def test_class_function_convolution():
