@@ -274,21 +274,21 @@ class GroupAlgebraClassFunction(Terms):
         return self.terms.get(self.group.class_name_of_element(w), 0)
 
     def __mul__(self, other):
+        """Central, so read once per conjugacy class: (fg)(z) = sum_w f(w)
+        g(w^-1 z) at the class's first element z."""
         if not isinstance(other, GroupAlgebraClassFunction):
             return self._scaled(other)
         self._check(other)
         g = self.group
-        emap = {}
-        for w in range(g.order):
-            cw = self.coefficient(w)
-            if not cw:
-                continue
-            winv = g.inverse_index(w)
-            for u in range(g.order):
-                cu = other.coefficient(g.mult(winv, u))
+        support = [(g.inverse_index(w), self.coefficient(w))
+                   for w in range(g.order) if self.coefficient(w)]
+        out = {}
+        for name, cl in zip(g.class_names, g.conjugacy_classes):
+            for winv, cw in support:
+                cu = other.coefficient(g.mult(winv, cl[0]))
                 if cu:
-                    acc(emap, u, cw * cu)
-        return GroupAlgebraClassFunction.from_element_map(g, emap)
+                    acc(out, name, cw * cu)
+        return GroupAlgebraClassFunction(g, out)
 
     def __str__(self):
         if not self.terms:

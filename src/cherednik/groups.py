@@ -8,8 +8,8 @@ classes, characters and fundamental invariants are computed at build time.
 Character tables come from irreducible matrices shipped with each entry,
 not from a general algorithm.  build_group checks that the generators are
 reflections; that each shipped irrep is a representation; that the table
-is square, its squared dimensions sum to |W| and its rows and columns are
-orthogonal; that det_h and each sigma (x) det_h are in it; each reflection's
+is square, its squared dimensions sum to |W| and its rows are orthonormal
+(so det_h is a row); that each sigma (x) det_h is in it; each reflection's
 eigen relations and pairing; that the degrees multiply to |W|; and that the
 invariants have their degrees, are fixed and are independent.
 Each entry gives one name template per generator; a reflection class takes
@@ -455,34 +455,29 @@ def _invariant_generators(group, matrices):
 
 
 def _verify_character_table(group):
-    """Row orthogonality (rows against the dual_character rows) and column
-    orthogonality (columns against the conjugate table's).  The (j, i) sum
-    of either is the complex conjugate of the (i, j) sum and the wanted
-    values are real, so one test per unordered pair i <= j decides both;
-    the first failing pair in that order is the first in k x k order too."""
+    """A square table, squared dimensions summing to |W|, and orthonormal
+    rows (each against the dual_character rows), one test per unordered
+    pair i <= j: the (j, i) sum is the conjugate of the (i, j) sum and the
+    wanted values are real, so the first failing pair is the first in
+    k x k order too.  Columns follow: M[i][c] = chi_i(c) sqrt(|C_c|/|W|) is
+    square and M M* = I, so M* M = I.  Orthonormal characters of
+    representations, the rows are then all k irreducible characters, and
+    det_h is one of them."""
     order = group.order
     table = group.character_table
-    sizes = [len(cl) for cl in group.conjugacy_classes]
     k = len(table)
-    if k != len(sizes):
+    if k != len(group.conjugacy_classes):
         raise AssertionError("square character table")
     if sum(d * d for d in group.irrep_dims) != order:
         raise AssertionError("squared irrep dimensions sum to |W|")
-
-    def check(what, rows, right, diagonal):
-        for i in range(k):
-            for j in range(i, k):
-                s = 0
-                for x, y in zip(rows[i], right[j]):
-                    s = s + x * y
-                if s != (diagonal[i] if i == j else 0):
-                    raise AssertionError(f"{what} orthogonality {i},{j}")
-
-    check("row", table, [group.dual_character(label)
-                         for label in group.irrep_labels], [order] * k)
-    conj = [[conjugate(x) for x in row] for row in table]
-    check("column", linalg.transpose(table), linalg.transpose(conj),
-          [Fraction(order, size) for size in sizes])
+    dual = [group.dual_character(label) for label in group.irrep_labels]
+    for i in range(k):
+        for j in range(i, k):
+            s = 0
+            for x, y in zip(table[i], dual[j]):
+                s = s + x * y
+            if s != (order if i == j else 0):
+                raise AssertionError(f"row orthogonality {i},{j}")
 
 
 def _verify_reflection(group, r):
@@ -548,10 +543,10 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
     group._class_of = class_of
 
     # reflections: det = lambda != 1, so det-1 elements skip the rank test
-    group._det = [poly.det(m) for m in elements]
+    det = [poly.det(m) for m in elements]
     reflections = []
     for i, mat in enumerate(elements):
-        if group._det[i] == 1:
+        if det[i] == 1:
             continue
         found = _find_reflection_data(mat, data["family"])
         if found is None:
@@ -595,17 +590,8 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
                              for label in irrep_labels]
     _verify_character_table(group)
 
-    # epsilon = det_h
-    eps_char = [group._det[cl[0]] for cl in classes]
-    group.eps_label = None
-    for label, row in zip(irrep_labels, group.character_table):
-        if row == eps_char:
-            group.eps_label = label
-            break
-    if group.eps_label is None:
-        raise AssertionError("det_h missing from irreps")
-
-    # sigma tensor eps lookup, by catalogue position
+    # sigma tensor eps lookup, by catalogue position, for eps = det_h
+    eps_char = [det[cl[0]] for cl in classes]
     eps_tensor = []
     for label, row in zip(irrep_labels, group.character_table):
         prod = [a * b for a, b in zip(row, eps_char)]

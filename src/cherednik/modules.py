@@ -10,7 +10,8 @@ A PBW element acts on degree k as sum_w P(w) (x) rho_sigma(w), where the
 sigma-independent matrices P(w) hold the normal forms modulo J of its
 straightened terms; every sigma-block is built from them by one Kronecker
 kernel (linalg.add_kron).  The Dirac operator acts on cells (polynomial
-degree k, exterior degree l) of module (x) wedge(h), and is applied to a
+degree k, exterior degree l) of module (x) wedge(h), whose W-types
+cell_multiplicity reads off the module's character, and is applied to a
 basis of ker D^2 by block products; every matrix is exact.  Once
 clifford.pin_cover_holds, w acts on wedge^l(h) as wedge^l(w) (_wedge).
 """
@@ -49,9 +50,13 @@ def d_squared_scalar(group, sigma, mu, k, l, c, t=1):
     mu taken in the natural diagonal W-action on S^k (x) V_sigma (x)
     wedge^l(h): on standard modules, and at t = 0 on baby Verma modules
     and their quotients."""
-    n = group.n
-    base = h_weight(sigma, c, group) + casimir_scalar(mu, c, group)
-    return base - 2 * t * (k + n - l)
+    return _d_squared(h_weight(sigma, c, group), casimir_scalar(mu, c, group),
+                      k, l, group.n, t)
+
+
+def _d_squared(weight, n_mu, k, l, n, t):
+    """The D^2 law: h_weight(sigma) + N_c(mu) - 2t(k + n - l)."""
+    return weight + n_mu - 2 * t * (k + n - l)
 
 
 # --------------------------------------------------------------------------
@@ -84,6 +89,7 @@ class GradedModule:
         self.dim_sigma = self.rep.dimension
         self.K = K
         self._blocks = {}
+        self._characters = {}
         self.ideal = list(ideal)
         key = tuple((tuple(sorted((e, scalar_str(c)) for e, c in f.items())),
                      d) for f, d in self.ideal)
@@ -131,19 +137,23 @@ class GradedModule:
         return [k for k in range(self.K + 1) if self.selected(k)]
 
     def character(self, k):
-        """Character of the degree-k piece, one value per conjugacy class:
-        _sym_char(k) chi_sigma when J = 0, which needs no degree-k piece.
+        """Character of the degree-k piece per conjugacy class, kept on the
+        module: _sym_char(k) chi_sigma when J = 0, with no degree-k piece.
         On a quotient w acts as P_k(w) (x) rho_sigma(w), so the trace is
         tr P_k(w) chi_sigma(w), read off the matrix kept per family, ideal
         and degree; no sigma-block is built."""
-        g = self.group
-        if not self.ideal:
-            traces = _sym_char(g, k)
-        else:
-            traces = [sum(row[i] for i, row in enumerate(
-                self._columns(("group_element", w), k).get((k, w), ())))
-                for w in (cl[0] for cl in g.conjugacy_classes)]
-        return [a * b for a, b in zip(traces, g.character(self.sigma))]
+        got = self._characters.get(k)
+        if got is None:
+            g = self.group
+            if not self.ideal:
+                traces = _sym_char(g, k)
+            else:
+                traces = [sum(row[i] for i, row in enumerate(
+                    self._columns(("group_element", w), k).get((k, w), ())))
+                    for w in (cl[0] for cl in g.conjugacy_classes)]
+            got = self._characters[k] = [
+                a * b for a, b in zip(traces, g.character(self.sigma))]
+        return got
 
     # -- actions
 
@@ -425,13 +435,13 @@ def _multiplicity(group, chi, mu):
     return int(m)
 
 
-def cell_multiplicity(group, sigma, k, l, mu):
-    """Multiplicity of mu in S^k(h*) (x) V_sigma (x) wedge^l(h) under the
-    natural diagonal action, by characters."""
-    chi_sigma = group.character(sigma)
-    chi = [a * b * c for a, b, c in zip(
-        _sym_char(group, k), chi_sigma, _wedge_char(group, l))]
-    return _multiplicity(group, chi, mu)
+def cell_multiplicity(module, k, l, mu):
+    """Multiplicity of mu in the (k, l) cell, degree k (x) wedge^l(h) under
+    the diagonal action: <module.character(k) chi_{wedge^l h}, chi_mu>, the
+    one place a cell character is formed."""
+    g = module.group
+    return _multiplicity(g, [a * b for a, b in zip(
+        module.character(k), _wedge_char(g, l))], mu)
 
 
 def _leading(rows):
@@ -479,16 +489,17 @@ def _zero_scalar_cells(module):
     """{cell: dim ker D^2} over the cells whose D^2 scalar (d_squared_scalar)
     vanishes on a nonzero isotypic: at t != 0 in one degree per (mu, l),
     as the scalar falls by 2t per degree, and at t = 0 in every degree or
-    in none.  Multiplicities come from the module's degree-k character
-    (GradedModule.character), so no sigma-block is built here.
-    CapExceeded (bound "K") names the largest zero-scalar degree when it
-    passes K."""
+    in none, from h_weight(sigma) once and N_c(mu) once per irrep.  Cell
+    multiplicities build no sigma-block.  CapExceeded (bound "K") names
+    the largest zero-scalar degree when it passes K."""
     g, n = module.group, module.n
     c, t = module.family.params["c"], module.family.params["t"]
-    found, chars, out = [], {}, {}
+    weight = h_weight(module.sigma, c, g)
+    found, out = [], {}
     for mu in g.irrep_labels:
+        n_mu = casimir_scalar(mu, c, g)
         for l in range(n + 1):
-            s0 = d_squared_scalar(g, module.sigma, mu, 0, l, c, t)
+            s0 = _d_squared(weight, n_mu, 0, l, n, t)
             if t == 0:
                 found += [(k, l, mu) for k in module.degrees() if s0 == 0]
                 continue
@@ -500,10 +511,7 @@ def _zero_scalar_cells(module):
                 found.append((int(k), l, mu))
     # from the top degree down, so a window past K is refused at once
     for k, l, mu in sorted(found, reverse=True):
-        if k not in chars:
-            chars[k] = module.character(k)
-        mult = _multiplicity(g, [a * b for a, b in zip(
-            chars[k], _wedge_char(g, l))], mu)
+        mult = cell_multiplicity(module, k, l, mu)
         if mult and k > module.K:
             raise CapExceeded(f"kernel window needs K >= {k}", "K", k)
         if mult:
@@ -586,8 +594,8 @@ def dirac_cohomology(module):
     chi_cells = {}
     for cell in cellset:
         off = offsets[cell]
-        coords = linalg.column_space_basis(
-            [v[off:off + dirac.cell_dim(*cell)] for v in ker])
+        end = off + dirac.cell_dim(*cell)
+        coords = linalg.column_space_basis([v[off:end] for v in ker])
         chi_cells[cell] = _span_character(coords, _leading(coords),
                                           [(0, wmats[cell])], classes)
 
@@ -684,7 +692,7 @@ def unitarity_report(group, sigma, c, K=None):
                 gap = gap0 - nvals[mu]
                 if gap <= 2 * (k + l):
                     continue
-                if cell_multiplicity(group, sigma, k, l, mu) > 0:
+                if cell_multiplicity(module, k, l, mu) > 0:
                     standard.append({
                         "module": "standard", "mu": mu, "k": k, "l": l,
                         "gap": str(gap), "bound": 2 * (k + l)})

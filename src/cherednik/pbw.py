@@ -541,7 +541,6 @@ def corrupted_family(group, kind=None):
         # reflection then violates the determinant condition
         target = None
         for i in range(1, group.order):
-            m = group.elements[i]
             if group.mult(i, i) == 0 and group.reflection_at(i) is None:
                 target = i
                 break

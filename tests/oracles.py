@@ -20,7 +20,8 @@ orthogonality over every ordered pair of rows and of columns, and the
 reflection scan over every non-identity element, det(w) = 1 included.
 The group-algebra Casimir scalar N_c(sigma) is summed reflection by
 reflection at each c, as the library did before it kept one linear form
-in c per irrep.  Tests compare library output against these.  The last section holds the
+in c per irrep, and products of central class functions over all |W|^2
+pairs of elements, as the library did before it read them per class.  Tests compare library output against these.  The last section holds the
 canonical term lists of H (x) C(V) elements and central class functions
 that tests/golden/kernel_witnesses.json stores.
 """
@@ -657,6 +658,24 @@ def casimir_scalar_by_reflections(sigma, c_map, group):
         total = total + (2 * c_map[r.class_name] * reciprocal(1 - r.lam)
                          * chi[group.class_of(r.element_index)])
     return rational(total * reciprocal(chi[0]))
+
+
+def class_function_product_by_elements(f, g):
+    """The product of two central class functions summed over all |W|^2
+    pairs (w, u), f(w) g(w^-1 u) into u, and checked constant on each
+    class by from_element_map."""
+    group = f.group
+    emap = {}
+    for w in range(group.order):
+        cw = f.coefficient(w)
+        if not cw:
+            continue
+        winv = group.inverse_index(w)
+        for u in range(group.order):
+            cu = g.coefficient(group.mult(winv, u))
+            if cu:
+                acc(emap, u, cw * cu)
+    return type(f).from_element_map(group, emap)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_criterion_05_cell_scalar_law():
                         d2 = d.d_squared_on_cell(k, l)
                         for mu in g.irrep_labels:
                             nu = g.tensor_with_eps(mu)
-                            if cell_multiplicity(g, sigma, k, l, nu) == 0:
+                            if cell_multiplicity(module, k, l, nu) == 0:
                                 continue
                             proj = isotypic_projector(WRepresentation(
                                 d.cell_dim(k, l),

@@ -134,6 +134,44 @@ def test_partition_builds_each_group_table_once(monkeypatch):
     assert len(conjugates) <= len(g.irrep_labels) * len(g.conjugacy_classes)
 
 
+@pytest.mark.parametrize("gid", ["A2", "B2", "G3_1_2"])
+def test_partition_asks_each_module_once(monkeypatch, gid):
+    # per module, the zero-scalar cells take h_weight(sigma) once and
+    # N_c(mu) once per irrep, and each degree's character is formed once
+    # and then read from the module
+    from cherednik import modules
+    g = build_group(gid)
+    casimir, cells = modules.casimir_scalar, modules._zero_scalar_cells
+    character = modules.GradedModule.character
+    calls, per_module, returned = [0], [], {}
+
+    def counted_casimir(*args):
+        calls[0] += 1
+        return casimir(*args)
+
+    def counted_cells(module):
+        before = calls[0]
+        out = cells(module)
+        per_module.append(calls[0] - before)
+        return out
+
+    def kept_character(self, k):
+        got = character(self, k)
+        returned.setdefault((self, k), []).append(got)
+        return got
+
+    monkeypatch.setattr(modules, "casimir_scalar", counted_casimir)
+    monkeypatch.setattr(modules, "_zero_scalar_cells", counted_cells)
+    monkeypatch.setattr(modules.GradedModule, "character", kept_character)
+    dirac_partition(g, 1)
+    assert len(per_module) >= len(g.irrep_labels)
+    assert max(per_module) <= len(g.irrep_labels) + 1
+    assert returned
+    for (module, k), got in returned.items():
+        assert all(x is got[0] for x in got)
+        assert character(module, k) is got[0]
+
+
 def test_partitions_keep_no_data_per_c_on_the_group():
     # the group's tables and memos hold as much after five values of c as
     # after one: nothing on it is keyed by c

@@ -39,8 +39,9 @@ from cherednik.dirac import (
 from cherednik.scalars import CapExceeded, reciprocal
 from cherednik.scalars import zeta as zeta_root
 
-from oracles import (casimir_scalar_by_reflections, dirac_element_in_basis,
-                     pin_conjugation_averager,
+from oracles import (casimir_scalar_by_reflections,
+                     class_function_product_by_elements,
+                     dirac_element_in_basis, pin_conjugation_averager,
                      pin_tau_inverse_by_reversed_word, tensor_element_data)
 
 
@@ -341,6 +342,36 @@ def test_class_function_convolution():
     mixed = GroupAlgebraClassFunction(g, {"e": 2, "s": Fraction(1, 2)})
     assert mixed * s == GroupAlgebraClassFunction(
         g, {"e": Fraction(1, 2), "s": 2})
+
+
+def _typed_terms(f):
+    return {name: (type(v), v) for name, v in f.terms.items()}
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_class_function_product_per_class_matches_the_pair_sum(gid):
+    # per class against all |W|^2 pairs: random rational class functions,
+    # and the Casimir (cyclotomic off the real groups) squared
+    g = build_group(gid)
+    rng = random.Random(gid)
+
+    def rand():
+        return GroupAlgebraClassFunction(g, {
+            name: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+            for name in g.class_names})
+
+    casimir = group_algebra_casimir(cherednik_family(g, 0, 1))
+    pairs = [(rand(), rand()) for _ in range(3)] + [(casimir, casimir)]
+    for f, h in pairs:
+        assert (_typed_terms(f * h)
+                == _typed_terms(class_function_product_by_elements(f, h)))
+
+
+def test_class_function_product_of_criterion_10_zeta():
+    fam = c_fam("A1", 0, 1)
+    s = zeta(omega_tilde(fam), fam)
+    assert _typed_terms(s * s) == _typed_terms(
+        class_function_product_by_elements(s, s))
 
 
 def test_class_function_constancy_validation():

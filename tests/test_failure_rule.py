@@ -43,10 +43,8 @@ def _lookups(g):
         "inner_product": lambda: inner_product(g, g.character_table[0],
                                                "nope"),
         "casimir_scalar": lambda: casimir_scalar("nope", 1, g),
-        "cell_multiplicity sigma": lambda: cell_multiplicity(
-            g, "nope", 0, 0, "2x0"),
         "cell_multiplicity mu": lambda: cell_multiplicity(
-            g, "2x0", 0, 0, "nope"),
+            standard_module(g, "2x0", 1, K=0), 0, 0, "nope"),
         "standard_module": lambda: standard_module(g, "nope", 1, K=1),
         "baby_verma": lambda: baby_verma(g, "nope", 1),
     }

@@ -98,7 +98,7 @@ def test_a1_basics():
     assert len(g.reflections) == 1
     assert g.reflections[0].lam == -1
     assert set(g.irrep_labels) == {"triv", "sgn"}
-    assert g.eps_label == "sgn"
+    assert g.tensor_with_eps("triv") == "sgn"
 
 
 def test_b2_basics():
@@ -114,7 +114,6 @@ def test_b2_basics():
     # bipartition labels: 1x1 is the reflection rep,
     # 0x2 = 11x0 tensor eps
     assert multiplicities(h_rep(g), g) == {"1x1": 1}
-    assert g.eps_label == "0x11"
     assert g.tensor_with_eps("11x0") == "0x2"
     assert g.tensor_with_eps("2x0") == "0x11"
     assert g.tensor_with_eps("1x1") == "1x1"
@@ -163,11 +162,13 @@ def test_class_names():
 
 
 def test_eps_labels():
-    assert build_group("A2").eps_label == "sgn"
-    assert build_group("B3").eps_label == "0x111"
-    assert build_group("I2_6").eps_label == "sgn"
-    assert build_group("Z4").eps_label == "chi1"
-    assert build_group("G3_1_2").eps_label == "chi1m"
+    # det_h is the irrep the trivial one (listed first) tensors to
+    for gid, want in [("A2", "sgn"), ("B3", "0x111"), ("I2_6", "sgn"),
+                      ("Z4", "chi1"), ("G3_1_2", "chi1m")]:
+        g = build_group(gid)
+        assert g.tensor_with_eps(g.irrep_labels[0]) == want, gid
+        assert g.character(want) == [poly.det(g.elements[cl[0]])
+                                     for cl in g.conjugacy_classes], gid
 
 
 def test_reflection_eigen_relations():
@@ -261,7 +262,6 @@ def test_decompose_wedge2_b2_is_det():
     g = build_group("B2")
     out = multiplicities(WRepresentation(
         1, [poly.wedge_matrix(m, 2) for m in g.elements]), g)
-    assert out == {g.eps_label: 1}
     assert out == {"0x11": 1}
 
 
@@ -309,7 +309,7 @@ def test_diagonal_action_examples():
     g = build_group("B2")
     triv = g.irrep("2x0")
     assert multiplicities(tensor_rep(triv, triv), g) == {"2x0": 1}
-    out = multiplicities(tensor_rep(g.irrep("11x0"), g.irrep(g.eps_label)), g)
+    out = multiplicities(tensor_rep(g.irrep("11x0"), g.irrep("0x11")), g)
     assert out == {"0x2": 1}
     a2 = build_group("A2")
     h_star = WRepresentation(a2.n, [a2.h_star_matrix(i)

@@ -13,6 +13,11 @@ Tests do not count, so code that only a test reaches belongs in the tests
 (`tests/oracles.py` keeps the references they compare against).  A method
 whose bare name another definition shares passes here;
 tests/test_src_is_executed.py checks by running the entry points.
+
+The same holds for the data a group carries: every attribute that
+groups.build_group sets on a ReflectionGroup (a constructor keyword or an
+assignment to `group.<name>`) must be read, as an attribute or a dotted
+string constant, somewhere the program reads outside build_group itself.
 """
 import ast
 import re
@@ -110,3 +115,77 @@ def test_a_method_named_like_a_local_variable_is_flagged():
     defs = _definitions([("box.py", module)])
     assert set(defs) == {"Box", "Box.coeffs", "Box.size", "Box.label", "use"}
     assert _orphans(defs, _named([module])) == ["Box.coeffs (box.py:3)"]
+
+
+def _group_fields(tree):
+    """({attribute: line} that build_group sets on the group, the
+    build_group node) in the syntax tree of groups.py."""
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "build_group")
+    fields = {}
+    for node in ast.walk(build):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "ReflectionGroup"):
+            for kw in node.keywords:
+                fields.setdefault(kw.arg, kw.value.lineno)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "group"):
+                    fields.setdefault(target.attr, target.lineno)
+    return fields, build
+
+
+def _reads(trees, skip):
+    """Attributes loaded, or spelled in a dotted string constant, in the
+    trees outside the node `skip`."""
+    attrs = set()
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            attrs.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return attrs
+
+
+def _unread_fields(groups_tree, trees):
+    fields, build = _group_fields(groups_tree)
+    read = _reads(trees, build)
+    return [f"{name} (groups.py:{line})" for name, line in fields.items()
+            if name not in read]
+
+
+def test_every_group_field_is_read_outside_build_group():
+    trees = _program()
+    groups_tree = next(
+        t for t in trees if any(isinstance(node, ast.FunctionDef)
+                                and node.name == "build_group"
+                                for node in t.body))
+    fields, _ = _group_fields(groups_tree)
+    assert {"elements", "reflections", "character_table"} <= set(fields)
+    unread = _unread_fields(groups_tree, trees)
+    assert not unread, f"set by build_group, read by nothing: {unread}"
+
+
+def test_a_field_read_only_inside_build_group_is_flagged():
+    module = ast.parse(textwrap.dedent("""
+        def build_group(name):
+            group = ReflectionGroup(order=2, label=name)
+            group.kept = 1
+            group.spare = [group.kept]
+            if group.spare is None:
+                raise AssertionError
+            return group
+
+        def use(group):
+            return group.order, group.kept, getattr(group, "label")
+    """))
+    assert _unread_fields(module, [module]) == ["spare (groups.py:5)"]
