@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -631,17 +632,16 @@ def _report_or_cap(make):
 
 @pytest.mark.parametrize("gid", ["A1", "A2", "B2", "I2_5"])
 def test_cohomology_sign_twist(gid):
-    # on a real group, w -> eps(w) w identifies H_c with H_-c, pulling
-    # Delta_-c(sigma (x) eps) back to Delta_c(sigma) (x) eps and fixing
-    # D's cells: H_D at -c is the one at c tensored with eps, cell for
-    # cell, with the same dimensions and window; a refused window is
-    # refused alike
+    # on a real group, w -> eps(w) w identifies H_c with H_-c and pulls
+    # Delta_-c(sigma (x) eps) back to Delta_c(sigma), keeping D and its
+    # cells; W's action on the module side picks up eps, so H_D at -c is
+    # the one at c tensored with eps, cell for cell, with the same
+    # dimensions and window, and a refused window is refused alike
     g = build_group(gid)
     eps = g.tensor_with_eps
     for c in (1, Fraction(1, 2)):
         for sigma in g.irrep_labels:
-            for make in (baby_verma, lambda g, s, c: standard_module(g, s, c,
-                                                                     K=4)):
+            for make in (baby_verma, partial(standard_module, K=4)):
                 here = _report_or_cap(lambda: make(g, sigma, c))
                 there = _report_or_cap(lambda: make(g, eps(sigma), -c))
                 if isinstance(here, tuple) or isinstance(there, tuple):
