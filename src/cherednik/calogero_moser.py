@@ -138,7 +138,8 @@ def verify_cm_factorization(group, c, degree_cap):
     """For each fundamental invariant f of degree <= degree_cap, on both
     the polynomial and the dual side, solve f (x) 1 = d(b) exactly at
     t = 0 and report the witness.  The witness b is searched at degree
-    <= deg f + 1 on f's own polynomial side; CapExceeded (bound
+    <= deg f + 1 on f's own polynomial side, in the Z-degrees 0 and that
+    of f (+deg f on h*, -deg f on h); CapExceeded (bound
     "degree_cap") propagates when none exists there.  The solves of one
     side share one KernelSearch, so each raw key is averaged and sent
     through d once per side; its memos are dropped with the side."""

@@ -287,7 +287,7 @@ def pin_cover_holds(group) -> bool:
     tau_w conjugates V as w does and acts on wedge^l(h) as wedge^l(w)."""
     n, alg = group.n, polarized_algebra(group.n)
     for s in group.generator_indices:
-        tau = pin_tau(s, group)
+        tau = tau_reflection(group.reflection_at(s), alg)
         # generator 2i + off is x_i in h* (off = 0) or y_i in h (off = 1)
         if any(tau * alg.gen(2 * i + off)
                != alg.vector([row[i] for row in m], off, 2) * tau

@@ -375,6 +375,12 @@ def _candidate_keys(group, cap):
             if sum(hk[0]) + sum(hk[2]) + len(cm) <= cap]
 
 
+def _key_degree(key):
+    """Z-degree: +1 per x or even (h*) Clifford index, -1 per y or odd."""
+    (xa, _, yb), cm = key
+    return sum(xa) - sum(yb) + sum(1 - 2 * (i % 2) for i in cm)
+
+
 class KernelSearch:
     """The per-key work of decompose_kernel_element on one family.
 
@@ -390,7 +396,8 @@ class KernelSearch:
     the id of the column its average is a multiple of.  Up to that scale
     every memo is a function of (family, key), so the solves that share a
     search (verify_cm_factorization shares one per polynomial side) read
-    each other's work; the memos live as long as the search.
+    each other's work; the memos live as long as the search.  Averaging
+    and d keep a key's Z-degree; decompose_kernel_element picks degrees.
     """
 
     def __init__(self, family):
@@ -467,7 +474,8 @@ class KernelSearch:
         return TensorElement(a.family, a.algebra, out)
 
 
-# raw search keys past which decompose_kernel_element refuses to search
+# raw keys in the Z-degrees searched past which decompose_kernel_element
+# refuses to search
 COLUMN_LIMIT = 8000
 
 
@@ -486,6 +494,11 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     CapExceeded (bound "degree_cap") when no split exists at this
     degree_cap, or (bound "column_limit") when the search has more raw
     keys than COLUMN_LIMIT.
+
+    Only keys of Z-degree (_key_degree) 0 or that of a term of z are
+    searched: D and Delta(w) have degree 0, so [d(b) | Delta(w) | z] is
+    block-diagonal by degree and the degrees z misses change no pivot, s
+    or b; Delta lives in degree 0, so uniqueness is checked in full.
 
     The columns b and d(b) come from search, a KernelSearch on family
     (verify_cm_factorization passes one to both solves of a polynomial
@@ -516,9 +529,10 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     if derivation_d(z):
         raise ValueError("d(z) != 0")
 
-    raw = _candidate_keys(g, degree_cap + 1)
-    if candidate_filter is not None:
-        raw = [key for key in raw if candidate_filter(key)]
+    degrees = {0} | {_key_degree(k) for k in z.terms}
+    raw = [key for key in _candidate_keys(g, degree_cap + 1)
+           if _key_degree(key) in degrees
+           and (candidate_filter is None or candidate_filter(key))]
     if len(raw) > COLUMN_LIMIT:
         raise CapExceeded(f"{len(raw)} candidate terms exceed the "
                           f"configured limit {COLUMN_LIMIT}",

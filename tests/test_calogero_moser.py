@@ -316,6 +316,16 @@ def test_cm_factorization_a2():
     assert all(e["verified"] for e in out["invariants"])
 
 
+def test_cm_factorization_i2_5_at_cap_5():
+    # the search keeps only the degrees 0 and +-5 of the quintic: 180 raw
+    # keys a side against 1,240 over every degree
+    g = build_group("I2_5")
+    out = verify_cm_factorization(g, 1, 5)
+    sides = sorted((e["side"], e["degree"]) for e in out["invariants"])
+    assert sides == [("h", 2), ("h", 5), ("h_star", 2), ("h_star", 5)]
+    assert all(e["verified"] for e in out["invariants"])
+
+
 def test_cm_factorization_makes_one_attempt(monkeypatch):
     calls = []
 

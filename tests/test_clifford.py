@@ -13,7 +13,7 @@ from cherednik.clifford import (
     spin_action,
     tau_reflection,
 )
-from cherednik.groups import build_group
+from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.scalars import reciprocal
 
 from oracles import (eps_automorphism, involutions,
@@ -211,6 +211,17 @@ def test_pin_tau_identity_is_one():
     g = build_group("B2")
     alg = polarized_algebra(2)
     assert pin_tau(0, g) == alg.one()
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_pin_tau_of_a_generator_is_its_reflection_factor(gid):
+    # pin_cover_holds reads tau_s from tau_reflection, the seed of the
+    # pin_tau table, without building the table
+    g = build_group(gid)
+    alg = polarized_algebra(g.n)
+    for s in g.generator_indices:
+        want = tau_reflection(g.reflection_at(s), alg)
+        assert pin_tau(s, g).terms == want.terms, s
 
 
 @pytest.mark.parametrize("gid", ["B3", "G4_1_2"])

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cherednik import dirac, linalg, pbw
+from cherednik import calogero_moser, dirac, linalg, pbw
 from cherednik.calogero_moser import verify_cm_factorization
 from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.pbw import (
@@ -611,6 +611,28 @@ def test_decompose_rejects_non_direct_sum(monkeypatch):
     assert len(calls) > 1
 
 
+def test_decompose_rejects_non_direct_sum_beside_a_graded_z(monkeypatch):
+    # z = x^2 (x) 1 has degree 2, but Delta(w) has degree 0, so the search
+    # keeps the degree-0 keys: a degree-0 derivation image that meets
+    # span Delta still makes the split ambiguous
+    fam = c_fam("A1", 0, 1)
+    z = tensor(fam.x_gen(0) * fam.x_gen(0), fam.clifford.one())
+    s = fam.group.order - 1
+    by_keys = dirac.KernelSearch.d_of
+    leaked = []
+
+    def leaky(search, a):
+        if not leaked and {dirac._key_degree(k) for k in a.terms} == {0}:
+            leaked.append(a)
+            return delta_element(fam, s)
+        return by_keys(search, a)
+
+    monkeypatch.setattr(dirac.KernelSearch, "d_of", leaky)
+    with pytest.raises(ValueError, match="not be unique"):
+        decompose_kernel_element(z, fam, degree_cap=2)
+    assert leaked
+
+
 @pytest.mark.parametrize("gid,t", [("A2", 0), ("I2_3", 0), ("A1", 1)])
 def test_factorwise_search_matches_products(gid, t):
     # every raw candidate key at degree_cap = 2: the factor-wise average
@@ -694,6 +716,76 @@ def test_decompose_refuses_a_search_of_another_family():
         decompose_kernel_element(omega_tilde(fam), fam, search=other)
 
 
+@pytest.mark.parametrize("gid,t", [("A2", 0), ("I2_3", 0), ("A1", 1)])
+def test_search_keeps_the_euler_degree(gid, t):
+    # deg x = 1, deg y = -1, deg w = 0, and the Clifford generators of h*
+    # and h count alike, so Delta(w) and D have degree 0: the average and
+    # the d-image of every raw key at degree_cap 2 stay in the key's degree
+    fam = c_fam(gid, t, 1)
+    search = dirac.KernelSearch(fam)
+    seen = set()
+    for key in dirac._candidate_keys(fam.group, 3):
+        deg = dirac._key_degree(key)
+        e = TensorElement(fam, fam.clifford, {key: Fraction(1)})
+        for image in (search.average(key), derivation_d(e)):
+            got = {dirac._key_degree(k) for k in image.terms}
+            assert got <= {deg}, (key, got)
+            seen |= got
+    assert seen == set(range(-3, 4))
+
+
+def _solves(monkeypatch, run):
+    """run() and the (s, b) of each decompose_kernel_element call it
+    makes, as term maps with the type of every coefficient."""
+    inner, out = dirac.decompose_kernel_element, []
+
+    def recording(*args, **kwargs):
+        s, b = inner(*args, **kwargs)
+        out.append([{k: (c, type(c)) for k, c in e.terms.items()}
+                    for e in (s, b)])
+        return s, b
+
+    monkeypatch.setattr(calogero_moser, "decompose_kernel_element",
+                        recording)
+    return run(), out
+
+
+def _graded_and_full(monkeypatch, run):
+    graded = _solves(monkeypatch, run)
+    # every key of degree 0, so no key is left out of the search
+    monkeypatch.setattr(dirac, "_key_degree", lambda key: 0)
+    return graded, _solves(monkeypatch, run)
+
+
+@pytest.mark.parametrize("gid", ["A1", "A2", "I2_3", "B2", "G2_1_2", "Z3",
+                                 "G3_1_2"])
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_graded_search_matches_the_full_search(monkeypatch, gid, cap):
+    # the coordinate matrix is block-diagonal by degree, so the keys of
+    # degrees z does not reach change no pivot, s or b
+    group = build_group(gid)
+    graded, full = _graded_and_full(
+        monkeypatch, lambda: verify_cm_factorization(group, 1, cap))
+    assert graded == full
+    assert len(graded[1]) == 2 * sum(d <= cap
+                                     for d in group.invariant_degrees)
+
+
+@pytest.mark.parametrize("gid", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("t", [0, 1])
+def test_graded_search_matches_the_full_search_on_the_casimir(
+        monkeypatch, gid, t):
+    fam = c_fam(gid, t, 1)
+
+    def run():
+        return calogero_moser.decompose_kernel_element(
+            omega_tilde(fam), fam, degree_cap=2)
+
+    graded, full = _graded_and_full(monkeypatch, run)
+    assert graded[1] == full[1] and len(full[1]) == 1
+    assert graded[0][0] == group_algebra_casimir(fam)
+
+
 def test_decompose_column_limit(monkeypatch):
     fam = c_fam("A1", 0, 1)
     monkeypatch.setattr(dirac, "COLUMN_LIMIT", 3)
@@ -703,6 +795,20 @@ def test_decompose_column_limit(monkeypatch):
         decompose_kernel_element(omega_tilde(fam), fam)
     assert err.value.bound == "column_limit"
     assert err.value.minimal > 3
+
+
+def test_column_limit_counts_the_graded_keys(monkeypatch):
+    # the limit and the message count the raw keys of the degrees searched
+    fam = c_fam("A1", 0, 1)
+    keys = dirac._candidate_keys(fam.group, 3)
+    graded = sum(dirac._key_degree(k) == 0 for k in keys)
+    monkeypatch.setattr(dirac, "COLUMN_LIMIT", graded - 1)
+    with pytest.raises(CapExceeded, match=f"^{graded} candidate terms"
+                       ) as err:
+        decompose_kernel_element(omega_tilde(fam), fam, degree_cap=2)
+    assert err.value.minimal == graded < len(keys)
+    monkeypatch.setattr(dirac, "COLUMN_LIMIT", graded)
+    decompose_kernel_element(omega_tilde(fam), fam, degree_cap=2)
 
 
 # --------------------------------------------------------------------------
