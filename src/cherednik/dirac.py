@@ -363,16 +363,24 @@ def _coords(elems):
     return mat
 
 
-def _candidate_keys(group, cap):
-    """Raw search keys (PBW key, odd Clifford monomial) of degree <= cap."""
+def _candidate_keys(group, cap, degrees):
+    """Raw search keys (PBW key, odd Clifford monomial) of degree <= cap
+    whose Z-degree (_key_degree) is in degrees, generated in those degrees
+    only: the degree, which w does not change, is read once per (x
+    exponent, y exponent, Clifford monomial)."""
     n = group.n
     cliff_monos = [m for m in spin_basis(2 * n) if len(m) % 2 == 1]
     # exponents of degree <= cap, lexicographic: fixes the column order
     exponents = sorted(m for d in range(cap + 1) for m in poly.monomials(n, d))
-    hkeys = [(xa, w, yb) for xa in exponents for yb in exponents
-             if sum(xa) + sum(yb) <= cap for w in range(group.order)]
-    return [(hk, cm) for hk in hkeys for cm in cliff_monos
-            if sum(hk[0]) + sum(hk[2]) + len(cm) <= cap]
+    out = []
+    for xa in exponents:
+        for yb in exponents:
+            left = cap - sum(xa) - sum(yb)
+            monos = [cm for cm in cliff_monos if len(cm) <= left
+                     and _key_degree(((xa, 0, yb), cm)) in degrees]
+            out += [((xa, w, yb), cm) for w in range(group.order)
+                    for cm in monos]
+    return out
 
 
 def _key_degree(key):
@@ -389,15 +397,19 @@ class KernelSearch:
     m = v_i1 ... v_ir to w(v_i1) ... w(v_ir) (clifford.pin_cover_holds);
     each factor image is formed once per (w, PBW key) and once per (w,
     Clifford monomial), so no full H (x) C(V) product is formed.  d is
-    linear: D is built once and d(e) = D e - eps(e) D once per unit key e,
-    so each d(b) is a linear combination of cached images.  The search
-    owns its columns: columns[i] is (b, d(b)) for the i-th average b met
-    that is no multiple of an earlier one, and column maps a raw key to
-    the id of the column its average is a multiple of.  Up to that scale
-    every memo is a function of (family, key), so the solves that share a
-    search (verify_cm_factorization shares one per polynomial side) read
-    each other's work; the memos live as long as the search.  Averaging
-    and d keep a key's Z-degree; decompose_kernel_element picks degrees.
+    linear: d(e) = D e - eps(e) D is read once per unit key e from the
+    PBW and Clifford unit products, so each d(b) is a linear combination
+    of cached images.  The search owns its columns: columns[i] is (b, d(b))
+    for the i-th average b met that is no multiple of an earlier one, and
+    column maps a raw key to the id of the column its average is a
+    multiple of.  An orbit mate e' of an averaged key e, Delta(w) e
+    Delta(w)^(-1) = c e' a single term, has average avg(e)/c, so it takes
+    e's id and forms no average; on B3 every image is one term.  Up to
+    that scale every memo is a function of (family, key), so the solves
+    that share a search (verify_cm_factorization shares one per polynomial
+    side) read each other's work; the memos live as long as the search.
+    Averaging and d keep a key's Z-degree; decompose_kernel_element picks
+    degrees.
     """
 
     def __init__(self, family):
@@ -438,9 +450,10 @@ class KernelSearch:
 
     def column(self, key):
         """The id in columns of the multiples of the raw key's average, or
-        None when the average is 0; memoized per raw key, so each average
-        and each column's d-image are formed once.  Averages with the same
-        least key are compared by cross-multiplication, with no division."""
+        None when the average is 0; memoized per raw key and its orbit
+        mates, so each average and each column's d-image are formed once.
+        Averages with the same least key are compared by
+        cross-multiplication, with no division."""
         if key in self._ids:
             return self._ids[key]
         b = self.average(key)
@@ -459,6 +472,12 @@ class KernelSearch:
                 self.columns.append((b, self.d_of(b)))
                 ids.append(got)
         self._ids[key] = got
+        # an orbit mate c e' = Delta(w) e Delta(w)^(-1) has average avg(e)/c
+        hk, cm = key
+        for w in range(len(self._pins)):
+            hw, cw = self._himg[(w, hk)], self._cimg[(w, cm)]
+            if len(hw) == 1 and len(cw) == 1:
+                self._ids.setdefault((next(iter(hw)), next(iter(cw))), got)
         return got
 
     def d_of(self, a):
@@ -467,11 +486,28 @@ class KernelSearch:
         for key, c in a.terms.items():
             dk = self._d_units.get(key)
             if dk is None:
-                e, d = TensorElement(a.family, a.algebra, {key: 1}), self._d
-                dk = self._d_units[key] = (d * e - e.eps() * d).terms
+                dk = self._d_units[key] = self._d_unit(key)
             for k2, c2 in dk.items():
                 acc(out, k2, c * c2)
         return TensorElement(a.family, a.algebra, out)
+
+    def _d_unit(self, key):
+        """d(e) = D e - eps(e) D for the unit tensor e, as one term map
+        read from the PBW and Clifford unit products."""
+        family, alg = self.family, self.family.clifford
+        hk, cm = key
+        sign = 1 if len(cm) % 2 else -1   # -eps(e)
+        out = {}
+        for (dh, dm), dc in self._d.terms.items():
+            for h1, h2, m1, m2, c in ((dh, hk, dm, cm, dc),
+                                      (hk, dh, cm, dm, sign * dc)):
+                cprod = alg._unit_product(m1, m2)
+                for k, hc in family._unit_product(h1, h2):
+                    # most factors are 1, and a Fraction product is slow
+                    hc = hc if c == 1 else c * hc
+                    for m, cf in cprod:
+                        acc(out, (k, m), hc if cf == 1 else hc * cf)
+        return out
 
 
 # raw keys in the Z-degrees searched past which decompose_kernel_element
@@ -496,7 +532,7 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     keys than COLUMN_LIMIT.
 
     Only keys of Z-degree (_key_degree) 0 or that of a term of z are
-    searched: D and Delta(w) have degree 0, so [d(b) | Delta(w) | z] is
+    generated: D and Delta(w) have degree 0, so [d(b) | Delta(w) | z] is
     block-diagonal by degree and the degrees z misses change no pivot, s
     or b; Delta lives in degree 0, so uniqueness is checked in full.
 
@@ -509,7 +545,7 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     they depend on a column's scale: rescaling b leaves the pivots alone
     and rescales b's coefficient inversely.  A raw key whose average is a
     multiple of an earlier one would add a column that is never a pivot,
-    so it adds none.
+    so it adds none; an orbit mate is known to be one without averaging.
     """
     g = family.group
     if z.degree() > degree_cap:
@@ -530,9 +566,8 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
         raise ValueError("d(z) != 0")
 
     degrees = {0} | {_key_degree(k) for k in z.terms}
-    raw = [key for key in _candidate_keys(g, degree_cap + 1)
-           if _key_degree(key) in degrees
-           and (candidate_filter is None or candidate_filter(key))]
+    raw = [key for key in _candidate_keys(g, degree_cap + 1, degrees)
+           if candidate_filter is None or candidate_filter(key)]
     if len(raw) > COLUMN_LIMIT:
         raise CapExceeded(f"{len(raw)} candidate terms exceed the "
                           f"configured limit {COLUMN_LIMIT}",

@@ -21,7 +21,12 @@ reflection scan over every non-identity element, det(w) = 1 included.
 The group-algebra Casimir scalar N_c(sigma) is summed reflection by
 reflection at each c, as the library did before it kept one linear form
 in c per irrep, and products of central class functions over all |W|^2
-pairs of elements, as the library did before it read them per class.  Tests compare library output against these.  The last section holds the
+pairs of elements, as the library did before it read them per class.
+The kernel search is kept in its full forms: every raw key in every
+Z-degree, filtered afterwards; d on a unit key by two full H (x) C(V)
+products; and a column id per raw key by forming its W-average and
+comparing it up to scale with the earlier ones, with no orbit mates.
+Tests compare library output against these.  The last section holds the
 canonical term lists of H (x) C(V) elements and central class functions
 that tests/golden/kernel_witnesses.json stores.
 """
@@ -32,8 +37,9 @@ import sympy
 
 from cherednik import linalg
 from cherednik.clifford import (CliffordElement, _reflection_factor,
-                                pin_tau, polarized_algebra, spin_action)
-from cherednik.dirac import TensorElement, tensor
+                                pin_tau, polarized_algebra, spin_action,
+                                spin_basis)
+from cherednik.dirac import TensorElement, dirac_element, tensor
 from cherednik.groups import (_find_reflection_data, check_representation,
                               class_character)
 from cherednik.poly import acc, monomials, p_mul, to_vector
@@ -601,6 +607,51 @@ def pin_conjugation_averager(family):
         return TensorElement(family, alg, total)
 
     return average
+
+
+# ---------------------------------------------------------------------------
+# the kernel search in its full forms
+
+
+def candidate_keys_full(group, cap):
+    """Every raw search key (PBW key, odd Clifford monomial) of filtration
+    degree <= cap, in every Z-degree, in the search's column order."""
+    n = group.n
+    cliff_monos = [m for m in spin_basis(2 * n) if len(m) % 2 == 1]
+    exponents = sorted(m for d in range(cap + 1) for m in monomials(n, d))
+    hkeys = [(xa, w, yb) for xa in exponents for yb in exponents
+             if sum(xa) + sum(yb) <= cap for w in range(group.order)]
+    return [(hk, cm) for hk in hkeys for cm in cliff_monos
+            if sum(hk[0]) + sum(hk[2]) + len(cm) <= cap]
+
+
+def d_unit_by_products(family, key):
+    """d(e) = D e - eps(e) D for the unit tensor e, by two full
+    H (x) C(V) products, the eps copy and their difference."""
+    d = dirac_element(family)
+    e = TensorElement(family, family.clifford, {key: 1})
+    return d * e - e.eps() * d
+
+
+def columns_by_averages(average, keys):
+    """The column id of each key: its W-average is formed and compared up
+    to scale with the first average of each earlier class; None for a
+    zero average.  Returns (ids, one average per class)."""
+    ids, reps = [], []
+    for key in keys:
+        p = average(key).terms
+        got = None
+        if p:
+            k = min(p)
+            got = next((i for i, q in enumerate(reps)
+                        if q.keys() == p.keys()
+                        and all(q[k] * c == p[k] * q[j]
+                                for j, c in p.items())), None)
+            if got is None:
+                got = len(reps)
+                reps.append(p)
+        ids.append(got)
+    return ids, reps
 
 
 # ---------------------------------------------------------------------------

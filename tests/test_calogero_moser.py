@@ -326,6 +326,42 @@ def test_cm_factorization_i2_5_at_cap_5():
     assert all(e["verified"] for e in out["invariants"])
 
 
+def _factors_every_invariant_to_cap(gid, cap):
+    g = build_group(gid)
+    out = verify_cm_factorization(g, 1, cap)
+    sides = sorted((e["side"], e["degree"]) for e in out["invariants"])
+    degrees = [d for d in g.invariant_degrees if d <= cap]
+    assert degrees
+    assert sides == sorted((side, d) for side in ("h", "h_star")
+                           for d in degrees)
+    assert all(e["verified"] for e in out["invariants"])
+
+
+def test_cm_factorization_b3_at_cap_4(monkeypatch):
+    # B3 acts on h by signed permutations, so every Delta(w) sends a unit
+    # key to a single term: an orbit takes one average for all its keys
+    average, column = KernelSearch.average, KernelSearch.column
+    averaged, searched = [], set()
+
+    def counting_average(search, key):
+        averaged.append(key)
+        return average(search, key)
+
+    def counting_column(search, key):
+        searched.add(key)
+        return column(search, key)
+
+    monkeypatch.setattr(KernelSearch, "average", counting_average)
+    monkeypatch.setattr(KernelSearch, "column", counting_column)
+    _factors_every_invariant_to_cap("B3", 4)
+    assert len(set(averaged)) == len(averaged)
+    assert 10 * len(averaged) < len(searched)
+
+
+def test_cm_factorization_g4_1_2_at_cap_4():
+    _factors_every_invariant_to_cap("G4_1_2", 4)
+
+
 def test_cm_factorization_makes_one_attempt(monkeypatch):
     calls = []
 

@@ -39,9 +39,10 @@ from cherednik.dirac import (
 from cherednik.scalars import CapExceeded, reciprocal
 from cherednik.scalars import zeta as zeta_root
 
-from oracles import (casimir_scalar_by_reflections,
-                     class_function_product_by_elements,
-                     dirac_element_in_basis, pin_conjugation_averager,
+from oracles import (candidate_keys_full, casimir_scalar_by_reflections,
+                     class_function_product_by_elements, columns_by_averages,
+                     d_unit_by_products, dirac_element_in_basis,
+                     pin_conjugation_averager,
                      pin_tau_inverse_by_reversed_word, tensor_element_data)
 
 
@@ -645,7 +646,7 @@ def test_factorwise_search_matches_products(gid, t):
               for w in range(g.order)]
     search = dirac.KernelSearch(fam)
     nonzero = 0
-    for key in dirac._candidate_keys(g, 3):
+    for key in candidate_keys_full(g, 3):
         e = TensorElement(fam, alg, {key: Fraction(1)})
         want = None
         for dw, dwi in deltas:
@@ -668,7 +669,7 @@ def test_search_columns_are_the_distinct_averages(gid, t):
     fam = c_fam(gid, t, 1)
     search = dirac.KernelSearch(fam)
     reps = []   # one average per class of proportional averages
-    for key in dirac._candidate_keys(fam.group, 3):
+    for key in candidate_keys_full(fam.group, 3):
         p = search.average(key)
         got = search.column(key)
         assert search.column(key) == got
@@ -687,7 +688,83 @@ def test_search_columns_are_the_distinct_averages(gid, t):
         assert b == reps[got]
         assert db == derivation_d(b)
     assert len(search.columns) == len(reps) < len(
-        dirac._candidate_keys(fam.group, 3))
+        candidate_keys_full(fam.group, 3))
+
+
+@pytest.mark.parametrize("gid", ["A1", "A2", "B2", "I2_5", "G3_1_2"])
+@pytest.mark.parametrize("t", [0, 1])
+def test_d_on_unit_keys_matches_full_products(gid, t):
+    # d(e) read from the unit products is D e - eps(e) D formed by two
+    # full H (x) C(V) products, coefficient types included
+    fam = c_fam(gid, t, 1)
+    search = dirac.KernelSearch(fam)
+    for key in candidate_keys_full(fam.group, 3):
+        want = d_unit_by_products(fam, key).terms
+        got = search._d_unit(key)
+        assert got == want, key
+        assert ({k: type(c) for k, c in got.items()}
+                == {k: type(c) for k, c in want.items()}), key
+
+
+def _columns_with_mates(search, keys, mates_of_two_terms=False):
+    """search.column over keys; with mates_of_two_terms, a mutated search
+    that also takes the first term of a two-term image as an orbit mate."""
+    ids = []
+    for key in keys:
+        ids.append(search.column(key))
+        if not mates_of_two_terms:
+            continue
+        for w in range(search.family.group.order):
+            hw = search._himg.get((w, key[0]), {})
+            cw = search._cimg.get((w, key[1]), {})
+            if len(hw) * len(cw) == 2:
+                search._ids.setdefault((min(hw), min(cw)), ids[-1])
+    return ids
+
+
+@pytest.mark.parametrize("gid", ["A2", "B2", "B3", "G4_1_2"])
+def test_orbit_mates_take_the_column_of_their_average(gid):
+    # every raw key lands on the column found by forming its average and
+    # comparing it up to scale, and the stored averages are those averages
+    fam = c_fam(gid, 0, 1)
+    keys = candidate_keys_full(fam.group, 3)
+    want, reps = columns_by_averages(dirac.KernelSearch(fam).average, keys)
+    search = dirac.KernelSearch(fam)
+    assert _columns_with_mates(search, keys) == want
+    assert [b.terms for b, _ in search.columns] == reps
+
+
+def test_a_mate_from_a_two_term_image_is_caught():
+    # the check above fails on a search that takes mates from two-term
+    # images, whose average is not a multiple of the key's
+    fam = c_fam("A2", 0, 1)
+    keys = candidate_keys_full(fam.group, 3)
+    want, _ = columns_by_averages(dirac.KernelSearch(fam).average, keys)
+    assert _columns_with_mates(dirac.KernelSearch(fam), keys,
+                               mates_of_two_terms=True) != want
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_candidate_keys_are_the_filtered_full_list(gid):
+    # keys generated in the searched degrees are the full enumeration
+    # filtered by degree, in the same order
+    g = build_group(gid)
+    for cap in range(2, 6):
+        full = candidate_keys_full(g, cap)
+        for degrees in ({0}, {0, 2}, {0, -3}, {-1, 0, 1}, {cap, -cap},
+                        set(range(-cap, cap + 1)), set()):
+            assert dirac._candidate_keys(g, cap, degrees) == [
+                k for k in full if dirac._key_degree(k) in degrees
+            ], (cap, degrees)
+
+
+def test_key_generation_reads_degrees_through_key_degree(monkeypatch):
+    # the full-search tests below set every key's degree to 0 through
+    # _key_degree, so key generation must ask it
+    g = build_group("A2")
+    assert dirac._candidate_keys(g, 3, {0}) != candidate_keys_full(g, 3)
+    monkeypatch.setattr(dirac, "_key_degree", lambda key: 0)
+    assert dirac._candidate_keys(g, 3, {0}) == candidate_keys_full(g, 3)
 
 
 @pytest.mark.parametrize("gid", ["A2", "B2", "G3_1_2"])
@@ -698,7 +775,7 @@ def test_averager_by_w_matches_pin_conjugation(gid):
     average = dirac.KernelSearch(fam).average
     oracle = pin_conjugation_averager(fam)
     # the raw keys that decompose_kernel_element searches at degree_cap 2
-    keys = dirac._candidate_keys(fam.group, 2 + 1)
+    keys = candidate_keys_full(fam.group, 2 + 1)
     assert keys
     for key in keys:
         got, want = average(key), oracle(key)
@@ -724,7 +801,7 @@ def test_search_keeps_the_euler_degree(gid, t):
     fam = c_fam(gid, t, 1)
     search = dirac.KernelSearch(fam)
     seen = set()
-    for key in dirac._candidate_keys(fam.group, 3):
+    for key in candidate_keys_full(fam.group, 3):
         deg = dirac._key_degree(key)
         e = TensorElement(fam, fam.clifford, {key: Fraction(1)})
         for image in (search.average(key), derivation_d(e)):
@@ -800,7 +877,7 @@ def test_decompose_column_limit(monkeypatch):
 def test_column_limit_counts_the_graded_keys(monkeypatch):
     # the limit and the message count the raw keys of the degrees searched
     fam = c_fam("A1", 0, 1)
-    keys = dirac._candidate_keys(fam.group, 3)
+    keys = candidate_keys_full(fam.group, 3)
     graded = sum(dirac._key_degree(k) == 0 for k in keys)
     monkeypatch.setattr(dirac, "COLUMN_LIMIT", graded - 1)
     with pytest.raises(CapExceeded, match=f"^{graded} candidate terms"
