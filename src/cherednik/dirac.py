@@ -73,7 +73,8 @@ class TensorElement(Terms):
     terms maps (PBW key, Clifford monomial) to a scalar; both factors are
     kept canonical, so equality is term-map equality.  Multiplication is
     componentwise (the tensor product is not super here; the parity twist
-    enters only through the eps automorphism and the derivation d): each
+    enters only through the derivation d, whose eps automorphism negates
+    the odd Clifford parts and fixes H): each
     pair of terms reads the product of its PBW keys from the family's memo
     and that of its Clifford monomials from the algebra's.
     """
@@ -87,16 +88,9 @@ class TensorElement(Terms):
         self._check(other)
         fam, alg = self.family, self.algebra
         out = {}
-        for (hk1, cm1), c1 in self.terms.items():
-            for (hk2, cm2), c2 in other.terms.items():
-                cprod = alg._unit_product(cm1, cm2)
-                cc = c1 * c2
-                for hk, hc in fam._unit_product(hk1, hk2):
-                    # most factors are 1, and a Fraction product is slow
-                    if cc != 1:
-                        hc = cc * hc
-                    for cm, cf in cprod:
-                        acc(out, (hk, cm), hc if cf == 1 else hc * cf)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _product_into(out, fam, alg, k1, k2, c1 * c2)
         return TensorElement(fam, alg, out)
 
     def degree(self):
@@ -108,12 +102,6 @@ class TensorElement(Terms):
 
     def clifford_parities(self):
         return {len(cm) % 2 for (_, cm) in self.terms}
-
-    def eps(self):
-        """The automorphism that negates odd Clifford parts and fixes H."""
-        return TensorElement(self.family, self.algebra,
-                             {k: (-c if len(k[1]) % 2 else c)
-                              for k, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -130,6 +118,20 @@ class TensorElement(Terms):
         return " + ".join(bits)
 
 
+def _product_into(out, family, alg, k1, k2, c):
+    """Add c (h1 (x) m1)(h2 (x) m2) to the term map out, for the keys
+    k1 = (h1, m1) and k2 = (h2, m2), read from the PBW and Clifford
+    unit-product memos."""
+    (hk1, cm1), (hk2, cm2) = k1, k2
+    cprod = alg._unit_product(cm1, cm2)
+    for hk, hc in family._unit_product(hk1, hk2):
+        # most factors are 1, and a Fraction product is slow
+        if c != 1:
+            hc = c * hc
+        for cm, cf in cprod:
+            acc(out, (hk, cm), hc if cf == 1 else hc * cf)
+
+
 def tensor(helem, celem):
     """Outer product of an H element and a Clifford element."""
     return TensorElement(helem.family, celem.algebra, {
@@ -139,14 +141,14 @@ def tensor(helem, celem):
 
 def dirac_element(family):
     """D = sum_i v_i (x) v^i, v^i the dual basis of the generators against
-    the family's V form."""
-    alg = family.clifford
-    ginv = alg.gram_inverse()
-    out = None
-    for i in range(family.nv):
-        term = tensor(family.v_gen(i), alg.vector(ginv[i]))
-        out = term if out is None else out + term
-    return out
+    the family's V form; built once per family."""
+    if family._dirac is None:
+        alg = family.clifford
+        ginv = alg.gram_inverse()
+        family._dirac = reduce(TensorElement.__add__, (
+            tensor(family.v_gen(i), alg.vector(ginv[i]))
+            for i in range(family.nv)))
+    return family._dirac
 
 
 def dirac_split(family):
@@ -183,9 +185,16 @@ def omega_tilde(family):
 
 
 def derivation_d(a):
-    """d(a) = D a - eps(a) D."""
-    d = dirac_element(a.family)
-    return d * a - a.eps() * d
+    """d(a) = D a - eps(a) D, both products summed into one term map."""
+    fam, alg = a.family, a.algebra
+    out = {}
+    for dk, dc in dirac_element(fam).terms.items():
+        for k, c in a.terms.items():
+            _product_into(out, fam, alg, dk, k, dc * c)
+            # eps negates the odd Clifford parts
+            _product_into(out, fam, alg, k, dk,
+                          (c if len(k[1]) % 2 else -c) * dc)
+    return TensorElement(fam, alg, out)
 
 
 def verify_dirac_square(family):
@@ -397,19 +406,19 @@ class KernelSearch:
     m = v_i1 ... v_ir to w(v_i1) ... w(v_ir) (clifford.pin_cover_holds);
     each factor image is formed once per (w, PBW key) and once per (w,
     Clifford monomial), so no full H (x) C(V) product is formed.  d is
-    linear: d(e) = D e - eps(e) D is read once per unit key e from the
-    PBW and Clifford unit products, so each d(b) is a linear combination
-    of cached images.  The search owns its columns: columns[i] is (b, d(b))
-    for the i-th average b met that is no multiple of an earlier one, and
-    column maps a raw key to the id of the column its average is a
-    multiple of.  An orbit mate e' of an averaged key e, Delta(w) e
-    Delta(w)^(-1) = c e' a single term, has average avg(e)/c, so it takes
-    e's id and forms no average; on B3 every image is one term.  Up to
-    that scale every memo is a function of (family, key), so the solves
-    that share a search (verify_cm_factorization shares one per polynomial
-    side) read each other's work; the memos live as long as the search.
-    Averaging and d keep a key's Z-degree; decompose_kernel_element picks
-    degrees.
+    linear: derivation_d, which sums D e and -eps(e) D into one term map
+    from the PBW and Clifford unit products, runs once per unit key e, so
+    each d(b) is a linear combination of cached images.  The search owns
+    its columns: columns[i] is (b, d(b)) for the i-th average b met that
+    is no multiple of an earlier one, and column maps a raw key to the id
+    of the column its average is a multiple of.  An orbit mate e' of an
+    averaged key e, Delta(w) e Delta(w)^(-1) = c e' a single term, has
+    average avg(e)/c, so it takes e's id and forms no average; on B3 every
+    image is one term.  Up to that scale every memo is a function of
+    (family, key), so the solves that share a search
+    (verify_cm_factorization shares one per polynomial side) read each
+    other's work; the memos live as long as the search.  Averaging and d
+    keep a key's Z-degree; decompose_kernel_element picks degrees.
     """
 
     def __init__(self, family):
@@ -417,7 +426,7 @@ class KernelSearch:
         if not pin_cover_holds(g):
             raise AssertionError(f"the pin lift does not cover "
                                  f"{g.catalogue_id}")
-        self.family, self._d = family, dirac_element(family)
+        self.family = family
         # images[i] = w(v_i), column i of w's matrix on V
         self._pins = [(family.group_element(w).terms,
                        family.group_element(g.inverse_index(w)).terms,
@@ -486,28 +495,11 @@ class KernelSearch:
         for key, c in a.terms.items():
             dk = self._d_units.get(key)
             if dk is None:
-                dk = self._d_units[key] = self._d_unit(key)
+                dk = self._d_units[key] = derivation_d(
+                    TensorElement(a.family, a.algebra, {key: 1})).terms
             for k2, c2 in dk.items():
                 acc(out, k2, c * c2)
         return TensorElement(a.family, a.algebra, out)
-
-    def _d_unit(self, key):
-        """d(e) = D e - eps(e) D for the unit tensor e, as one term map
-        read from the PBW and Clifford unit products."""
-        family, alg = self.family, self.family.clifford
-        hk, cm = key
-        sign = 1 if len(cm) % 2 else -1   # -eps(e)
-        out = {}
-        for (dh, dm), dc in self._d.terms.items():
-            for h1, h2, m1, m2, c in ((dh, hk, dm, cm, dc),
-                                      (hk, dh, cm, dm, sign * dc)):
-                cprod = alg._unit_product(m1, m2)
-                for k, hc in family._unit_product(h1, h2):
-                    # most factors are 1, and a Fraction product is slow
-                    hc = hc if c == 1 else c * hc
-                    for m, cf in cprod:
-                        acc(out, (k, m), hc if cf == 1 else hc * cf)
-        return out
 
 
 # raw keys in the Z-degrees searched past which decompose_kernel_element

@@ -65,6 +65,8 @@ class FormFamily:
         self._ins = {}
         # products of two PBW monomials, read by H (x) C(V) products
         self._units = {}
+        # the Dirac element D in H (x) C(V), built by dirac.dirac_element
+        self._dirac = None
         # per ideal: the sigma-independent GradedModule data
         self._module_data = {}
 

@@ -625,12 +625,35 @@ def candidate_keys_full(group, cap):
             if sum(hk[0]) + sum(hk[2]) + len(cm) <= cap]
 
 
+def eps(a):
+    """The automorphism of H (x) C(V) that negates odd Clifford parts and
+    fixes H."""
+    return TensorElement(a.family, a.algebra,
+                         {k: (-c if len(k[1]) % 2 else c)
+                          for k, c in a.terms.items()})
+
+
+def product_by_factors(a, b):
+    """a b in H (x) C(V), each pair of terms multiplied as an H product
+    and a Clifford product, with no unit-product memo read."""
+    fam, alg = a.family, a.algebra
+    out = {}
+    for (h1, m1), c1 in a.terms.items():
+        for (h2, m2), c2 in b.terms.items():
+            hp = fam.element({h1: 1}) * fam.element({h2: 1})
+            cp = CliffordElement(alg, {m1: 1}) * CliffordElement(alg, {m2: 1})
+            for hk, hc in hp.terms.items():
+                for cm, cc in cp.terms.items():
+                    acc(out, (hk, cm), c1 * c2 * hc * cc)
+    return TensorElement(fam, alg, out)
+
+
 def d_unit_by_products(family, key):
-    """d(e) = D e - eps(e) D for the unit tensor e, by two full
-    H (x) C(V) products, the eps copy and their difference."""
+    """d(e) = D e - eps(e) D for the unit tensor e, by two products formed
+    factor by factor, the eps copy and their difference."""
     d = dirac_element(family)
     e = TensorElement(family, family.clifford, {key: 1})
-    return d * e - e.eps() * d
+    return product_by_factors(d, e) - product_by_factors(eps(e), d)
 
 
 def columns_by_averages(average, keys):
