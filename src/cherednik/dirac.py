@@ -31,8 +31,11 @@ def compute_e_w(family, w):
 
         sum_i (a_w(x, v_i) w(v^i) + a_w(x, v^i) v_i) = e_w (x - w(x)).
 
-    The solve avoids the square-root normalization of the Clifford lift;
-    every basis witness is checked and must give the same scalar.
+    The solve avoids the square-root normalization of the Clifford lift.
+    Every basis vector x = v_j is checked, w-fixed ones included, where
+    the left side must vanish: e is read at the first nonzero entry of
+    x - w(x) over all j, and every entry must agree with it.  e is in the
+    rational form when it is rational.
     """
     aw = family.forms.get(w)
     if aw is None:
@@ -42,25 +45,18 @@ def compute_e_w(family, w):
     vm = family.v_matrix(w)
     vg = linalg.mat_mul(vm, ginv)
     ag = linalg.mat_mul(aw, ginv)
-    found = None
-    for j in range(nv):
-        dvec = [(1 if r == j else 0) - vm[r][j] for r in range(nv)]
-        if all(x == 0 for x in dvec):
-            continue
-        lhs = linalg.mat_vec(vg, aw[j])
-        lhs = [lhs[i] + ag[j][i] for i in range(nv)]
-        piv = next(r for r in range(nv) if dvec[r] != 0)
-        e = lhs[piv] * reciprocal(dvec[piv])
-        for r in range(nv):
-            if lhs[r] != e * dvec[r]:
-                raise ValueError("no scalar solves the e_w identity for "
-                                 "w=%d; the family is not PBW" % w)
-        if found is not None and found != e:
-            raise ValueError("witness-dependent e_w for w=%d" % w)
-        found = e
-    if found is None:
+    # (left side, entry of x - w(x)) at every basis vector and position
+    pairs = [(lhs + ag[j][r], (1 if r == j else 0) - vm[r][j])
+             for j in range(nv)
+             for r, lhs in enumerate(linalg.mat_vec(vg, aw[j]))]
+    first = next((p for p in pairs if p[1]), None)
+    if first is None:
         raise ValueError("every basis vector is fixed by w=%d" % w)
-    return found
+    e = rational(first[0] * reciprocal(first[1]))
+    if any(lhs != e * d for lhs, d in pairs):
+        raise ValueError("no scalar solves the e_w identity for w=%d; the "
+                         "family is not PBW" % w)
+    return e
 
 
 # --------------------------------------------------------------------------
@@ -261,22 +257,12 @@ class GroupAlgebraClassFunction(Terms):
     def from_element_map(cls, group, emap):
         """Validate class-constancy of a per-element coefficient map."""
         coeffs = {}
-        for w, c in emap.items():
-            name = group.class_name_of_element(w)
-            if name in coeffs:
-                if coeffs[name] != c:
-                    raise ValueError(
-                        f"coefficients not constant on class {name!r}")
-            else:
-                coeffs[name] = c
-        for name, c in coeffs.items():
-            if not c:
-                continue
-            ci = group.class_names.index(name)
-            for w in group.conjugacy_classes[ci]:
-                if emap.get(w, 0) != c:
-                    raise ValueError(
-                        f"coefficients not constant on class {name!r}")
+        for name, cl in zip(group.class_names, group.conjugacy_classes):
+            c = emap.get(cl[0], 0)
+            if any(emap.get(w, 0) != c for w in cl):
+                raise ValueError(
+                    f"coefficients not constant on class {name!r}")
+            coeffs[name] = c
         return cls(group, coeffs)
 
     def coefficient(self, w):

@@ -439,11 +439,9 @@ def _invariant_generators(group, matrices):
 
         extend(0, d, {tuple([0] * n): 1})
         basis = linalg.column_space_basis([v for v in prods if any(x for x in v)])
-        pick = None
-        for v in inv_vecs:
-            if not linalg.in_span(basis, v):
-                pick = v
-                break
+        pivots = linalg.leading(basis)
+        pick = next((v for v in inv_vecs
+                     if linalg.span_coords(basis, pivots, v) is None), None)
         if pick is None:
             raise AssertionError(f"no new invariant of degree {d}")
         chosen.append((poly.from_vector(pick, monos), d))

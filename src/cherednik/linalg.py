@@ -6,11 +6,22 @@ CyclotomicScalars mix freely; division goes through scalars.reciprocal,
 never through `/`, which would turn two ints into a float.  rref, the one
 elimination, works on sparse rows, on integers when the input is rational;
 a CyclotomicScalar is never rational-valued, so a matrix of rational
-values always takes that path.  Its results, and those of nullspace,
-solve and inverse built on it, are in the rational form of scalars.py (an
-int when integral) and hold every zero as the int 0.  Everything is
-exact; there is no pivoting for numerical stability because there is no
+values always takes that path.  Its results, and those of nullspace
+and inverse built on it, are in the rational form of scalars.py (an int
+when integral) and hold every zero as the int 0.  Everything is exact;
+there is no pivoting for numerical stability because there is no
 rounding.
+
+The subspace idiom: a subspace is eliminated once, into reduced echelon
+rows (column_space_basis) or a nullspace basis (nullspace).  Either
+basis is 1 at one pivot per vector, where every other basis vector is
+0: an echelon row at its `leading` column, a nullspace vector at its
+`free_columns` entry.  So the coordinates of a vector in the span are
+its entries at the pivots, and span_coords answers membership and
+coordinates in one pass over the basis, with no elimination per vector.
+The helpers: rref, rank, nullspace, inverse; column_space_basis,
+leading, free_columns, span_coords and subspace_intersection on
+subspaces; psd_report for positivity.
 
 The identity rule: the products (mat_mul, mat_vec, and add_kron, the one
 Kronecker kernel) and add_into skip zero entries, multiply only by
@@ -252,23 +263,6 @@ def nullspace(m):
     return basis
 
 
-def solve(m, b):
-    """One exact solution of m x = b, or None if inconsistent.
-
-    Free variables are set to zero.  Works for overdetermined systems.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [list(m[i]) + [b[i]] for i in range(rows)]
-    a, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [0] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = a[i][cols]
-    return x
-
-
 def inverse(m):
     n = len(m)
     aug = [list(m[i]) + identity(n)[i] for i in range(n)]
@@ -288,16 +282,32 @@ def column_space_basis(vectors):
     return [a[i] for i in range(len(pivots))]
 
 
-def coords_in_span(basis, v):
-    """Coefficients writing v in the given basis, or None if outside."""
-    if not basis:
-        return None if any(x for x in v) else []
-    m = transpose([list(bv) for bv in basis])
-    return solve(m, list(v))
+def leading(rows):
+    """Pivot columns of reduced echelon rows: each row's first nonzero."""
+    return [next(i for i, x in enumerate(u) if x) for u in rows]
 
 
-def in_span(basis, v):
-    return coords_in_span(basis, v) is not None
+def free_columns(basis):
+    """Free columns of a nullspace basis: vector f is 1 at free column f
+    and zero past it (a pivot row's entry at f is nonzero only when its
+    pivot precedes f), so f is its last nonzero."""
+    return [max(i for i, x in enumerate(v) if x) for v in basis]
+
+
+def span_coords(basis, pivots, v):
+    """Coefficients writing v in `basis`, or None if v lies outside its
+    span.  Basis vector i is 1 at pivots[i], where every other one is 0,
+    so the coefficients are v's entries at the pivots; v is in the span
+    exactly when v minus their combination is 0.  An empty basis gives
+    [] for v = 0 and None otherwise."""
+    coords = [v[p] for p in pivots]
+    rest = list(v)
+    for a, u in zip(coords, basis):
+        if a:
+            for j, x in enumerate(u):
+                if x:
+                    rest[j] = rest[j] - (x if a == 1 else a * x)
+    return None if any(rest) else coords
 
 
 def subspace_intersection(abasis, bbasis):

@@ -14,6 +14,14 @@ degree k, exterior degree l) of module (x) wedge(h), whose W-types
 cell_multiplicity reads off the module's character, and is applied to a
 basis of ker D^2 by block products; every matrix is exact.  Once
 clifford.pin_cover_holds, w acts on wedge^l(h) as wedge^l(w) (_wedge).
+
+The module protocol: DiracOperatorMatrix, dirac_cohomology,
+cell_multiplicity and contravariant_form read a module only through
+`group`, `n`, `sigma`, `kind`, `K`, `family.params`, `finite` (whether
+the module ends by degree K), `degrees()`, `piece_dim(k)`,
+`character(k)` and the blocks `x_block(i, k)`, `y_block(i, k)` and
+`w_block(w, k)`; contravariant_form also reads `ideal`, `dim_sigma` and
+`rep`.  GradedModule is the one implementation.
 """
 
 import math
@@ -129,6 +137,11 @@ class GradedModule:
     def selected(self, k):
         """Positions of the kept degree-k monomials."""
         return self._section(k)[0] if k >= 0 else []
+
+    @property
+    def finite(self):
+        """Whether the module ends by degree K: degree K + 1 is empty."""
+        return not self.selected(self.K + 1)
 
     def piece_dim(self, k):
         return len(self.selected(k)) * self.dim_sigma
@@ -444,29 +457,17 @@ def cell_multiplicity(module, k, l, mu):
         module.character(k), _wedge_char(g, l))], mu)
 
 
-def _leading(rows):
-    """Pivot columns of reduced echelon rows: each row's first nonzero."""
-    return [next(i for i, x in enumerate(u) if x) for u in rows]
-
-
-def _free_columns(basis):
-    """Free columns of a linalg.nullspace basis: vector f is 1 at free
-    column f and zero past it (a pivot row's entry at f is nonzero only
-    when its pivot precedes f), so f is its last nonzero."""
-    return [max(i for i, x in enumerate(v) if x) for v in basis]
-
-
 def _span_character(basis, pivots, blocks, classes):
     """Character, one value per conjugacy class, of the span of `basis`.
 
     Precondition: `basis` spans a W-stable subspace, and u_i is 1 at
     position pivots[i], where every other basis vector is 0: reduced
-    echelon rows at their _leading columns (linalg.column_space_basis), or
-    a linalg.nullspace basis at its _free_columns.  `blocks` lists (offset,
-    matrices of the class representatives) for the W-stable coordinate
-    blocks, by increasing offset.  Then (w u_i)[p_i] is the coefficient of
-    u_i in w u_i and tr(w) = sum_i (w u_i)[p_i]: one matrix row per basis
-    vector and no solve.
+    echelon rows at their linalg.leading columns, or a linalg.nullspace
+    basis at its linalg.free_columns.  `blocks` lists (offset, matrices of
+    the class representatives) for the W-stable coordinate blocks, by
+    increasing offset.  Then (w u_i)[p_i] is the coefficient of u_i in
+    w u_i and tr(w) = sum_i (w u_i)[p_i]: one matrix row per basis vector
+    and no solve.
     """
     chi = [0] * classes
     for u, p in zip(basis, pivots):
@@ -536,8 +537,7 @@ def dirac_cohomology(module):
     reports the zero-scalar window and image_dim = dim D(Z).
     A t = 0 module that goes on past K has no such window: ValueError.
     """
-    finite = not module.selected(module.K + 1)
-    if not finite and module.family.params["t"] == 0:
+    if not module.finite and module.family.params["t"] == 0:
         raise ValueError(f"a t = 0 module must end by degree K = {module.K}")
     want = _zero_scalar_cells(module)
     dirac = DiracOperatorMatrix(module)
@@ -565,8 +565,8 @@ def dirac_cohomology(module):
             raise AssertionError(
                 f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
                 f"its zero-scalar isotypics {want[cell]}")
-        chi = _span_character(zero, _free_columns(zero), [(0, wmats[cell])],
-                              classes)
+        chi = _span_character(zero, linalg.free_columns(zero),
+                              [(0, wmats[cell])], classes)
         chi_z = [a + b for a, b in zip(chi_z, chi)]
         col, off = len(zbasis), offsets[cell]
         zbasis.extend([0] * off + v + [0] * (total - off - len(v))
@@ -590,13 +590,13 @@ def dirac_cohomology(module):
 
     blocks = [(offsets[cell], wmats[cell]) for cell in cellset]
     chi_h = [2 * a - b for a, b in zip(
-        _span_character(ker, _leading(ker), blocks, classes), chi_z)]
+        _span_character(ker, linalg.leading(ker), blocks, classes), chi_z)]
     chi_cells = {}
     for cell in cellset:
         off = offsets[cell]
         end = off + dirac.cell_dim(*cell)
         coords = linalg.column_space_basis([v[off:end] for v in ker])
-        chi_cells[cell] = _span_character(coords, _leading(coords),
+        chi_cells[cell] = _span_character(coords, linalg.leading(coords),
                                           [(0, wmats[cell])], classes)
 
     entries = []
@@ -607,7 +607,7 @@ def dirac_cohomology(module):
                 cell for cell in cellset
                 if _multiplicity(g, chi_cells[cell], mu)]})
     overlap_dim = len(zbasis) - len(ker)
-    window = dirac.cells() if finite else cellset
+    window = dirac.cells() if module.finite else cellset
     return {
         "group": g.catalogue_id,
         "kind": module.kind,
@@ -615,7 +615,7 @@ def dirac_cohomology(module):
         "H_D": entries,
         "kernel_dim": len(ker),
         "image_dim": (sum(dirac.cell_dim(*cell) for cell in window)
-                      - len(ker) if finite else overlap_dim),
+                      - len(ker) if module.finite else overlap_dim),
         "overlap_dim": overlap_dim,
         "window": [list(cell) for cell in window],
     }

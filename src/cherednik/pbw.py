@@ -16,7 +16,7 @@ inserts x_j past y^b, then past w, then into x^a.
 
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, poly
 from .clifford import CliffordAlgebra, polarized_algebra
 from .poly import Terms, acc, substitute_linear
 from .scalars import rational, real_sign, reciprocal, scalar_str
@@ -623,10 +623,13 @@ def pbw_check(family):
             continue
         kern = linalg.nullspace(family.forms[w])
         # a vector of one subspace outside the other, which exists exactly
-        # when the two differ
-        witness = next(((v, mine, other) for basis, span, mine, other in (
-            (kern, fixed, "ker a_w", "V^w"), (fixed, kern, "V^w", "ker a_w"))
-            for v in basis if not linalg.in_span(span, v)), None)
+        # when the two differ; a nullspace basis is read at its free columns
+        sides = [(kern, linalg.free_columns(kern), "ker a_w"),
+                 (fixed, linalg.free_columns(fixed), "V^w")]
+        witness = next(((v, mine, other)
+                        for (basis, _, mine), (span, pivots, other)
+                        in (sides, sides[::-1]) for v in basis
+                        if linalg.span_coords(span, pivots, v) is None), None)
         if witness is None:
             continue
         if len(kern) != len(fixed):
@@ -648,24 +651,19 @@ def pbw_check(family):
             linalg.transpose(linalg.mat_sub(vm, linalg.identity(nv))))
         if len(moved) != 2:
             continue  # already reported under condition 2
+        pivots = linalg.leading(moved)
         for h in range(group.order):
             if group.mult(h, w) != group.mult(w, h):
                 continue
             hm = family.v_matrix(h)
-            cols = []
-            for bvec in moved:
-                img = linalg.mat_vec(hm, bvec)
-                co = linalg.coords_in_span(moved, img)
-                if co is None:
-                    cols = None
-                    break
-                cols.append(co)
-            if cols is None:
+            cols = [linalg.span_coords(moved, pivots, linalg.mat_vec(hm, u))
+                    for u in moved]
+            if None in cols:
                 failures.append({"condition": 3, "w": w, "h": h,
                                  "detail": "h=%d does not preserve the moved "
                                            "plane of w=%d" % (h, w)})
                 continue
-            det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
+            det = poly.det(cols)
             if det != 1:
                 failures.append({"condition": 3, "w": w, "h": h, "det": det,
                                  "detail": "det of h=%d on the moved plane of "

@@ -4,9 +4,9 @@ The rational form: a rational value is an int when it is integral and a
 Fraction only when its denominator is > 1 (never a float, never a
 Fraction with denominator 1); rational() puts a value in that form.  It
 holds for parsed scalars and reciprocal() here, for the sums of poly.acc,
-for the results of linalg's rref, nullspace, solve and inverse, and for
-the catalogue's group data, and for every cyclotomic result whose value
-is rational.  Matrix products (linalg.mat_mul, add_kron) skip the
+for the results of linalg's rref, nullspace and inverse, and for the
+catalogue's group data, and for every cyclotomic result whose value is
+rational.  Matrix products (linalg.mat_mul, add_kron) skip the
 check on their hot paths, so module matrices may hold integral Fractions;
 rref accepts them.  Python's int does the same arithmetic as Fraction in
 C, and most rationals met here (group matrices, unit coefficients, c = 1

@@ -22,10 +22,12 @@ The group-algebra Casimir scalar N_c(sigma) is summed reflection by
 reflection at each c, as the library did before it kept one linear form
 in c per irrep, and products of central class functions over all |W|^2
 pairs of elements, as the library did before it read them per class.
-The kernel search is kept in its full forms: every raw key in every
-Z-degree, filtered afterwards; d on a unit key by two full H (x) C(V)
-products; and a column id per raw key by forming its W-average and
-comparing it up to scale with the earlier ones, with no orbit mates.
+Span coordinates are found by one solve of the transposed system per
+vector (solve, coords_in_span).  The kernel search is kept in its full
+forms: every raw key in every Z-degree, filtered afterwards; d on a unit
+key by two full H (x) C(V) products; and a column id per raw key by
+forming its W-average and comparing it up to scale with the earlier
+ones, with no orbit mates.
 Tests compare library output against these.  The last section holds the
 canonical term lists of H (x) C(V) elements and central class functions
 that tests/golden/kernel_witnesses.json stores.
@@ -159,6 +161,29 @@ def domain_matrix_sympy(rows, ncols, n):
 
     return DomainMatrix([[entry(x) for x in row] for row in rows],
                         (len(rows), ncols), field)
+
+
+def solve(m, b):
+    """One exact solution of m x = b by one rref of the augmented matrix,
+    free variables set to zero, or None if inconsistent."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a, pivots = linalg.rref([list(m[i]) + [b[i]] for i in range(rows)])
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for i, pc in enumerate(pivots):
+        x[pc] = a[i][cols]
+    return x
+
+
+def coords_in_span(basis, v):
+    """Coefficients writing v in the given basis, or None if outside: one
+    solve of the transposed system per vector, as the library answered
+    span questions before it read them at the pivots (linalg.span_coords)."""
+    if not basis:
+        return None if any(x for x in v) else []
+    return solve(linalg.transpose([list(u) for u in basis]), list(v))
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,25 @@ def test_e_w_identity_is_degenerate():
         compute_e_w(fam, 0)
 
 
+def test_e_w_identity_is_checked_at_fixed_vectors():
+    # on B2 the reflection w = 2 fixes the basis vectors x1 and y1, where
+    # the left side must vanish; a_w(x1, y1) = 1 leaves the rows of the
+    # moved basis vectors, and so their witness e_w = 0, unchanged, and
+    # breaks the identity at x1 alone
+    fam = c_fam("B2", 1, 1)
+    w = 2
+    vm = fam.v_matrix(w)
+    assert [j for j in range(fam.nv) if all(
+        vm[r][j] == (r == j) for r in range(fam.nv))] == [0, 1]
+    assert compute_e_w(fam, w) == 0
+    forms = {u: [list(row) for row in m] for u, m in fam.forms.items()}
+    forms[w][0][1] = 1
+    bad = FormFamily(fam.group, forms)
+    with pytest.raises(ValueError, match="no scalar solves the e_w identity "
+                                         "for w=2"):
+        compute_e_w(bad, w)
+
+
 def test_e_w_gaha_matches_dual_form_pair_sums():
     # -e_w = sum over ordered pairs of distinct positive roots with
     # s_al s_be = w of k_al k_be <al, be>_{B*}
@@ -379,8 +398,18 @@ def test_class_function_constancy_validation():
     g = build_group("B2")
     refl = [r.element_index for r in g.reflections]
     bad = {refl[0]: Fraction(1)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coefficients not constant on "
+                                         "class"):
         GroupAlgebraClassFunction.from_element_map(g, bad)
+    # a class-constant map, zeros and all, is accepted and read per class
+    name = g.class_name_of_element(refl[0])
+    cl = g.conjugacy_classes[g.class_names.index(name)]
+    good = dict.fromkeys(cl, Fraction(1, 3))
+    good[0] = 0
+    f = GroupAlgebraClassFunction.from_element_map(g, good)
+    assert f.coefficients == {name: Fraction(1, 3)}
+    assert [f.coefficient(w) for w in range(g.order)] == [
+        Fraction(1, 3) if w in cl else 0 for w in range(g.order)]
 
 
 def test_group_algebra_casimir_closed_form():

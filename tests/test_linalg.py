@@ -47,20 +47,29 @@ def test_rank_and_nullspace_against_sympy():
             assert la.rank(stacked) == len(ns)
 
 
-def test_solve_consistent_and_inconsistent():
+def test_span_coords_inside_and_outside():
+    # both kinds of basis: reduced rows at their leading columns and a
+    # nullspace basis at its free columns
     rng = random.Random(3)
     for _ in range(12):
         r = rng.randrange(1, 6)
         c = rng.randrange(1, 6)
         m = rand_mat(rng, r, c)
-        x = [F(rng.randrange(-4, 5)) for _ in range(c)]
-        b = la.mat_vec(m, x)
-        got = la.solve(m, b)
-        assert got is not None
-        assert la.mat_vec(m, got) == b
-    # inconsistent: 0 = 1
-    assert la.solve([[F(0)]], [F(1)]) is None
-    assert la.solve([[F(1)], [F(1)]], [F(1), F(2)]) is None
+        rows = la.column_space_basis(m)
+        ns = la.nullspace(m)
+        for basis, pivots in ((rows, la.leading(rows)),
+                              (ns, la.free_columns(ns))):
+            x = [F(rng.randrange(-4, 5)) for _ in basis]
+            v = [sum((a * u[j] for a, u in zip(x, basis)), F(0))
+                 for j in range(c)]
+            assert la.span_coords(basis, pivots, v) == x
+            if len(basis) < c:
+                # a vector outside: zero at every pivot, nonzero elsewhere
+                out = [F(0)] * c
+                out[next(j for j in range(c) if j not in pivots)] = F(1)
+                assert la.span_coords(basis, pivots, out) is None
+    assert la.span_coords([], [], [F(0), 0]) == []
+    assert la.span_coords([], [], [F(0), F(1)]) is None
 
 
 def test_inverse():
@@ -104,18 +113,20 @@ def test_column_space_and_intersection():
     bcols = la.transpose(b)
     inter = la.subspace_intersection(acols, bcols)
     assert len(inter) == 1
-    assert la.in_span(acols, inter[0])
-    assert la.in_span(bcols, inter[0])
+    for cols in (acols, bcols):
+        basis = la.column_space_basis(cols)
+        assert la.span_coords(basis, la.leading(basis), inter[0]) is not None
     # intersection of x-axis and y-axis is zero
     assert la.subspace_intersection([[F(1), F(0)]], [[F(0), F(1)]]) == []
 
 
 def test_in_span_and_coords():
-    basis = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
-    v = [F(2), F(3), F(1)]
-    coords = la.coords_in_span(basis, v)
-    assert coords == [F(2), F(1)]
-    assert la.coords_in_span(basis, [F(0), F(0), F(1)]) is None
+    basis = la.column_space_basis([[F(1), F(1), F(0)], [F(0), F(1), F(1)]])
+    assert basis == [[1, 0, -1], [0, 1, 1]]
+    pivots = la.leading(basis)
+    assert pivots == [0, 1]
+    assert la.span_coords(basis, pivots, [F(2), F(3), F(1)]) == [2, 3]
+    assert la.span_coords(basis, pivots, [F(0), F(0), F(1)]) is None
 
 
 def psd_value(g, v):

@@ -2,8 +2,10 @@
 
 Seeded sparse matrices up to 12 x 15 (about 30 % nonzero, some rows made
 dependent on earlier ones) over Q, Q(zeta_5) and Q(zeta_12) go through
-rref, nullspace, solve and inverse, and every result is compared by value
-with sympy's DomainMatrix over the same field.  Tall matrices shaped like
+rref, nullspace and inverse, and every result is compared by value with
+sympy's DomainMatrix over the same field.  span_coords is compared with
+sympy and with the solve it replaced (oracles.coords_in_span) on both
+kinds of reduced basis those matrices give.  Tall matrices shaped like
 those of the kernel decomposition (60-150 rows, 20-40 columns, about 5 %
 nonzero, rank-deficient) go through rref the same way.  The matrices mix
 ints with Fractions, integral Fractions included; every integral entry of
@@ -18,7 +20,7 @@ import pytest
 from cherednik import linalg
 from cherednik.scalars import CyclotomicScalar, reduce
 
-from oracles import cyclotomic_coeffs, domain_matrix_sympy
+from oracles import coords_in_span, cyclotomic_coeffs, domain_matrix_sympy
 
 CONDUCTORS = (1, 5, 12)
 SEEDS = range(8)
@@ -147,28 +149,53 @@ def test_rref_of_integral_fractions_is_in_rational_form():
     _assert_rational_form(a, 1)
 
 
+def _sympy_coords(basis, v, n):
+    """Coordinates of v in the independent vectors `basis`, read off
+    sympy's rref of the augmented, transposed system, or None."""
+    size = len(basis)
+    aug = [[u[i] for u in basis] + [x] for i, x in enumerate(v)]
+    want, pivots = _oracle(aug, size + 1, n).rref()
+    if size in pivots:
+        return None
+    assert list(pivots) == list(range(size))
+    return [row[size] for row in want.to_list()[:size]]
+
+
 @pytest.mark.parametrize("n", CONDUCTORS)
-def test_solve_matches_sympy(n):
+def test_span_coords_matches_sympy(n):
+    # span_coords against the solve it replaced (oracles.coords_in_span)
+    # and against sympy, on reduced rows at their leading columns, on
+    # nullspace bases at their free columns and on the empty basis, for
+    # vectors inside and outside the span
+    inside = outside = 0
     for rng, m, rows, cols in _cases(n):
-        if rng.random() < 0.5:
-            x0 = [_entry(rng, n) for _ in range(cols)]
-            b = linalg.mat_vec(m, x0)
-        else:
-            b = [_entry(rng, n) for _ in range(rows)]
-        aug = [row + [y] for row, y in zip(m, b)]
-        want, pivots = _oracle(aug, cols + 1, n).rref()
-        x = linalg.solve(m, b)
-        if cols in pivots:
-            assert x is None
-            continue
-        # free variables are zero, so x is read off sympy's rref
-        expect = [0] * cols
-        for i, pc in enumerate(pivots):
-            expect[pc] = want.to_list()[i][cols]
-        field = want.domain
-        assert _oracle([x], cols, n).to_list()[0] == [
-            field.convert(v) for v in expect]
-        _assert_rational_form([x], n)
+        echelon = linalg.column_space_basis(m)
+        kernel = linalg.nullspace(m)
+        _, want_pivots = _oracle(m, cols, n).rref()
+        assert linalg.leading(echelon) == list(want_pivots)
+        assert linalg.free_columns(kernel) == [
+            j for j in range(cols) if j not in want_pivots]
+        for basis, pivots in ((echelon, linalg.leading(echelon)),
+                              (kernel, linalg.free_columns(kernel)),
+                              ([], [])):
+            x = [_entry(rng, n) for _ in basis]
+            combo = [sum((a * u[j] for a, u in zip(x, basis)), 0)
+                     for j in range(cols)]
+            assert linalg.span_coords(basis, pivots, combo) == x
+            other = [_entry(rng, n) if rng.random() < 0.5 else 0
+                     for _ in range(cols)]
+            for v in (combo, other):
+                got = linalg.span_coords(basis, pivots, v)
+                assert got == coords_in_span(basis, v)
+                want = _sympy_coords(basis, v, n)
+                if want is None:
+                    outside += 1
+                    assert got is None
+                    continue
+                inside += 1
+                assert [_oracle([[a]], 1, n).to_list()[0][0]
+                        for a in got] == want
+    assert inside and outside
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)

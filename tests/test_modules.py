@@ -17,8 +17,6 @@ from cherednik.groups import (
 from cherednik.modules import (
     DiracOperatorMatrix,
     GradedModule,
-    _free_columns,
-    _leading,
     _span_character,
     _sym_char,
     _wedge_char,
@@ -538,8 +536,10 @@ def _z_character_agrees(d, cell):
     reps = [cl[0] for cl in d.module.group.conjugacy_classes]
     blocks = [(0, [d.w_cell(w, *cell) for w in reps])]
     echelon = linalg.column_space_basis(zero)
-    fast = _span_character(zero, _free_columns(zero), blocks, len(reps))
-    slow = _span_character(echelon, _leading(echelon), blocks, len(reps))
+    fast = _span_character(zero, linalg.free_columns(zero), blocks,
+                           len(reps))
+    slow = _span_character(echelon, linalg.leading(echelon), blocks,
+                           len(reps))
     return zero, fast == slow
 
 
