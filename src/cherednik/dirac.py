@@ -344,18 +344,14 @@ def casimir_scalar(sigma, c, group):
 # bounded-degree kernel decomposition
 
 
-def _coords(elems):
-    """Exact coordinate matrix of tensor elements; columns are elements."""
-    index = {}
-    for e in elems:
-        for k in e.terms:
-            if k not in index:
-                index[k] = len(index)
-    mat = [[0] * len(elems) for _ in range(len(index))]
+def _rows(elems):
+    """The coordinate matrix of tensor elements as sparse rows, one per
+    term key in first-use order; column j holds elems[j]."""
+    rows = {}
     for j, e in enumerate(elems):
         for k, c in e.terms.items():
-            mat[index[k]][j] = c
-    return mat
+            rows.setdefault(k, {})[j] = c
+    return list(rows.values())
 
 
 def _candidate_keys(group, cap, degrees):
@@ -519,7 +515,9 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     side); without one, a fresh search is built and dropped with the
     call.  One elimination runs over [d(b) | Delta(w) | z], one b per
     average up to scale, in the order this call's raw keys first reach
-    it, so s and b do not depend on what the search already holds.  Nor do
+    it, so s and b do not depend on what the search already holds.  Its
+    rows are sparse, one per term key, read straight off the term maps
+    (_rows); s and b are read off the z entries of the pivot rows.  Nor do
     they depend on a column's scale: rescaling b leaves the pivots alone
     and rescales b's coefficient inversely.  A raw key whose average is a
     multiple of an earlier one would add a column that is never a pivot,
@@ -565,24 +563,22 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     # Delta column is a pivot, i.e. span Delta meets span d(b) in zero
     nd = len(cols)
     ncols = nd + g.order
-    reduced, pivots = linalg.rref(_coords([db for _, db in cols] + deltas
-                                          + [z]))
+    reduced, pivots = linalg.rref(_rows([db for _, db in cols] + deltas
+                                        + [z]))
     if ncols in pivots:
         raise CapExceeded("no decomposition at this degree cap; raise "
                           "degree_cap", "degree_cap")
     if not set(range(nd, ncols)) <= set(pivots):
         raise ValueError("group-algebra block meets the derivation image; "
                          "the decomposition would not be unique")
-    # free coordinates stay zero, so each pivot reads off directly
-    sol = [0] * ncols
-    for row, p in zip(reduced, pivots):
-        sol[p] = row[ncols]
-    emap = {w: sol[nd + w] for w in range(g.order) if sol[nd + w]}
+    # free coordinates stay zero, so each pivot reads off its z entry
+    sol = {p: row[ncols] for row, p in zip(reduced, pivots) if ncols in row}
+    emap = {p - nd: c for p, c in sol.items() if p >= nd}
     s = GroupAlgebraClassFunction.from_element_map(g, emap)
     b = None
-    for (bc, _), c in zip(cols, sol):
-        if c:
-            term = c * bc
+    for p, c in sol.items():
+        if p < nd:
+            term = c * cols[p][0]
             b = term if b is None else b + term
     if b is None:
         b = TensorElement(family, family.clifford, {})

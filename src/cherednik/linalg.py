@@ -1,16 +1,19 @@
 """Exact linear algebra over rational and cyclotomic entries.
 
-Matrices are dense lists of rows and vectors are lists.  Entries only need
-+, -, *, equality and truthiness-as-nonzero, so ints, Fractions and
-CyclotomicScalars mix freely; division goes through scalars.reciprocal,
-never through `/`, which would turn two ints into a float.  rref, the one
-elimination, works on sparse rows, on integers when the input is rational;
-a CyclotomicScalar is never rational-valued, so a matrix of rational
-values always takes that path.  Its results, and those of nullspace
-and inverse built on it, are in the rational form of scalars.py (an int
-when integral) and hold every zero as the int 0.  Everything is exact;
-there is no pivoting for numerical stability because there is no
-rounding.
+rref, the one elimination, takes and returns sparse rows, {column:
+nonzero} dicts; it also reads a dense row, a list.  The other helpers
+take and return dense matrices, lists of rows, and vectors, lists, since
+their inputs (group matrices, forms, module blocks) are small.  Entries
+only need +, -, *, equality and truthiness-as-nonzero, so ints, Fractions
+and CyclotomicScalars mix freely; division goes through
+scalars.reciprocal, never through `/`, which would turn two ints into a
+float.  rref eliminates on integers when the input is rational; a
+CyclotomicScalar is never rational-valued, so a matrix of rational values
+always takes that path.  Its results, and those of nullspace and inverse
+built on it, are in the rational form of scalars.py (an int when
+integral), and a dense result holds every zero as the int 0.  Everything
+is exact; there is no pivoting for numerical stability because there is
+no rounding.
 
 The subspace idiom: a subspace is eliminated once, into reduced echelon
 rows (column_space_basis) or a nullspace basis (nullspace).  Either
@@ -172,22 +175,24 @@ def _cancel_field(row, piv, c):
 
 
 def rref(m):
-    """Reduced row echelon form; returns (matrix, pivot column list).
+    """Reduced row echelon form of the rows m: (pivot rows, pivot columns).
 
-    Rows are eliminated as sparse {column: nonzero} dicts.  Rational input
-    (ints and Fractions: every rational value) becomes primitive integer
-    rows and is eliminated fraction-free, every step staying in Z
-    (Bareiss, Math. Comp. 1968), each new row divided by its content; a
-    Fraction is formed only when a pivot row is divided by its pivot on
-    the way out.  Other input divides each pivot row by its pivot once,
-    one reciprocal per row.  At each column the sparsest candidate row
-    becomes the pivot row, which limits fill-in; the reduced form is
-    unique, so that choice does not show in the result.  Rational entries
-    of the result are in the rational form and every zero is the int 0.
+    A row is a sparse {column: value} dict, or a dense list, which is read
+    into one; zero values are dropped either way.  Rational input (ints
+    and Fractions: every rational value) becomes primitive integer rows
+    and is eliminated fraction-free, every step staying in Z (Bareiss,
+    Math. Comp. 1968), each new row divided by its content; a Fraction is
+    formed only when a pivot row is divided by its pivot on the way out.
+    Other input divides each pivot row by its pivot once, one reciprocal
+    per row.  At each column the sparsest candidate row becomes the pivot
+    row, which limits fill-in; the reduced form is unique, so that choice
+    does not show in the result.  Only the pivot rows come back, in pivot
+    order, as {column: nonzero} dicts (1 at their pivot) whose rational
+    entries are in the rational form.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    live = [{j: x for j, x in enumerate(row) if x} for row in m if any(row)]
+    live = [{j: x for j, x in (row.items() if type(row) is dict
+                               else enumerate(row)) if x} for row in m]
+    live = [row for row in live if row]
     over_q = {type(x) for row in live
               for x in row.values()} <= {int, Fraction}
     if over_q:
@@ -211,7 +216,11 @@ def rref(m):
             piv[c] = 1
         for row in group:
             if row is not first:
-                row = cancel(row, piv, c)
+                if len(piv) == 1:
+                    # a unit pivot row only clears column c
+                    del row[c]
+                else:
+                    row = cancel(row, piv, c)
                 if row:
                     waiting.setdefault(min(row), []).append(row)
         pivots.append(c)
@@ -223,20 +232,12 @@ def rref(m):
         for c in [j for j in row if j in at and j != pivots[k]]:
             row = cancel(row, prows[at[c]], c)
         prows[k] = row
-    out = []
-    for c, row in zip(pivots, prows):
-        dense = [0] * cols
-        if over_q:
+    if over_q:
+        for k, (c, row) in enumerate(zip(pivots, prows)):
             p = row[c]
-            for j, x in row.items():
-                q, r = divmod(x, p)
-                dense[j] = Fraction(x, p) if r else q
-        else:
-            for j, x in row.items():
-                dense[j] = x
-        out.append(dense)
-    out.extend([0] * cols for _ in range(rows - len(pivots)))
-    return out, pivots
+            prows[k] = {j: Fraction(x, p) if x % p else x // p
+                        for j, x in row.items()}
+    return prows, pivots
 
 
 def rank(m):
@@ -247,29 +248,27 @@ def nullspace(m):
     """Basis of the right kernel, one vector per free column."""
     if not m:
         return []
-    a, pivots = rref(m)
+    rows, pivots = rref(m)
     cols = len(m[0])
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = [0] * cols
+    taken = set(pivots)
+    basis = {f: [0] * cols for f in range(cols) if f not in taken}
+    for f, v in basis.items():
         v[f] = 1
-        for i, pc in enumerate(pivots):
-            if a[i][f]:
-                v[pc] = -a[i][f]
-        basis.append(v)
-    return basis
+    # a pivot row's entries off its pivot lie in free columns
+    for pc, row in zip(pivots, rows):
+        for f, x in row.items():
+            if f != pc:
+                basis[f][pc] = -x
+    return list(basis.values())
 
 
 def inverse(m):
     n = len(m)
-    aug = [list(m[i]) + identity(n)[i] for i in range(n)]
-    a, pivots = rref(aug)
+    rows, pivots = rref([{**dict(enumerate(row)), n + i: 1}
+                         for i, row in enumerate(m)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in a]
+    return [[row.get(j, 0) for j in range(n, 2 * n)] for row in rows]
 
 
 # --- subspace utilities -----------------------------------------------------
@@ -278,8 +277,8 @@ def column_space_basis(vectors):
     """Echelonized basis of the span of the given vectors."""
     if not vectors:
         return []
-    a, pivots = rref([list(v) for v in vectors])
-    return [a[i] for i in range(len(pivots))]
+    cols = len(vectors[0])
+    return [[row.get(j, 0) for j in range(cols)] for row in rref(vectors)[0]]
 
 
 def leading(rows):

@@ -130,7 +130,8 @@ class GradedModule:
             for j, i in enumerate(kept):
                 normal[i] = {j: 1}
             for p, row in zip(pivots, red):
-                normal[p] = {j: -row[i] for j, i in enumerate(kept) if row[i]}
+                normal[p] = {j: -row[i] for j, i in enumerate(kept)
+                             if i in row}
             sections.append((kept, normal))
         return sections[k]
 

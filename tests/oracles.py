@@ -22,12 +22,13 @@ The group-algebra Casimir scalar N_c(sigma) is summed reflection by
 reflection at each c, as the library did before it kept one linear form
 in c per irrep, and products of central class functions over all |W|^2
 pairs of elements, as the library did before it read them per class.
-Span coordinates are found by one solve of the transposed system per
-vector (solve, coords_in_span).  The kernel search is kept in its full
-forms: every raw key in every Z-degree, filtered afterwards; d on a unit
-key by two full H (x) C(V) products; and a column id per raw key by
-forming its W-average and comparing it up to scale with the earlier
-ones, with no orbit mates.
+The elimination is kept dense in and dense out (rref_dense), and span
+coordinates are found by one solve of the transposed system per vector
+(solve, coords_in_span).  The kernel search is kept in its full forms:
+every raw key in every Z-degree, filtered afterwards; d on a unit key by
+two full H (x) C(V) products; a column id per raw key by forming its
+W-average and comparing it up to scale with the earlier ones, with no
+orbit mates; and the dense coordinate matrix of its elements (coords).
 Tests compare library output against these.  The last section holds the
 canonical term lists of H (x) C(V) elements and central class functions
 that tests/golden/kernel_witnesses.json stores.
@@ -163,12 +164,69 @@ def domain_matrix_sympy(rows, ncols, n):
                         (len(rows), ncols), field)
 
 
+def rref_dense(m):
+    """Reduced row echelon form of a dense matrix; returns (matrix, pivot
+    column list), the matrix padded with zero rows to m's shape.  The
+    library's rref before it took and returned sparse rows: each row is
+    read into a {column: nonzero} dict, eliminated through linalg's
+    cancellation steps, and written back out dense."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    live = [{j: x for j, x in enumerate(row) if x} for row in m if any(row)]
+    over_q = {type(x) for row in live
+              for x in row.values()} <= {int, Fraction}
+    if over_q:
+        live = [linalg._primitive(row) for row in live]
+    cancel = linalg._cancel_int if over_q else linalg._cancel_field
+    waiting = {}
+    for row in live:
+        waiting.setdefault(min(row), []).append(row)
+    pivots, prows = [], []
+    while waiting:
+        c = min(waiting)
+        group = waiting.pop(c)
+        first = min(group, key=len)
+        piv = first
+        p = piv[c]
+        if not over_q and p != 1:
+            inv = reciprocal(p)
+            piv = {j: rational(x * inv) for j, x in piv.items()}
+            piv[c] = 1
+        for row in group:
+            if row is not first:
+                row = cancel(row, piv, c)
+                if row:
+                    waiting.setdefault(min(row), []).append(row)
+        pivots.append(c)
+        prows.append(piv)
+    at = {c: k for k, c in enumerate(pivots)}
+    for k in range(len(prows) - 2, -1, -1):
+        row = prows[k]
+        for c in [j for j in row if j in at and j != pivots[k]]:
+            row = cancel(row, prows[at[c]], c)
+        prows[k] = row
+    out = []
+    for c, row in zip(pivots, prows):
+        dense = [0] * cols
+        if over_q:
+            p = row[c]
+            for j, x in row.items():
+                q, r = divmod(x, p)
+                dense[j] = Fraction(x, p) if r else q
+        else:
+            for j, x in row.items():
+                dense[j] = x
+        out.append(dense)
+    out.extend([0] * cols for _ in range(rows - len(pivots)))
+    return out, pivots
+
+
 def solve(m, b):
     """One exact solution of m x = b by one rref of the augmented matrix,
     free variables set to zero, or None if inconsistent."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a, pivots = linalg.rref([list(m[i]) + [b[i]] for i in range(rows)])
+    a, pivots = rref_dense([list(m[i]) + [b[i]] for i in range(rows)])
     if cols in pivots:
         return None
     x = [0] * cols
@@ -444,7 +502,7 @@ def ideal_section(module, k):
     rows = [to_vector(p_mul({m: 1}, f), monos)
             for f, deg in module.ideal if deg <= k
             for m in monomials(module.n, k - deg)]
-    red, pivots = linalg.rref(rows) if rows else ([], [])
+    red, pivots = rref_dense(rows) if rows else ([], [])
     taken = set(pivots)
     return ([i for i in range(len(monos)) if i not in taken],
             list(zip(pivots, red)))
@@ -700,6 +758,21 @@ def columns_by_averages(average, keys):
                 reps.append(p)
         ids.append(got)
     return ids, reps
+
+
+def coords(elems):
+    """Exact coordinate matrix of tensor elements, dense; columns are
+    elements and rows are term keys in first-use order."""
+    index = {}
+    for e in elems:
+        for k in e.terms:
+            if k not in index:
+                index[k] = len(index)
+    mat = [[0] * len(elems) for _ in range(len(index))]
+    for j, e in enumerate(elems):
+        for k, c in e.terms.items():
+            mat[index[k]][j] = c
+    return mat
 
 
 # ---------------------------------------------------------------------------

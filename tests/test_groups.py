@@ -479,3 +479,26 @@ def test_builder_shipping_a_duplicated_irrep_is_refused(monkeypatch):
     monkeypatch.setitem(_BUILDERS, "A2", _a2_with_irreps(twice))
     with pytest.raises(AssertionError, match="row orthogonality"):
         build_group.__wrapped__("A2")
+
+
+def test_invariant_generators_skip_a_product_that_comes_first(monkeypatch):
+    # G3_1_2 shipped in the basis P e_i: there the first degree-6 vector of
+    # the nullspace basis is a multiple of the square of the degree-3
+    # invariant, so the membership test must find it in the product span
+    # and pick the next vector, and the product basis is read at its
+    # leading columns (its row ends in 9 there, not 1)
+    P = [[-1, 0], [-1, -1]]
+    data = _BUILDERS["G3_1_2"]()
+    data["generators"] = [linalg.mat_mul(linalg.mat_mul(P, g),
+                                         linalg.inverse(P))
+                          for g in data["generators"]]
+    monkeypatch.setitem(_BUILDERS, "G3_1_2", lambda: data)
+    found, inner = [], linalg.span_coords
+    monkeypatch.setattr(linalg, "span_coords",
+                        lambda *args: found.append(inner(*args)) or found[-1])
+    g = build_group.__wrapped__("G3_1_2")
+    assert found == [None, [F(1, 9)], None]
+    assert g.invariant_generators == [
+        {(0, 3): F(1, 3), (1, 2): -1, (2, 1): 1},
+        {(0, 6): F(-1, 3), (1, 5): 2, (2, 4): -5, (3, 3): 5, (5, 1): -3,
+         (6, 0): 1}]

@@ -7,18 +7,21 @@ through derivation_d one candidate at a time.  It covers every decomposition ver
 runs on A2 (cap 3), B2 and I2_3 (cap 2), all at c = 1, and the lifted
 Casimir omega_tilde at t = 1, c = 1, cap 2 on the same groups.  The
 reports of verify_cm_factorization keep only witness term counts; this
-file pins the witnesses themselves.  Regenerate (only on purpose) with
+file pins the witnesses themselves.  On every case the sparse rows the
+search eliminates must equal the dense coordinate matrix of
+[d(b) | Delta(w) | z] (oracles.coords) entry for entry, in the same row
+and column order.  Regenerate (only on purpose) with
 
     PYTHONPATH=src python3 tests/test_kernel_witnesses.py
 """
 import json
 import os
 
-from cherednik import calogero_moser
+from cherednik import calogero_moser, dirac
 from cherednik.dirac import decompose_kernel_element, omega_tilde
 from cherednik.groups import build_group
 from cherednik.pbw import cherednik_family
-from oracles import class_function_data, tensor_element_data
+from oracles import class_function_data, coords, tensor_element_data
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "kernel_witnesses.json")
@@ -64,6 +67,26 @@ def test_kernel_witnesses_match_golden():
                          if old.get(k) != new.get(k))
         assert not changed, f"witnesses differ: {changed}"
     assert got == want
+
+
+
+def test_eliminated_rows_are_the_coordinate_matrix(monkeypatch):
+    rows_of, matrices = dirac._rows, []
+
+    def recording(elems):
+        rows = rows_of(elems)
+        matrices.append((rows, coords(elems), len(elems)))
+        return rows
+
+    monkeypatch.setattr(dirac, "_rows", recording)
+    with open(GOLDEN) as fh:
+        assert witnesses_text() == fh.read()
+    # 4 solves on A2, 2 each on B2 and I2_3, one per omega_tilde
+    assert len(matrices) == 11
+    for rows, dense, cols in matrices:
+        assert [[row.get(j, 0) for j in range(cols)] for row in rows] == dense
+        assert all(list(row) == sorted(row) and all(row.values())
+                   for row in rows)
 
 
 if __name__ == "__main__":

@@ -3,24 +3,33 @@
 Seeded sparse matrices up to 12 x 15 (about 30 % nonzero, some rows made
 dependent on earlier ones) over Q, Q(zeta_5) and Q(zeta_12) go through
 rref, nullspace and inverse, and every result is compared by value with
-sympy's DomainMatrix over the same field.  span_coords is compared with
-sympy and with the solve it replaced (oracles.coords_in_span) on both
-kinds of reduced basis those matrices give.  Tall matrices shaped like
-those of the kernel decomposition (60-150 rows, 20-40 columns, about 5 %
-nonzero, rank-deficient) go through rref the same way.  The matrices mix
-ints with Fractions, integral Fractions included; every integral entry of
-a Q result must come back as an int, the rational form of scalars.py, and
-every zero of any result as the int 0.
+sympy's DomainMatrix over the same field.  rref takes its rows dense and
+as {column: nonzero} dicts and returns sparse pivot rows; those, padded
+out, must equal the dense elimination it replaced (oracles.rref_dense)
+entry for entry, types included, on those matrices, on empty input,
+all-zero rows, duplicate rows and all-Fraction matrices, and on the four
+matrices the kernel search eliminates in verify_cm_factorization(A2, 1,
+3), recorded as it passes them.  span_coords is compared with sympy and
+with the solve it replaced (oracles.coords_in_span) on both kinds of
+reduced basis those matrices give.  Tall matrices shaped like those of
+the kernel decomposition (60-150 rows, 20-40 columns, about 5 % nonzero,
+rank-deficient) go through rref the same way.  The matrices mix ints
+with Fractions, integral Fractions included; every integral entry of a Q
+result must come back as an int, the rational form of scalars.py, and
+every zero of any dense result as the int 0.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
-from cherednik import linalg
+from cherednik import dirac, linalg
+from cherednik.calogero_moser import verify_cm_factorization
+from cherednik.groups import build_group
 from cherednik.scalars import CyclotomicScalar, reduce
 
-from oracles import coords_in_span, cyclotomic_coeffs, domain_matrix_sympy
+from oracles import (coords_in_span, cyclotomic_coeffs, domain_matrix_sympy,
+                     rref_dense)
 
 CONDUCTORS = (1, 5, 12)
 SEEDS = range(8)
@@ -78,14 +87,33 @@ def _cases(n):
         yield rng, _matrix(rng, n, rows, cols), rows, cols
 
 
+def _check_rref(m, cols, n):
+    """rref of the dense matrix m and of its rows as dicts, against the
+    dense elimination (oracles.rref_dense) and sympy; returns the
+    pivots."""
+    rows, pivots = linalg.rref(m)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+    assert linalg.rref(sparse) == (rows, pivots)
+    dense, dense_pivots = rref_dense(m)
+    want, want_pivots = _oracle(m, cols, n).rref()
+    assert pivots == dense_pivots == list(want_pivots)
+    assert len(rows) == len(pivots)
+    for p, row in zip(pivots, rows):
+        assert type(row) is dict and row[p] == 1 and all(row.values())
+    got = ([[row.get(j, 0) for j in range(cols)] for row in rows]
+           + [[0] * cols for _ in range(len(m) - len(rows))])
+    assert got == dense
+    assert [list(map(type, r)) for r in got] == [list(map(type, r))
+                                                 for r in dense]
+    assert _oracle(got, cols, n) == want
+    _assert_rational_form(got, n)
+    return pivots
+
+
 @pytest.mark.parametrize("n", CONDUCTORS)
 def test_rref_and_nullspace_match_sympy(n):
     for _, m, rows, cols in _cases(n):
-        a, pivots = linalg.rref(m)
-        want, want_pivots = _oracle(m, cols, n).rref()
-        assert pivots == list(want_pivots)
-        assert _oracle(a, cols, n) == want
-        _assert_rational_form(a, n)
+        pivots = _check_rref(m, cols, n)
 
         ns = linalg.nullspace(m)
         kernel = _oracle(m, cols, n).nullspace()
@@ -100,6 +128,48 @@ def test_rref_and_nullspace_match_sympy(n):
                   for row, f in zip(kernel.to_list(), free)]
         assert _oracle(ns, cols, n).to_list() == scaled
         _assert_rational_form(ns, n)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_rref_edge_cases_match_dense_and_sympy(n):
+    rng = random.Random(9000 + n)
+    m = _matrix(rng, n, 5, 6)
+    zero = [[0, Fraction(0), 0, 0, 0, 0] for _ in range(3)]
+    fractions = [[Fraction(rng.choice([-5, -1, 1, 7]), rng.choice([2, 3, 9]))
+                  * (_entry(rng, n) if n > 1 else 1) if rng.random() < 0.6
+                  else 0 for _ in range(6)] for _ in range(4)]
+    cases = [[], zero, m + m, [m[0]] * 4, zero[:1] + m + zero[1:],
+             fractions, fractions + m[:2] + fractions[1:3]]
+    for case in cases:
+        _check_rref(case, 6, n)
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref(zero) == linalg.rref([{}, {3: 0}]) == ([], [])
+    # a dict row may name zero values; they are dropped
+    rows, pivots = linalg.rref(m)
+    padded = [{**dict.fromkeys(range(6), 0), **dict(enumerate(r))}
+              for r in m]
+    assert linalg.rref(padded) == (rows, pivots)
+
+
+def test_rref_on_the_a2_kernel_matrices(monkeypatch):
+    # the kernel search's four eliminations in verify_cm_factorization(A2,
+    # 1, 3), recorded as passed: sparse rows straight off its term maps
+    built, seen = [], []
+    rows_of, inner = dirac._rows, linalg.rref
+    monkeypatch.setattr(dirac, "_rows",
+                        lambda e: built.append(rows_of(e)) or built[-1])
+    monkeypatch.setattr(linalg, "rref", lambda m: seen.append(m) or inner(m))
+    verify_cm_factorization(build_group("A2"), 1, 3)
+    monkeypatch.undo()
+    kernel = [m for m in seen if any(m is b for b in built)]
+    assert len(built) == len(kernel) == 4
+    for m in kernel:
+        cols = 1 + max(j for row in m for j in row)
+        dense = [[row.get(j, 0) for j in range(cols)] for row in m]
+        assert len(dense) > 4 * cols
+        assert linalg.rref(m) == linalg.rref(dense)
+        # z, the last column, is reachable: no pivot
+        assert cols - 1 not in _check_rref(dense, cols, 1)
 
 
 def _tall(rng, n):
@@ -131,22 +201,17 @@ def test_tall_sparse_rref_matches_sympy(n):
     for seed in range(3):
         rng = random.Random(5000 + 1000 * n + seed)
         m, rows, cols = _tall(rng, n)
-        a, pivots = linalg.rref(m)
-        want, want_pivots = _oracle(m, cols, n).rref()
-        assert len(pivots) < cols
-        assert pivots == list(want_pivots)
-        assert _oracle(a, cols, n) == want
-        _assert_rational_form(a, n)
+        assert len(_check_rref(m, cols, n)) < cols
 
 
 def test_rref_of_integral_fractions_is_in_rational_form():
     # products of matrices may hold Fraction(k, 1), and rref accepts them
     m = [[Fraction(2, 1), Fraction(4, 1), 0], [Fraction(3, 1), 6, 1],
          [Fraction(1, 2), 1, Fraction(-5, 5)]]
-    a, pivots = linalg.rref(m)
+    rows, pivots = linalg.rref(m)
     assert pivots == [0, 2]
-    assert a == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
-    _assert_rational_form(a, 1)
+    assert rows == [{0: 1, 1: 2}, {2: 1}]
+    _assert_rational_form([list(row.values()) for row in rows], 1)
 
 
 def _sympy_coords(basis, v, n):

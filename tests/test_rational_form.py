@@ -139,7 +139,9 @@ def test_rref_sees_no_rational_cyclotomic_scalar(monkeypatch):
     rref = linalg.rref
 
     def recording(m):
-        seen.append([x for row in m for x in row
+        # a row is a dense list or a {column: value} dict
+        seen.append([x for row in m
+                     for x in (row.values() if type(row) is dict else row)
                      if isinstance(x, CyclotomicScalar)])
         return rref(m)
 
