@@ -138,20 +138,22 @@ def verify_cm_factorization(group, c, degree_cap):
     """For each fundamental invariant f of degree <= degree_cap, on both
     the polynomial and the dual side, solve f (x) 1 = d(b) exactly at
     t = 0 and report the witness.  The witness b is searched at degree
-    <= deg f + 1 on f's own polynomial side, in the Z-degrees 0 and that
-    of f (+deg f on h*, -deg f on h); CapExceeded (bound
-    "degree_cap") propagates when none exists there.  The solves of one
-    side share one KernelSearch, so each raw key is averaged and sent
-    through d once per side; its memos are dropped with the side."""
+    <= deg f + 1 in the Z-degrees 0 and that of f (+deg f on h*, -deg f
+    on h), on f's own polynomial side: the side's name goes to
+    decompose_kernel_element, which generates that side's keys alone.
+    CapExceeded (bound "degree_cap") propagates when none exists there.
+    The solves of one side share one KernelSearch, so each raw key is
+    averaged and sent through d once per side; its memos are dropped
+    with the side."""
     fam = cherednik_family(group, 0, c)
     zero = (0,) * group.n
     # polynomial side: invariants of S(h*) in the x generators
     sides = [("h_star", group.invariant_generators,
-              lambda mono: (mono, 0, zero), lambda key: not any(key[0][2])),
+              lambda mono: (mono, 0, zero)),
              ("h", _invariant_generators(group, group.elements),
-              lambda mono: (zero, 0, mono), lambda key: not any(key[0][0]))]
+              lambda mono: (zero, 0, mono))]
     results = []
-    for side, invariants, embed, same_side in sides:
+    for side, invariants, embed in sides:
         search = KernelSearch(fam)
         for f, d in zip(invariants, group.invariant_degrees):
             if d > degree_cap:
@@ -159,8 +161,7 @@ def verify_cm_factorization(group, c, degree_cap):
             z = tensor(fam.element({embed(mono): coeff
                                     for mono, coeff in f.items()}),
                        fam.clifford.one())
-            s, b = decompose_kernel_element(z, fam, degree_cap=d,
-                                            candidate_filter=same_side,
+            s, b = decompose_kernel_element(z, fam, degree_cap=d, side=side,
                                             search=search)
             if s.coefficients:
                 raise AssertionError("invariant left a group-algebra "

@@ -8,6 +8,7 @@ printed as one `error:` line.
 """
 import argparse
 import json
+import re
 import sys
 
 from .calogero_moser import dirac_partition
@@ -81,7 +82,8 @@ def _apply_config(parser, args):
         if getattr(args, key) is not None:
             continue
         if key == "c":
-            for part in val.split(","):
+            # commas split entries, except inside cyclo(...)
+            for part in re.split(r",(?![^()]*\))", val):
                 argv += ["--c", part.strip()]
         elif key == "simple":
             if val.lower() not in ("1", "true", "yes", "0", "false", "no"):

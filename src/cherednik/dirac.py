@@ -2,9 +2,9 @@
 
 The Dirac element D = sum_i v_i (x) v^i lives in H (x) C(V); its square
 decomposes into a Casimir part from H and a group-algebra Casimir.  This
-module computes the e_w coefficients, the element D itself, the symbolic
-square identity, Casimir scalars, the derivation d and the bounded-degree
-zeta projection.
+module computes the element D itself, the symbolic square identity (with
+the e_w coefficients of pbw.compute_e_w), Casimir scalars, the derivation
+d and the bounded-degree zeta projection.
 """
 
 from fractions import Fraction
@@ -18,45 +18,10 @@ from .clifford import (
     pin_tau,
     spin_basis,
 )
-from .pbw import AlgebraElement, _c_map, casimir_omega
+from .pbw import AlgebraElement, _c_map, casimir_omega, compute_e_w
 from .poly import Terms, acc
 from .scalars import (CapExceeded, rational, reciprocal, scalar_map_str,
                       scalar_str)
-
-
-def compute_e_w(family, w):
-    """The scalar e_w attached to w in W(a) \\ {1}.
-
-    Determined by the identity, for every x in V,
-
-        sum_i (a_w(x, v_i) w(v^i) + a_w(x, v^i) v_i) = e_w (x - w(x)).
-
-    The solve avoids the square-root normalization of the Clifford lift.
-    Every basis vector x = v_j is checked, w-fixed ones included, where
-    the left side must vanish: e is read at the first nonzero entry of
-    x - w(x) over all j, and every entry must agree with it.  e is in the
-    rational form when it is rational.
-    """
-    aw = family.forms.get(w)
-    if aw is None:
-        return 0
-    nv = family.nv
-    ginv = family.clifford.gram_inverse()
-    vm = family.v_matrix(w)
-    vg = linalg.mat_mul(vm, ginv)
-    ag = linalg.mat_mul(aw, ginv)
-    # (left side, entry of x - w(x)) at every basis vector and position
-    pairs = [(lhs + ag[j][r], (1 if r == j else 0) - vm[r][j])
-             for j in range(nv)
-             for r, lhs in enumerate(linalg.mat_vec(vg, aw[j]))]
-    first = next((p for p in pairs if p[1]), None)
-    if first is None:
-        raise ValueError("every basis vector is fixed by w=%d" % w)
-    e = rational(first[0] * reciprocal(first[1]))
-    if any(lhs != e * d for lhs, d in pairs):
-        raise ValueError("no scalar solves the e_w identity for w=%d; the "
-                         "family is not PBW" % w)
-    return e
 
 
 # --------------------------------------------------------------------------
@@ -354,18 +319,20 @@ def _rows(elems):
     return list(rows.values())
 
 
-def _candidate_keys(group, cap, degrees):
+def _candidate_keys(group, cap, degrees, side):
     """Raw search keys (PBW key, odd Clifford monomial) of degree <= cap
     whose Z-degree (_key_degree) is in degrees, generated in those degrees
     only: the degree, which w does not change, is read once per (x
-    exponent, y exponent, Clifford monomial)."""
+    exponent, y exponent, Clifford monomial).  side "h_star" keeps the
+    keys with no y exponent, "h" those with no x exponent, None all."""
     n = group.n
     cliff_monos = [m for m in spin_basis(2 * n) if len(m) % 2 == 1]
     # exponents of degree <= cap, lexicographic: fixes the column order
     exponents = sorted(m for d in range(cap + 1) for m in poly.monomials(n, d))
+    only_zero = [(0,) * n]
     out = []
-    for xa in exponents:
-        for yb in exponents:
+    for xa in only_zero if side == "h" else exponents:
+        for yb in only_zero if side == "h_star" else exponents:
             left = cap - sum(xa) - sum(yb)
             monos = [cm for cm in cliff_monos if len(cm) <= left
                      and _key_degree(((xa, 0, yb), cm)) in degrees]
@@ -489,7 +456,7 @@ class KernelSearch:
 COLUMN_LIMIT = 8000
 
 
-def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
+def decompose_kernel_element(z, family, degree_cap=4, side=None,
                              search=None):
     """Split z in ker d as Delta(s) + d(b) at bounded filtration degree.
 
@@ -497,13 +464,14 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     at most degree_cap; for t != 0 Cherednik presets it must also commute
     with the lifted Casimir (membership in the subalgebra the kernel
     theorem is stated on).  b is searched over the diagonally invariant
-    odd subspace of degree <= degree_cap + 1; candidate_filter, when
-    given, restricts the raw search keys (hkey, clifford mono) before
-    averaging, which can only shrink the solution space.  Returns (s, b)
-    with s a class function; raises ValueError when d(z) != 0 and
-    CapExceeded (bound "degree_cap") when no split exists at this
-    degree_cap, or (bound "column_limit") when the search has more raw
-    keys than COLUMN_LIMIT.
+    odd subspace of degree <= degree_cap + 1; side "h_star" (or "h")
+    keeps only the raw search keys (hkey, clifford mono) with no y (or
+    no x) exponent, generated on that side alone, which can only shrink
+    the solution space.  Returns (s, b) with s a class function; raises
+    ValueError when d(z) != 0 or side is none of these, and CapExceeded
+    (bound "degree_cap") when no split exists at this degree_cap, or
+    (bound "column_limit") when the search has more raw keys than
+    COLUMN_LIMIT.
 
     Only keys of Z-degree (_key_degree) 0 or that of a term of z are
     generated: D and Delta(w) have degree 0, so [d(b) | Delta(w) | z] is
@@ -524,6 +492,8 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
     so it adds none; an orbit mate is known to be one without averaging.
     """
     g = family.group
+    if side not in (None, "h_star", "h"):
+        raise ValueError(f"side must be 'h_star' or 'h', not {side!r}")
     if z.degree() > degree_cap:
         raise ValueError("element degree exceeds degree_cap")
     if z.clifford_parities() - {0}:
@@ -542,8 +512,7 @@ def decompose_kernel_element(z, family, degree_cap=4, candidate_filter=None,
         raise ValueError("d(z) != 0")
 
     degrees = {0} | {_key_degree(k) for k in z.terms}
-    raw = [key for key in _candidate_keys(g, degree_cap + 1, degrees)
-           if candidate_filter is None or candidate_filter(key)]
+    raw = _candidate_keys(g, degree_cap + 1, degrees, side)
     if len(raw) > COLUMN_LIMIT:
         raise CapExceeded(f"{len(raw)} candidate terms exceed the "
                           f"configured limit {COLUMN_LIMIT}",

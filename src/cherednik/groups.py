@@ -420,7 +420,7 @@ def _invariant_generators(group, matrices):
                 row = list(act[i])
                 row[i] = row[i] - 1
                 stacked.append(row)
-        inv_vecs = linalg.nullspace(stacked)
+        inv_vecs, _ = linalg.nullspace(stacked)
         # span of products of previously chosen generators in this degree
         prods = []
 
@@ -438,8 +438,8 @@ def _invariant_generators(group, matrices):
                 k += 1
 
         extend(0, d, {tuple([0] * n): 1})
-        basis = linalg.column_space_basis([v for v in prods if any(x for x in v)])
-        pivots = linalg.leading(basis)
+        basis, pivots = linalg.column_space_basis(
+            [v for v in prods if any(x for x in v)])
         pick = next((v for v in inv_vecs
                      if linalg.span_coords(basis, pivots, v) is None), None)
         if pick is None:

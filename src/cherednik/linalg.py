@@ -16,15 +16,15 @@ is exact; there is no pivoting for numerical stability because there is
 no rounding.
 
 The subspace idiom: a subspace is eliminated once, into reduced echelon
-rows (column_space_basis) or a nullspace basis (nullspace).  Either
-basis is 1 at one pivot per vector, where every other basis vector is
-0: an echelon row at its `leading` column, a nullspace vector at its
-`free_columns` entry.  So the coordinates of a vector in the span are
-its entries at the pivots, and span_coords answers membership and
-coordinates in one pass over the basis, with no elimination per vector.
-The helpers: rref, rank, nullspace, inverse; column_space_basis,
-leading, free_columns, span_coords and subspace_intersection on
-subspaces; psd_report for positivity.
+rows (column_space_basis) or a nullspace basis (nullspace), and either
+comes back with its pivots, the columns rref found: each basis vector is
+1 at its pivot, where every other basis vector is 0 (an echelon row at
+its pivot column, a nullspace vector at its free column).  So the
+coordinates of a vector in the span are its entries at the pivots, and
+span_coords answers membership and coordinates in one pass over the
+basis, with no elimination per vector.  The helpers: rref, rank,
+nullspace, inverse; column_space_basis, span_coords and
+subspace_intersection on subspaces; psd_report for positivity.
 
 The identity rule: the products (mat_mul, mat_vec, and add_kron, the one
 Kronecker kernel) and add_into skip zero entries, multiply only by
@@ -245,9 +245,10 @@ def rank(m):
 
 
 def nullspace(m):
-    """Basis of the right kernel, one vector per free column."""
+    """Basis of the right kernel, one vector per free column, and those
+    free columns: vector i is 1 at free[i], where the others are 0."""
     if not m:
-        return []
+        return [], []
     rows, pivots = rref(m)
     cols = len(m[0])
     taken = set(pivots)
@@ -259,7 +260,7 @@ def nullspace(m):
         for f, x in row.items():
             if f != pc:
                 basis[f][pc] = -x
-    return list(basis.values())
+    return list(basis.values()), list(basis)
 
 
 def inverse(m):
@@ -274,23 +275,13 @@ def inverse(m):
 # --- subspace utilities -----------------------------------------------------
 
 def column_space_basis(vectors):
-    """Echelonized basis of the span of the given vectors."""
+    """Reduced echelon basis of the span of the given vectors, and its
+    pivot columns: row i is 1 at pivots[i], where the others are 0."""
     if not vectors:
-        return []
+        return [], []
     cols = len(vectors[0])
-    return [[row.get(j, 0) for j in range(cols)] for row in rref(vectors)[0]]
-
-
-def leading(rows):
-    """Pivot columns of reduced echelon rows: each row's first nonzero."""
-    return [next(i for i, x in enumerate(u) if x) for u in rows]
-
-
-def free_columns(basis):
-    """Free columns of a nullspace basis: vector f is 1 at free column f
-    and zero past it (a pivot row's entry at f is nonzero only when its
-    pivot precedes f), so f is its last nonzero."""
-    return [max(i for i, x in enumerate(v) if x) for v in basis]
+    rows, pivots = rref(vectors)
+    return [[row.get(j, 0) for j in range(cols)] for row in rows], pivots
 
 
 def span_coords(basis, pivots, v):
@@ -310,26 +301,13 @@ def span_coords(basis, pivots, v):
 
 
 def subspace_intersection(abasis, bbasis):
-    """Basis of span(abasis) intersect span(bbasis)."""
+    """Basis of span(abasis) intersect span(bbasis): the kernel of
+    [A | -B] gives the combinations of abasis that land in it."""
     if not abasis or not bbasis:
         return []
-    dim = len(abasis[0])
-    m = [[0] * (len(abasis) + len(bbasis)) for _ in range(dim)]
-    for j, v in enumerate(abasis):
-        for i in range(dim):
-            m[i][j] = v[i]
-    for j, v in enumerate(bbasis):
-        for i in range(dim):
-            m[i][len(abasis) + j] = -v[i]
-    out = []
-    for ker in nullspace(m):
-        vec = [0] * dim
-        for j, v in enumerate(abasis):
-            if ker[j]:
-                for i in range(dim):
-                    vec[i] = vec[i] + ker[j] * v[i]
-        out.append(vec)
-    return column_space_basis(out)
+    ker, _ = nullspace(transpose(abasis + [[-x for x in v] for v in bbasis]))
+    return column_space_basis(
+        mat_mul([v[:len(abasis)] for v in ker], abasis))[0]
 
 
 # --- positivity -------------------------------------------------------------

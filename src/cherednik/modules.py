@@ -462,13 +462,12 @@ def _span_character(basis, pivots, blocks, classes):
     """Character, one value per conjugacy class, of the span of `basis`.
 
     Precondition: `basis` spans a W-stable subspace, and u_i is 1 at
-    position pivots[i], where every other basis vector is 0: reduced
-    echelon rows at their linalg.leading columns, or a linalg.nullspace
-    basis at its linalg.free_columns.  `blocks` lists (offset, matrices of
-    the class representatives) for the W-stable coordinate blocks, by
-    increasing offset.  Then (w u_i)[p_i] is the coefficient of u_i in
-    w u_i and tr(w) = sum_i (w u_i)[p_i]: one matrix row per basis vector
-    and no solve.
+    position pivots[i], where every other basis vector is 0: the pair
+    that linalg.column_space_basis or linalg.nullspace returns.  `blocks`
+    lists (offset, matrices of the class representatives) for the
+    W-stable coordinate blocks, by increasing offset.  Then (w u_i)[p_i]
+    is the coefficient of u_i in w u_i and tr(w) = sum_i (w u_i)[p_i]:
+    one matrix row per basis vector and no solve.
     """
     chi = [0] * classes
     for u, p in zip(basis, pivots):
@@ -561,13 +560,12 @@ def dirac_cohomology(module):
     zbasis = []
     images = linalg.zeros(total, sum(want.values()))
     for cell in cellset:
-        zero = linalg.nullspace(dirac.d_squared_on_cell(*cell))
+        zero, free = linalg.nullspace(dirac.d_squared_on_cell(*cell))
         if len(zero) != want[cell]:
             raise AssertionError(
                 f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
                 f"its zero-scalar isotypics {want[cell]}")
-        chi = _span_character(zero, linalg.free_columns(zero),
-                              [(0, wmats[cell])], classes)
+        chi = _span_character(zero, free, [(0, wmats[cell])], classes)
         chi_z = [a + b for a, b in zip(chi_z, chi)]
         col, off = len(zbasis), offsets[cell]
         zbasis.extend([0] * off + v + [0] * (total - off - len(v))
@@ -586,19 +584,19 @@ def dirac_cohomology(module):
                 continue
             for row, got in zip(images[offsets[target]:], image):
                 row[col:col + len(zero)] = got
-    ker = linalg.column_space_basis(
-        linalg.mat_mul(linalg.nullspace(images), zbasis))
+    ker, pivots = linalg.column_space_basis(
+        linalg.mat_mul(linalg.nullspace(images)[0], zbasis))
 
     blocks = [(offsets[cell], wmats[cell]) for cell in cellset]
     chi_h = [2 * a - b for a, b in zip(
-        _span_character(ker, linalg.leading(ker), blocks, classes), chi_z)]
+        _span_character(ker, pivots, blocks, classes), chi_z)]
     chi_cells = {}
     for cell in cellset:
         off = offsets[cell]
         end = off + dirac.cell_dim(*cell)
-        coords = linalg.column_space_basis([v[off:end] for v in ker])
-        chi_cells[cell] = _span_character(coords, linalg.leading(coords),
-                                          [(0, wmats[cell])], classes)
+        chi_cells[cell] = _span_character(
+            *linalg.column_space_basis([v[off:end] for v in ker]),
+            [(0, wmats[cell])], classes)
 
     entries = []
     for mu in g.irrep_labels:

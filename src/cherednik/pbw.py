@@ -615,17 +615,17 @@ def pbw_check(family):
         if w == 0:
             continue
         vm = family.v_matrix(w)
-        fixed = linalg.nullspace(linalg.mat_sub(vm, linalg.identity(nv)))
+        fixed, fixed_free = linalg.nullspace(
+            linalg.mat_sub(vm, linalg.identity(nv)))
         if len(fixed) != nv - 2:
             failures.append({"condition": 2, "w": w, "h": None,
                              "detail": "dim V^w = %d, want %d for w=%d"
                                        % (len(fixed), nv - 2, w)})
             continue
-        kern = linalg.nullspace(family.forms[w])
+        kern, kern_free = linalg.nullspace(family.forms[w])
         # a vector of one subspace outside the other, which exists exactly
-        # when the two differ; a nullspace basis is read at its free columns
-        sides = [(kern, linalg.free_columns(kern), "ker a_w"),
-                 (fixed, linalg.free_columns(fixed), "V^w")]
+        # when the two differ
+        sides = [(kern, kern_free, "ker a_w"), (fixed, fixed_free, "V^w")]
         witness = next(((v, mine, other)
                         for (basis, _, mine), (span, pivots, other)
                         in (sides, sides[::-1]) for v in basis
@@ -647,11 +647,10 @@ def pbw_check(family):
         if w == 0:
             continue
         vm = family.v_matrix(w)
-        moved = linalg.column_space_basis(
+        moved, pivots = linalg.column_space_basis(
             linalg.transpose(linalg.mat_sub(vm, linalg.identity(nv))))
         if len(moved) != 2:
             continue  # already reported under condition 2
-        pivots = linalg.leading(moved)
         for h in range(group.order):
             if group.mult(h, w) != group.mult(w, h):
                 continue
@@ -685,9 +684,43 @@ def casimir_h(family):
     return total
 
 
+def compute_e_w(family, w):
+    """The scalar e_w attached to w in W(a) \\ {1}.
+
+    Determined by the identity, for every x in V,
+
+        sum_i (a_w(x, v_i) w(v^i) + a_w(x, v^i) v_i) = e_w (x - w(x)).
+
+    The solve avoids the square-root normalization of the Clifford lift.
+    Every basis vector x = v_j is checked, w-fixed ones included, where
+    the left side must vanish: e is read at the first nonzero entry of
+    x - w(x) over all j, and every entry must agree with it.  e is in the
+    rational form when it is rational.
+    """
+    aw = family.forms.get(w)
+    if aw is None:
+        return 0
+    nv = family.nv
+    ginv = family.clifford.gram_inverse()
+    vm = family.v_matrix(w)
+    vg = linalg.mat_mul(vm, ginv)
+    ag = linalg.mat_mul(aw, ginv)
+    # (left side, entry of x - w(x)) at every basis vector and position
+    pairs = [(lhs + ag[j][r], (1 if r == j else 0) - vm[r][j])
+             for j in range(nv)
+             for r, lhs in enumerate(linalg.mat_vec(vg, aw[j]))]
+    first = next((p for p in pairs if p[1]), None)
+    if first is None:
+        raise ValueError("every basis vector is fixed by w=%d" % w)
+    e = rational(first[0] * reciprocal(first[1]))
+    if any(lhs != e * d for lhs, d in pairs):
+        raise ValueError("no scalar solves the e_w identity for w=%d; the "
+                         "family is not PBW" % w)
+    return e
+
+
 def casimir_omega(family):
     """Omega_H = h - sum_{w in W(a), w != 1} e_w w in PBW normal form."""
-    from .dirac import compute_e_w
     om = casimir_h(family)
     for w in family.support():
         if w == 0:

@@ -22,16 +22,18 @@ The group-algebra Casimir scalar N_c(sigma) is summed reflection by
 reflection at each c, as the library did before it kept one linear form
 in c per irrep, and products of central class functions over all |W|^2
 pairs of elements, as the library did before it read them per class.
-The elimination is kept dense in and dense out (rref_dense), and span
+The elimination is kept dense in and dense out (rref_dense), span
 coordinates are found by one solve of the transposed system per vector
-(solve, coords_in_span).  The kernel search is kept in its full forms:
-every raw key in every Z-degree, filtered afterwards; d on a unit key by
-two full H (x) C(V) products; a column id per raw key by forming its
-W-average and comparing it up to scale with the earlier ones, with no
-orbit mates; and the dense coordinate matrix of its elements (coords).
-Tests compare library output against these.  The last section holds the
-canonical term lists of H (x) C(V) elements and central class functions
-that tests/golden/kernel_witnesses.json stores.
+(solve, coords_in_span), and the pivots of a basis by scanning its
+vectors (leading, free_columns).  The kernel search is kept in its full
+forms: every raw key in every Z-degree and on both polynomial sides,
+filtered afterwards; d on a unit key by two full H (x) C(V) products; a
+column id per raw key by forming its W-average and comparing it up to
+scale with the earlier ones, with no orbit mates; and the dense
+coordinate matrix of its elements (coords).  Tests compare library
+output against these.  The last section holds the canonical term lists
+of H (x) C(V) elements and central class functions that
+tests/golden/kernel_witnesses.json stores.
 """
 
 from fractions import Fraction
@@ -242,6 +244,18 @@ def coords_in_span(basis, v):
     if not basis:
         return None if any(x for x in v) else []
     return solve(linalg.transpose([list(u) for u in basis]), list(v))
+
+
+def leading(rows):
+    """Pivot columns of reduced echelon rows: each row's first nonzero."""
+    return [next(i for i, x in enumerate(u) if x) for u in rows]
+
+
+def free_columns(basis):
+    """Free columns of a nullspace basis: vector f is 1 at free column f
+    and zero past it (a pivot row's entry at f is nonzero only when its
+    pivot precedes f), so f is its last nonzero."""
+    return [max(i for i, x in enumerate(v) if x) for v in basis]
 
 
 # ---------------------------------------------------------------------------

@@ -365,9 +365,8 @@ def test_cm_factorization_g4_1_2_at_cap_4():
 def test_cm_factorization_makes_one_attempt(monkeypatch):
     calls = []
 
-    def missing(z, fam, degree_cap, candidate_filter=None,
-                search=None):
-        calls.append((degree_cap, candidate_filter is not None))
+    def missing(z, fam, degree_cap, side=None, search=None):
+        calls.append((degree_cap, side))
         raise CapExceeded("no decomposition at this degree cap; raise "
                           "degree_cap", "degree_cap")
 
@@ -376,7 +375,7 @@ def test_cm_factorization_makes_one_attempt(monkeypatch):
         verify_cm_factorization(build_group("A1"), 1, 2)
     # the degree-2 invariant is searched once, at its own degree and on
     # its own polynomial side
-    assert calls == [(2, True)]
+    assert calls == [(2, "h_star")]
 
 
 def test_cm_factorization_does_not_retry_other_errors(monkeypatch):
@@ -408,11 +407,11 @@ def test_shared_search_matches_fresh_solves(monkeypatch, gid, cap, c):
     inner = calogero_moser.decompose_kernel_element
     sides = []
 
-    def recording(z, fam, degree_cap, candidate_filter=None, search=None):
+    def recording(z, fam, degree_cap, side=None, search=None):
         if not sides or sides[-1][0] is not search:
             sides.append((search, []))
-        sides[-1][1].append((z, fam, degree_cap, candidate_filter))
-        return inner(z, fam, degree_cap, candidate_filter, search=search)
+        sides[-1][1].append((z, fam, degree_cap, side))
+        return inner(z, fam, degree_cap, side, search=search)
 
     monkeypatch.setattr(calogero_moser, "decompose_kernel_element",
                         recording)

@@ -272,6 +272,22 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     assert from_config[0] == 0
 
 
+@pytest.mark.parametrize("c,flags", [
+    ("cyclo(5; 1:1/2, 4:1/2)", ["--c", "cyclo(5; 1:1/2, 4:1/2)"]),
+    ("long=cyclo(5; 1:1/2, 4:1/2), short=1",
+     ["--c", "long=cyclo(5; 1:1/2, 4:1/2)", "--c", "short=1"]),
+])
+def test_config_c_keeps_the_commas_inside_cyclo(tmp_path, capsys, c, flags):
+    # a config c value splits at the commas between entries only
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"group = B2\nsigma = 2x0\nt = 0\nc = {c}\n")
+    from_config = run_json(capsys, ["dirac-cohomology", "--config", str(cfg)])
+    from_flags = run_json(capsys, ["dirac-cohomology", "--group", "B2",
+                                   "--sigma", "2x0", "--t", "0"] + flags)
+    assert from_config == from_flags
+    assert from_config[0] == 0
+
+
 @pytest.mark.parametrize("command,text", [
     ("dirac-cohomology", "group = A1\nsigma = triv\nK = x\n"),
     ("export-group", "group = A1\nformat = xml\n"),

@@ -573,19 +573,25 @@ def test_decompose_rejects_non_kernel():
 
 
 def test_decompose_too_small_search_raises_no_decomposition():
-    # the degree check refuses caps below deg z, so keeping only the
-    # candidate keys of degree <= 1 stands in for a too-small cap: the
-    # witness of x^2 (x) 1 has degree 2
+    # the degree check refuses caps below deg z, so searching the wrong
+    # polynomial side stands in for a too-small search: a b with no x
+    # has d(b) of x-degree at most 1, so x^2 (x) 1 is out of reach
     fam = c_fam("A1", 0, 1)
     alg = fam.clifford
     z = tensor(fam.x_gen(0) * fam.x_gen(0), alg.one())
     decompose_kernel_element(z, fam, degree_cap=2)
+    decompose_kernel_element(z, fam, degree_cap=2, side="h_star")
     with pytest.raises(CapExceeded, match="raise degree_cap") as err:
-        decompose_kernel_element(
-            z, fam, degree_cap=2,
-            candidate_filter=lambda key: sum(key[0][0]) + sum(key[0][2])
-            + len(key[1]) <= 1)
+        decompose_kernel_element(z, fam, degree_cap=2, side="h")
     assert (err.value.bound, err.value.minimal) == ("degree_cap", None)
+
+
+def test_decompose_refuses_an_unknown_side():
+    # a misspelt side would otherwise search both sides unnoticed
+    fam = c_fam("A1", 0, 1)
+    z = tensor(fam.x_gen(0) * fam.x_gen(0), fam.clifford.one())
+    with pytest.raises(ValueError, match="side must be"):
+        decompose_kernel_element(z, fam, degree_cap=2, side="hstar")
 
 
 def test_decompose_rejects_odd_parity():
@@ -750,27 +756,35 @@ def test_orbit_mates_take_the_column_of_their_average(gid):
     assert [b.terms for b, _ in search.columns] == reps
 
 
+# the keys each side keeps: no y exponent on h*, no x exponent on h
+SIDES = {None: lambda key: True, "h_star": lambda key: not any(key[0][2]),
+         "h": lambda key: not any(key[0][0])}
+
+
 @pytest.mark.parametrize("gid", CATALOGUE_IDS)
 def test_candidate_keys_are_the_filtered_full_list(gid):
-    # keys generated in the searched degrees are the full enumeration
-    # filtered by degree, in the same order
+    # keys generated in the searched degrees, on one polynomial side or
+    # both, are the full enumeration filtered by degree and side, in the
+    # same order
     g = build_group(gid)
     for cap in range(2, 6):
         full = candidate_keys_full(g, cap)
         for degrees in ({0}, {0, 2}, {0, -3}, {-1, 0, 1}, {cap, -cap},
                         set(range(-cap, cap + 1)), set()):
-            assert dirac._candidate_keys(g, cap, degrees) == [
-                k for k in full if dirac._key_degree(k) in degrees
-            ], (cap, degrees)
+            for side, kept in SIDES.items():
+                assert dirac._candidate_keys(g, cap, degrees, side) == [
+                    k for k in full
+                    if dirac._key_degree(k) in degrees and kept(k)
+                ], (cap, degrees, side)
 
 
 def test_key_generation_reads_degrees_through_key_degree(monkeypatch):
     # the full-search tests below set every key's degree to 0 through
     # _key_degree, so key generation must ask it
     g = build_group("A2")
-    assert dirac._candidate_keys(g, 3, {0}) != candidate_keys_full(g, 3)
+    assert dirac._candidate_keys(g, 3, {0}, None) != candidate_keys_full(g, 3)
     monkeypatch.setattr(dirac, "_key_degree", lambda key: 0)
-    assert dirac._candidate_keys(g, 3, {0}) == candidate_keys_full(g, 3)
+    assert dirac._candidate_keys(g, 3, {0}, None) == candidate_keys_full(g, 3)
 
 
 @pytest.mark.parametrize("gid", ["A2", "B2", "G3_1_2"])

@@ -7,6 +7,8 @@ import sympy
 from cherednik import linalg as la
 from cherednik.scalars import zeta
 
+from oracles import free_columns, leading
+
 F = Fraction
 
 
@@ -37,8 +39,11 @@ def test_rank_and_nullspace_against_sympy():
         m = rand_mat(rng, r, c)
         sm = to_sympy(m)
         assert la.rank(m) == sm.rank()
-        ns = la.nullspace(m)
+        ns, free = la.nullspace(m)
         assert len(ns) == c - sm.rank()
+        # the free columns are the non-pivot columns of the elimination
+        assert free == [j for j in range(c) if j not in la.rref(m)[1]]
+        assert free == free_columns(ns)
         for v in ns:
             assert all(not x for x in la.mat_vec(m, v))
         # basis independence
@@ -48,17 +53,15 @@ def test_rank_and_nullspace_against_sympy():
 
 
 def test_span_coords_inside_and_outside():
-    # both kinds of basis: reduced rows at their leading columns and a
-    # nullspace basis at its free columns
+    # both kinds of basis, each with the pivots it comes back with:
+    # reduced rows at their pivot columns and a nullspace basis at its
+    # free columns
     rng = random.Random(3)
     for _ in range(12):
         r = rng.randrange(1, 6)
         c = rng.randrange(1, 6)
         m = rand_mat(rng, r, c)
-        rows = la.column_space_basis(m)
-        ns = la.nullspace(m)
-        for basis, pivots in ((rows, la.leading(rows)),
-                              (ns, la.free_columns(ns))):
+        for basis, pivots in (la.column_space_basis(m), la.nullspace(m)):
             x = [F(rng.randrange(-4, 5)) for _ in basis]
             v = [sum((a * u[j] for a, u in zip(x, basis)), F(0))
                  for j in range(c)]
@@ -100,8 +103,8 @@ def test_cyclotomic_entries():
     m = [[z, 1], [0, z ** 2]]
     inv = la.inverse(m)
     assert la.mat_mul(inv, m) == la.identity(2)
-    ns = la.nullspace([[z, z ** 2]])
-    assert len(ns) == 1
+    ns, free = la.nullspace([[z, z ** 2]])
+    assert len(ns) == 1 and free == [1]
     v = ns[0]
     assert not (z * v[0] + z ** 2 * v[1])
 
@@ -114,17 +117,17 @@ def test_column_space_and_intersection():
     inter = la.subspace_intersection(acols, bcols)
     assert len(inter) == 1
     for cols in (acols, bcols):
-        basis = la.column_space_basis(cols)
-        assert la.span_coords(basis, la.leading(basis), inter[0]) is not None
+        basis, pivots = la.column_space_basis(cols)
+        assert la.span_coords(basis, pivots, inter[0]) is not None
     # intersection of x-axis and y-axis is zero
     assert la.subspace_intersection([[F(1), F(0)]], [[F(0), F(1)]]) == []
 
 
 def test_in_span_and_coords():
-    basis = la.column_space_basis([[F(1), F(1), F(0)], [F(0), F(1), F(1)]])
+    basis, pivots = la.column_space_basis([[F(1), F(1), F(0)],
+                                           [F(0), F(1), F(1)]])
     assert basis == [[1, 0, -1], [0, 1, 1]]
-    pivots = la.leading(basis)
-    assert pivots == [0, 1]
+    assert pivots == [0, 1] == leading(basis)
     assert la.span_coords(basis, pivots, [F(2), F(3), F(1)]) == [2, 3]
     assert la.span_coords(basis, pivots, [F(0), F(0), F(1)]) is None
 

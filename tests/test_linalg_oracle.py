@@ -11,25 +11,33 @@ all-zero rows, duplicate rows and all-Fraction matrices, and on the four
 matrices the kernel search eliminates in verify_cm_factorization(A2, 1,
 3), recorded as it passes them.  span_coords is compared with sympy and
 with the solve it replaced (oracles.coords_in_span) on both kinds of
-reduced basis those matrices give.  Tall matrices shaped like those of
-the kernel decomposition (60-150 rows, 20-40 columns, about 5 % nonzero,
-rank-deficient) go through rref the same way.  The matrices mix ints
-with Fractions, integral Fractions included; every integral entry of a Q
-result must come back as an int, the rational form of scalars.py, and
-every zero of any dense result as the int 0.
+reduced basis those matrices give, read at the pivots that nullspace and
+column_space_basis return; those pivots must equal sympy's and the
+reference scanners' (oracles.leading, oracles.free_columns), here and on
+every matrix the two receive while verify runs on the catalogue and
+dirac_partition on the partition groups, recorded as passed.  Tall
+matrices shaped like those of the kernel decomposition (60-150 rows,
+20-40 columns, about 5 % nonzero, rank-deficient) go through rref the
+same way.  The matrices mix ints with Fractions, integral Fractions
+included; every integral entry of a Q result must come back as an int,
+the rational form of scalars.py, and every zero of any dense result as
+the int 0.
 """
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from cherednik import dirac, linalg
-from cherednik.calogero_moser import verify_cm_factorization
-from cherednik.groups import build_group
+from cherednik.calogero_moser import dirac_partition, verify_cm_factorization
+from cherednik.cli import main
+from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.scalars import CyclotomicScalar, reduce
 
 from oracles import (coords_in_span, cyclotomic_coeffs, domain_matrix_sympy,
-                     rref_dense)
+                     free_columns, leading, rref_dense)
 
 CONDUCTORS = (1, 5, 12)
 SEEDS = range(8)
@@ -115,15 +123,18 @@ def test_rref_and_nullspace_match_sympy(n):
     for _, m, rows, cols in _cases(n):
         pivots = _check_rref(m, cols, n)
 
-        ns = linalg.nullspace(m)
+        ns, free = linalg.nullspace(m)
         kernel = _oracle(m, cols, n).nullspace()
         assert len(ns) == kernel.shape[0] == cols - len(pivots)
+        # the free columns come back: sympy's non-pivots, and the columns
+        # the reference scanner finds
+        assert free == [j for j in range(cols) if j not in pivots]
+        assert free == free_columns(ns)
         if not ns:
             continue
         # sympy scales each kernel vector freely; ours is 1 at its free
         # column, so normalise there before comparing
         field = kernel.domain
-        free = [j for j in range(cols) if j not in pivots]
         scaled = [[field.quo(x, row[f]) for x in row]
                   for row, f in zip(kernel.to_list(), free)]
         assert _oracle(ns, cols, n).to_list() == scaled
@@ -170,6 +181,49 @@ def test_rref_on_the_a2_kernel_matrices(monkeypatch):
         assert linalg.rref(m) == linalg.rref(dense)
         # z, the last column, is reachable: no pivot
         assert cols - 1 not in _check_rref(dense, cols, 1)
+
+
+def test_pivots_on_the_recorded_catalogue_matrices(monkeypatch):
+    # every matrix that nullspace and column_space_basis receive while
+    # verify runs on the catalogue (group builds included) and
+    # dirac_partition runs at c = 1 on the partition groups: the pivots
+    # they return are the reference scanners' and sympy's
+    seen = []
+
+    def recording(kind, inner):
+        def call(m):
+            out = inner(m)
+            seen.append((kind, [list(row) for row in m], out))
+            return out
+        return call
+
+    for kind in ("nullspace", "column_space_basis"):
+        monkeypatch.setattr(linalg, kind,
+                            recording(kind, getattr(linalg, kind)))
+    for gid in CATALOGUE_IDS:
+        build_group.__wrapped__(gid)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--group", gid]) == 0, gid
+    for gid in ("A2", "I2_3", "B2", "G2_1_2", "I2_4", "I2_5", "G3_1_2"):
+        dirac_partition(build_group(gid), 1)
+    monkeypatch.undo()
+    cases = {(kind, repr(m)): (kind, m, out) for kind, m, out in seen}
+    assert {kind for kind, _ in cases} == {"nullspace", "column_space_basis"}
+    assert len(cases) > 400
+    for kind, m, (basis, pivots) in cases.values():
+        if not m:
+            assert basis == pivots == []
+            continue
+        cols = len(m[0])
+        conductors = {x.conductor for row in m for x in row
+                      if isinstance(x, CyclotomicScalar)}
+        assert len(conductors) <= 1
+        _, want = _oracle(m, cols, max(conductors, default=1)).rref()
+        if kind == "nullspace":
+            assert pivots == free_columns(basis) == [
+                j for j in range(cols) if j not in want]
+        else:
+            assert pivots == leading(basis) == list(want)
 
 
 def _tall(rng, n):
@@ -229,20 +283,18 @@ def _sympy_coords(basis, v, n):
 @pytest.mark.parametrize("n", CONDUCTORS)
 def test_span_coords_matches_sympy(n):
     # span_coords against the solve it replaced (oracles.coords_in_span)
-    # and against sympy, on reduced rows at their leading columns, on
-    # nullspace bases at their free columns and on the empty basis, for
-    # vectors inside and outside the span
+    # and against sympy, on reduced rows at the pivot columns and on
+    # nullspace bases at the free columns they come back with, and on the
+    # empty basis, for vectors inside and outside the span
     inside = outside = 0
     for rng, m, rows, cols in _cases(n):
-        echelon = linalg.column_space_basis(m)
-        kernel = linalg.nullspace(m)
+        echelon, pivots = linalg.column_space_basis(m)
+        kernel, free = linalg.nullspace(m)
         _, want_pivots = _oracle(m, cols, n).rref()
-        assert linalg.leading(echelon) == list(want_pivots)
-        assert linalg.free_columns(kernel) == [
+        assert pivots == leading(echelon) == list(want_pivots)
+        assert free == free_columns(kernel) == [
             j for j in range(cols) if j not in want_pivots]
-        for basis, pivots in ((echelon, linalg.leading(echelon)),
-                              (kernel, linalg.free_columns(kernel)),
-                              ([], [])):
+        for basis, pivots in ((echelon, pivots), (kernel, free), ([], [])):
             x = [_entry(rng, n) for _ in basis]
             combo = [sum((a * u[j] for a, u in zip(x, basis)), 0)
                      for j in range(cols)]

@@ -532,13 +532,11 @@ def _z_character_agrees(d, cell):
     """The D^2 kernel of a cell, and whether its character read at the free
     columns of the nullspace basis equals the one read at the pivots of its
     echelon form."""
-    zero = linalg.nullspace(d.d_squared_on_cell(*cell))
+    zero, free = linalg.nullspace(d.d_squared_on_cell(*cell))
     reps = [cl[0] for cl in d.module.group.conjugacy_classes]
     blocks = [(0, [d.w_cell(w, *cell) for w in reps])]
-    echelon = linalg.column_space_basis(zero)
-    fast = _span_character(zero, linalg.free_columns(zero), blocks,
-                           len(reps))
-    slow = _span_character(echelon, linalg.leading(echelon), blocks,
+    fast = _span_character(zero, free, blocks, len(reps))
+    slow = _span_character(*linalg.column_space_basis(zero), blocks,
                            len(reps))
     return zero, fast == slow
 
