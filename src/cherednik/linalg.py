@@ -26,13 +26,13 @@ basis, with no elimination per vector.  The helpers: rref, rank,
 nullspace, inverse; column_space_basis, span_coords and
 subspace_intersection on subspaces; psd_report for positivity.
 
-The identity rule: the products (mat_mul, mat_vec, and add_kron, the one
-Kronecker kernel) and add_into skip zero entries, multiply only by
-factors other than 1, and store the first term into an empty (zero) slot
-instead of adding it to 0, since most entries met here are 0 or +-1 and
-a Fraction or cyclotomic operation normalises its result.  The values
-are those of the full arithmetic; where that would leave an integral
-Fraction, a result may hold its int instead.
+The identity rule: the products (mat_mul, mat_vec, kron_row_dot, and
+add_kron, the one Kronecker kernel) and add_into skip zero entries,
+multiply only by factors other than 1, and store the first term into an
+empty (zero) slot instead of adding it to 0, since most entries met here
+are 0 or +-1 and a Fraction or cyclotomic operation normalises its
+result.  The values are those of the full arithmetic; where that would
+leave an integral Fraction, a result may hold its int instead.
 """
 
 from fractions import Fraction
@@ -86,6 +86,28 @@ def mat_vec(m, v):
                 s = s + y if s else y
         out.append(s)
     return out
+
+
+def kron_row_dot(ra, rb, v):
+    """(ra (x) rb) . v without forming the Kronecker row: the sum over r
+    of ra[r] times rb dotted with v's r-th segment of len(rb) entries."""
+    db = len(rb)
+    s = 0
+    for r, x in enumerate(ra):
+        if not x:
+            continue
+        t, base = 0, r * db
+        for j, y in enumerate(rb):
+            z = v[base + j] if y else 0
+            if z:
+                if y != 1:
+                    z = y if z == 1 else y * z
+                t = t + z if t else z
+        if t:
+            if x != 1:
+                t = x if t == 1 else x * t
+            s = s + t if s else t
+    return s
 
 
 def add_into(acc, m):

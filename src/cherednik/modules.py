@@ -8,12 +8,13 @@ Verma module at t = 0, and J = h* its one-dimensional quotient.  Pieces
 are built lazily, degree by degree, so K only bounds what gets reported.
 A PBW element acts on degree k as sum_w P(w) (x) rho_sigma(w), where the
 sigma-independent matrices P(w) hold the normal forms modulo J of its
-straightened terms; every sigma-block is built from them by one Kronecker
-kernel (linalg.add_kron).  The Dirac operator acts on cells (polynomial
-degree k, exterior degree l) of module (x) wedge(h), whose W-types
-cell_multiplicity reads off the module's character, and is applied to a
-basis of ker D^2 by block products; every matrix is exact.  Once
-clifford.pin_cover_holds, w acts on wedge^l(h) as wedge^l(w) (_wedge).
+terms (x_i and w act directly, anything else is straightened); every
+sigma-block is built from them by one Kronecker kernel (linalg.add_kron).
+The Dirac operator acts on cells (polynomial degree k, exterior degree l)
+of module (x) wedge(h), whose W-types cell_multiplicity reads off the
+module's character, and is applied to a basis of ker D^2 by block
+products; every matrix is exact.  Once clifford.pin_cover_holds, w acts
+on wedge^l(h) as wedge^l(w) (_wedge).
 
 The module protocol: DiracOperatorMatrix, dirac_cohomology,
 cell_multiplicity and contravariant_form read a module only through
@@ -79,8 +80,8 @@ class GradedModule:
     Degree k is carried on the monomials of degree k outside the pivots of
     J_k (its ideal section), and every degree-k monomial has a sparse
     normal form modulo J_k on them.  An element acts as sum_w P(w) (x)
-    rho_sigma(w), P(w) the sigma-independent matrix of its straightened
-    terms x^a' w on the kept monomials.  K is the top degree reported.
+    rho_sigma(w), P(w) the sigma-independent matrix of its terms x^a' w
+    on the kept monomials.  K is the top degree reported.
     `kind` only labels the report.  The sigma-independent data (the ideal
     sections and the matrices P of the generators) is shared through the
     family, keyed by the ideal's generators, so modules over one ideal
@@ -175,8 +176,8 @@ class GradedModule:
         """Matrices of a PBW element on the degree-k piece, as a map
         {target degree: matrix}: sum_w P(w) (x) rho_sigma(w) over the
         matrices P of _straighten.  A generator given as a key
-        ("x_gen", i), ("y_gen", i) or ("group_element", w) is straightened
-        once per family and ideal."""
+        ("x_gen", i), ("y_gen", i) or ("group_element", w) is computed
+        once per family and ideal (_columns)."""
         if not self.selected(k):
             return {}
         if isinstance(helem, tuple):
@@ -194,13 +195,40 @@ class GradedModule:
         return out
 
     def _columns(self, key, k):
-        """_straighten of a generator key ("x_gen", i), ("y_gen", i) or
-        ("group_element", w) at degree k, kept per family and ideal."""
+        """The matrices P of a generator key ("x_gen", i), ("y_gen", i) or
+        ("group_element", w) at degree k, kept per family and ideal.  Only
+        y_i is straightened; x_i sends x^a to x^(a + e_i), and w sends x^a
+        to w(x^a) w by the family's memoized substitution, each term then
+        taken to its normal form as in _straighten."""
         got = self._terms.get((key, k))
         if got is None:
-            gen = getattr(self.family, key[0])(key[1])
-            got = self._terms[(key, k)] = self._straighten(gen, k)
+            kind, i = key
+            if kind == "y_gen":
+                got = self._straighten(self.family.y_gen(i), k)
+            else:
+                got = {}
+                monos, kept = poly.monomials(self.n, k), self.selected(k)
+                k2, w = (k + 1, 0) if kind == "x_gen" else (k, i)
+                for p, mpos in enumerate(kept if self.selected(k2) else ()):
+                    a = monos[mpos]
+                    if kind == "x_gen":
+                        terms = {a[:i] + (a[i] + 1,) + a[i + 1:]: 1}
+                    else:
+                        terms = self.family._w_on_x(w, a)
+                    for a2, coeff in terms.items():
+                        self._place(got, k2, w, a2, p, coeff, len(kept))
+            self._terms[(key, k)] = got
         return got
+
+    def _place(self, out, k2, w, a, p, coeff, cols):
+        """Add coeff times the normal form of x^a to column p of out's
+        matrix P(w) of degree k2, made on first use."""
+        mat = out.get((k2, w))
+        if mat is None:
+            mat = out[(k2, w)] = linalg.zeros(len(self.selected(k2)), cols)
+        for r, v in self._section(k2)[1][_mono_index(self.n, k2)[a]].items():
+            x = coeff if v == 1 else coeff * v
+            mat[r][p] = mat[r][p] + x if mat[r][p] else x
 
     def _straighten(self, helem, k):
         """{(degree k2, w): P} for helem on the kept degree-k monomials.
@@ -217,16 +245,8 @@ class GradedModule:
             prod = helem * self.family.element({key: 1})
             for (a, w, b), coeff in prod.terms.items():
                 k2 = sum(a)
-                if any(b) or not self.selected(k2):
-                    continue
-                mat = out.get((k2, w))
-                if mat is None:
-                    mat = out[(k2, w)] = linalg.zeros(
-                        len(self.selected(k2)), len(kept))
-                normal = self._section(k2)[1][_mono_index(n, k2)[a]]
-                for r, v in normal.items():
-                    x = coeff if v == 1 else coeff * v
-                    mat[r][p] = mat[r][p] + x if mat[r][p] else x
+                if not any(b) and self.selected(k2):
+                    self._place(out, k2, w, a, p, coeff, len(kept))
         return out
 
     def _gen_block(self, cache_key, k, expect):
@@ -383,13 +403,12 @@ class DiracOperatorMatrix:
         return products[0]
 
     def w_cell(self, w, k, l):
-        """Diagonal action of a group element on the (k, l) cell: w on the
-        module (x) wedge^l(w), which is tau_w on the spin side
-        (clifford.pin_cover_holds)."""
-        a, b = self.module.w_block(w, k), _wedge(self.module.group, w, l)
-        out = linalg.zeros(len(a) * len(b), len(a[0]) * len(b[0]))
-        linalg.add_kron(out, a, b)
-        return out
+        """Diagonal action of a group element on the (k, l) cell, factored:
+        the pair (w on the module's degree k, wedge^l(w)), whose Kronecker
+        product acts on the cell; wedge^l(w) is tau_w on the spin side
+        (clifford.pin_cover_holds).  The product is never formed:
+        _span_character reads its rows off the factors."""
+        return self.module.w_block(w, k), _wedge(self.module.group, w, l)
 
 
 # --------------------------------------------------------------------------
@@ -439,10 +458,18 @@ def _wedge_char(group, l):
     return class_character(group, lambda w: _wedge(group, w, l))
 
 
-def _multiplicity(group, chi, mu):
-    """<chi, chi_mu> for the character chi of a W-stable space, checked to
-    be a nonnegative integer (NotRational off the rationals)."""
-    m = as_fraction(inner_product(group, chi, mu))
+@lru_cache(maxsize=None)
+def _cell_dual(group, l, mu):
+    """|C| chi_{wedge^l h}(C) conj chi_mu(C) per conjugacy class: mu's
+    dual_character row times the character of wedge^l(h)."""
+    return [a * b for a, b in zip(_wedge_char(group, l),
+                                  group.dual_character(mu))]
+
+
+def _multiplicity(m, mu):
+    """m = <chi, chi_mu> for the character chi of a W-stable space, checked
+    to be a nonnegative integer (NotRational off the rationals)."""
+    m = as_fraction(m)
     if m.denominator != 1 or m < 0:
         raise AssertionError(f"multiplicity of {mu} is not a nonnegative "
                              f"integer: {m}")
@@ -451,11 +478,15 @@ def _multiplicity(group, chi, mu):
 
 def cell_multiplicity(module, k, l, mu):
     """Multiplicity of mu in the (k, l) cell, degree k (x) wedge^l(h) under
-    the diagonal action: <module.character(k) chi_{wedge^l h}, chi_mu>, the
-    one place a cell character is formed."""
+    the diagonal action: <module.character(k) chi_{wedge^l h}, chi_mu>,
+    read as module.character(k) paired with the row _cell_dual(l, mu),
+    one product per class; the cell character itself is never formed."""
     g = module.group
-    return _multiplicity(g, [a * b for a, b in zip(
-        module.character(k), _wedge_char(g, l))], mu)
+    s = 0
+    for x, y in zip(module.character(k), _cell_dual(g, l, mu)):
+        if x and y:
+            s = s + x * y
+    return _multiplicity(s * reciprocal(g.order), mu)
 
 
 def _span_character(basis, pivots, blocks, classes):
@@ -464,21 +495,23 @@ def _span_character(basis, pivots, blocks, classes):
     Precondition: `basis` spans a W-stable subspace, and u_i is 1 at
     position pivots[i], where every other basis vector is 0: the pair
     that linalg.column_space_basis or linalg.nullspace returns.  `blocks`
-    lists (offset, matrices of the class representatives) for the
-    W-stable coordinate blocks, by increasing offset.  Then (w u_i)[p_i]
-    is the coefficient of u_i in w u_i and tr(w) = sum_i (w u_i)[p_i]:
-    one matrix row per basis vector and no solve.
+    lists (offset, factored matrices of the class representatives) for
+    the W-stable coordinate blocks, by increasing offset: pairs (A, B) as
+    DiracOperatorMatrix.w_cell returns, acting there as A (x) B.  Then
+    (w u_i)[p_i] is the coefficient of u_i in w u_i and tr(w) = sum_i
+    (w u_i)[p_i]: one matrix row per basis vector and no solve.  Row p of
+    A (x) B is row p // dim B of A times row p % dim B of B, which
+    linalg.kron_row_dot dots with u_i without forming it.
     """
     chi = [0] * classes
     for u, p in zip(basis, pivots):
         off, mats = next(b for b in reversed(blocks) if b[0] <= p)
         seg = u[off:]
-        for ci, m in enumerate(mats):
-            for a, x in zip(m[p - off], seg):
-                if a and x:
-                    if a != 1:
-                        x = a if x == 1 else a * x
-                    chi[ci] = chi[ci] + x if chi[ci] else x
+        q, r = divmod(p - off, len(mats[0][1]))  # every B is wedge^l(w)
+        for ci, (a, b) in enumerate(mats):
+            x = linalg.kron_row_dot(a[q], b[r], seg)
+            if x:
+                chi[ci] = chi[ci] + x if chi[ci] else x
     return chi
 
 
@@ -600,11 +633,12 @@ def dirac_cohomology(module):
 
     entries = []
     for mu in g.irrep_labels:
-        mult = _multiplicity(g, chi_h, mu)
+        mult = _multiplicity(inner_product(g, chi_h, mu), mu)
         if mult:
             entries.append({"irrep": mu, "multiplicity": mult, "cells": [
                 cell for cell in cellset
-                if _multiplicity(g, chi_cells[cell], mu)]})
+                if _multiplicity(inner_product(g, chi_cells[cell], mu),
+                                 mu)]})
     overlap_dim = len(zbasis) - len(ker)
     window = dirac.cells() if module.finite else cellset
     return {

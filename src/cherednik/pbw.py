@@ -375,12 +375,15 @@ def cherednik_forms(group, t, c_map):
     return forms
 
 
+# the most recently used families, oldest first
 _CHEREDNIK_FAMILIES = {}
+_FAMILIES_KEPT = 8
 
 
 def cherednik_family(group, t, c):
     """The rational Cherednik algebra H_{t,c} as a form family, built once
-    per (group, t, c) and shared with its straightening and module caches.
+    per (group, t, c) and shared with its straightening and module caches
+    while it is among the _FAMILIES_KEPT most recently used.
 
     H_{t,c} is PBW for every (t, c) (Etingof-Ginzburg 2002, Thm 1.3);
     pbw_check verifies it.
@@ -388,11 +391,13 @@ def cherednik_family(group, t, c):
     c_map = _c_map(group, c)
     key = (group, scalar_str(t)) + tuple(
         (name, scalar_str(v)) for name, v in sorted(c_map.items()))
-    got = _CHEREDNIK_FAMILIES.get(key)
+    got = _CHEREDNIK_FAMILIES.pop(key, None)
     if got is None:
-        got = _CHEREDNIK_FAMILIES[key] = FormFamily(
-            group, cherednik_forms(group, t, c_map), preset_tag="cherednik",
-            params={"t": t, "c": c_map})
+        got = FormFamily(group, cherednik_forms(group, t, c_map),
+                         preset_tag="cherednik", params={"t": t, "c": c_map})
+    _CHEREDNIK_FAMILIES[key] = got
+    if len(_CHEREDNIK_FAMILIES) > _FAMILIES_KEPT:
+        del _CHEREDNIK_FAMILIES[next(iter(_CHEREDNIK_FAMILIES))]
     return got
 
 

@@ -13,14 +13,15 @@ C, and most rationals met here (group matrices, unit coefficients, c = 1
 or 2) are integers.
 
 An element is stored in the power basis modulo the N-th cyclotomic
-polynomial, as integer numerators over one positive common denominator.
-Phi_N is monic over Z, so reduction, products, sums and field maps run on
-Python ints with one gcd normalisation per result; nothing here rounds and
-no Fraction is built in the arithmetic itself.  A result whose value is
-rational leaves the type: it comes back in the rational form, so a
-CyclotomicScalar is never rational (its conductor is > 2 and it is never
-zero), and a computation whose answer happens to be rational meets the
-integer paths of linalg and serializes as p/q.
+polynomial, as a dense tuple of deg Phi_N integer numerators (zeros
+included) over one positive common denominator.  Phi_N is monic over Z,
+so reduction, products, sums and field maps run on Python ints with one
+gcd normalisation per result; nothing here rounds and no Fraction is
+built in the arithmetic itself.  A result whose value is rational leaves
+the type: it comes back in the rational form, so a CyclotomicScalar is
+never rational (its conductor is > 2 and it is never zero), and a
+computation whose answer happens to be rational meets the integer paths
+of linalg and serializes as p/q.
 
 The identity rule: a scalar is immutable and always canonical, so x * 1,
 1 * x, x + 0 and 0 + x (with the int 1 and 0) return x itself, and x * -1
@@ -133,23 +134,22 @@ def _fold(items, n):
     return out
 
 
-def _nonzero(vals):
-    return {e: c for e, c in enumerate(vals) if c}
-
-
 def _lift(num, n, m):
     """Integer numerators at conductor n written at conductor m (n | m)."""
     k = m // n
-    return _nonzero(_fold([(e * k, c) for e, c in num.items()], m))
+    return tuple(_fold([(e * k, c) for e, c in enumerate(num) if c], m))
 
 
 def _mul_vals(a, b, n):
-    """Integer numerators of a * b at conductor n, as a list."""
+    """Integer numerators of a * b at conductor n, as a list; a and b list
+    numerators by exponent (shorter than deg Phi_n is allowed)."""
     deg, rows = _reduction_rows(n)
     prod = [0] * (2 * deg - 1)
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            prod[e1 + e2] += c1 * c2
+    b = [(e2, c2) for e2, c2 in enumerate(b) if c2]
+    for e1, c1 in enumerate(a):
+        if c1:
+            for e2, c2 in b:
+                prod[e1 + e2] += c1 * c2
     out = prod[:deg]
     for e in range(deg, 2 * deg - 1):
         v = prod[e]
@@ -161,7 +161,7 @@ def _mul_vals(a, b, n):
 
 def _galois(num, n, k):
     """Numerators of sigma_k(x) for sigma_k: zeta_n -> zeta_n^k."""
-    return _fold([(e * k % n, c) for e, c in num.items()], n)
+    return _fold([(e * k % n, c) for e, c in enumerate(num) if c], n)
 
 
 # --- the scalar type --------------------------------------------------------
@@ -185,10 +185,8 @@ def _canon(n, vals, den):
     if not any(vals[1:]):
         p, q = vals[0] // g, den // g
         return Fraction(p, q) if q != 1 else p
-    if g != 1:  # most results are already reduced: skip the division pass
-        num = {e: v // g for e, v in enumerate(vals) if v}
-    else:
-        num = {e: v for e, v in enumerate(vals) if v}
+    # most results are already reduced: skip the division pass
+    num = tuple(v // g for v in vals) if g != 1 else tuple(vals)
     return _make(n, num, den // g)
 
 
@@ -196,12 +194,11 @@ def _scale(x, p, q):
     """x * p / q for integers p and q > 0; 0 when p is."""
     if not p:
         return 0
-    num = {e: v * p for e, v in x.num.items()}
+    num = [v * p for v in x.num]
     den = x.den * q
-    g = gcd(den, *num.values())
-    if g != 1:
-        num = {e: v // g for e, v in num.items()}
-    return _make(x.conductor, num, den // g)
+    g = gcd(den, *num)
+    return _make(x.conductor, tuple(v // g for v in num) if g != 1
+                 else tuple(num), den // g)
 
 
 def _parts(v):
@@ -210,9 +207,9 @@ def _parts(v):
     if isinstance(v, CyclotomicScalar):
         return v.conductor, v.num, v.den
     if isinstance(v, int):
-        return 1, ({0: v} if v else {}), 1
+        return 1, (v,), 1
     if isinstance(v, Fraction):
-        return 1, ({0: v.numerator} if v else {}), v.denominator
+        return 1, (v.numerator,), v.denominator
     return None
 
 
@@ -221,9 +218,9 @@ class CyclotomicScalar:
 
     conductor: the N of the ambient field, > 2 (at_conductor writes a
         value at a larger N on request).
-    num: dict exponent -> nonzero int, exponents in [0, deg Phi_N), with
-        some exponent other than 0.
-    den: positive int with gcd(den, *num.values()) == 1.
+    num: tuple of deg Phi_N ints, zeros included, num[e] the numerator
+        of zeta_N^e; some entry past index 0 is nonzero.
+    den: positive int with gcd(den, *num) == 1.
     The value is sum_e num[e] * zeta_N^e / den.  Values come from reduce
     and zeta; an operation whose value is rational returns it in the
     rational form instead.  There is no `/`: reciprocal is the one exact
@@ -251,8 +248,7 @@ class CyclotomicScalar:
     # -- arithmetic
 
     def __neg__(self):
-        return _make(self.conductor, {e: -v for e, v in self.num.items()},
-                     self.den)
+        return _make(self.conductor, tuple(-v for v in self.num), self.den)
 
     def __add__(self, other):
         if type(other) is int and not other:
@@ -268,11 +264,10 @@ class CyclotomicScalar:
             n = m
         g = gcd(da, db)
         ma, mb = db // g, da // g
-        vals = [0] * _reduction_rows(n)[0]
-        for e, v in a.items():
-            vals[e] = v * ma
-        for e, v in b.items():
-            vals[e] += v * mb
+        vals = [v * ma for v in a] if ma != 1 else list(a)
+        for e, v in enumerate(b):
+            if v:
+                vals[e] += v * mb
         return _canon(n, vals, da * ma)
 
     __radd__ = __add__
@@ -313,17 +308,16 @@ class CyclotomicScalar:
         # x = P / den with P in Z[zeta_n]; Y = prod_{k != 1} sigma_k(P)
         # makes P * Y = N(P) an integer, positive since Q(zeta_n) is totally
         # complex for n > 2, so 1/x = den * Y / N(P)
-        y = {0: 1}
+        y = (1,)
         for k in range(2, n):
             if gcd(k, n) == 1:
-                y = _nonzero(_mul_vals(y, _nonzero(_galois(num, n, k)), n))
+                y = _mul_vals(y, _galois(num, n, k), n)
         norm = _mul_vals(num, y, n)
         if norm[0] < 0 or any(norm[1:]):
             raise AssertionError("cyclotomic norm not a positive rational")
         if not norm[0]:
             raise AssertionError("cyclotomic polynomial not coprime")
-        return _canon(n, [den * y.get(e, 0) for e in range(len(norm))],
-                      norm[0])
+        return _canon(n, [den * v for v in y], norm[0])
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -370,7 +364,7 @@ class CyclotomicScalar:
         return (self.conductor,
                 tuple((e, v // g, den // g) for e, v, g in
                       ((e, v, gcd(v, den))
-                       for e, v in sorted(self.num.items()))))
+                       for e, v in enumerate(self.num) if v)))
 
     def __repr__(self):
         return scalar_str(self)
@@ -496,7 +490,9 @@ def real_sign(x) -> int:
     while True:
         pi_lo, pi_hi = _pi_bounds(eps)
         lo = hi = 0
-        for e, c in x.num.items():
+        for e, c in enumerate(x.num):
+            if not c:
+                continue
             a, b = _cos_bounds(Fraction(2 * min(e, n - e), n), pi_lo, pi_hi,
                                eps)
             if c > 0:

@@ -10,7 +10,10 @@ basis of V, isotypic projectors summed over W, the Clifford involutions,
 matrix products with every product and sum carried out, products on
 the orthogonal space by the ordered rewrite alone, module
 characters traced off the full sigma-blocks, module actions by a walk
-over the straightened terms, one term at a time, the per-element group
+over the straightened terms, one term at a time, the cell matrices of w
+as full Kronecker products with the character of a span read off their
+rows, cell multiplicities with the cell character formed before the
+pairing, the per-element group
 data (h* matrices, inverses) formed element by element instead of along
 the BFS words, and the pin data the library no longer forms because W
 acts through w itself once clifford.pin_cover_holds passes: tau_w^-1,
@@ -46,8 +49,8 @@ from cherednik.clifford import (CliffordElement, _reflection_factor,
                                 spin_basis)
 from cherednik.dirac import TensorElement, dirac_element, tensor
 from cherednik.groups import (_find_reflection_data, check_representation,
-                              class_character)
-from cherednik.poly import acc, monomials, p_mul, to_vector
+                              class_character, inner_product)
+from cherednik.poly import acc, monomials, p_mul, to_vector, wedge_matrix
 from cherednik.scalars import (conjugate, rational, reciprocal,
                                scalar_map_str, scalar_str)
 
@@ -71,8 +74,9 @@ def reduce_cyclotomic_sympy(coeffs, n):
 
 def cyclotomic_coeffs(x):
     """The value of a CyclotomicScalar as a dict exponent -> Fraction, read
-    from its integer numerators and their common denominator."""
-    return {e: Fraction(v, x.den) for e, v in x.num.items()}
+    from its tuple of integer numerators (one per exponent, zeros
+    included) and their common denominator; zero entries are left out."""
+    return {e: Fraction(v, x.den) for e, v in enumerate(x.num) if v}
 
 
 def cyclotomic_inverse_sympy(coeffs, n):
@@ -583,6 +587,41 @@ def action_blocks_by_columns(module, columns):
                             row[j] = row[j] + sv if row[j] else sv
     return out
 
+
+def w_cell_matrix(dirac, w, k, l):
+    """The matrix of w on the (k, l) cell, the Kronecker product of the
+    factors DiracOperatorMatrix.w_cell returns, formed in full."""
+    a, b = dirac.w_cell(w, k, l)
+    out = linalg.zeros(len(a) * len(b), len(a[0]) * len(b[0]))
+    linalg.add_kron(out, a, b)
+    return out
+
+
+def span_character_dense(basis, pivots, blocks, classes):
+    """The character of span(basis) read off full cell matrices: blocks
+    lists (offset, dense matrices of the class representatives), and
+    tr(w) = sum_i (w u_i)[p_i], each entry a full row of the matrix
+    times u_i."""
+    chi = [0] * classes
+    for u, p in zip(basis, pivots):
+        off, mats = next(b for b in reversed(blocks) if b[0] <= p)
+        for ci, m in enumerate(mats):
+            for a, x in zip(m[p - off], u[off:]):
+                chi[ci] += a * x
+    return [rational(x) for x in chi]
+
+
+def cell_multiplicity_two_products(module, k, l, mu):
+    """<chi_k chi_{wedge^l h}, chi_mu> with the cell character formed
+    first, one product per class, and then paired with chi_mu by
+    inner_product, a second product per class; wedge^l(h)'s character is
+    traced off poly.wedge_matrix."""
+    g = module.group
+    wedge = class_character(g, lambda w: wedge_matrix(g.elements[w], l))
+    m = inner_product(g, [a * b for a, b in zip(module.character(k), wedge)],
+                      mu)
+    assert m == int(m) and m >= 0, (k, l, mu, m)
+    return int(m)
 
 # ---------------------------------------------------------------------------
 # products on the orthogonal space by the ordered rewrite alone

@@ -44,7 +44,7 @@ from cherednik.pbw import (
     pbw_check,
 )
 
-from oracles import involutions, isotypic_projector
+from oracles import involutions, isotypic_projector, w_cell_matrix
 
 
 _CAPSYS = None
@@ -205,7 +205,8 @@ def test_criterion_05_cell_scalar_law():
                                 continue
                             proj = isotypic_projector(WRepresentation(
                                 d.cell_dim(k, l),
-                                [d.w_cell(w, k, l) for w in range(g.order)]),
+                                [w_cell_matrix(d, w, k, l)
+                                 for w in range(g.order)]),
                                 nu, g)
                             sc = -2 * (k + n - l) + n_sigma \
                                 - casimir_scalar(mu, c, g)

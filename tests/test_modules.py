@@ -40,7 +40,7 @@ from cherednik.pbw import (
 )
 from cherednik.scalars import CapExceeded, NotRational, as_fraction, conjugate
 
-from oracles import isotypic_projector, tau_spin_by_element
+from oracles import isotypic_projector, tau_spin_by_element, w_cell_matrix
 
 
 def compose_blocks(module, outer, inner):
@@ -59,7 +59,7 @@ def cell_projector(d, mu, k, l):
     """Projector onto the mu-isotypic of the (k, l) cell, summed over W."""
     g = d.module.group
     rep = WRepresentation(d.cell_dim(k, l),
-                          [d.w_cell(w, k, l) for w in range(g.order)])
+                          [w_cell_matrix(d, w, k, l) for w in range(g.order)])
     return isotypic_projector(rep, mu, g)
 
 
@@ -309,13 +309,13 @@ def test_dirac_equivariance():
         for l in range(3):
             blk = d.block(k, l)
             for w in range(g.order):
-                rho = d.w_cell(w, k, l)
+                rho = w_cell_matrix(d, w, k, l)
                 if blk["up"] is not None:
-                    rho2 = d.w_cell(w, k + 1, l + 1)
+                    rho2 = w_cell_matrix(d, w, k + 1, l + 1)
                     assert linalg.mat_mul(blk["up"], rho) == \
                         linalg.mat_mul(rho2, blk["up"])
                 if blk["down"] is not None and k >= 1 and l >= 1:
-                    rho2 = d.w_cell(w, k - 1, l - 1)
+                    rho2 = w_cell_matrix(d, w, k - 1, l - 1)
                     assert linalg.mat_mul(blk["down"], rho) == \
                         linalg.mat_mul(rho2, blk["down"])
 
@@ -332,7 +332,7 @@ def test_w_cell_is_the_pin_lift_on_the_spin_side(gid):
             a, b = d.module.w_block(w, 1), spin_block(spin, g.n, l, l)
             want = linalg.zeros(len(a) * len(b), len(a[0]) * len(b[0]))
             linalg.add_kron(want, a, b)
-            got = d.w_cell(w, 1, l)
+            got = w_cell_matrix(d, w, 1, l)
             assert got == want, (w, l)
             assert ([[type(x) for x in row] for row in got]
                     == [[type(x) for x in row] for row in want]), (w, l)
@@ -344,8 +344,9 @@ def test_w_cell_homomorphism():
     d = DiracOperatorMatrix(m)
     for u in range(g.order):
         for v in range(g.order):
-            lhs = linalg.mat_mul(d.w_cell(u, 0, 1), d.w_cell(v, 0, 1))
-            assert lhs == d.w_cell(g.mult(u, v), 0, 1)
+            lhs = linalg.mat_mul(w_cell_matrix(d, u, 0, 1),
+                                 w_cell_matrix(d, v, 0, 1))
+            assert lhs == w_cell_matrix(d, g.mult(u, v), 0, 1)
 
 
 def test_top_wedge_is_killed():
