@@ -471,10 +471,7 @@ def _verify_character_table(group):
     dual = [group.dual_character(label) for label in group.irrep_labels]
     for i in range(k):
         for j in range(i, k):
-            s = 0
-            for x, y in zip(table[i], dual[j]):
-                s = s + x * y
-            if s != (order if i == j else 0):
+            if class_pairing(table[i], dual[j]) != (order if i == j else 0):
                 raise AssertionError(f"row orthogonality {i},{j}")
 
 
@@ -646,11 +643,19 @@ def inner_product(group, chi, label):
     class function chi listed per conjugacy class, in the rational form
     when rational; callers decide whether it must be a nonnegative
     integer."""
+    return rational(class_pairing(chi, group.dual_character(label))
+                    * Fraction(1, group.order))
+
+
+def class_pairing(chi, row):
+    """sum_C chi(C) row(C) over two rows listed per conjugacy class,
+    skipping the zero products: with a dual_character row, |W| times the
+    inner product."""
     s = 0
-    for x, y in zip(chi, group.dual_character(label)):
-        if x:
+    for x, y in zip(chi, row):
+        if x and y:
             s = s + x * y
-    return rational(s * Fraction(1, group.order))
+    return s
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from functools import lru_cache
 from . import linalg, poly
 from .clifford import _spin_generator_matrices, pin_cover_holds, spin_block
 from .dirac import casimir_scalar
-from .groups import class_character, inner_product
+from .groups import class_character, class_pairing, inner_product
 from .pbw import cherednik_family
 from .scalars import (CapExceeded, NotRational, as_fraction, conjugate,
                       rational, reciprocal, scalar_str)
@@ -250,6 +250,10 @@ class GradedModule:
         return out
 
     def _gen_block(self, cache_key, k, expect):
+        """The generator key's block from degree k to degree expect, or
+        None when either piece is empty."""
+        if not self.selected(k) or not self.selected(expect):
+            return None
         got = self._blocks.get((cache_key, k))
         if got is None:
             blocks = self.action_blocks(cache_key, k)
@@ -257,25 +261,19 @@ class GradedModule:
             if bad:
                 raise AssertionError(f"degree drift {bad} for {cache_key}")
             got = blocks.get(expect)
-            if got is None and self.piece_dim(expect) and self.piece_dim(k):
+            if got is None:
                 got = linalg.zeros(self.piece_dim(expect), self.piece_dim(k))
             self._blocks[(cache_key, k)] = got
         return got
 
     def x_block(self, i, k):
         """x_i: degree k -> k + 1, or None when either piece is empty."""
-        if not self.selected(k) or not self.selected(k + 1):
-            return None
         return self._gen_block(("x_gen", i), k, k + 1)
 
     def y_block(self, i, k):
-        if not self.selected(k) or not self.selected(k - 1):
-            return None
         return self._gen_block(("y_gen", i), k, k - 1)
 
     def w_block(self, w, k):
-        if not self.selected(k):
-            return None
         return self._gen_block(("group_element", w), k, k)
 
 
@@ -301,21 +299,19 @@ def baby_verma(group, sigma, c):
 
 def one_dimensional_quotient(group, sigma, c):
     """Delta(sigma) modulo h*.Delta(sigma) over t = 0: the simple quotient
-    with x = y = 0, available exactly when every commutator [y_i, x_j]
-    acts by zero on the one-dimensional sigma.  On Delta(sigma) over the
-    same family y_i kills 1 (x) v, so y_i sends x_j (x) v to [y_i, x_j] v:
-    the commutators are read off the y-blocks of degree 1."""
+    with x = y = 0, available exactly when every commutator [y_i, x_j] =
+    sum_w a_w(y_i, x_j) w acts by zero on the one-dimensional sigma, which
+    is read straight off the family's forms."""
     n = group.n
     module = GradedModule("simple", cherednik_family(group, 0, c), sigma, 0,
                           [({e: 1}, 1) for e in poly.monomials(n, 1)])
     if module.dim_sigma != 1:
         raise ValueError("the visible quotient needs dim(sigma) = 1")
-    delta = GradedModule("standard", module.family, sigma, 1)
-    at = _mono_index(n, 1)
+    forms, rho = module.family.forms, module.rep.matrices
     for i in range(n):
-        row = delta.y_block(i, 1)[0]
         for j in range(n):
-            if row[at[tuple(int(t == j) for t in range(n))]]:
+            if sum(mat[2 * i + 1][2 * j] * rho[w][0][0]
+                   for w, mat in forms.items()):
                 raise ValueError(
                     f"[y_{i + 1}, x_{j + 1}] does not kill {sigma}")
     return module
@@ -326,13 +322,14 @@ def one_dimensional_quotient(group, sigma, c):
 
 
 class DiracOperatorMatrix:
-    """Cell blocks of the Dirac operator.
+    """Cell parts of the Dirac operator.
 
-    A cell is a pair (k, l); the operator splits into an up part
-    (k, l) -> (k + 1, l + 1) built from the x-action and wedge products
-    and a down part (k, l) -> (k - 1, l - 1) built from the y-action and
-    contractions.  Cell bases are module basis (x) exterior basis, in
-    module-major order.
+    A cell is a pair (k, l); the operator splits into an up part, step 1,
+    (k, l) -> (k + 1, l + 1) built from the x-action and wedge products,
+    and a down part, step -1, (k, l) -> (k - 1, l - 1) built from the
+    y-action and contractions.  part(k, l, step) builds one of them the
+    first time it is read.  Cell bases are module basis (x) exterior basis,
+    in module-major order.
     """
 
     def __init__(self, module):
@@ -342,7 +339,7 @@ class DiracOperatorMatrix:
         self.module = module
         self.n = module.n
         self._spin = _spin_generator_matrices(self.n)
-        self._blocks = {}
+        self._parts = {}
 
     def wedge_dim(self, l):
         if l < 0 or l > self.n:
@@ -356,26 +353,24 @@ class DiracOperatorMatrix:
         return [(k, l) for k in self.module.degrees()
                 for l in range(self.n + 1)]
 
-    def block(self, k, l):
-        got = self._blocks.get((k, l))
-        if got is None:
-            got = {"up": self._assemble(k, l, 1),
-                   "down": self._assemble(k, l, -1)}
-            self._blocks[(k, l)] = got
-        return got
+    def part(self, k, l, step):
+        """The up (step 1) or down (step -1) part of D on the (k, l) cell,
+        or None when its source or target cell is empty."""
+        key = (k, l, step)
+        if key not in self._parts:
+            self._parts[key] = self._assemble(k, l, step)
+        return self._parts[key]
 
-    def _assemble(self, k, l, direction):
+    def _assemble(self, k, l, step):
         m = self.module
-        k2, l2 = k + direction, l + direction
-        if l2 < 0 or l2 > self.n or k2 < 0:
-            return None
-        rows = m.piece_dim(k2) * self.wedge_dim(l2)
-        cols = m.piece_dim(k) * self.wedge_dim(l)
+        k2, l2 = k + step, l + step
+        rows = self.cell_dim(k2, l2)
+        cols = self.cell_dim(k, l)
         if rows == 0 or cols == 0:
             return None
         out = linalg.zeros(rows, cols)
         for i in range(self.n):
-            if direction > 0:
+            if step > 0:
                 mb = m.x_block(i, k)
                 sg = 2 * i + 1
             else:
@@ -387,20 +382,14 @@ class DiracOperatorMatrix:
         return out
 
     def d_squared_on_cell(self, k, l):
-        blk = self.block(k, l)
-        products = []
-        if blk["up"] is not None:
-            products.append(linalg.mat_mul(self.block(k + 1, l + 1)["down"],
-                                           blk["up"]))
-        if blk["down"] is not None:
-            products.append(linalg.mat_mul(self.block(k - 1, l - 1)["up"],
-                                           blk["down"]))
-        if not products:
-            dim = self.cell_dim(k, l)
-            return linalg.zeros(dim, dim)
-        for other in products[1:]:
-            linalg.add_into(products[0], other)
-        return products[0]
+        dim = self.cell_dim(k, l)
+        out = linalg.zeros(dim, dim)
+        for step in (1, -1):
+            first = self.part(k, l, step)
+            if first is not None:
+                linalg.add_into(out, linalg.mat_mul(
+                    self.part(k + step, l + step, -step), first))
+        return out
 
     def w_cell(self, w, k, l):
         """Diagonal action of a group element on the (k, l) cell, factored:
@@ -482,11 +471,8 @@ def cell_multiplicity(module, k, l, mu):
     read as module.character(k) paired with the row _cell_dual(l, mu),
     one product per class; the cell character itself is never formed."""
     g = module.group
-    s = 0
-    for x, y in zip(module.character(k), _cell_dual(g, l, mu)):
-        if x and y:
-            s = s + x * y
-    return _multiplicity(s * reciprocal(g.order), mu)
+    return _multiplicity(class_pairing(module.character(k), _cell_dual(
+        g, l, mu)) * reciprocal(g.order), mu)
 
 
 def _span_character(basis, pivots, blocks, classes):
@@ -560,11 +546,13 @@ def dirac_cohomology(module):
     D_y D_x preserves every cell and acts on each W-isotypic there by
     d_squared_scalar.  Hence ker D and D(Z) = ker D n im D lie in
     Z = ker D^2, which lives on the cells of _zero_scalar_cells; only there
-    is D^2 built, and its nullspace is checked against them.  chi_Z is read
-    at the free columns of that nullspace basis, with no second
-    elimination.  D is applied to this basis of Z by block products, one
-    up and one down block per cell, into one matrix whose nullspace gives
-    ker(D|Z); since D(Z) ~ Z / ker(D|Z) as W-modules, H_D has character
+    is D^2 built, and its nullspace is checked against them.  D is
+    applied to this basis of Z by the up and down parts of each cell
+    (DiracOperatorMatrix.part) into one matrix, whose nullspace N gives
+    ker(D|Z) = N Z.  Each subspace is eliminated once: chi_Z is read at
+    the window positions of the free columns of the D^2 nullspaces, and
+    chi_ker at the positions of Z's vectors that N's free columns pick.
+    Since D(Z) ~ Z / ker(D|Z) as W-modules, H_D has character
     2 chi_ker - chi_Z.  A module that ends by degree K reports every
     nonempty cell as its window and rank D as image_dim; any other
     reports the zero-scalar window and image_dim = dim D(Z).
@@ -588,9 +576,9 @@ def dirac_cohomology(module):
     reps = [cl[0] for cl in g.conjugacy_classes]
     classes = len(reps)
     wmats = {cell: [dirac.w_cell(w, *cell) for w in reps] for cell in cellset}
-    chi_z = [0] * classes
-    # zbasis: Z in window coordinates; images: D of each, one per column
-    zbasis = []
+    # zbasis: Z in window coordinates, 1 at zpiv; images: D of each, one
+    # per column
+    zbasis, zpiv = [], []
     images = linalg.zeros(total, sum(want.values()))
     for cell in cellset:
         zero, free = linalg.nullspace(dirac.d_squared_on_cell(*cell))
@@ -598,14 +586,13 @@ def dirac_cohomology(module):
             raise AssertionError(
                 f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
                 f"its zero-scalar isotypics {want[cell]}")
-        chi = _span_character(zero, free, [(0, wmats[cell])], classes)
-        chi_z = [a + b for a, b in zip(chi_z, chi)]
         col, off = len(zbasis), offsets[cell]
         zbasis.extend([0] * off + v + [0] * (total - off - len(v))
                       for v in zero)
+        zpiv.extend(off + f for f in free)
         zt = linalg.transpose(zero)
-        for step, part in ((1, "up"), (-1, "down")):
-            mat = dirac.block(*cell)[part]
+        for step in (1, -1):
+            mat = dirac.part(*cell, step)
             if mat is None:
                 continue
             target = (cell[0] + step, cell[1] + step)
@@ -617,12 +604,14 @@ def dirac_cohomology(module):
                 continue
             for row, got in zip(images[offsets[target]:], image):
                 row[col:col + len(zero)] = got
-    ker, pivots = linalg.column_space_basis(
-        linalg.mat_mul(linalg.nullspace(images)[0], zbasis))
+    # kernel vector i is 1 at Z's pivot zpiv[free[i]], where the others are 0
+    null, free = linalg.nullspace(images)
+    ker = linalg.mat_mul(null, zbasis)
 
     blocks = [(offsets[cell], wmats[cell]) for cell in cellset]
     chi_h = [2 * a - b for a, b in zip(
-        _span_character(ker, pivots, blocks, classes), chi_z)]
+        _span_character(ker, [zpiv[f] for f in free], blocks, classes),
+        _span_character(zbasis, zpiv, blocks, classes))]
     chi_cells = {}
     for cell in cellset:
         off = offsets[cell]

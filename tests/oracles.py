@@ -33,9 +33,11 @@ forms: every raw key in every Z-degree and on both polynomial sides,
 filtered afterwards; d on a unit key by two full H (x) C(V) products; a
 column id per raw key by forming its W-average and comparing it up to
 scale with the earlier ones, with no orbit mates; and the dense
-coordinate matrix of its elements (coords).  Tests compare library
-output against these.  The last section holds the canonical term lists
-of H (x) C(V) elements and central class functions that
+coordinate matrix of its elements (coords).  Whether the one-dimensional
+quotient exists is read off the degree-1 y-blocks of Delta(sigma), as the
+library did before it read the commutators off the forms.  Tests compare
+library output against these.  The last section holds the canonical term
+lists of H (x) C(V) elements and central class functions that
 tests/golden/kernel_witnesses.json stores.
 """
 
@@ -50,6 +52,8 @@ from cherednik.clifford import (CliffordElement, _reflection_factor,
 from cherednik.dirac import TensorElement, dirac_element, tensor
 from cherednik.groups import (_find_reflection_data, check_representation,
                               class_character, inner_product)
+from cherednik.modules import GradedModule
+from cherednik.pbw import cherednik_family
 from cherednik.poly import acc, monomials, p_mul, to_vector, wedge_matrix
 from cherednik.scalars import (conjugate, rational, reciprocal,
                                scalar_map_str, scalar_str)
@@ -505,6 +509,15 @@ def quotient_character_by_blocks(module, k):
     degree)."""
     return class_character(module.group,
                            lambda w: module.w_block(w, k) or [])
+
+
+def quotient_exists_by_y_block(group, sigma, c):
+    """Whether every [y_i, x_j] kills the one-dimensional sigma over
+    H_{0,c}: on Delta(sigma) over that family y_i kills 1 (x) v, so y_i
+    sends x_j (x) v to [y_i, x_j] v, the entries of the degree-1
+    y-blocks."""
+    delta = GradedModule("standard", cherednik_family(group, 0, c), sigma, 1)
+    return not any(x for i in range(group.n) for x in delta.y_block(i, 1)[0])
 
 
 # ---------------------------------------------------------------------------

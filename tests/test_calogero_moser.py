@@ -10,7 +10,7 @@ from cherednik.calogero_moser import (
     verify_cm_factorization,
 )
 from cherednik.dirac import KernelSearch
-from cherednik.groups import build_group
+from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.modules import h_weight
 from cherednik.pbw import cherednik_family
 from cherednik.scalars import CapExceeded
@@ -222,6 +222,32 @@ def test_partition_sign_twist(gid):
     for c in (1, Fraction(1, 2)):
         assert shape(dirac_partition(g, -c), lambda lab: lab) == \
             shape(dirac_partition(g, c), g.tensor_with_eps)
+
+
+def _without_c(p):
+    data = p.to_data()
+    del data["c"]
+    return data
+
+
+@pytest.mark.parametrize("gid", [gid for gid in CATALOGUE_IDS
+                                 if gid not in ("B3", "G4_1_2")])
+def test_partition_scaling_at_t_zero(gid):
+    # H_{0,c} = H_{0,lambda c} for lambda != 0 (rescale y by lambda), and
+    # the rescaling fixes every Delta(sigma): the partitions at c and
+    # lambda c agree in everything but c itself
+    g = build_group(gid)
+    c = Fraction(1, 3)
+    want = _without_c(dirac_partition(g, c))
+    for lam in (3, -2):
+        assert _without_c(dirac_partition(g, lam * c)) == want, lam
+
+
+def test_partition_scaling_at_t_zero_unequal_parameters():
+    g = build_group("B2")
+    assert (_without_c(dirac_partition(g, {"long": 1,
+                                            "short": Fraction(1, 2)}))
+            == _without_c(dirac_partition(g, {"long": -2, "short": -1})))
 
 
 # Lusztig's families at equal parameters, in the catalogue's labels.

@@ -86,7 +86,7 @@ def test_factored_span_character_matches_the_kronecker_rows(gid,
     d = DiracOperatorMatrix(_standard(g))
     reps = [cl[0] for cl in g.conjugacy_classes]
     for k, l in d.cells():
-        up = d.block(k, l)["up"]
+        up = d.part(k, l, 1)
         if up is None:
             continue
         blocks = [(0, [d.w_cell(w, k, l) for w in reps])]

@@ -186,8 +186,9 @@ def test_rref_on_the_a2_kernel_matrices(monkeypatch):
 def test_pivots_on_the_recorded_catalogue_matrices(monkeypatch):
     # every matrix that nullspace and column_space_basis receive while
     # verify runs on the catalogue (group builds included) and
-    # dirac_partition runs at c = 1 on the partition groups: the pivots
-    # they return are the reference scanners' and sympy's
+    # dirac_partition runs at c = 1 on the partition groups and at c = 1/3
+    # on A2 and B2: the pivots they return are the reference scanners'
+    # and sympy's
     seen = []
 
     def recording(kind, inner):
@@ -206,6 +207,8 @@ def test_pivots_on_the_recorded_catalogue_matrices(monkeypatch):
             assert main(["verify", "--group", gid]) == 0, gid
     for gid in ("A2", "I2_3", "B2", "G2_1_2", "I2_4", "I2_5", "G3_1_2"):
         dirac_partition(build_group(gid), 1)
+    for gid in ("A2", "B2"):
+        dirac_partition(build_group(gid), Fraction(1, 3))
     monkeypatch.undo()
     cases = {(kind, repr(m)): (kind, m, out) for kind, m, out in seen}
     assert {kind for kind, _ in cases} == {"nullspace", "column_space_basis"}
