@@ -33,7 +33,7 @@ from .scalars import parse_scalar, scalar_map_str, scalar_str
 
 def _parse_c(entries):
     """--c 1/2 gives a constant; repeated --c long=1 --c short=1/2 gives a
-    per-class map."""
+    per-class map, each class named once."""
     if not entries:
         return 1
     pairs = [e for e in entries if "=" in e]
@@ -47,6 +47,8 @@ def _parse_c(entries):
     out = {}
     for e in pairs:
         name, _, val = e.partition("=")
+        if name.strip() in out:
+            raise ValueError(f"repeated --c class {name.strip()!r}")
         out[name.strip()] = parse_scalar(val)
     return out
 
@@ -62,6 +64,8 @@ def _load_config(path):
                 if "=" not in line:
                     raise ValueError(f"bad config line: {raw.strip()!r}")
                 key, _, val = line.partition("=")
+                if key.strip() in cfg:
+                    raise ValueError(f"repeated config key {key.strip()!r}")
                 cfg[key.strip()] = val.strip()
     except OSError as err:
         raise ValueError(f"cannot read config file: {err}")

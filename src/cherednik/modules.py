@@ -12,8 +12,8 @@ terms (x_i and w act directly, anything else is straightened); every
 sigma-block is built from them by one Kronecker kernel (linalg.add_kron).
 The Dirac operator acts on cells (polynomial degree k, exterior degree l)
 of module (x) wedge(h), whose W-types cell_multiplicity reads off the
-module's character, and is applied to a basis of ker D^2 by block
-products; every matrix is exact.  Once clifford.pin_cover_holds, w acts
+module's character, and is read on ker D^2 in the coordinates of its
+basis; every matrix is exact.  Once clifford.pin_cover_holds, w acts
 on wedge^l(h) as wedge^l(w) (_wedge).
 
 The module protocol: DiracOperatorMatrix, dirac_cohomology,
@@ -475,30 +475,25 @@ def cell_multiplicity(module, k, l, mu):
         g, l, mu)) * reciprocal(g.order), mu)
 
 
-def _span_character(basis, pivots, blocks, classes):
-    """Character, one value per conjugacy class, of the span of `basis`.
+def _span_character(chi, basis, pivots, mats):
+    """Add the character of span(basis), one value per class, to chi.
 
-    Precondition: `basis` spans a W-stable subspace, and u_i is 1 at
-    position pivots[i], where every other basis vector is 0: the pair
-    that linalg.column_space_basis or linalg.nullspace returns.  `blocks`
-    lists (offset, factored matrices of the class representatives) for
-    the W-stable coordinate blocks, by increasing offset: pairs (A, B) as
-    DiracOperatorMatrix.w_cell returns, acting there as A (x) B.  Then
-    (w u_i)[p_i] is the coefficient of u_i in w u_i and tr(w) = sum_i
-    (w u_i)[p_i]: one matrix row per basis vector and no solve.  Row p of
-    A (x) B is row p // dim B of A times row p % dim B of B, which
-    linalg.kron_row_dot dots with u_i without forming it.
+    Precondition: `basis` spans a W-stable subspace of one cell, and u_i
+    is 1 at position pivots[i], where every other basis vector is 0: the
+    pair that linalg.column_space_basis or linalg.nullspace returns.
+    `mats` holds the factored matrices of the class representatives on
+    the cell, pairs (A, B) as DiracOperatorMatrix.w_cell returns, acting
+    as A (x) B.  Then (w u_i)[p_i] is the coefficient of u_i in w u_i and
+    tr(w) = sum_i (w u_i)[p_i]: one matrix row per basis vector and no
+    solve.  Row p of A (x) B is row p // dim B of A times row p % dim B of
+    B, which linalg.kron_row_dot dots with u_i without forming it.
     """
-    chi = [0] * classes
     for u, p in zip(basis, pivots):
-        off, mats = next(b for b in reversed(blocks) if b[0] <= p)
-        seg = u[off:]
-        q, r = divmod(p - off, len(mats[0][1]))  # every B is wedge^l(w)
+        q, r = divmod(p, len(mats[0][1]))  # every B is wedge^l(w)
         for ci, (a, b) in enumerate(mats):
-            x = linalg.kron_row_dot(a[q], b[r], seg)
+            x = linalg.kron_row_dot(a[q], b[r], u)
             if x:
                 chi[ci] = chi[ci] + x if chi[ci] else x
-    return chi
 
 
 # --------------------------------------------------------------------------
@@ -546,13 +541,16 @@ def dirac_cohomology(module):
     D_y D_x preserves every cell and acts on each W-isotypic there by
     d_squared_scalar.  Hence ker D and D(Z) = ker D n im D lie in
     Z = ker D^2, which lives on the cells of _zero_scalar_cells; only there
-    is D^2 built, and its nullspace is checked against them.  D is
-    applied to this basis of Z by the up and down parts of each cell
-    (DiracOperatorMatrix.part) into one matrix, whose nullspace N gives
-    ker(D|Z) = N Z.  Each subspace is eliminated once: chi_Z is read at
-    the window positions of the free columns of the D^2 nullspaces, and
-    chi_ker at the positions of Z's vectors that N's free columns pick.
-    Since D(Z) ~ Z / ker(D|Z) as W-modules, H_D has character
+    is D^2 built, and its nullspace is checked against them.  D(Z) lies
+    in Z, and a vector of a cell's Z has its entries at the free columns
+    as coordinates (linalg.span_coords also checks that it lies there),
+    so D|Z is a |Z| x |Z| matrix read off the up and down parts
+    (DiracOperatorMatrix.part); its nullspace is ker(D|Z) in Z's
+    coordinates.  Each subspace is eliminated once, and every character
+    is read cell by cell: chi_Z at the free columns, chi_ker from the
+    kernel vectors whose free column lies in the cell, and the cell's
+    own from the echelon form of the kernel's coordinates there.  Since
+    D(Z) ~ Z / ker(D|Z) as W-modules, H_D has character
     2 chi_ker - chi_Z.  A module that ends by degree K reports every
     nonempty cell as its window and rank D as image_dim; any other
     reports the zero-scalar window and image_dim = dim D(Z).
@@ -565,60 +563,57 @@ def dirac_cohomology(module):
     g = module.group
     cellset = sorted(want)
 
-    offsets = {}
-    total = 0
-    for cell in cellset:
-        offsets[cell] = total
-        total += dirac.cell_dim(*cell)
-
-    # Z, ker(D|Z) and the coordinate images of the kernel in each cell are
-    # all W-stable (D commutes with the diagonal W, which preserves cells)
-    reps = [cl[0] for cl in g.conjugacy_classes]
-    classes = len(reps)
-    wmats = {cell: [dirac.w_cell(w, *cell) for w in reps] for cell in cellset}
-    # zbasis: Z in window coordinates, 1 at zpiv; images: D of each, one
-    # per column
-    zbasis, zpiv = [], []
-    images = linalg.zeros(total, sum(want.values()))
+    # zs[cell]: the D^2 nullspace there, its free columns, and the index of
+    # its first vector among Z's
+    zs, dim_z = {}, 0
     for cell in cellset:
         zero, free = linalg.nullspace(dirac.d_squared_on_cell(*cell))
         if len(zero) != want[cell]:
             raise AssertionError(
                 f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
                 f"its zero-scalar isotypics {want[cell]}")
-        col, off = len(zbasis), offsets[cell]
-        zbasis.extend([0] * off + v + [0] * (total - off - len(v))
-                      for v in zero)
-        zpiv.extend(off + f for f in free)
-        zt = linalg.transpose(zero)
+        zs[cell] = (zero, free, dim_z)
+        dim_z += len(zero)
+    # column j: the image of Z's vector j; a cell outside the window has
+    # the empty basis, so an image that escapes it is refused too
+    coords = linalg.zeros(dim_z, dim_z)
+    for cell, (zero, _, col) in zs.items():
         for step in (1, -1):
             mat = dirac.part(*cell, step)
             if mat is None:
                 continue
             target = (cell[0] + step, cell[1] + step)
-            image = linalg.mat_mul(mat, zt)
-            if target not in offsets:
-                if any(any(row) for row in image):
-                    raise AssertionError(
-                        f"component escapes the window at {target}")
-                continue
-            for row, got in zip(images[offsets[target]:], image):
-                row[col:col + len(zero)] = got
-    # kernel vector i is 1 at Z's pivot zpiv[free[i]], where the others are 0
-    null, free = linalg.nullspace(images)
-    ker = linalg.mat_mul(null, zbasis)
+            tz, tfree, row = zs.get(target, ([], [], 0))
+            for j, v in enumerate(linalg.transpose(linalg.mat_mul(
+                    mat, linalg.transpose(zero))), col):
+                got = linalg.span_coords(tz, tfree, v)
+                if got is None:
+                    raise AssertionError(f"D leaves ker D^2 at {target}")
+                for i, x in enumerate(got, row):
+                    coords[i][j] = x
+    # kernel vector i is 1 at Z's vector free[i], where the others are 0
+    null, free = linalg.nullspace(coords)
 
-    blocks = [(offsets[cell], wmats[cell]) for cell in cellset]
-    chi_h = [2 * a - b for a, b in zip(
-        _span_character(ker, [zpiv[f] for f in free], blocks, classes),
-        _span_character(zbasis, zpiv, blocks, classes))]
+    # Z, ker(D|Z) and the kernel's slices in each cell are all W-stable (D
+    # commutes with the diagonal W, which preserves cells); a combination
+    # of a cell's Z vectors has its coordinate p at zfree[p]
+    reps = [cl[0] for cl in g.conjugacy_classes]
+    chi_z, chi_ker = [0] * len(reps), [0] * len(reps)
     chi_cells = {}
-    for cell in cellset:
-        off = offsets[cell]
-        end = off + dirac.cell_dim(*cell)
-        chi_cells[cell] = _span_character(
-            *linalg.column_space_basis([v[off:end] for v in ker]),
-            [(0, wmats[cell])], classes)
+    for cell, (zero, zfree, first) in zs.items():
+        mats = [dirac.w_cell(w, *cell) for w in reps]
+        end = first + len(zero)
+        _span_character(chi_z, zero, zfree, mats)
+        mine = [i for i, f in enumerate(free) if first <= f < end]
+        _span_character(chi_ker, linalg.mat_mul(
+            [null[i][first:end] for i in mine], zero),
+            [zfree[free[i] - first] for i in mine], mats)
+        rows, pivots = linalg.column_space_basis(
+            [v[first:end] for v in null])
+        chi = chi_cells[cell] = [0] * len(reps)
+        _span_character(chi, linalg.mat_mul(rows, zero),
+                        [zfree[p] for p in pivots], mats)
+    chi_h = [2 * a - b for a, b in zip(chi_ker, chi_z)]
 
     entries = []
     for mu in g.irrep_labels:
@@ -628,16 +623,16 @@ def dirac_cohomology(module):
                 cell for cell in cellset
                 if _multiplicity(inner_product(g, chi_cells[cell], mu),
                                  mu)]})
-    overlap_dim = len(zbasis) - len(ker)
+    overlap_dim = dim_z - len(null)
     window = dirac.cells() if module.finite else cellset
     return {
         "group": g.catalogue_id,
         "kind": module.kind,
         "sigma": module.sigma,
         "H_D": entries,
-        "kernel_dim": len(ker),
+        "kernel_dim": len(null),
         "image_dim": (sum(dirac.cell_dim(*cell) for cell in window)
-                      - len(ker) if module.finite else overlap_dim),
+                      - len(null) if module.finite else overlap_dim),
         "overlap_dim": overlap_dim,
         "window": [list(cell) for cell in window],
     }

@@ -12,7 +12,8 @@ the orthogonal space by the ordered rewrite alone, module
 characters traced off the full sigma-blocks, module actions by a walk
 over the straightened terms, one term at a time, the cell matrices of w
 as full Kronecker products with the character of a span read off their
-rows, cell multiplicities with the cell character formed before the
+rows, the Dirac cohomology with Z padded out to window-length vectors and
+ker(D|Z) eliminated over every window coordinate, cell multiplicities with the cell character formed before the
 pairing, the per-element group
 data (h* matrices, inverses) formed element by element instead of along
 the BFS words, and the pin data the library no longer forms because W
@@ -52,7 +53,8 @@ from cherednik.clifford import (CliffordElement, _reflection_factor,
 from cherednik.dirac import TensorElement, dirac_element, tensor
 from cherednik.groups import (_find_reflection_data, check_representation,
                               class_character, inner_product)
-from cherednik.modules import GradedModule
+from cherednik.modules import (DiracOperatorMatrix, GradedModule,
+                               _zero_scalar_cells)
 from cherednik.pbw import cherednik_family
 from cherednik.poly import acc, monomials, p_mul, to_vector, wedge_matrix
 from cherednik.scalars import (conjugate, rational, reciprocal,
@@ -620,8 +622,85 @@ def span_character_dense(basis, pivots, blocks, classes):
         off, mats = next(b for b in reversed(blocks) if b[0] <= p)
         for ci, m in enumerate(mats):
             for a, x in zip(m[p - off], u[off:]):
-                chi[ci] += a * x
+                if a and x:
+                    chi[ci] += a * x
     return [rational(x) for x in chi]
+
+
+def dirac_cohomology_by_window(module):
+    """modules.dirac_cohomology's report with Z padded out to the window:
+    every zero-scalar cell laid end to end, Z's basis as window-length
+    vectors, D's images of it eliminated over every window coordinate,
+    the kernel multiplied back out over the whole window, and every
+    character read off the full cell matrices by searching the cells'
+    offsets (span_character_dense)."""
+    want = _zero_scalar_cells(module)
+    dirac = DiracOperatorMatrix(module)
+    g = module.group
+    cellset = sorted(want)
+    offsets, total = {}, 0
+    for cell in cellset:
+        offsets[cell] = total
+        total += dirac.cell_dim(*cell)
+    reps = [cl[0] for cl in g.conjugacy_classes]
+    blocks = [(offsets[cell], [w_cell_matrix(dirac, w, *cell) for w in reps])
+              for cell in cellset]
+    zbasis, zpiv = [], []
+    images = linalg.zeros(total, sum(want.values()))
+    for cell in cellset:
+        zero, free = linalg.nullspace(dirac.d_squared_on_cell(*cell))
+        assert len(zero) == want[cell], cell
+        col, off = len(zbasis), offsets[cell]
+        zbasis.extend([0] * off + v + [0] * (total - off - len(v))
+                      for v in zero)
+        zpiv.extend(off + f for f in free)
+        for step in (1, -1):
+            mat = dirac.part(*cell, step)
+            if mat is None:
+                continue
+            target = (cell[0] + step, cell[1] + step)
+            image = linalg.mat_mul(mat, linalg.transpose(zero))
+            if target not in offsets:
+                assert not any(any(row) for row in image), target
+                continue
+            for row, got in zip(images[offsets[target]:], image):
+                row[col:col + len(zero)] = got
+    null, free = linalg.nullspace(images)
+    ker = linalg.mat_mul(null, zbasis)
+    chi_h = [2 * a - b for a, b in zip(
+        span_character_dense(ker, [zpiv[f] for f in free], blocks,
+                             len(reps)),
+        span_character_dense(zbasis, zpiv, blocks, len(reps)))]
+    chi_cells = {}
+    for cell, block in zip(cellset, blocks):
+        off = offsets[cell]
+        end = off + dirac.cell_dim(*cell)
+        chi_cells[cell] = span_character_dense(
+            *linalg.column_space_basis([v[off:end] for v in ker]),
+            [(0, block[1])], len(reps))
+
+    def mult(chi, mu):
+        m = inner_product(g, chi, mu)
+        assert m == int(m) and m >= 0, (mu, m)
+        return int(m)
+
+    entries = [{"irrep": mu, "multiplicity": mult(chi_h, mu),
+                "cells": [cell for cell in cellset
+                          if mult(chi_cells[cell], mu)]}
+               for mu in g.irrep_labels if mult(chi_h, mu)]
+    overlap_dim = len(zbasis) - len(ker)
+    window = dirac.cells() if module.finite else cellset
+    return {
+        "group": g.catalogue_id,
+        "kind": module.kind,
+        "sigma": module.sigma,
+        "H_D": entries,
+        "kernel_dim": len(ker),
+        "image_dim": (sum(dirac.cell_dim(*cell) for cell in window)
+                      - len(ker) if module.finite else overlap_dim),
+        "overlap_dim": overlap_dim,
+        "window": [list(cell) for cell in window],
+    }
 
 
 def cell_multiplicity_two_products(module, k, l, mu):

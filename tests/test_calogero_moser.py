@@ -10,10 +10,10 @@ from cherednik.calogero_moser import (
     verify_cm_factorization,
 )
 from cherednik.dirac import KernelSearch
-from cherednik.groups import CATALOGUE_IDS, build_group
+from cherednik.groups import _BUILDERS, CATALOGUE_IDS, build_group
 from cherednik.modules import h_weight
 from cherednik.pbw import cherednik_family
-from cherednik.scalars import CapExceeded
+from cherednik.scalars import CapExceeded, CyclotomicScalar, zeta
 
 
 def test_central_character_values():
@@ -286,6 +286,51 @@ def _symbol_entries(label, m=3):
     bottom = sorted(mu + [0] * (m - len(mu)))
     return tuple(sorted([x + i for i, x in enumerate(top)]
                         + [x + i for i, x in enumerate(bottom)]))
+
+
+def _galois(x, k):
+    """sigma_k(x) for sigma_k: zeta_N -> zeta_N^k, N the conductor of x;
+    it fixes rationals."""
+    if not isinstance(x, CyclotomicScalar):
+        return x
+    return sum(Fraction(v, x.den) * zeta(x.conductor, e * k)
+               for e, v in enumerate(x.num) if v)
+
+
+def _conjugated(builder, k):
+    """The catalogue entry with sigma_k applied to every generator and
+    irrep entry."""
+    def build():
+        data = builder()
+        data["generators"] = [_galois_matrix(m, k)
+                              for m in data["generators"]]
+        data["irreps"] = [(label, [_galois_matrix(m, k) for m in mats])
+                          for label, mats in data["irreps"]]
+        return data
+    return build
+
+
+def _galois_matrix(m, k):
+    return [[_galois(x, k) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("gid, k", [("I2_5", 2), ("Z3", 2), ("Z5", 2),
+                                    ("G3_1_2", 2), ("G4_1_2", 3)])
+def test_partition_galois_conjugation(gid, k, monkeypatch):
+    # sigma_k is a field automorphism, so the conjugate generators
+    # enumerate the same abstract group in the same order, acting on a
+    # Galois-conjugate reflection representation (I2_5's rho2 at k = 2),
+    # and each irrep keeps its label; the partition at rational c is read
+    # off exact multiplicities, which sigma_k fixes, so it keeps every
+    # label.  The conjugate is built past build_group's cache.
+    g = build_group(gid)
+    monkeypatch.setitem(_BUILDERS, gid, _conjugated(_BUILDERS[gid], k))
+    conj = build_group.__wrapped__(gid)
+    assert conj.elements == [_galois_matrix(m, k) for m in g.elements]
+    assert conj.elements != g.elements
+    for c in (1, Fraction(1, 3)):
+        assert dirac_partition(conj, c).to_data() == \
+            dirac_partition(g, c).to_data(), c
 
 
 def test_lusztig_families_partition_the_irreps():

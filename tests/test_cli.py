@@ -186,6 +186,13 @@ def test_mixed_c_values_rejected(capsys):
                  "--c", "long=2"]) == 2
 
 
+def test_repeated_c_class_exits_two(capsys):
+    # a class named twice is refused, not run at its last value
+    assert main(["partition", "--group", "B2", "--c", "long=1",
+                 "--c", "long=2", "--c", "short=1"]) == 2
+    assert capsys.readouterr().err == "error: repeated --c class 'long'\n"
+
+
 def test_zero_denominator_exits_two(capsys):
     assert main(["partition", "--group", "B2", "--c", "1/0"]) == 2
     # the whole of stderr: one error line naming the input, no traceback
@@ -308,6 +315,14 @@ def test_config_switch_takes_only_true_or_false(tmp_path, capsys):
     cfg.write_text("group = B2\nt = 0\nc = 1\nsigma = 11x0\nsimple = ture\n")
     assert main(["dirac-cohomology", "--config", str(cfg)]) == 2
     assert "true or false" in capsys.readouterr().err
+
+
+def test_repeated_config_key_exits_two(tmp_path, capsys):
+    # a key given twice is refused, not run at its last value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group = A1\nc = 1\ngroup = B2\n")
+    assert main(["partition", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: repeated config key 'group'\n"
 
 
 def test_flags_are_per_subcommand(tmp_path, capsys):

@@ -6,6 +6,10 @@ module (K = 2) per group:
 - the character of a span read off the factored w-cells
   (DiracOperatorMatrix.w_cell, modules._span_character) against the same
   rows of the full Kronecker matrices (oracles.span_character_dense);
+- the Dirac cohomology, which reads D on ker D^2 in the coordinates of
+  its basis cell by cell, against the elimination over the whole window
+  it replaced (oracles.dirac_cohomology_by_window), also at c = 1/3 where
+  |W| <= 12 and on standard modules (K = 3, c = 1/3) of six groups;
 - the matrices P of x_i and w, computed directly by GradedModule._columns,
   against the PBW straightening of the same generator;
 - cell_multiplicity, which pairs the degree-k character with one cached
@@ -26,8 +30,8 @@ from cherednik.modules import (DiracOperatorMatrix, _span_character,
                                one_dimensional_quotient, standard_module)
 from cherednik.scalars import CyclotomicScalar, parse_scalar, reduce
 from oracles import (cell_multiplicity_two_products, cyclotomic_coeffs,
-                     kron_naive, reduce_cyclotomic_sympy,
-                     span_character_dense)
+                     dirac_cohomology_by_window, kron_naive,
+                     reduce_cyclotomic_sympy, span_character_dense)
 
 
 def _typed(x):
@@ -36,14 +40,14 @@ def _typed(x):
     return (isinstance(x, CyclotomicScalar), x)
 
 
-def _quotients(g):
+def _quotients(g, c=1):
     """The baby Verma module and, where it exists, the visible
-    one-dimensional quotient of every W-type at c = 1."""
+    one-dimensional quotient of every W-type at c."""
     out = []
     for sigma in g.irrep_labels:
-        out.append(baby_verma(g, sigma, 1))
+        out.append(baby_verma(g, sigma, c))
         try:
-            out.append(one_dimensional_quotient(g, sigma, 1))
+            out.append(one_dimensional_quotient(g, sigma, c))
         except ValueError:
             pass  # the quotient needs a one-dimensional sigma it kills
     return out
@@ -53,13 +57,11 @@ def _standard(g):
     return standard_module(g, g.irrep_labels[-1], 1, K=2)
 
 
-def _dense(blocks):
-    return [(off, [kron_naive(a, b) for a, b in mats]) for off, mats in blocks]
-
-
-def _check_span(basis, pivots, blocks, classes):
-    got = _span_character(basis, pivots, blocks, classes)
-    want = span_character_dense(basis, pivots, _dense(blocks), classes)
+def _check_span(basis, pivots, mats):
+    got = [0] * len(mats)
+    _span_character(got, basis, pivots, mats)
+    want = span_character_dense(
+        basis, pivots, [(0, [kron_naive(a, b) for a, b in mats])], len(mats))
     assert list(map(_typed, got)) == list(map(_typed, want))
     return got
 
@@ -70,11 +72,12 @@ def test_factored_span_character_matches_the_kronecker_rows(gid,
     g = build_group(gid)
     calls = []
 
-    def checking(basis, pivots, blocks, classes):
+    def checking(chi, basis, pivots, mats):
         calls.append(len(basis))
-        return _check_span(basis, pivots, blocks, classes)
+        _check_span(basis, pivots, mats)
+        _span_character(chi, basis, pivots, mats)
 
-    # every read the cohomology makes, its multi-cell windows included
+    # every read the cohomology makes
     monkeypatch.setattr(modules, "_span_character", checking)
     for module in _quotients(g):
         dirac_cohomology(module)
@@ -89,11 +92,10 @@ def test_factored_span_character_matches_the_kronecker_rows(gid,
         up = d.part(k, l, 1)
         if up is None:
             continue
-        blocks = [(0, [d.w_cell(w, k, l) for w in reps])]
+        mats = [d.w_cell(w, k, l) for w in reps]
         zero, free = linalg.nullspace(up)
-        chi = _check_span(zero, free, blocks, len(reps))
-        assert chi == _check_span(*linalg.column_space_basis(zero), blocks,
-                                  len(reps))
+        chi = _check_span(zero, free, mats)
+        assert chi == _check_span(*linalg.column_space_basis(zero), mats)
 
 
 def test_factored_span_character_reads_every_row():
@@ -109,7 +111,26 @@ def test_factored_span_character_reads_every_row():
         basis = [[rng.choice(values) for _ in range(size)]
                  for _ in range(size)]
         _check_span(basis, list(range(size)),
-                    [(0, [d.w_cell(w, k, l) for w in reps])], len(reps))
+                    [d.w_cell(w, k, l) for w in reps])
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_cohomology_matches_the_window_elimination(gid):
+    g = build_group(gid)
+    for c in (1, Fraction(1, 3)) if g.order <= 12 else (1,):
+        for module in _quotients(g, c):
+            assert dirac_cohomology(module) == \
+                dirac_cohomology_by_window(module), (c, module.sigma,
+                                                     module.kind)
+
+
+@pytest.mark.parametrize("gid", ["A1", "A2", "B2", "I2_5", "Z3", "G3_1_2"])
+def test_standard_cohomology_matches_the_window_elimination(gid):
+    g = build_group(gid)
+    for sigma in g.irrep_labels:
+        module = standard_module(g, sigma, Fraction(1, 3), K=3)
+        assert dirac_cohomology(module) == \
+            dirac_cohomology_by_window(module), sigma
 
 
 def _check_direct(module, checked):

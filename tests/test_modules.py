@@ -558,29 +558,63 @@ def test_cohomology_simple_quotient_b2():
     ("A1", lambda g: standard_module(g, "triv", 1, K=2)),
 ], ids=["B2-baby", "A1-standard"])
 def test_cohomology_eliminates_each_subspace_once(gid, make, monkeypatch):
-    # Z once per cell, ker(D|Z) once, and each cell's slice of the kernel
-    # once; the kernel's own basis keeps the pivots Z's basis carries, so
+    # Z once per cell, ker(D|Z) once, as a |Z| x |Z| matrix in Z's own
+    # coordinates, and each cell's slice of the kernel once; a vector
+    # lifted from Z's coordinates keeps the pivots Z's basis carries, so
     # every span read still has basis vector i at 1 on pivot i and every
     # other vector at 0 there
     module = make(build_group(gid))
-    cells = len(_zero_scalar_cells(module))
-    assert cells
+    want = _zero_scalar_cells(module)
+    assert want
     calls = {"nullspace": 0, "column_space_basis": 0}
+    last = {}
     for name in calls:
         def counting(m, original=getattr(linalg, name), name=name):
             calls[name] += 1
+            last[name] = m
             return original(m)
         monkeypatch.setattr(linalg, name, counting)
 
-    def at_pivots(basis, pivots, blocks, classes):
+    def at_pivots(chi, basis, pivots, mats):
         for i, u in enumerate(basis):
             assert [u[p] for p in pivots] == \
                 [int(i == j) for j in range(len(pivots))]
-        return _span_character(basis, pivots, blocks, classes)
+        _span_character(chi, basis, pivots, mats)
 
     monkeypatch.setattr("cherednik.modules._span_character", at_pivots)
     dirac_cohomology(module)
-    assert calls == {"nullspace": cells + 1, "column_space_basis": cells}
+    assert calls == {"nullspace": len(want) + 1,
+                     "column_space_basis": len(want)}
+    dim_z = sum(want.values())
+    assert len(last["nullspace"]) == dim_z
+    assert {len(row) for row in last["nullspace"]} == {dim_z}
+
+
+@pytest.mark.parametrize("extra, target", [((0, 0), (1, 1)),
+                                           ((0, 1), (1, 2))])
+def test_cohomology_refuses_an_image_outside_ker_d_squared(extra, target,
+                                                           monkeypatch):
+    # a cell taken into Z whole, with D^2 forced to 0 there: D sends it
+    # into a window cell outside that cell's ker D^2, or onto a cell off
+    # the window, and either way leaves Z
+    module = baby_verma(build_group("B2"), "2x0", 1)
+    want = _zero_scalar_cells(module)
+    assert extra not in want and (target in want) == (target == (1, 1))
+    dim = DiracOperatorMatrix(module).cell_dim(*extra)
+    monkeypatch.setattr("cherednik.modules._zero_scalar_cells",
+                        lambda m: {**want, extra: dim})
+    d_squared = DiracOperatorMatrix.d_squared_on_cell
+
+    def zero_on_extra(self, k, l):
+        if (k, l) == extra:
+            return linalg.zeros(dim, dim)
+        return d_squared(self, k, l)
+
+    monkeypatch.setattr(DiracOperatorMatrix, "d_squared_on_cell",
+                        zero_on_extra)
+    with pytest.raises(AssertionError, match=r"D leaves ker D\^2 at "
+                       rf"\({target[0]}, {target[1]}\)$"):
+        dirac_cohomology(module)
 
 
 def _z_character_agrees(d, cell):
@@ -588,11 +622,11 @@ def _z_character_agrees(d, cell):
     columns of the nullspace basis equals the one read at the pivots of its
     echelon form."""
     zero, free = linalg.nullspace(d.d_squared_on_cell(*cell))
-    reps = [cl[0] for cl in d.module.group.conjugacy_classes]
-    blocks = [(0, [d.w_cell(w, *cell) for w in reps])]
-    fast = _span_character(zero, free, blocks, len(reps))
-    slow = _span_character(*linalg.column_space_basis(zero), blocks,
-                           len(reps))
+    mats = [d.w_cell(cl[0], *cell)
+            for cl in d.module.group.conjugacy_classes]
+    fast, slow = [0] * len(mats), [0] * len(mats)
+    _span_character(fast, zero, free, mats)
+    _span_character(slow, *linalg.column_space_basis(zero), mats)
     return zero, fast == slow
 
 
