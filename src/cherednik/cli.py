@@ -303,6 +303,15 @@ def cmd_pbw_check(args):
 # wiring
 
 
+class _Once(argparse.Action):
+    """Store a flag's value; a repeat is refused, not run at its last."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise ValueError(f"repeated flag {option_string}")
+        setattr(namespace, self.dest, self.const or values)
+
+
 _FLAGS = {
     "group": {},
     "t": {},
@@ -312,7 +321,7 @@ _FLAGS = {
     "sigma": {},
     "preset": dict(choices=("cherednik", "gaha", "corrupted")),
     "kind": dict(help="corruption kind for --preset corrupted"),
-    "simple": dict(action="store_true", default=None,
+    "simple": dict(nargs=0, const=True,
                    help="use the one-dimensional quotient at t = 0"),
     "format": dict(choices=("json", "table")),
     "out": {},
@@ -339,15 +348,15 @@ def build_parser():
     for name, (handler, flags) in _COMMANDS.items():
         sub = subs.add_parser(name)
         for flag in flags.split() + ["format", "out", "config"]:
-            sub.add_argument("--" + flag, **_FLAGS[flag])
+            sub.add_argument("--" + flag, **{"action": _Once, **_FLAGS[flag]})
         sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _apply_config(parser, args)
         if args.format is None:
             args.format = "table"

@@ -218,18 +218,6 @@ class GroupAlgebraClassFunction(Terms):
             if name not in known:
                 raise ValueError(f"unknown conjugacy class {name!r}")
 
-    @classmethod
-    def from_element_map(cls, group, emap):
-        """Validate class-constancy of a per-element coefficient map."""
-        coeffs = {}
-        for name, cl in zip(group.class_names, group.conjugacy_classes):
-            c = emap.get(cl[0], 0)
-            if any(emap.get(w, 0) != c for w in cl):
-                raise ValueError(
-                    f"coefficients not constant on class {name!r}")
-            coeffs[name] = c
-        return cls(group, coeffs)
-
     def coefficient(self, w):
         return self.terms.get(self.group.class_name_of_element(w), 0)
 
@@ -261,20 +249,6 @@ def _reflection_weight(r):
     """2/(1 - lambda_s) for the reflection r; c_s times it is r's
     coefficient in the group-algebra Casimir."""
     return 2 * reciprocal(1 - r.lam)
-
-
-def group_algebra_casimir(family):
-    """Omega_{W,c} = sum over reflections of 2 c_s/(1 - lambda_s) . s for
-    Cherednik presets, as a class function; lambda_s is the nontrivial
-    eigenvalue of s on the reflection line in h.  This is the image of the
-    lifted Casimir under the kernel decomposition."""
-    if family.preset_tag != "cherednik":
-        raise ValueError("the closed-form group Casimir needs the "
-                         "rational Cherednik preset")
-    g, c_map = family.group, family.params["c"]
-    emap = {r.element_index: c_map[r.class_name] * _reflection_weight(r)
-            for r in g.reflections}
-    return GroupAlgebraClassFunction.from_element_map(g, emap)
 
 
 def casimir_forms(group):
@@ -350,24 +324,25 @@ def _key_degree(key):
 class KernelSearch:
     """The per-key work of decompose_kernel_element on one family.
 
-    A raw key h (x) m is averaged factor by factor: Delta(w) conjugates it
-    to (w h w^(-1)) (x) w(m), where tau_w conjugates the Clifford monomial
-    m = v_i1 ... v_ir to w(v_i1) ... w(v_ir) (clifford.pin_cover_holds);
-    each factor image is formed once per (w, PBW key) and once per (w,
-    Clifford monomial), so no full H (x) C(V) product is formed.  d is
-    linear: derivation_d, which sums D e and -eps(e) D into one term map
-    from the PBW and Clifford unit products, runs once per unit key e, so
-    each d(b) is a linear combination of cached images.  The search owns
-    its columns: columns[i] is (b, d(b)) for the i-th average b met that
-    is no multiple of an earlier one, and column maps a raw key to the id
-    of the column its average is a multiple of.  An orbit mate e' of an
-    averaged key e, Delta(w) e Delta(w)^(-1) = c e' a single term, has
-    average avg(e)/c, so it takes e's id and forms no average; on B3 every
-    image is one term.  Up to that scale every memo is a function of
-    (family, key), so the solves that share a search
+    Delta(w) conjugates a raw key x^a u y^b (x) m to w(x)^a (w u w^(-1))
+    w(y)^b (x) w(m), a normal form since the x's commute, and so do the
+    y's, on the polarized space: it is read by substitution off the
+    family's memoized images of x^a and y^b (_w_on_x, _image), with no
+    PBW product, and tau_w conjugates m = v_i1 ... v_ir to w(v_i1) ...
+    w(v_ir) (clifford.pin_cover_holds), once per (w, m).  d is linear:
+    derivation_d runs once per unit key e, so each d(b) is a linear
+    combination of cached images.  columns[i] is (b, d(b)) for the i-th
+    average b met that is no multiple of an earlier one, and column maps
+    a raw key to the id of the column its average is a multiple of.  An
+    orbit mate e' of an averaged key e, Delta(w) e Delta(w)^(-1) = c e' a
+    single term, has average avg(e)/c, so it takes e's id and forms no
+    average; on B3 every image is one term.  Up to that scale every memo
+    is a function of (family, key), so solves sharing a search
     (verify_cm_factorization shares one per polynomial side) read each
-    other's work; the memos live as long as the search.  Averaging and d
-    keep a key's Z-degree; decompose_kernel_element picks degrees.
+    other's work.  Averaging and d keep a key's Z-degree.  class_deltas
+    holds the class sums Delta(C), one per conjugacy class; forming them
+    refuses an orthogonal family (delta_element), whose x's do not
+    commute.
     """
 
     def __init__(self, family):
@@ -376,35 +351,42 @@ class KernelSearch:
             raise AssertionError(f"the pin lift does not cover "
                                  f"{g.catalogue_id}")
         self.family = family
-        # images[i] = w(v_i), column i of w's matrix on V
-        self._pins = [(family.group_element(w).terms,
-                       family.group_element(g.inverse_index(w)).terms,
-                       [alg.vector(col).terms
-                        for col in linalg.transpose(family.v_matrix(w))])
+        self.class_deltas = [reduce(TensorElement.__add__, (
+            delta_element(family, w) for w in cl))
+            for cl in g.conjugacy_classes]
+        # per w: images[i] = w(v_i) (column i of w on V), conj[u] = w u w^-1
+        self._pins = [([alg.vector(col).terms
+                        for col in linalg.transpose(family.v_matrix(w))],
+                       [g.mult(g.mult(w, u), g.inverse_index(w))
+                        for u in range(g.order)])
                       for w in range(g.order)]
-        self._himg, self._cimg, self._d_units = {}, {}, {}
+        self._cimg, self._d_units = {}, {}
         # raw key -> column id; least key -> ids of the columns it leads
         self._ids, self._leads = {}, {}
         self.columns = []
 
+    def _conjugates(self, key):
+        """(w(x)^a, w u w^(-1), w(y)^b, w(m)) for every w, images as term
+        maps: the factors of x^a u y^b (x) m conjugated by Delta(w)."""
+        fam = self.family
+        (a, u, b), cm = key
+        for w, (images, conj) in enumerate(self._pins):
+            if (w, cm) not in self._cimg:
+                self._cimg[(w, cm)] = reduce(fam.clifford._mul_terms,
+                                             map(images.__getitem__, cm),
+                                             {(): 1})
+            yield (fam._w_on_x(w, a), conj[u], fam._image(w, b, False),
+                   self._cimg[(w, cm)])
+
     def average(self, key):
         """sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key."""
-        family, alg = self.family, self.family.clifford
-        hk, cm = key
         out = {}
-        for w, (gw, gwi, images) in enumerate(self._pins):
-            hw = self._himg.get((w, hk))
-            if hw is None:
-                hw = self._himg[(w, hk)] = family._mul_terms(
-                    family._mul_terms(gw, {hk: 1}), gwi)
-            cw = self._cimg.get((w, cm))
-            if cw is None:
-                cw = self._cimg[(w, cm)] = reduce(
-                    alg._mul_terms, (images[i] for i in cm), {(): 1})
-            for hk2, hc in hw.items():
-                for cm2, cc in cw.items():
-                    acc(out, (hk2, cm2), hc * cc)
-        return TensorElement(family, alg, out)
+        for xw, uw, yw, cw in self._conjugates(key):
+            for a2, ca in xw.items():
+                for b2, cb in yw.items():
+                    for cm2, cc in cw.items():
+                        acc(out, ((a2, uw, b2), cm2), ca * cb * cc)
+        return TensorElement(self.family, self.family.clifford, out)
 
     def column(self, key):
         """The id in columns of the multiples of the raw key's average, or
@@ -431,11 +413,11 @@ class KernelSearch:
                 ids.append(got)
         self._ids[key] = got
         # an orbit mate c e' = Delta(w) e Delta(w)^(-1) has average avg(e)/c
-        hk, cm = key
-        for w in range(len(self._pins)):
-            hw, cw = self._himg[(w, hk)], self._cimg[(w, cm)]
-            if len(hw) == 1 and len(cw) == 1:
-                self._ids.setdefault((next(iter(hw)), next(iter(cw))), got)
+        for xw, uw, yw, cw in self._conjugates(key):
+            if len(xw) == len(yw) == len(cw) == 1:
+                self._ids.setdefault(
+                    ((next(iter(xw)), uw, next(iter(yw))), next(iter(cw))),
+                    got)
         return got
 
     def d_of(self, a):
@@ -469,38 +451,47 @@ def decompose_kernel_element(z, family, degree_cap=4, side=None,
     no x) exponent, generated on that side alone, which can only shrink
     the solution space.  Returns (s, b) with s a class function; raises
     ValueError when d(z) != 0 or side is none of these, and CapExceeded
-    (bound "degree_cap") when no split exists at this degree_cap, or
-    (bound "column_limit") when the search has more raw keys than
-    COLUMN_LIMIT.
+    (bound "degree_cap") when z's degree exceeds degree_cap or no split
+    exists at this degree_cap, or (bound "column_limit") when the search
+    has more raw keys than COLUMN_LIMIT.
+
+    s is solved for in the centre, one column Delta(C) = sum over w in C
+    of Delta(w) per conjugacy class C.  That is exact: tau is
+    multiplicative (it acts on the spin module as w on wedge(h)), so
+    Delta(w) Delta(x) Delta(w)^(-1) = Delta(w x w^(-1)) and Delta(x) is
+    W-invariant only for central x.  z and every d(b) are W-invariant, so
+    span d(b) meets Delta(C[W]) where it meets Delta(Z(C[W])): the
+    existence and uniqueness tests keep their meaning, and, the d(b)
+    columns coming first, their pivots, b and s do not move.
 
     Only keys of Z-degree (_key_degree) 0 or that of a term of z are
-    generated: D and Delta(w) have degree 0, so [d(b) | Delta(w) | z] is
+    generated: D and Delta(w) have degree 0, so [d(b) | Delta(C) | z] is
     block-diagonal by degree and the degrees z misses change no pivot, s
     or b; Delta lives in degree 0, so uniqueness is checked in full.
 
-    The columns b and d(b) come from search, a KernelSearch on family
-    (verify_cm_factorization passes one to both solves of a polynomial
-    side); without one, a fresh search is built and dropped with the
-    call.  One elimination runs over [d(b) | Delta(w) | z], one b per
-    average up to scale, in the order this call's raw keys first reach
-    it, so s and b do not depend on what the search already holds.  Its
-    rows are sparse, one per term key, read straight off the term maps
-    (_rows); s and b are read off the z entries of the pivot rows.  Nor do
-    they depend on a column's scale: rescaling b leaves the pivots alone
-    and rescales b's coefficient inversely.  A raw key whose average is a
-    multiple of an earlier one would add a column that is never a pivot,
-    so it adds none; an orbit mate is known to be one without averaging.
+    The columns come from search, a KernelSearch on family
+    (verify_cm_factorization shares one between the solves of a
+    polynomial side), or from a fresh one dropped with the call.  They
+    enter in the order this call's raw keys first reach them, one b per
+    average up to scale, so s and b depend neither on what the search
+    already holds nor on a column's scale (rescaling b rescales its
+    coefficient inversely).  The rows are sparse, one per term key
+    (_rows); s and b are read off the z entries of the pivot rows.  A raw
+    key whose average is a multiple of an earlier one would add a column
+    that is never a pivot, so it adds none; an orbit mate is known to be
+    one without averaging.
     """
     g = family.group
     if side not in (None, "h_star", "h"):
         raise ValueError(f"side must be 'h_star' or 'h', not {side!r}")
     if z.degree() > degree_cap:
-        raise ValueError("element degree exceeds degree_cap")
+        raise CapExceeded("element degree exceeds degree_cap", "degree_cap",
+                          z.degree())
     if z.clifford_parities() - {0}:
         raise ValueError("kernel decomposition needs even Clifford parity")
-    deltas = [delta_element(family, w) for w in range(g.order)]
     for gi in g.generator_indices:
-        if deltas[gi] * z != z * deltas[gi]:
+        dg = delta_element(family, gi)
+        if dg * z != z * dg:
             raise ValueError("element is not diagonally W-invariant")
     t = (family.params or {}).get("t")
     if family.preset_tag == "cherednik" and t:
@@ -526,14 +517,14 @@ def decompose_kernel_element(z, family, degree_cap=4, side=None,
     cols = [search.columns[i] for i in dict.fromkeys(map(search.column, raw))
             if i is not None and search.columns[i][1]]
 
-    # one elimination over [d(b) | Delta(w) | z]: z is reachable exactly
-    # when its column is no pivot, and, the Delta(w) being independent
-    # (distinct group parts), the split is unique exactly when every
+    # one elimination over [d(b) | Delta(C) | z]: z is reachable exactly
+    # when its column is no pivot, and, the Delta(C) being independent
+    # (disjoint group parts), the split is unique exactly when every
     # Delta column is a pivot, i.e. span Delta meets span d(b) in zero
     nd = len(cols)
-    ncols = nd + g.order
-    reduced, pivots = linalg.rref(_rows([db for _, db in cols] + deltas
-                                        + [z]))
+    ncols = nd + len(search.class_deltas)
+    reduced, pivots = linalg.rref(_rows([db for _, db in cols]
+                                        + search.class_deltas + [z]))
     if ncols in pivots:
         raise CapExceeded("no decomposition at this degree cap; raise "
                           "degree_cap", "degree_cap")
@@ -542,8 +533,8 @@ def decompose_kernel_element(z, family, degree_cap=4, side=None,
                          "the decomposition would not be unique")
     # free coordinates stay zero, so each pivot reads off its z entry
     sol = {p: row[ncols] for row, p in zip(reduced, pivots) if ncols in row}
-    emap = {p - nd: c for p, c in sol.items() if p >= nd}
-    s = GroupAlgebraClassFunction.from_element_map(g, emap)
+    s = GroupAlgebraClassFunction(g, {g.class_names[p - nd]: c
+                                      for p, c in sol.items() if p >= nd})
     b = None
     for p, c in sol.items():
         if p < nd:

@@ -33,8 +33,13 @@ vectors (leading, free_columns).  The kernel search is kept in its full
 forms: every raw key in every Z-degree and on both polynomial sides,
 filtered afterwards; d on a unit key by two full H (x) C(V) products; a
 column id per raw key by forming its W-average and comparing it up to
-scale with the earlier ones, with no orbit mates; and the dense
-coordinate matrix of its elements (coords).  Whether the one-dimensional
+scale with the earlier ones, with no orbit mates; the solve with one
+Delta(w) column per element, its answer checked constant on classes
+(decompose_by_elements); and the dense coordinate matrix of its
+elements (coords).  The closed form of the group-algebra Casimir, which
+zeta(omega_tilde) must equal, and the class function of a per-element
+map, checked constant on classes, are kept here, since the library
+solves in the centre and needs neither.  Whether the one-dimensional
 quotient exists is read off the degree-1 y-blocks of Delta(sigma), as the
 library did before it read the commutators off the forms.  Tests compare
 library output against these.  The last section holds the canonical term
@@ -50,7 +55,9 @@ from cherednik import linalg
 from cherednik.clifford import (CliffordElement, _reflection_factor,
                                 pin_tau, polarized_algebra, spin_action,
                                 spin_basis)
-from cherednik.dirac import TensorElement, dirac_element, tensor
+from cherednik.dirac import (GroupAlgebraClassFunction, TensorElement,
+                             delta_element, derivation_d,
+                             dirac_element, tensor)
 from cherednik.groups import (_find_reflection_data, check_representation,
                               class_character, inner_product)
 from cherednik.modules import (DiracOperatorMatrix, GradedModule,
@@ -905,6 +912,47 @@ def columns_by_averages(average, keys):
     return ids, reps
 
 
+def decompose_by_elements(z, family, degree_cap, side=None):
+    """(s, b) with z = Delta(s) + d(b), by one elimination over [d(b) |
+    Delta(w) | z] with a column Delta(w) per group element, the solution
+    checked constant on classes by from_element_map.  The raw keys are
+    the full enumeration filtered to Z-degree 0 and the degrees of z's
+    terms and to the side (no y exponent on "h_star", no x on "h"), each
+    averaged by pin conjugation, with one column per average up to scale;
+    z's validity is not checked."""
+    g, alg = family.group, family.clifford
+
+    def degree(key):
+        (xa, _, yb), cm = key
+        return sum(xa) - sum(yb) + sum(1 - 2 * (i % 2) for i in cm)
+
+    degrees = {0} | {degree(k) for k in z.terms}
+    keys = [k for k in candidate_keys_full(g, degree_cap + 1)
+            if degree(k) in degrees
+            and not (side == "h_star" and any(k[0][2]))
+            and not (side == "h" and any(k[0][0]))]
+    _, reps = columns_by_averages(pin_conjugation_averager(family), keys)
+    cols = [(b, db) for b, db in (
+        (b, derivation_d(b)) for b in (TensorElement(family, alg, p)
+                                       for p in reps)) if db]
+    deltas = [delta_element(family, w) for w in range(g.order)]
+    nd = len(cols)
+    ncols = nd + g.order
+    reduced, pivots = linalg.rref(coords([db for _, db in cols] + deltas
+                                         + [z]))
+    if ncols in pivots:
+        raise ValueError("no decomposition at this degree cap")
+    if not set(range(nd, ncols)) <= set(pivots):
+        raise ValueError("the decomposition would not be unique")
+    sol = {p: row[ncols] for row, p in zip(reduced, pivots) if ncols in row}
+    s = from_element_map(g, {p - nd: c for p, c in sol.items() if p >= nd})
+    b = TensorElement(family, alg, {})
+    for p, c in sol.items():
+        if p < nd:
+            b = b + c * cols[p][0]
+    return s, b
+
+
 def coords(elems):
     """Exact coordinate matrix of tensor elements, dense; columns are
     elements and rows are term keys in first-use order."""
@@ -977,6 +1025,32 @@ def casimir_scalar_by_reflections(sigma, c_map, group):
     return rational(total * reciprocal(chi[0]))
 
 
+def from_element_map(group, emap):
+    """The class function of a per-element coefficient map {element
+    index: coefficient}, checked constant on every conjugacy class."""
+    coeffs = {}
+    for name, cl in zip(group.class_names, group.conjugacy_classes):
+        c = emap.get(cl[0], 0)
+        if any(emap.get(w, 0) != c for w in cl):
+            raise ValueError(f"coefficients not constant on class {name!r}")
+        coeffs[name] = c
+    return GroupAlgebraClassFunction(group, coeffs)
+
+
+def group_algebra_casimir(family):
+    """Omega_{W,c} = sum over reflections s of 2 c_s/(1 - lambda_s) . s
+    for Cherednik presets, as a class function, summed reflection by
+    reflection; lambda_s is the nontrivial eigenvalue of s on the
+    reflection line in h.  The closed form of zeta(omega_tilde)."""
+    if family.preset_tag != "cherednik":
+        raise ValueError("the closed-form group Casimir needs the "
+                         "rational Cherednik preset")
+    g, c_map = family.group, family.params["c"]
+    return from_element_map(g, {
+        r.element_index: c_map[r.class_name] * 2 * reciprocal(1 - r.lam)
+        for r in g.reflections})
+
+
 def class_function_product_by_elements(f, g):
     """The product of two central class functions summed over all |W|^2
     pairs (w, u), f(w) g(w^-1 u) into u, and checked constant on each
@@ -992,7 +1066,7 @@ def class_function_product_by_elements(f, g):
             cu = g.coefficient(group.mult(winv, u))
             if cu:
                 acc(emap, u, cw * cu)
-    return type(f).from_element_map(group, emap)
+    return from_element_map(group, emap)
 
 
 # ---------------------------------------------------------------------------

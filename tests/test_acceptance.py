@@ -21,7 +21,6 @@ from cherednik.dirac import (
     delta_element,
     dirac_element,
     dirac_split,
-    group_algebra_casimir,
     omega_tilde,
     verify_dirac_square,
     zeta,
@@ -44,7 +43,8 @@ from cherednik.pbw import (
     pbw_check,
 )
 
-from oracles import involutions, isotypic_projector, w_cell_matrix
+from oracles import (group_algebra_casimir, involutions,
+                     isotypic_projector, w_cell_matrix)
 
 
 _CAPSYS = None

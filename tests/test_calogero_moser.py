@@ -9,7 +9,8 @@ from cherednik.calogero_moser import (
     omega_central_character,
     verify_cm_factorization,
 )
-from cherednik.dirac import KernelSearch
+from cherednik.dirac import (KernelSearch, decompose_kernel_element,
+                             omega_tilde)
 from cherednik.groups import _BUILDERS, CATALOGUE_IDS, build_group
 from cherednik.modules import h_weight
 from cherednik.pbw import cherednik_family
@@ -331,6 +332,30 @@ def test_partition_galois_conjugation(gid, k, monkeypatch):
     for c in (1, Fraction(1, 3)):
         assert dirac_partition(conj, c).to_data() == \
             dirac_partition(g, c).to_data(), c
+
+
+@pytest.mark.parametrize("gid, k", [("I2_5", 2), ("Z3", 2), ("Z5", 2),
+                                    ("G3_1_2", 2), ("G4_1_2", 3)])
+def test_kernel_solve_galois_conjugation(gid, k, monkeypatch):
+    # the kernel solve is field arithmetic on the entries, so on the
+    # conjugate entry zeta(omega_tilde) and b are the sigma_k-images of
+    # the original's, term by term, and the factorization reports agree
+    g = build_group(gid)
+    monkeypatch.setitem(_BUILDERS, gid, _conjugated(_BUILDERS[gid], k))
+    conj = build_group.__wrapped__(gid)
+    for t in (0, 1):
+        for c in (1, Fraction(1, 3)):
+            fam, cfam = cherednik_family(g, t, c), cherednik_family(conj, t, c)
+            s, b = decompose_kernel_element(omega_tilde(fam), fam,
+                                            degree_cap=2)
+            cs, cb = decompose_kernel_element(omega_tilde(cfam), cfam,
+                                              degree_cap=2)
+            assert cs.terms == {name: _galois(v, k)
+                                for name, v in s.terms.items()}, (t, c)
+            assert cb.terms == {key: _galois(v, k)
+                                for key, v in b.terms.items()}, (t, c)
+    assert verify_cm_factorization(conj, 1, 3) == \
+        verify_cm_factorization(g, 1, 3)
 
 
 def test_lusztig_families_partition_the_irreps():

@@ -1,9 +1,11 @@
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from cherednik import clifford
+from cherednik import cli, clifford
 from cherednik.cli import main
 from cherednik.dirac import decompose_kernel_element, omega_tilde
 from cherednik.groups import CATALOGUE_IDS, build_group
@@ -12,6 +14,7 @@ from cherednik.pbw import cherednik_family
 from cherednik.scalars import CapExceeded
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_json(capsys, argv):
@@ -193,6 +196,42 @@ def test_repeated_c_class_exits_two(capsys):
     assert capsys.readouterr().err == "error: repeated --c class 'long'\n"
 
 
+# one valid value of each single-valued flag; None for the switch
+_ONE_VALUE = {"group": "A1", "t": "0", "K": "2", "sigma": "triv",
+              "preset": "cherednik", "kind": "class", "simple": None,
+              "format": "json", "out": "out.json", "config": "run.cfg"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, flags) in cli._COMMANDS.items()
+    for flag in flags.split() + ["format", "out", "config"] if flag != "c"])
+def test_repeated_flag_exits_two(tmp_path, capsys, command, flag):
+    # a repeat is refused at parsing, not run at its last value
+    value = _ONE_VALUE[flag]
+    if flag in ("out", "config"):
+        value = str(tmp_path / value)
+    once = ["--" + flag] + ([] if value is None else [value])
+    argv = [command] + (["--group", "B2"] if flag != "group" else [])
+    assert main(argv + once + once) == 2
+    assert capsys.readouterr() == ("", f"error: repeated flag --{flag}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_bench_commands_repeat_no_flag():
+    # bench/run.py appends --format json to each of its CLI commands
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    names = {}
+    for node in tree.body:
+        name = getattr(node.targets[0], "id", None) if isinstance(
+            node, ast.Assign) else None
+        if name in ("CATALOGUE", "CLI_COMMANDS"):
+            names[name] = eval(compile(ast.Expression(node.value), "run.py",
+                                       "eval"), {"__builtins__": {}, **names})
+    assert len(names["CLI_COMMANDS"]) > 20
+    for argv in names["CLI_COMMANDS"]:
+        cli.build_parser().parse_args(argv + ["--format", "json"])
+
+
 def test_zero_denominator_exits_two(capsys):
     assert main(["partition", "--group", "B2", "--c", "1/0"]) == 2
     # the whole of stderr: one error line naming the input, no traceback
@@ -266,6 +305,11 @@ def test_config_file_flags_win(tmp_path, capsys):
         "dirac-cohomology", "--config", str(cfg)])
     assert code == 0
     assert payload["c"] == "1/2"
+    # a single-valued flag beside its config key is no repeat
+    code, payload = run_json(capsys, [
+        "dirac-cohomology", "--config", str(cfg), "--t", "0"])
+    assert code == 0
+    assert (payload["t"], payload["kind"]) == ("0/1", "baby")
 
 
 def test_config_values_parse_like_flags(tmp_path, capsys):

@@ -30,7 +30,6 @@ from cherednik.dirac import (
     derivation_d,
     dirac_element,
     dirac_split,
-    group_algebra_casimir,
     omega_tilde,
     tensor,
     verify_dirac_square,
@@ -41,8 +40,9 @@ from cherednik.scalars import zeta as zeta_root
 
 from oracles import (candidate_keys_full, casimir_scalar_by_reflections,
                      class_function_product_by_elements, columns_by_averages,
-                     d_unit_by_products, dirac_element_in_basis, eps,
-                     pin_conjugation_averager,
+                     d_unit_by_products, decompose_by_elements,
+                     dirac_element_in_basis, eps, from_element_map,
+                     group_algebra_casimir, pin_conjugation_averager,
                      pin_tau_inverse_by_reversed_word, tensor_element_data)
 
 
@@ -400,13 +400,13 @@ def test_class_function_constancy_validation():
     bad = {refl[0]: Fraction(1)}
     with pytest.raises(ValueError, match="coefficients not constant on "
                                          "class"):
-        GroupAlgebraClassFunction.from_element_map(g, bad)
+        from_element_map(g, bad)
     # a class-constant map, zeros and all, is accepted and read per class
     name = g.class_name_of_element(refl[0])
     cl = g.conjugacy_classes[g.class_names.index(name)]
     good = dict.fromkeys(cl, Fraction(1, 3))
     good[0] = 0
-    f = GroupAlgebraClassFunction.from_element_map(g, good)
+    f = from_element_map(g, good)
     assert f.coefficients == {name: Fraction(1, 3)}
     assert [f.coefficient(w) for w in range(g.order)] == [
         Fraction(1, 3) if w in cl else 0 for w in range(g.order)]
@@ -603,12 +603,15 @@ def test_decompose_rejects_odd_parity():
 
 
 def test_decompose_rejects_excess_degree():
+    # an exceeded cap names its bound and the least cap that passes
     fam = c_fam("A1", 0, 1)
     alg = fam.clifford
     x = fam.x_gen(0)
     z = tensor(x * x * x * x, alg.one())
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded,
+                       match="^element degree exceeds degree_cap$") as err:
         decompose_kernel_element(z, fam, degree_cap=2)
+    assert (err.value.bound, err.value.minimal) == ("degree_cap", 4)
 
 
 def test_decompose_rejects_non_invariant():
@@ -787,21 +790,74 @@ def test_key_generation_reads_degrees_through_key_degree(monkeypatch):
     assert dirac._candidate_keys(g, 3, {0}, None) == candidate_keys_full(g, 3)
 
 
-@pytest.mark.parametrize("gid", ["A2", "B2", "G3_1_2"])
+@pytest.mark.parametrize("gid", ["A2", "B2", "I2_5", "G3_1_2"])
 def test_averager_by_w_matches_pin_conjugation(gid):
-    # the averager sends a Clifford monomial to its image under w; the
-    # oracle conjugates it by tau_w and the reversed-word inverse
+    # the averager substitutes w into x^a and y^b and sends a Clifford
+    # monomial to its image under w; the oracle conjugates the PBW key by
+    # full products and the Clifford monomial by tau_w and the
+    # reversed-word inverse
+    for t in (0, 1):
+        fam = c_fam(gid, t, 1)
+        average = dirac.KernelSearch(fam).average
+        oracle = pin_conjugation_averager(fam)
+        # the raw keys that decompose_kernel_element searches at cap 2
+        keys = candidate_keys_full(fam.group, 2 + 1)
+        assert keys
+        for key in keys:
+            got, want = average(key), oracle(key)
+            assert got == want, (t, key)
+            assert ({k: type(c) for k, c in got.terms.items()}
+                    == {k: type(c) for k, c in want.terms.items()}), (t, key)
+
+
+def test_averages_form_no_pbw_product(monkeypatch):
+    # w x^a u y^b w^-1 = w(x)^a (w u w^-1) w(y)^b is in normal form, so
+    # averaging straightens no product, even on cold memos
+    monkeypatch.setattr(pbw, "_CHEREDNIK_FAMILIES", {})
+    calls, mul_terms = [], FormFamily._mul_terms
+
+    def counting(self, uterms, vterms):
+        calls.append(self)
+        return mul_terms(self, uterms, vterms)
+
+    monkeypatch.setattr(FormFamily, "_mul_terms", counting)
+    for gid, t in (("A2", 1), ("G3_1_2", 0)):
+        average = dirac.KernelSearch(c_fam(gid, t, 1)).average
+        assert sum(bool(average(key))
+                   for key in candidate_keys_full(build_group(gid), 3))
+    assert not calls
+
+
+@pytest.mark.parametrize("gid", ["A2", "B2", "G3_1_2"])
+def test_solve_has_one_delta_column_per_class(monkeypatch, gid):
+    # [d(b) | Delta(C) | z]: the group-algebra block has a column per
+    # conjugacy class, not per element
     fam = c_fam(gid, 0, 1)
-    average = dirac.KernelSearch(fam).average
-    oracle = pin_conjugation_averager(fam)
-    # the raw keys that decompose_kernel_element searches at degree_cap 2
-    keys = candidate_keys_full(fam.group, 2 + 1)
-    assert keys
-    for key in keys:
-        got, want = average(key), oracle(key)
-        assert got == want, key
-        assert ({k: type(c) for k, c in got.terms.items()}
-                == {k: type(c) for k, c in want.terms.items()}), key
+    g = fam.group
+    assert len(g.class_names) < g.order
+    rref, shapes = linalg.rref, []
+
+    def recording(rows):
+        shapes.append(1 + max(j for row in rows for j in row))
+        return rref(rows)
+
+    z, search = omega_tilde(fam), dirac.KernelSearch(fam)
+    monkeypatch.setattr(linalg, "rref", recording)
+    s, _ = decompose_kernel_element(z, fam, degree_cap=2, search=search)
+    nd = sum(1 for _, db in search.columns if db)
+    assert shapes == [nd + len(g.class_names) + 1]
+    assert s == group_algebra_casimir(fam)
+
+
+@pytest.mark.parametrize("gid", ["A1", "A2", "B2", "I2_5", "G3_1_2"])
+@pytest.mark.parametrize("t", [0, 1])
+def test_solve_matches_the_per_element_elimination(gid, t):
+    # zeta(omega_tilde) at its own degree: one Delta column per class
+    # against one per element with the class-constancy check
+    fam = c_fam(gid, t, 1)
+    z = omega_tilde(fam)
+    assert (decompose_kernel_element(z, fam, degree_cap=2)
+            == decompose_by_elements(z, fam, 2))
 
 
 def test_decompose_refuses_a_search_of_another_family():

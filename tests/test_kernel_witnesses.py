@@ -9,8 +9,9 @@ Casimir omega_tilde at t = 1, c = 1, cap 2 on the same groups.  The
 reports of verify_cm_factorization keep only witness term counts; this
 file pins the witnesses themselves.  On every case the sparse rows the
 search eliminates must equal the dense coordinate matrix of
-[d(b) | Delta(w) | z] (oracles.coords) entry for entry, in the same row
-and column order.  Regenerate (only on purpose) with
+[d(b) | Delta(C) | z] (oracles.coords) entry for entry, in the same row
+and column order, and (s, b) must equal the per-element elimination
+oracles.decompose_by_elements.  Regenerate (only on purpose) with
 
     PYTHONPATH=src python3 tests/test_kernel_witnesses.py
 """
@@ -21,7 +22,8 @@ from cherednik import calogero_moser, dirac
 from cherednik.dirac import decompose_kernel_element, omega_tilde
 from cherednik.groups import build_group
 from cherednik.pbw import cherednik_family
-from oracles import class_function_data, coords, tensor_element_data
+from oracles import (class_function_data, coords, decompose_by_elements,
+                     tensor_element_data)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "kernel_witnesses.json")
@@ -68,6 +70,29 @@ def test_kernel_witnesses_match_golden():
         assert not changed, f"witnesses differ: {changed}"
     assert got == want
 
+
+
+def test_witnesses_match_the_per_element_elimination(monkeypatch):
+    inner, solves = calogero_moser.decompose_kernel_element, []
+
+    def recording(z, fam, degree_cap, side, search):
+        solves.append((z, fam, degree_cap, side,
+                       inner(z, fam, degree_cap, side, search)))
+        return solves[-1][-1]
+
+    monkeypatch.setattr(calogero_moser, "decompose_kernel_element",
+                        recording)
+    for gid, cap in FACTORIZATIONS:
+        calogero_moser.verify_cm_factorization(build_group(gid), 1, cap)
+    for gid in CASIMIRS:
+        fam = cherednik_family(build_group(gid), 1, 1)
+        z = omega_tilde(fam)
+        solves.append((z, fam, 2, None,
+                       decompose_kernel_element(z, fam, degree_cap=2)))
+    assert len(solves) == 11
+    for z, fam, cap, side, got in solves:
+        assert got == decompose_by_elements(z, fam, cap, side), (
+            fam.group.catalogue_id, cap, side)
 
 
 def test_eliminated_rows_are_the_coordinate_matrix(monkeypatch):
