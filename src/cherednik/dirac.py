@@ -8,7 +8,7 @@ d and the bounded-degree zeta projection.
 """
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import linalg, poly
 from .clifford import (
@@ -251,23 +251,22 @@ def _reflection_weight(r):
     return 2 * reciprocal(1 - r.lam)
 
 
+@lru_cache(maxsize=None)
 def casimir_forms(group):
     """N_c as linear forms in the class parameters, one per irrep in
     catalogue order: form[mu] maps each reflection class name to
     (1/dim mu) sum over its reflections s of 2 chi_mu(s)/(1 - lambda_s).
-    Built once per group and kept on it."""
-    if group._casimir_forms is None:
-        weights = [(r.class_name, group.class_of(r.element_index),
-                    _reflection_weight(r)) for r in group.reflections]
-        forms = []
-        for chi in group.character_table:
-            form, inv = {}, reciprocal(chi[0])
-            for name, ci, weight in weights:
-                acc(form, name, weight * chi[ci])
-            forms.append({name: rational(v * inv)
-                          for name, v in form.items()})
-        group._casimir_forms = forms
-    return group._casimir_forms
+    Built once per group; build_group's cache keeps the groups alive
+    anyway."""
+    weights = [(r.class_name, group.class_of(r.element_index),
+                _reflection_weight(r)) for r in group.reflections]
+    forms = []
+    for chi in group.character_table:
+        form, inv = {}, reciprocal(chi[0])
+        for name, ci, weight in weights:
+            acc(form, name, weight * chi[ci])
+        forms.append({name: rational(v * inv) for name, v in form.items()})
+    return forms
 
 
 def casimir_scalar(sigma, c, group):
@@ -365,28 +364,30 @@ class KernelSearch:
         self._ids, self._leads = {}, {}
         self.columns = []
 
-    def _conjugates(self, key):
-        """(w(x)^a, w u w^(-1), w(y)^b, w(m)) for every w, images as term
-        maps: the factors of x^a u y^b (x) m conjugated by Delta(w)."""
+    def average(self, key):
+        """sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key,
+        and the raw keys e' of the conjugates that are one term c e' (its
+        orbit mates), in the order of w.  The factors of x^a u y^b (x) m
+        conjugated by Delta(w) are w(x)^a, w u w^(-1), w(y)^b and w(m),
+        each a term map."""
         fam = self.family
         (a, u, b), cm = key
+        out, mates = {}, []
         for w, (images, conj) in enumerate(self._pins):
-            if (w, cm) not in self._cimg:
-                self._cimg[(w, cm)] = reduce(fam.clifford._mul_terms,
-                                             map(images.__getitem__, cm),
-                                             {(): 1})
-            yield (fam._w_on_x(w, a), conj[u], fam._image(w, b, False),
-                   self._cimg[(w, cm)])
-
-    def average(self, key):
-        """sum_w Delta(w) e_key Delta(w)^(-1) for the unit tensor e_key."""
-        out = {}
-        for xw, uw, yw, cw in self._conjugates(key):
+            cw = self._cimg.get((w, cm))
+            if cw is None:
+                cw = self._cimg[(w, cm)] = reduce(
+                    fam.clifford._mul_terms, map(images.__getitem__, cm),
+                    {(): 1})
+            xw, uw, yw = fam._w_on_x(w, a), conj[u], fam._image(w, b, False)
+            if len(xw) == len(yw) == len(cw) == 1:
+                mates.append(((next(iter(xw)), uw, next(iter(yw))),
+                              next(iter(cw))))
             for a2, ca in xw.items():
                 for b2, cb in yw.items():
                     for cm2, cc in cw.items():
                         acc(out, ((a2, uw, b2), cm2), ca * cb * cc)
-        return TensorElement(self.family, self.family.clifford, out)
+        return TensorElement(fam, fam.clifford, out), mates
 
     def column(self, key):
         """The id in columns of the multiples of the raw key's average, or
@@ -396,7 +397,7 @@ class KernelSearch:
         cross-multiplication, with no division."""
         if key in self._ids:
             return self._ids[key]
-        b = self.average(key)
+        b, mates = self.average(key)
         p, got = b.terms, None
         if p:
             lead = min(p)
@@ -413,11 +414,8 @@ class KernelSearch:
                 ids.append(got)
         self._ids[key] = got
         # an orbit mate c e' = Delta(w) e Delta(w)^(-1) has average avg(e)/c
-        for xw, uw, yw, cw in self._conjugates(key):
-            if len(xw) == len(yw) == len(cw) == 1:
-                self._ids.setdefault(
-                    ((next(iter(xw)), uw, next(iter(yw))), next(iter(cw))),
-                    got)
+        for mate in mates:
+            self._ids.setdefault(mate, got)
         return got
 
     def d_of(self, a):

@@ -3,9 +3,12 @@
 Entries: A1, A2, B2, B3, I2_m (m = 3..6), Zm (m = 2..6) and G(m,1,2)
 (m = 2..4), each made on demand by its own builder (CATALOGUE_IDS builds
 none).  Groups are enumerated by breadth-first closure from generator
-matrices acting on h; reflection data (alpha, coroot, lambda), conjugacy
-classes, characters and fundamental invariants are computed at build time.
-Character tables come from irreducible matrices shipped with each entry,
+matrices acting on h, which also records each element times each
+generator; every product and inverse is read off the multiplication
+table formed from those along the words, with no matrix product.
+Reflection data (alpha, coroot, lambda), conjugacy classes, characters
+and fundamental invariants are computed at build time.  Character tables
+come from irreducible matrices shipped with each entry,
 not from a general algorithm.  build_group checks that the generators are
 reflections; that each shipped irrep is a representation; that the table
 is square, its squared dimensions sum to |W| and its rows are orthonormal
@@ -19,7 +22,8 @@ with k ("long", "s1", "g{}", "d{}").
 The BFS words are prefix-closed, so a value that is multiplicative along
 words is formed at every element from the generators' values by one
 product with the parent's (ReflectionGroup.along_words): the irreps, the
-matrices on h*, and in clifford.py tau_w.
+matrices on h*, the rows of the multiplication table (i w = (i parent)
+g for w = parent g), and in clifford.py tau_w.
 
 Conventions: group elements are matrices on h; the action on h* is the
 inverse transpose; pairing of h and h* coordinates is the dot product.
@@ -90,16 +94,10 @@ class ReflectionGroup:
     def __init__(self, **kw):
         self.__dict__.update(kw)
 
-    # -- products and inverses (by matrix-key lookup)
+    # -- products and inverses (read off the multiplication table)
 
     def mult(self, i, j):
-        key = (i, j)
-        got = self._mult_cache.get(key)
-        if got is None:
-            prod = linalg.mat_mul(self.elements[i], self.elements[j])
-            got = self._index[_mat_key(prod, self._conductor)]
-            self._mult_cache[key] = got
-        return got
+        return self._table[i][j]
 
     def inverse_index(self, i):
         return self._inverses[i]
@@ -312,33 +310,36 @@ CATALOGUE_IDS = sorted(_BUILDERS)
 # build
 
 
-def _enumerate(generators, conductor):
-    """BFS closure; returns (elements, words, parents, index), identity
+def _enumerate(generators):
+    """BFS closure; returns (elements, words, parents, right), identity
     first.  The words are prefix-closed: words[i] is words[parents[i]]
-    followed by one generator."""
-    n = len(generators[0])
-    ident = linalg.identity(n)
+    followed by one generator, and right[i][g] is the index of element i
+    times generator g.  Matrices are told apart by their entries' keys
+    at the generators' common conductor."""
+    conductor = math.lcm(1, *(x.conductor for g in generators for row in g
+                              for x in row if isinstance(x, CyclotomicScalar)))
+    ident = linalg.identity(len(generators[0]))
     elements = [ident]
     words = [()]
     parents = [None]
+    right = []
     index = {_mat_key(ident, conductor): 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for gi, g in enumerate(generators):
-                prod = linalg.mat_mul(elements[i], g)
-                key = _mat_key(prod, conductor)
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(prod)
-                    words.append(words[i] + (gi,))
-                    parents.append(i)
-                    nxt.append(index[key])
-        frontier = nxt
+    # the elements in index order are in BFS order
+    while len(right) < len(elements):
+        i, row = len(right), []
+        for gi, g in enumerate(generators):
+            prod = linalg.mat_mul(elements[i], g)
+            key = _mat_key(prod, conductor)
+            if key not in index:
+                index[key] = len(elements)
+                elements.append(prod)
+                words.append(words[i] + (gi,))
+                parents.append(i)
+            row.append(index[key])
+        right.append(row)
         if len(elements) > 2000:
             raise ValueError("group too large for the catalogue")
-    return elements, words, parents, index
+    return elements, words, parents, right
 
 
 def _conjugacy_classes(group_mult, inverse_index, order, gens):
@@ -420,7 +421,7 @@ def _invariant_generators(group, matrices):
                 row = list(act[i])
                 row[i] = row[i] - 1
                 stacked.append(row)
-        inv_vecs, _ = linalg.nullspace(stacked)
+        inv_vecs, _ = linalg.nullspace(stacked, dim)
         # span of products of previously chosen generators in this degree
         prods = []
 
@@ -497,13 +498,7 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
                          f"known: {', '.join(CATALOGUE_IDS)}")
     data = builder()
     gens = data["generators"]
-    conductor = 1
-    for g in gens:
-        for row in g:
-            for x in row:
-                if isinstance(x, CyclotomicScalar):
-                    conductor = math.lcm(conductor, x.conductor)
-    elements, words, parents, index = _enumerate(gens, conductor)
+    elements, words, parents, right = _enumerate(gens)
 
     group = ReflectionGroup(
         catalogue_id=catalogue_id,
@@ -513,20 +508,19 @@ def build_group(catalogue_id: str) -> ReflectionGroup:
         words=words,
         parents=parents,
         invariant_degrees=list(data["invariant_degrees"]),
-        _index=index,
-        _conductor=conductor,
-        _mult_cache={},
+        generator_indices=right[0],
         _dual_characters={},
-        _casimir_forms=None,
     )
-    group.generator_indices = [index[_mat_key(g, conductor)] for g in gens]
+    # row i along the words: i w = (i parent) g for w = parent g
+    group._table = [group.along_words(range(len(gens)),
+                                      lambda v, g: right[v][g], i)
+                    for i in range(group.order)]
+    group._inverses = [row.index(0) for row in group._table]
     # w acts on h* by its inverse transpose, and w^-1 is the transpose of
     # that matrix
     group._h_star = group.along_words(
         [linalg.transpose(linalg.inverse(g)) for g in gens],
         linalg.mat_mul, linalg.identity(group.n))
-    group._inverses = [index[_mat_key(linalg.transpose(m), conductor)]
-                       for m in group._h_star]
 
     classes = _conjugacy_classes(group.mult, group.inverse_index,
                                  group.order, group.generator_indices)

@@ -1,9 +1,10 @@
 """Exact linear algebra over rational and cyclotomic entries.
 
 rref, the one elimination, takes and returns sparse rows, {column:
-nonzero} dicts; it also reads a dense row, a list.  The other helpers
-take and return dense matrices, lists of rows, and vectors, lists, since
-their inputs (group matrices, forms, module blocks) are small.  Entries
+nonzero} dicts; it also reads a dense row, a list, and so does nullspace,
+which is told the column count.  The other helpers take and return dense
+matrices, lists of rows, and vectors, lists, since their inputs (group
+matrices, forms, module blocks) are small.  Entries
 only need +, -, *, equality and truthiness-as-nonzero, so ints, Fractions
 and CyclotomicScalars mix freely; division goes through
 scalars.reciprocal, never through `/`, which would turn two ints into a
@@ -266,13 +267,12 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def nullspace(m):
-    """Basis of the right kernel, one vector per free column, and those
-    free columns: vector i is 1 at free[i], where the others are 0."""
-    if not m:
-        return [], []
+def nullspace(m, cols):
+    """Basis of the right kernel of the rows m, sparse or dense as rref
+    reads them, over cols columns: one dense vector per free column, and
+    those free columns, where vector i is 1 at free[i] and the others are
+    0.  With no rows every column is free."""
     rows, pivots = rref(m)
-    cols = len(m[0])
     taken = set(pivots)
     basis = {f: [0] * cols for f in range(cols) if f not in taken}
     for f, v in basis.items():
@@ -327,7 +327,8 @@ def subspace_intersection(abasis, bbasis):
     [A | -B] gives the combinations of abasis that land in it."""
     if not abasis or not bbasis:
         return []
-    ker, _ = nullspace(transpose(abasis + [[-x for x in v] for v in bbasis]))
+    ker, _ = nullspace(transpose(abasis + [[-x for x in v] for v in bbasis]),
+                       len(abasis) + len(bbasis))
     return column_space_basis(
         mat_mul([v[:len(abasis)] for v in ker], abasis))[0]
 

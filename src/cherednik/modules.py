@@ -544,8 +544,8 @@ def dirac_cohomology(module):
     is D^2 built, and its nullspace is checked against them.  D(Z) lies
     in Z, and a vector of a cell's Z has its entries at the free columns
     as coordinates (linalg.span_coords also checks that it lies there),
-    so D|Z is a |Z| x |Z| matrix read off the up and down parts
-    (DiracOperatorMatrix.part); its nullspace is ker(D|Z) in Z's
+    so D|Z is a |Z| x |Z| matrix of sparse rows read off the up and down
+    parts (DiracOperatorMatrix.part); its nullspace is ker(D|Z) in Z's
     coordinates.  Each subspace is eliminated once, and every character
     is read cell by cell: chi_Z at the free columns, chi_ker from the
     kernel vectors whose free column lies in the cell, and the cell's
@@ -567,16 +567,18 @@ def dirac_cohomology(module):
     # its first vector among Z's
     zs, dim_z = {}, 0
     for cell in cellset:
-        zero, free = linalg.nullspace(dirac.d_squared_on_cell(*cell))
+        zero, free = linalg.nullspace(dirac.d_squared_on_cell(*cell),
+                                      dirac.cell_dim(*cell))
         if len(zero) != want[cell]:
             raise AssertionError(
                 f"D^2 kernel on cell {cell} has dimension {len(zero)}, "
                 f"its zero-scalar isotypics {want[cell]}")
         zs[cell] = (zero, free, dim_z)
         dim_z += len(zero)
-    # column j: the image of Z's vector j; a cell outside the window has
-    # the empty basis, so an image that escapes it is refused too
-    coords = linalg.zeros(dim_z, dim_z)
+    # column j: the image of Z's vector j, in sparse rows; a cell outside
+    # the window has the empty basis, so an image that escapes it is
+    # refused too
+    coords = [{} for _ in range(dim_z)]
     for cell, (zero, _, col) in zs.items():
         for step in (1, -1):
             mat = dirac.part(*cell, step)
@@ -590,9 +592,10 @@ def dirac_cohomology(module):
                 if got is None:
                     raise AssertionError(f"D leaves ker D^2 at {target}")
                 for i, x in enumerate(got, row):
-                    coords[i][j] = x
+                    if x:
+                        coords[i][j] = x
     # kernel vector i is 1 at Z's vector free[i], where the others are 0
-    null, free = linalg.nullspace(coords)
+    null, free = linalg.nullspace(coords, dim_z)
 
     # Z, ker(D|Z) and the kernel's slices in each cell are all W-stable (D
     # commutes with the diagonal W, which preserves cells); a combination

@@ -621,13 +621,13 @@ def pbw_check(family):
             continue
         vm = family.v_matrix(w)
         fixed, fixed_free = linalg.nullspace(
-            linalg.mat_sub(vm, linalg.identity(nv)))
+            linalg.mat_sub(vm, linalg.identity(nv)), nv)
         if len(fixed) != nv - 2:
             failures.append({"condition": 2, "w": w, "h": None,
                              "detail": "dim V^w = %d, want %d for w=%d"
                                        % (len(fixed), nv - 2, w)})
             continue
-        kern, kern_free = linalg.nullspace(family.forms[w])
+        kern, kern_free = linalg.nullspace(family.forms[w], nv)
         # a vector of one subspace outside the other, which exists exactly
         # when the two differ
         sides = [(kern, kern_free, "ker a_w"), (fixed, fixed_free, "V^w")]

@@ -14,10 +14,11 @@ over the straightened terms, one term at a time, the cell matrices of w
 as full Kronecker products with the character of a span read off their
 rows, the Dirac cohomology with Z padded out to window-length vectors and
 ker(D|Z) eliminated over every window coordinate, cell multiplicities with the cell character formed before the
-pairing, the per-element group
-data (h* matrices, inverses) formed element by element instead of along
-the BFS words, and the pin data the library no longer forms because W
-acts through w itself once clifford.pin_cover_holds passes: tau_w^-1,
+pairing, the per-element group data (h* matrices, inverses) formed
+element by element instead of along the BFS words, products by
+multiplying two matrices and looking the product up among the elements
+instead of reading a table, and the pin data the library no longer forms
+because W acts through w itself once clifford.pin_cover_holds passes: tau_w^-1,
 the spin matrices of tau_w and the averager by pin conjugation.  The
 group build's checks are kept in their full forms: character-table
 orthogonality over every ordered pair of rows and of columns, and the
@@ -655,7 +656,8 @@ def dirac_cohomology_by_window(module):
     zbasis, zpiv = [], []
     images = linalg.zeros(total, sum(want.values()))
     for cell in cellset:
-        zero, free = linalg.nullspace(dirac.d_squared_on_cell(*cell))
+        zero, free = linalg.nullspace(dirac.d_squared_on_cell(*cell),
+                                      dirac.cell_dim(*cell))
         assert len(zero) == want[cell], cell
         col, off = len(zbasis), offsets[cell]
         zbasis.extend([0] * off + v + [0] * (total - off - len(v))
@@ -672,7 +674,7 @@ def dirac_cohomology_by_window(module):
                 continue
             for row, got in zip(images[offsets[target]:], image):
                 row[col:col + len(zero)] = got
-    null, free = linalg.nullspace(images)
+    null, free = linalg.nullspace(images, sum(want.values()))
     ker = linalg.mat_mul(null, zbasis)
     chi_h = [2 * a - b for a, b in zip(
         span_character_dense(ker, [zpiv[f] for f in free], blocks,
@@ -796,6 +798,15 @@ def inverse_by_lookup(group, w):
     inv = linalg.inverse(group.elements[w])
     found = [j for j, m in enumerate(group.elements) if m == inv]
     assert len(found) == 1, (group.catalogue_id, w, found)
+    return found[0]
+
+
+def mult_by_matrices(group, i, j):
+    """The index of the element whose matrix is the product of i's and
+    j's, as the group's multiplication did before it read a table."""
+    prod = linalg.mat_mul(group.elements[i], group.elements[j])
+    found = [k for k, m in enumerate(group.elements) if m == prod]
+    assert len(found) == 1, (group.catalogue_id, i, j, found)
     return found[0]
 
 

@@ -9,8 +9,8 @@ from cherednik.calogero_moser import (
     omega_central_character,
     verify_cm_factorization,
 )
-from cherednik.dirac import (KernelSearch, decompose_kernel_element,
-                             omega_tilde)
+from cherednik.dirac import (KernelSearch, casimir_forms,
+                             decompose_kernel_element, omega_tilde)
 from cherednik.groups import _BUILDERS, CATALOGUE_IDS, build_group
 from cherednik.modules import h_weight
 from cherednik.pbw import cherednik_family
@@ -113,7 +113,7 @@ def test_partition_builds_each_group_table_once(monkeypatch):
     # character row |C| conj chi_mu(C) is built once per irrep
     from cherednik import dirac, groups
     g = build_group("G3_1_2")
-    monkeypatch.setattr(g, "_casimir_forms", None)
+    dirac.casimir_forms.cache_clear()
     monkeypatch.setattr(g, "_dual_characters", {})
     weights, conjugates = [], []
     reflection_weight, conjugate = dirac._reflection_weight, groups.conjugate
@@ -131,6 +131,8 @@ def test_partition_builds_each_group_table_once(monkeypatch):
     dirac_partition(g, 1)
     dirac_partition(g, Fraction(1, 3))
     assert sorted(weights) == sorted(r.element_index for r in g.reflections)
+    assert len(dirac.casimir_forms(g)) == len(g.irrep_labels)
+    assert len(weights) == len(g.reflections)
     assert conjugates
     assert len(conjugates) <= len(g.irrep_labels) * len(g.conjugacy_classes)
 
@@ -188,7 +190,7 @@ def test_partitions_keep_no_data_per_c_on_the_group():
               {"long": Fraction(1), "short": Fraction(1, 2)}):
         dirac_partition(g, c)
     assert sizes() == after_one
-    assert len(g._casimir_forms) == len(g.irrep_labels)
+    assert len(casimir_forms(g)) == len(g.irrep_labels)
 
 
 def test_partition_g4_undecided_pairs_by_h_weight():
@@ -332,6 +334,25 @@ def test_partition_galois_conjugation(gid, k, monkeypatch):
     for c in (1, Fraction(1, 3)):
         assert dirac_partition(conj, c).to_data() == \
             dirac_partition(g, c).to_data(), c
+
+
+@pytest.mark.parametrize("gid, k", [("I2_5", 2), ("Z3", 2), ("Z5", 2),
+                                    ("G3_1_2", 2), ("G4_1_2", 3)])
+def test_casimir_forms_galois_conjugation(gid, k, monkeypatch):
+    # N_c's form per irrep sums chi_mu(s)/(1 - lambda_s) over the
+    # reflections, so on the conjugate entry each form is the
+    # sigma_k-image of the original's, under the same irrep labels and
+    # class names (on I2_5 every form is rational, and sigma_k fixes it)
+    g = build_group(gid)
+    monkeypatch.setitem(_BUILDERS, gid, _conjugated(_BUILDERS[gid], k))
+    conj = build_group.__wrapped__(gid)
+    assert conj.irrep_labels == g.irrep_labels
+    assert conj.class_names == g.class_names
+    assert conj.elements != g.elements
+    forms = casimir_forms(g)
+    assert casimir_forms(conj) == [{name: _galois(v, k)
+                                    for name, v in form.items()}
+                                   for form in forms]
 
 
 @pytest.mark.parametrize("gid, k", [("I2_5", 2), ("Z3", 2), ("Z5", 2),

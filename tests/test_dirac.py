@@ -690,7 +690,7 @@ def test_factorwise_search_matches_products(gid, t):
         for dw, dwi in deltas:
             term = dw * e * dwi
             want = term if want is None else want + term
-        got = search.average(key)
+        got = search.average(key)[0]
         assert got == want, key
         assert search.d_of(e) == derivation_d(e), key
         if got:
@@ -708,7 +708,7 @@ def test_search_columns_are_the_distinct_averages(gid, t):
     search = dirac.KernelSearch(fam)
     reps = []   # one average per class of proportional averages
     for key in candidate_keys_full(fam.group, 3):
-        p = search.average(key)
+        p = search.average(key)[0]
         got = search.column(key)
         assert search.column(key) == got
         if not p:
@@ -753,10 +753,36 @@ def test_orbit_mates_take_the_column_of_their_average(gid):
     # comparing it up to scale, and the stored averages are those averages
     fam = c_fam(gid, 0, 1)
     keys = candidate_keys_full(fam.group, 3)
-    want, reps = columns_by_averages(dirac.KernelSearch(fam).average, keys)
+    averages = dirac.KernelSearch(fam)
+    want, reps = columns_by_averages(lambda key: averages.average(key)[0],
+                                     keys)
     search = dirac.KernelSearch(fam)
     assert [search.column(key) for key in keys] == want
     assert [b.terms for b, _ in search.columns] == reps
+
+
+@pytest.mark.parametrize("gid", ["A2", "B3", "G3_1_2"])
+def test_a_column_walks_the_orbit_once(gid, monkeypatch):
+    # average hands its one-term conjugates (the orbit mates) to column,
+    # so a fresh column reads w(x^a) once per w, and there is no second
+    # walk over the conjugates
+    fam = c_fam(gid, 0, 1)
+    g = fam.group
+    search = dirac.KernelSearch(fam)
+    keys = [k for k in candidate_keys_full(g, 3) if any(k[0][0])]
+    seen, w_on_x = [], FormFamily._w_on_x
+
+    def counting(self, w, a):
+        seen.append(w)
+        return w_on_x(self, w, a)
+
+    monkeypatch.setattr(dirac.KernelSearch, "d_of", lambda self, a: None)
+    monkeypatch.setattr(FormFamily, "_w_on_x", counting)
+    for key in (keys[0], keys[-1]):
+        del seen[:]
+        search.column(key)
+        assert sorted(seen) == list(range(g.order)), key
+    assert not hasattr(dirac.KernelSearch, "_conjugates")
 
 
 # the keys each side keeps: no y exponent on h*, no x exponent on h
@@ -804,7 +830,7 @@ def test_averager_by_w_matches_pin_conjugation(gid):
         keys = candidate_keys_full(fam.group, 2 + 1)
         assert keys
         for key in keys:
-            got, want = average(key), oracle(key)
+            got, want = average(key)[0], oracle(key)
             assert got == want, (t, key)
             assert ({k: type(c) for k, c in got.terms.items()}
                     == {k: type(c) for k, c in want.terms.items()}), (t, key)
@@ -823,7 +849,7 @@ def test_averages_form_no_pbw_product(monkeypatch):
     monkeypatch.setattr(FormFamily, "_mul_terms", counting)
     for gid, t in (("A2", 1), ("G3_1_2", 0)):
         average = dirac.KernelSearch(c_fam(gid, t, 1)).average
-        assert sum(bool(average(key))
+        assert sum(bool(average(key)[0])
                    for key in candidate_keys_full(build_group(gid), 3))
     assert not calls
 
@@ -880,7 +906,7 @@ def test_search_keeps_the_euler_degree(gid, t):
     for key in candidate_keys_full(fam.group, 3):
         deg = dirac._key_degree(key)
         e = TensorElement(fam, fam.clifford, {key: Fraction(1)})
-        for image in (search.average(key), derivation_d(e)):
+        for image in (search.average(key)[0], derivation_d(e)):
             got = {dirac._key_degree(k) for k in image.terms}
             assert got <= {deg}, (key, got)
             seen |= got

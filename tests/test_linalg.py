@@ -39,7 +39,7 @@ def test_rank_and_nullspace_against_sympy():
         m = rand_mat(rng, r, c)
         sm = to_sympy(m)
         assert la.rank(m) == sm.rank()
-        ns, free = la.nullspace(m)
+        ns, free = la.nullspace(m, c)
         assert len(ns) == c - sm.rank()
         # the free columns are the non-pivot columns of the elimination
         assert free == [j for j in range(c) if j not in la.rref(m)[1]]
@@ -61,7 +61,8 @@ def test_span_coords_inside_and_outside():
         r = rng.randrange(1, 6)
         c = rng.randrange(1, 6)
         m = rand_mat(rng, r, c)
-        for basis, pivots in (la.column_space_basis(m), la.nullspace(m)):
+        for basis, pivots in (la.column_space_basis(m),
+                              la.nullspace(m, c)):
             x = [F(rng.randrange(-4, 5)) for _ in basis]
             v = [sum((a * u[j] for a, u in zip(x, basis)), F(0))
                  for j in range(c)]
@@ -103,7 +104,7 @@ def test_cyclotomic_entries():
     m = [[z, 1], [0, z ** 2]]
     inv = la.inverse(m)
     assert la.mat_mul(inv, m) == la.identity(2)
-    ns, free = la.nullspace([[z, z ** 2]])
+    ns, free = la.nullspace([[z, z ** 2]], 2)
     assert len(ns) == 1 and free == [1]
     v = ns[0]
     assert not (z * v[0] + z ** 2 * v[1])

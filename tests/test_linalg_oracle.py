@@ -123,7 +123,7 @@ def test_rref_and_nullspace_match_sympy(n):
     for _, m, rows, cols in _cases(n):
         pivots = _check_rref(m, cols, n)
 
-        ns, free = linalg.nullspace(m)
+        ns, free = linalg.nullspace(m, cols)
         kernel = _oracle(m, cols, n).nullspace()
         assert len(ns) == kernel.shape[0] == cols - len(pivots)
         # the free columns come back: sympy's non-pivots, and the columns
@@ -188,13 +188,17 @@ def test_pivots_on_the_recorded_catalogue_matrices(monkeypatch):
     # verify runs on the catalogue (group builds included) and
     # dirac_partition runs at c = 1 on the partition groups and at c = 1/3
     # on A2 and B2: the pivots they return are the reference scanners'
-    # and sympy's
+    # and sympy's.  nullspace is told its width and may get sparse rows,
+    # recorded here densely at that width
     seen = []
 
     def recording(kind, inner):
-        def call(m):
-            out = inner(m)
-            seen.append((kind, [list(row) for row in m], out))
+        def call(m, *width):
+            out = inner(m, *width)
+            cols = width[0] if width else len(m[0]) if m else 0
+            seen.append((kind, [[row.get(j, 0) for j in range(cols)]
+                                if type(row) is dict else list(row)
+                                for row in m], cols, out))
             return out
         return call
 
@@ -210,14 +214,16 @@ def test_pivots_on_the_recorded_catalogue_matrices(monkeypatch):
     for gid in ("A2", "B2"):
         dirac_partition(build_group(gid), Fraction(1, 3))
     monkeypatch.undo()
-    cases = {(kind, repr(m)): (kind, m, out) for kind, m, out in seen}
-    assert {kind for kind, _ in cases} == {"nullspace", "column_space_basis"}
+    cases = {(kind, repr(m), cols): (kind, m, cols, out)
+             for kind, m, cols, out in seen}
+    assert {kind for kind, _, _ in cases} == {"nullspace",
+                                              "column_space_basis"}
     assert len(cases) > 400
-    for kind, m, (basis, pivots) in cases.values():
+    for kind, m, cols, (basis, pivots) in cases.values():
         if not m:
-            assert basis == pivots == []
+            assert pivots == free_columns(basis) == (
+                list(range(cols)) if kind == "nullspace" else [])
             continue
-        cols = len(m[0])
         conductors = {x.conductor for row in m for x in row
                       if isinstance(x, CyclotomicScalar)}
         assert len(conductors) <= 1
@@ -292,7 +298,7 @@ def test_span_coords_matches_sympy(n):
     inside = outside = 0
     for rng, m, rows, cols in _cases(n):
         echelon, pivots = linalg.column_space_basis(m)
-        kernel, free = linalg.nullspace(m)
+        kernel, free = linalg.nullspace(m, cols)
         _, want_pivots = _oracle(m, cols, n).rref()
         assert pivots == leading(echelon) == list(want_pivots)
         assert free == free_columns(kernel) == [

@@ -558,21 +558,21 @@ def test_cohomology_simple_quotient_b2():
     ("A1", lambda g: standard_module(g, "triv", 1, K=2)),
 ], ids=["B2-baby", "A1-standard"])
 def test_cohomology_eliminates_each_subspace_once(gid, make, monkeypatch):
-    # Z once per cell, ker(D|Z) once, as a |Z| x |Z| matrix in Z's own
-    # coordinates, and each cell's slice of the kernel once; a vector
-    # lifted from Z's coordinates keeps the pivots Z's basis carries, so
-    # every span read still has basis vector i at 1 on pivot i and every
-    # other vector at 0 there
+    # Z once per cell, ker(D|Z) once, as a |Z| x |Z| matrix of sparse
+    # rows in Z's own coordinates, and each cell's slice of the kernel
+    # once; a vector lifted from Z's coordinates keeps the pivots Z's
+    # basis carries, so every span read still has basis vector i at 1 on
+    # pivot i and every other vector at 0 there
     module = make(build_group(gid))
     want = _zero_scalar_cells(module)
     assert want
     calls = {"nullspace": 0, "column_space_basis": 0}
     last = {}
     for name in calls:
-        def counting(m, original=getattr(linalg, name), name=name):
+        def counting(m, *width, original=getattr(linalg, name), name=name):
             calls[name] += 1
-            last[name] = m
-            return original(m)
+            last[name] = m, width
+            return original(m, *width)
         monkeypatch.setattr(linalg, name, counting)
 
     def at_pivots(chi, basis, pivots, mats):
@@ -586,8 +586,10 @@ def test_cohomology_eliminates_each_subspace_once(gid, make, monkeypatch):
     assert calls == {"nullspace": len(want) + 1,
                      "column_space_basis": len(want)}
     dim_z = sum(want.values())
-    assert len(last["nullspace"]) == dim_z
-    assert {len(row) for row in last["nullspace"]} == {dim_z}
+    rows, width = last["nullspace"]
+    assert width == (dim_z,) and len(rows) == dim_z
+    assert all(type(row) is dict and all(row.values())
+               and set(row) <= set(range(dim_z)) for row in rows)
 
 
 @pytest.mark.parametrize("extra, target", [((0, 0), (1, 1)),
@@ -621,7 +623,8 @@ def _z_character_agrees(d, cell):
     """The D^2 kernel of a cell, and whether its character read at the free
     columns of the nullspace basis equals the one read at the pivots of its
     echelon form."""
-    zero, free = linalg.nullspace(d.d_squared_on_cell(*cell))
+    zero, free = linalg.nullspace(d.d_squared_on_cell(*cell),
+                                  d.cell_dim(*cell))
     mats = [d.w_cell(cl[0], *cell)
             for cl in d.module.group.conjugacy_classes]
     fast, slow = [0] * len(mats), [0] * len(mats)
