@@ -53,6 +53,23 @@ def _parse_c(entries):
     return out
 
 
+def _join_negatives(argv):
+    """argv with each flag joined to a following negative scalar (--c -1/3
+    becomes --c=-1/3), which argparse would read as a flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and tok.startswith("-"):
+            try:
+                parse_scalar(tok)
+                out[-1] += "=" + tok
+                continue
+            except ValueError:
+                pass
+        out.append(tok)
+    return out
+
+
 def _load_config(path):
     cfg = {}
     try:
@@ -97,7 +114,7 @@ def _apply_config(parser, args):
                 argv.append("--simple")
         else:
             argv += ["--" + key, val]
-    cfg = parser.parse_args([args.command] + argv)
+    cfg = parser.parse_args(_join_negatives([args.command] + argv))
     for key, val in vars(cfg).items():
         if getattr(args, key) is None:
             setattr(args, key, val)
@@ -129,15 +146,20 @@ def _c_strings(c):
     return scalar_str(c)
 
 
-def _build_family(args, group, t, c):
+def _build_family(args, group):
+    """(family, t, c) for --preset; a flag the preset does not read is
+    refused, not ignored."""
     preset = args.preset or "cherednik"
+    reads = {"cherednik": ("t", "c"), "gaha": ("c",), "corrupted": ("kind",)}
+    for flag in ("t", "c", "kind"):
+        if getattr(args, flag) is not None and flag not in reads[preset]:
+            raise ValueError(f"--preset {preset} does not read --{flag}")
+    t, c = parse_scalar(args.t or "1"), _parse_c(args.c)
     if preset == "cherednik":
-        return cherednik_family(group, t, c)
+        return cherednik_family(group, t, c), t, c
     if preset == "gaha":
-        return gaha_family(group, c)
-    if preset == "corrupted":
-        return corrupted_family(group, kind=args.kind)
-    raise ValueError(f"unknown preset {preset!r}")
+        return gaha_family(group, c), t, c
+    return corrupted_family(group, kind=args.kind), t, c
 
 
 # --------------------------------------------------------------------------
@@ -146,9 +168,7 @@ def _build_family(args, group, t, c):
 
 def cmd_verify(args):
     group = build_group(args.group)
-    t = parse_scalar(args.t or "1")
-    c = _parse_c(args.c)
-    fam = _build_family(args, group, t, c)
+    fam, t, c = _build_family(args, group)
 
     identities = []
 
@@ -284,9 +304,7 @@ def cmd_export_group(args):
 
 def cmd_pbw_check(args):
     group = build_group(args.group)
-    t = parse_scalar(args.t or "1")
-    c = _parse_c(args.c)
-    fam = _build_family(args, group, t, c)
+    fam, _, _ = _build_family(args, group)
     report = pbw_check(fam)
     report["group"] = group.catalogue_id
     report["preset"] = fam.preset_tag
@@ -356,7 +374,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negatives(
+            sys.argv[1:] if argv is None else argv))
         _apply_config(parser, args)
         if args.format is None:
             args.format = "table"

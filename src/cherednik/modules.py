@@ -8,7 +8,8 @@ Verma module at t = 0, and J = h* its one-dimensional quotient.  Pieces
 are built lazily, degree by degree, so K only bounds what gets reported.
 A PBW element acts on degree k as sum_w P(w) (x) rho_sigma(w), where the
 sigma-independent matrices P(w) hold the normal forms modulo J of its
-terms (x_i and w act directly, anything else is straightened); every
+terms (x_i and w act directly, y_i through the family's y_i . x^a, each
+monomial one step from its prefix, anything else is straightened); every
 sigma-block is built from them by one Kronecker kernel (linalg.add_kron).
 The Dirac operator acts on cells (polynomial degree k, exterior degree l)
 of module (x) wedge(h), whose W-types cell_multiplicity reads off the
@@ -142,8 +143,10 @@ class GradedModule:
 
     @property
     def finite(self):
-        """Whether the module ends by degree K: degree K + 1 is empty."""
-        return not self.selected(self.K + 1)
+        """Whether the module ends by degree K: degree K + 1 is empty.
+        S(h*) never ends, so J = 0 answers without building a section."""
+        return (any(f for f, _ in self.ideal)
+                and not self.selected(self.K + 1))
 
     def piece_dim(self, k):
         return len(self.selected(k)) * self.dim_sigma
@@ -196,27 +199,29 @@ class GradedModule:
 
     def _columns(self, key, k):
         """The matrices P of a generator key ("x_gen", i), ("y_gen", i) or
-        ("group_element", w) at degree k, kept per family and ideal.  Only
-        y_i is straightened; x_i sends x^a to x^(a + e_i), and w sends x^a
-        to w(x^a) w by the family's memoized substitution, each term then
-        taken to its normal form as in _straighten."""
+        ("group_element", w) at degree k, kept per family and ideal.  x_i
+        sends x^a to x^(a + e_i), w sends x^a to w(x^a) w by the family's
+        memoized substitution, and y_i sends it to the terms of y_i . x^a
+        with no y-tail, from the family's memo (FormFamily._y_on_x); each
+        term is then taken to its normal form as in _straighten."""
         got = self._terms.get((key, k))
         if got is None:
             kind, i = key
-            if kind == "y_gen":
-                got = self._straighten(self.family.y_gen(i), k)
-            else:
-                got = {}
-                monos, kept = poly.monomials(self.n, k), self.selected(k)
-                k2, w = (k + 1, 0) if kind == "x_gen" else (k, i)
-                for p, mpos in enumerate(kept if self.selected(k2) else ()):
-                    a = monos[mpos]
-                    if kind == "x_gen":
-                        terms = {a[:i] + (a[i] + 1,) + a[i + 1:]: 1}
-                    else:
-                        terms = self.family._w_on_x(w, a)
-                    for a2, coeff in terms.items():
-                        self._place(got, k2, w, a2, p, coeff, len(kept))
+            fam, got = self.family, {}
+            monos, kept = poly.monomials(self.n, k), self.selected(k)
+            k2 = k + {"x_gen": 1, "y_gen": -1}.get(kind, 0)
+            for p, mpos in enumerate(kept if self.selected(k2) else ()):
+                a = monos[mpos]
+                if kind == "x_gen":
+                    terms = (((a[:i] + (a[i] + 1,) + a[i + 1:], 0), 1),)
+                elif kind == "y_gen":
+                    terms = (((a2, w), c) for (a2, w, b), c
+                             in fam._y_on_x(i, a).items() if not any(b))
+                else:
+                    terms = (((a2, i), c) for a2, c
+                             in fam._w_on_x(i, a).items())
+                for (a2, w), coeff in terms:
+                    self._place(got, k2, w, a2, p, coeff, len(kept))
             self._terms[(key, k)] = got
         return got
 

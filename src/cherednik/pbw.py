@@ -11,14 +11,16 @@ presets V = h + h* with the x block spanning h* and the y block spanning h.
 The orthogonal preset (graded affine Hecke) runs on V0 = h with a
 W-invariant symmetric form; there the whole V-part lives in the x block and
 the y block stays identically zero.  One engine straightens both: a product
-inserts x_j past y^b, then past w, then into x^a.
+inserts x_j past y^b, then past w, then into x^a.  The images w(x^a) and
+the normal forms y_i . x^a are memoized per family, each monomial formed
+from its prefix (x^a less its last letter) by one product.
 """
 
 from fractions import Fraction
 
 from . import linalg, poly
 from .clifford import CliffordAlgebra, polarized_algebra
-from .poly import Terms, acc, substitute_linear
+from .poly import Terms, acc
 from .scalars import rational, real_sign, reciprocal, scalar_str
 
 
@@ -63,6 +65,8 @@ class FormFamily:
         self._past = {}
         self._images = {}
         self._ins = {}
+        # y_i . x^a in normal form, read by the modules' y columns
+        self._yx = {}
         # products of two PBW monomials, read by H (x) C(V) products
         self._units = {}
         # the Dirac element D in H (x) C(V), built by dirac.dirac_element
@@ -136,12 +140,15 @@ class FormFamily:
 
     def _image(self, u, e, dual):
         """Expansion of the monomial with exponents e under the matrix of u
-        on h* (dual) or on h, as {exponent: coeff}."""
-        key = (u, e, dual)
-        got = self._images.get(key)
+        on h* (dual) or on h, as {exponent: coeff}, from one table of
+        images per (u, dual) (poly.monomial_image)."""
+        table = self._images.get((u, dual))
+        if table is None:
+            table = self._images[(u, dual)] = {}
+        got = table.get(e)
         if got is None:
-            m = self.group.h_star_matrix(u) if dual else self.group.elements[u]
-            got = self._images[key] = substitute_linear({e: 1}, m)
+            got = poly.monomial_image(table, e, self.group.h_star_matrix(u)
+                                      if dual else self.group.elements[u])
         return got
 
     def _w_on_x(self, w, a):
@@ -164,10 +171,7 @@ class FormFamily:
         if not any(b):
             res = ((1, _unit(n, j), 0, nz),)
         else:
-            i = max(k for k in range(n) if b[k])
-            b1 = list(b)
-            b1[i] -= 1
-            b1 = tuple(b1)
+            b1, i = poly.last_letter(b)
             out = {}
             # y^b x_j = (y^b1 x_j) y_i + sum_w a_w(y_i, x_j) y^b1 w
             for c, a2, w2, b2 in self._y_past_x(b1, j):
@@ -199,9 +203,7 @@ class FormFamily:
         if self.space == "polarized" or l <= k:
             res = ((1, tuple(p + q for p, q in zip(a, e)), 0),)
         else:
-            b = list(a)
-            b[l] -= 1
-            b = tuple(b)
+            b, _ = poly.last_letter(a)
             out = {}
             # x^a x_k = (x^b x_k) x_l + sum_w a_w(v_l, v_k) x^b w, and
             # w1 x_l = w1(x_l) w1
@@ -237,6 +239,19 @@ class FormFamily:
                         acc(out, (a3, mult(w3, ww1) if w3 else ww1, b1),
                             cd if c3 == 1 else cd * c3)
         return out
+
+    def _y_on_x(self, i, a):
+        """Normal form of y_i . x^a as terms: one _times_x step from
+        y_i . x^(a - e_j), x_j the last letter of x^a."""
+        got = self._yx.get((i, a))
+        if got is None:
+            if any(a):
+                prefix, j = poly.last_letter(a)
+                got = self._times_x(self._y_on_x(i, prefix), j)
+            else:
+                got = self.y_gen(i).terms
+            self._yx[(i, a)] = got
+        return got
 
     def _times_w(self, terms, w2):
         out = {}

@@ -98,12 +98,6 @@ def p_add(a, b):
     return out
 
 
-def p_scale(c, a):
-    if not c:
-        return {}
-    return {e: c * v for e, v in a.items()}
-
-
 def p_mul(a, b):
     out = {}
     for e1, c1 in a.items():
@@ -126,26 +120,37 @@ def total_degree(p):
     return max((sum(e) for e in p), default=0)
 
 
+def last_letter(e):
+    """(e less its last letter x_j, j), x_j the variable of largest index
+    in x^e: a monomial's image is its prefix's times x_j's."""
+    j = max(i for i, k in enumerate(e) if k)
+    return e[:j] + (e[j] - 1,) + e[j + 1:], j
+
+
+def monomial_image(table, e, B):
+    """The image of x^e under x_j -> sum_i B[i][j] x_i, memoized in table
+    (exponent -> image) along with its prefixes: the image of its prefix
+    (last_letter) times column j of B."""
+    got = table.get(e)
+    if got is None:
+        if any(e):
+            prefix, j = last_letter(e)
+            n = len(B)
+            got = p_mul(monomial_image(table, prefix, B), {
+                tuple(1 if k == i else 0 for k in range(n)): B[i][j]
+                for i in range(n) if B[i][j]})
+        else:
+            got = {e: 1}
+        table[e] = got
+    return got
+
+
 def substitute_linear(p, B):
     """Apply x_j -> sum_i B[i][j] x_i (columns of B are variable images)."""
-    n = len(B)
-    images = [{} for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            if B[i][j]:
-                images[j][tuple(1 if k == i else 0 for k in range(n))] = B[i][j]
-    out = {}
-    cache = {}
+    table, out = {}, {}
     for e, c in p.items():
-        if e in cache:
-            term = cache[e]
-        else:
-            term = {tuple([0] * n): 1}
-            for j, k in enumerate(e):
-                for _ in range(k):
-                    term = p_mul(term, images[j])
-            cache[e] = term
-        out = p_add(out, p_scale(c, term))
+        for e2, v in monomial_image(table, e, B).items():
+            acc(out, e2, c * v)
     return out
 
 
@@ -178,11 +183,9 @@ def from_vector(v, monos):
 def action_matrix_on_degree(B, n, d):
     """Matrix of substitute_linear(-, B) on the monomial basis of S^d."""
     monos = monomials(n, d)
-    cols = []
-    for m in monos:
-        img = substitute_linear({m: 1}, B)
-        cols.append(to_vector(img, monos))
-    return [list(row) for row in zip(*cols)]
+    table = {}
+    return [list(row) for row in zip(*(
+        to_vector(monomial_image(table, m, B), monos) for m in monos))]
 
 
 def det(a):

@@ -7,6 +7,7 @@ t=1, c=0 rational Cherednik algebra is built directly as matrices acting on
 polynomials.  The last sections keep the second constructions that the
 library runs only one way: the Dirac element and the Casimir in another
 basis of V, isotypic projectors summed over W, the Clifford involutions,
+linear substitution letter by letter from scratch per monomial,
 matrix products with every product and sum carried out, products on
 the orthogonal space by the ordered rewrite alone, module
 characters traced off the full sigma-blocks, module actions by a walk
@@ -64,7 +65,8 @@ from cherednik.groups import (_find_reflection_data, check_representation,
 from cherednik.modules import (DiracOperatorMatrix, GradedModule,
                                _zero_scalar_cells)
 from cherednik.pbw import cherednik_family
-from cherednik.poly import acc, monomials, p_mul, to_vector, wedge_matrix
+from cherednik.poly import (acc, monomials, p_add, p_mul, to_vector,
+                           wedge_matrix)
 from cherednik.scalars import (conjugate, rational, reciprocal,
                                scalar_map_str, scalar_str)
 
@@ -782,6 +784,27 @@ def orthogonal_product(family, u, v):
         for (a, w, b), c in cur.items():
             acc(res, (a, g.mult(w, w2), b), c * c2)
     return res
+
+
+# ---------------------------------------------------------------------------
+# linear substitution letter by letter
+
+
+def substitute_by_letters(p, B):
+    """substitute_linear with every monomial's image formed from scratch,
+    one column of B per letter, and the result copied once per term, as
+    the library did before it extended each monomial from its prefix."""
+    n = len(B)
+    cols = [{tuple(1 if k == i else 0 for k in range(n)): B[i][j]
+             for i in range(n) if B[i][j]} for j in range(n)]
+    out = {}
+    for e, c in p.items():
+        term = {(0,) * n: 1}
+        for j, k in enumerate(e):
+            for _ in range(k):
+                term = p_mul(term, cols[j])
+        out = p_add(out, {e2: c * v for e2, v in term.items()} if c else {})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -319,8 +319,7 @@ def _weyl_model_apply(elem, f, group):
         if not cur:
             continue
         cur = poly.substitute_linear(cur, group.h_star_matrix(w))
-        cur = poly.p_mul(cur, {tuple(a): Fraction(1)})
-        out = poly.p_add(out, poly.p_scale(coeff, cur))
+        out = poly.p_add(out, poly.p_mul(cur, {tuple(a): coeff}))
     return out
 
 

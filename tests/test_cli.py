@@ -416,3 +416,72 @@ def test_json_output_is_byte_stable(tmp_path):
                      "--c", "1/3", "--K", "2", "--format", "json",
                      "--out", str(target)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("flag,value,want", [
+    ("c", "-1/3", ("1/1", "-1/3")), ("t", "-1/2", ("-1/2", "1/1"))])
+@pytest.mark.parametrize("spelling", ["space", "equals", "config"])
+def test_negative_fractions_are_values(tmp_path, capsys, flag, value, want,
+                                       spelling):
+    # argparse alone reads -1/3 as a flag and exits 2
+    argv = ["verify", "--group", "A1"]
+    if spelling == "space":
+        argv += ["--" + flag, value]
+    elif spelling == "equals":
+        argv += [f"--{flag}={value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        argv += ["--config", str(cfg)]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert (payload["t"], payload["c"]) == want
+
+
+def test_a_negative_scalar_after_a_switch_is_still_refused(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["dirac-cohomology", "--group", "A1", "--sigma", "triv",
+              "--simple", "-1/3"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "pbw-check"])
+@pytest.mark.parametrize("preset,flag,value", [
+    ("gaha", "t", "0"), ("corrupted", "t", "1"), ("corrupted", "c", "1/2"),
+    ("cherednik", "kind", "class"), ("gaha", "kind", "class")])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_a_flag_the_preset_does_not_read_is_refused(tmp_path, capsys,
+                                                    command, preset, flag,
+                                                    value, from_config):
+    argv = [command, "--group", "A2", "--preset", preset]
+    if from_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--" + flag, value]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --preset {preset} does not read --{flag}\n")
+
+
+def test_the_gaha_report_keeps_its_t(capsys):
+    # the default report names t = 1 although the family has no t; the
+    # recorded digest of `verify --group B2 --preset gaha` depends on it
+    code, payload = run_json(capsys, ["verify", "--group", "B2",
+                                      "--preset", "gaha"])
+    assert code == 0
+    assert (payload["t"], payload["c"], payload["preset"]) == (
+        "1/1", "1/1", "graded-affine-hecke")
+
+
+def test_only_a_negative_scalar_is_joined_to_its_flag(capsys):
+    # -5 is a scalar, so --K reads it and refuses it by its own rule;
+    # -1/0 is not, so argparse still reads it as a flag
+    assert main(["dirac-cohomology", "--group", "A1", "--sigma", "triv",
+                 "--K", "-5"]) == 2
+    assert capsys.readouterr().err == "error: K must be >= 0, not -5\n"
+    with pytest.raises(SystemExit) as err:
+        main(["partition", "--group", "A1", "--c", "-1/0"])
+    assert err.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -10,8 +10,13 @@ module (K = 2) per group:
   its basis cell by cell, against the elimination over the whole window
   it replaced (oracles.dirac_cohomology_by_window), also at c = 1/3 where
   |W| <= 12 and on standard modules (K = 3, c = 1/3) of six groups;
-- the matrices P of x_i and w, computed directly by GradedModule._columns,
-  against the PBW straightening of the same generator;
+- the matrices P of x_i, y_i and w, computed directly by
+  GradedModule._columns (y_i from the family's memo of y_i . x^a, each
+  monomial one _times_x step from its prefix), against the PBW
+  straightening of the same generator;
+- the images w(x^a) of FormFamily._image and poly.substitute_linear,
+  each monomial its prefix's image times one column, against the chain
+  of one product per letter (oracles.substitute_by_letters);
 - cell_multiplicity, which pairs the degree-k character with one cached
   row, against the cell character formed first and then paired.
 
@@ -22,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik import linalg, modules, pbw
+from cherednik import linalg, modules, pbw, poly
 from cherednik.calogero_moser import dirac_partition
 from cherednik.groups import CATALOGUE_IDS, build_group
 from cherednik.modules import (DiracOperatorMatrix, _span_character,
@@ -31,7 +36,8 @@ from cherednik.modules import (DiracOperatorMatrix, _span_character,
 from cherednik.scalars import CyclotomicScalar, parse_scalar, reduce
 from oracles import (cell_multiplicity_two_products, cyclotomic_coeffs,
                      dirac_cohomology_by_window, kron_naive,
-                     reduce_cyclotomic_sympy, span_character_dense)
+                     reduce_cyclotomic_sympy, span_character_dense,
+                     substitute_by_letters)
 
 
 def _typed(x):
@@ -134,14 +140,14 @@ def test_standard_cohomology_matches_the_window_elimination(gid):
 
 
 def _check_direct(module, checked):
-    """x_i and w on every degree up to one past K, once per family and
-    ideal: the matrices P do not depend on sigma."""
+    """x_i, y_i and w on every degree up to one past K, once per family
+    and ideal: the matrices P do not depend on sigma."""
     seen = (id(module.family), id(module._terms))
     if seen in checked:
         return
     checked.add(seen)
     g = module.group
-    keys = ([("x_gen", i) for i in range(g.n)]
+    keys = ([(gen, i) for gen in ("x_gen", "y_gen") for i in range(g.n)]
             + [("group_element", w) for w in range(g.order)])
     for k in range(module.K + 2):
         for key in keys:
@@ -161,6 +167,82 @@ def test_direct_x_and_w_match_the_straightening(gid):
     for module in _quotients(g) + [_standard(g)]:
         _check_direct(module, checked)
     assert len(checked) >= 2
+
+
+def _exact(p):
+    """A term map with the exact type of every coefficient."""
+    return {e: (type(v), v) for e, v in p.items()}
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_images_match_the_letter_chain(gid):
+    # every element on h and on h*, every exponent up to the coinvariant
+    # top degree, on a fresh family
+    g = build_group(gid)
+    fam = pbw.FormFamily(g, {})
+    top = sum(d - 1 for d in g.invariant_degrees)
+    for u in range(g.order):
+        for dual in (False, True):
+            m = g.h_star_matrix(u) if dual else g.elements[u]
+            for d in range(top + 1):
+                for e in poly.monomials(g.n, d):
+                    assert _exact(fam._image(u, e, dual)) == _exact(
+                        substitute_by_letters({e: 1}, m)), (u, dual, e)
+
+
+@pytest.mark.parametrize("gid", CATALOGUE_IDS)
+def test_substitution_matches_the_letter_chain(gid):
+    # the invariants, and every monomial up to the coinvariant top degree
+    # at once with mixed coefficients, under every element on h*; and the
+    # matrices on each degree under the generators
+    rng = random.Random(38)
+    g = build_group(gid)
+    top = sum(d - 1 for d in g.invariant_degrees)
+    mixed = {e: rng.choice([1, -2, Fraction(1, 3), Fraction(-5, 2)])
+             for d in range(top + 1) for e in poly.monomials(g.n, d)}
+    for u in range(g.order):
+        m = g.h_star_matrix(u)
+        for p in g.invariant_generators + [mixed]:
+            assert _exact(poly.substitute_linear(p, m)) == _exact(
+                substitute_by_letters(p, m)), u
+    # the degree matrices the invariants are solved from, one table each
+    for u in g.generator_indices:
+        m = g.h_star_matrix(u)
+        for d in range(top + 1):
+            monos = poly.monomials(g.n, d)
+            want = [[_exact(substitute_by_letters({e: 1}, m)).get(
+                f, (int, 0)) for e in monos] for f in monos]
+            got = poly.action_matrix_on_degree(m, g.n, d)
+            assert [[(type(x), x) for x in row] for row in got] == want
+
+
+def test_y_blocks_extend_each_monomial_once(monkeypatch):
+    # on a fresh G3_1_2 family, every y-block of a baby Verma module takes
+    # one _times_x step per (i, monomial) met, y_i . x^a from y_i times
+    # a's prefix, and forms no PBW product and no substitution
+    monkeypatch.setattr(pbw, "_CHEREDNIK_FAMILIES", {})
+    g = build_group("G3_1_2")
+    module = baby_verma(g, g.irrep_labels[-1], 1)
+    steps = []
+    times_x = pbw.FormFamily._times_x
+
+    def counting(self, terms, j):
+        steps.append(j)
+        return times_x(self, terms, j)
+
+    def refused(*args):
+        raise AssertionError("a product or substitution was formed")
+
+    monkeypatch.setattr(pbw.FormFamily, "_times_x", counting)
+    monkeypatch.setattr(pbw.AlgebraElement, "__mul__", refused)
+    monkeypatch.setattr(poly, "substitute_linear", refused)
+    blocks = [module.y_block(i, k) for k in module.degrees()
+              for i in range(g.n)]
+    extended = [key for key in module.family._yx if any(key[1])]
+    assert 0 < len(steps) == len(extended)
+    assert len(extended) <= g.n * sum(len(poly.monomials(g.n, d))
+                                      for d in range(module.K + 1))
+    assert sum(b is not None for b in blocks) == g.n * module.K
 
 
 @pytest.mark.parametrize("gid", CATALOGUE_IDS)

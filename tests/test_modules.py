@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from cherednik import linalg, poly
+from cherednik import linalg, pbw, poly
 from cherednik.clifford import spin_block
 from cherednik.dirac import casimir_scalar
 from cherednik.groups import (
@@ -507,6 +507,18 @@ def test_window_exceeds_cap():
     assert [0, 1] in rep["window"]
     got = {e["irrep"]: e["multiplicity"] for e in rep["H_D"]}
     assert got.get("sgn") == 1
+
+
+def test_a_standard_module_builds_no_degree_past_its_window(monkeypatch):
+    # S(h*) never ends, so a large K bounds nothing that is built: the
+    # sections stop one degree above the zero-scalar window
+    monkeypatch.setattr(pbw, "_CHEREDNIK_FAMILIES", {})
+    g = build_group("B2")
+    module = standard_module(g, "2x0", 1, K=10 ** 5)
+    rep = dirac_cohomology(module)
+    assert not module.finite
+    assert len(module._sections) == max(k for k, _ in rep["window"]) + 2
+    assert rep == dirac_cohomology(standard_module(g, "2x0", 1, K=4))
 
 
 def test_cohomology_baby_rank_one():
